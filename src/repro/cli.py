@@ -67,10 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "(bit-identical to previous releases), float32 "
                           "runs the mixed-precision kernel (float32 GEMM, "
                           "float64 entropy accumulation, MI error ~1e-6)")
-    rec.add_argument("--kernel", choices=["legacy", "fused", "sparse", "auto"],
+    rec.add_argument("--kernel", choices=["fused", "sparse", "auto"],
                      default="fused",
                      help="MI tile kernel variant: fused (default, GEMM "
-                          "workspace kernel), legacy (plain mi_tile), "
+                          "workspace kernel, bit-identical to mi_tile), "
                           "sparse (compiled packed-weight kernel exploiting "
                           "B-spline sparsity; float64 within ~1 ulp of "
                           "mi_tile), or auto (measure all variants on a "
@@ -104,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="pooled global null (fast) or exact per-pair p-values")
     rec.add_argument("--max-retries", type=int, default=0,
                      help="retry budget per MI tile task before giving up "
-                          "(0 disables the fault-tolerant dispatch layer)")
+                          "(0 = one attempt; with --on-fault raise a failing "
+                          "tile aborts the run)")
     rec.add_argument("--task-timeout", type=float, default=None, metavar="SECONDS",
                      help="per-task timeout for the MI stage; hung workers "
                           "are killed and replaced (fork engines only)")

@@ -33,7 +33,13 @@ import numpy as np
 from repro.cluster.comm import LockstepComm
 from repro.core.bspline import weight_tensor
 from repro.core.discretize import rank_transform
-from repro.core.exec import MatrixSink, TensorSource, plan_tiles, run_tile_plan
+from repro.core.exec import (
+    MatrixSink,
+    TensorSource,
+    mirror_upper,
+    plan_tiles,
+    run_tile_plan,
+)
 from repro.core.mi import mi_from_joint
 from repro.core.network import GeneNetwork
 from repro.core.threshold import threshold_adjacency
@@ -253,9 +259,7 @@ def distributed_reconstruct(
     # contribute None and are skipped by the tolerant collective).
     contrib = [None if r in comm.failed else partial_mi[r] for r in range(n_ranks)]
     mi_all = comm.allreduce(contrib, op=np.add)
-    mi = mi_all[0]
-    iu = np.triu_indices(n, k=1)
-    mi[(iu[1], iu[0])] = mi[iu]
+    mi = mirror_upper(mi_all[0])
     np.fill_diagonal(mi, 0.0)
 
     # ------------------------------------------------------------------

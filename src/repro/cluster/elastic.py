@@ -5,7 +5,7 @@ on a socket; worker processes (``repro worker --connect HOST:PORT``) dial
 in at any time and are handed tile tasks from a
 :class:`~repro.cluster.taskgraph.TaskGraph`.  :class:`ElasticEngine`
 wraps the coordinator in the engine protocol
-(``map`` / ``map_supervised``), so :func:`repro.core.exec.run_tile_plan`
+(``map_supervised``, plus the strict ``map``), so :func:`repro.core.exec.run_tile_plan`
 — and with it every MI driver, the fault policies, and the tracer spans
 — gets multi-process distribution without knowing it happened.
 
@@ -18,7 +18,7 @@ bit-identical to the serial path no matter how membership churned —
 the same determinism argument as PR 4's rank-loss recovery, generalized
 from fixed lockstep ranks to arbitrary membership.
 
-The task function is pickled once per ``map`` call and broadcast under
+The task function is pickled once per dispatch and broadcast under
 its content digest; workers cache payloads by digest, so the weight
 tensor crosses the wire once per worker, not once per tile.  All traffic
 is metered per peer through :class:`~repro.cluster.comm.CommMeter` and
@@ -268,8 +268,8 @@ class ElasticEngine(_EngineObsMixin):
     """Engine protocol over an elastic worker pool.
 
     Satisfies what :func:`repro.core.exec.run_tile_plan` asks of a
-    fork-style engine — ``in_process=False``, ``map``,
-    ``map_supervised(fn, items, timeout)``, ``n_workers`` — so every
+    fork-style engine — ``in_process=False``,
+    ``map_supervised(fn, items, timeout, on_done)``, ``n_workers`` — so every
     driver, fault policy and tracer span works over remote workers
     unchanged.  ``n_workers`` is *current live membership*, not a
     constructor constant.
@@ -346,33 +346,19 @@ class ElasticEngine(_EngineObsMixin):
         return proc
 
     # -- engine protocol -------------------------------------------------
-    def map(self, fn, items) -> list:
-        """Apply ``fn`` to every item in order; a task error raises."""
-        results, failures = self._run(fn, items, tolerant=False, timeout=None)
-        if failures:
-            pos = min(failures)
-            raise RuntimeError(
-                f"elastic task {pos} failed: {failures[pos]}")
-        return results
-
-    def map_supervised(self, fn, items, timeout: "float | None" = None):
-        """Fault-isolating ``map``: ``(results, failures)``.
+    def _dispatch(self, fn, items, out, timeout, on_done, sp):
+        """One supervised round over the pool (see :mod:`repro.parallel.engine`).
 
         A task that raises on a worker fails only its own slot; a task
         running past ``timeout`` has its worker dropped (the elastic
         analogue of killing a hung fork worker) and is reported failed —
         the resilient dispatch layer owns retries.
         """
-        return self._run(fn, items, tolerant=True, timeout=timeout)
-
-    # -- the dispatch loop -----------------------------------------------
-    def _run(self, fn, items, tolerant: bool, timeout: "float | None"):
-        self._engine_fault_check()
-        items = list(items)
+        if out is not None:
+            raise TypeError("elastic workers cannot write into coordinator "
+                            "memory; use map_supervised")
         results: list = [None] * len(items)
         failures: dict = {}
-        if not items:
-            return results, failures
         fn = self._faulty(fn)
         try:
             payload = _dumps(fn)
@@ -387,27 +373,19 @@ class ElasticEngine(_EngineObsMixin):
         # Per-run worker stats live on the engine (not the _Worker records)
         # so a worker killed mid-run still counts in the map metadata.
         self._run_stats = {}
-        with self._obs_tracer().span(
-            "engine_map", engine="ElasticEngine", policy=self.policy.name
-        ) as sp:
-            t0 = time.perf_counter()
-            self._dispatch(graph, payload, digest, results, failures,
-                           tolerant, timeout)
-            wall = time.perf_counter() - t0
-            stats = [s for s in self._run_stats.values() if s.tasks]
-            self._record_map(sp, "map", len(items), wall, stats)
-            tracer = self._obs_tracer()
-            if graph.reassigned:
-                tracer.add("elastic_tasks_reassigned", graph.reassigned)
-            if graph.locality_hits:
-                tracer.add("elastic_locality_hits", graph.locality_hits)
-            self.meter.export(tracer)
+        self._drive(graph, payload, digest, results, failures, timeout, on_done)
+        tracer = self._obs_tracer()
+        if graph.reassigned:
+            tracer.add("elastic_tasks_reassigned", graph.reassigned)
+        if graph.locality_hits:
+            tracer.add("elastic_locality_hits", graph.locality_hits)
+        self.meter.export(tracer)
         self.last_graph = graph
-        return results, failures
+        return results, failures, [s for s in self._run_stats.values() if s.tasks]
 
-    def _dispatch(self, graph: TaskGraph, payload: bytes, digest: str,
-                  results: list, failures: dict, tolerant: bool,
-                  timeout: "float | None") -> None:
+    def _drive(self, graph: TaskGraph, payload: bytes, digest: str,
+               results: list, failures: dict, timeout: "float | None",
+               on_done) -> None:
         coord = self.coordinator
         no_worker_since: "float | None" = None
         last_ping = time.monotonic()
@@ -443,7 +421,7 @@ class ElasticEngine(_EngineObsMixin):
                     "elastic pool empty: all workers lost and none joined "
                     f"within {self.join_timeout:.0f}s")
 
-            self._enforce_deadlines(graph, failures, tolerant, timeout)
+            self._enforce_deadlines(graph, failures, timeout)
             if time.monotonic() - last_ping >= self.heartbeat:
                 last_ping = time.monotonic()
                 self._heartbeat_idle(graph)
@@ -454,13 +432,13 @@ class ElasticEngine(_EngineObsMixin):
                 kind, wid, msg = coord.inbox.get(timeout=0.1)
             except queue.Empty:
                 continue
-            self._handle(kind, wid, msg, graph, results, failures, tolerant)
+            self._handle(kind, wid, msg, graph, results, failures, on_done)
             if self.on_event is not None:
                 self.on_event(kind, {"worker": wid, "message": msg,
                                      "engine": self})
 
     def _handle(self, kind, wid, msg, graph, results, failures,
-                tolerant) -> None:
+                on_done) -> None:
         coord = self.coordinator
         worker = coord.workers.get(wid)
         if kind == "join":
@@ -488,6 +466,8 @@ class ElasticEngine(_EngineObsMixin):
             graph.complete(index)
             results[index] = msg["value"]
             failures.pop(index, None)
+            if on_done is not None:
+                on_done(index, msg["value"])
             return
         if kind == "task_error":
             index = msg["index"]
@@ -499,12 +479,9 @@ class ElasticEngine(_EngineObsMixin):
                 return
             graph.complete(index)
             failures[index] = msg["error"]
-            if not tolerant:
-                # Strict map: no point computing the rest of the batch.
-                graph.cancel_pending()
             return
 
-    def _enforce_deadlines(self, graph, failures, tolerant,
+    def _enforce_deadlines(self, graph, failures,
                            timeout: "float | None") -> None:
         if timeout is None:
             return

@@ -20,11 +20,11 @@ from repro.core.exec import (
     MatrixSink,
     TensorSource,
     TilePlan,
+    mirror_upper,
     plan_tiles,
     run_tile_plan,
     weights_fingerprint,
 )
-from repro.core.mi_matrix import compute_tile
 from repro.faults.policy import QuarantinedTile
 
 __all__ = [
@@ -176,8 +176,7 @@ class CheckpointSink(MatrixSink):
         # downstream consumers can tell "absent" from "measured zero").
         for q in self._quarantined or []:
             mi[q.i0 : q.i1, q.j0 : q.j1] = np.nan
-        iu = np.triu_indices(self.n, k=1)
-        mi[(iu[1], iu[0])] = mi[iu]
+        mirror_upper(mi)
         np.fill_diagonal(mi, 0.0)
         return mi
 
@@ -251,15 +250,9 @@ class DeltaCheckpointSink(CheckpointSink):
                     mi[i0 : i0 + block.shape[0], j0 : j0 + block.shape[1]] = block
         for q in self._quarantined or []:
             mi[q.i0 : q.i1, q.j0 : q.j1] = np.nan
-        iu = np.triu_indices(self.n, k=1)
-        mi[(iu[1], iu[0])] = mi[iu]
+        mirror_upper(mi)
         np.fill_diagonal(mi, 0.0)
         return mi
-
-
-def _checkpoint_kernel(source, h, t, base):
-    """Late-bound so tests can patch this module's ``compute_tile``."""
-    return compute_tile(source.weights, h, t, base)
 
 
 def mi_matrix_checkpointed(
@@ -292,9 +285,9 @@ def mi_matrix_checkpointed(
         *new* rows, simulating preemption mid-run.
     engine:
         Optional execution engine (:mod:`repro.parallel.engine`) running
-        each block-row's tiles; engines with ``map_into`` write tile blocks
-        directly into the row buffer, others return blocks through ``map``.
-        Checkpoint granularity (and the on-disk format) is unchanged.
+        each block-row's tiles as one supervised dispatch; blocks return
+        to the parent, which saves the row.  Checkpoint granularity (and
+        the on-disk format) is independent of the engine.
     progress:
         Optional ``progress(done_rows, total_rows)`` callback, fired after
         each block-row's checkpoint lands (resumed rows count as done, so
@@ -333,6 +326,5 @@ def mi_matrix_checkpointed(
         engine=engine,
         tracer=tracer,
         progress=progress,
-        kernel=_checkpoint_kernel,
         policy=policy,
     )

@@ -35,7 +35,7 @@ from repro.core.exec import (
     DenseSink,
     MmapSource,
     TensorSource,
-    plan_tiles,
+    plan_run,
     run_tile_plan,
 )
 from repro.core.network import GeneNetwork
@@ -44,7 +44,6 @@ from repro.core.permutation import pooled_null
 from repro.core.pipeline import TingeConfig
 from repro.core.threshold import threshold_adjacency
 from repro.core.tiling import pair_count
-from repro.faults.policy import FaultPolicy
 
 __all__ = ["AutoRunResult", "auto_reconstruct"]
 
@@ -144,10 +143,10 @@ def auto_reconstruct(
         ``checkpoint_threshold`` genes.
     engine:
         Optional execution engine (:mod:`repro.parallel.engine`) for the
-        all-pairs MI stage of whichever strategy is chosen.  Engines with
-        ``map_into`` (serial, thread, shared-memory) write tile blocks
-        into the output in place; others fall back to pickle-return
-        ``map``.
+        all-pairs MI stage of whichever strategy is chosen.  The MI stage
+        runs the config's ``kernel`` / ``kernel_dtype`` / ``autotune``
+        settings exactly as :func:`repro.core.mi_matrix.mi_matrix` does, so
+        every strategy computes the pipeline's MI matrix.
     tracer:
         Optional :class:`repro.obs.tracer.Tracer` forwarded to whichever
         MI driver the strategy selects (and, via the engine, to the worker
@@ -160,14 +159,14 @@ def auto_reconstruct(
     policy:
         Optional :class:`repro.faults.policy.FaultPolicy` for the MI
         stage; defaults to the policy implied by the config's
-        ``max_retries`` / ``task_timeout`` / ``on_fault`` fields (``None``
-        — legacy dispatch — when those are all defaults).  Quarantined
-        tiles are reported on the result instead of aborting the run.
+        ``max_retries`` / ``task_timeout`` / ``on_fault`` fields
+        (:meth:`repro.core.pipeline.TingeConfig.fault_policy`).  Under a
+        non-raising policy, quarantined tiles are reported on the result
+        instead of aborting the run.
     """
     config = config or TingeConfig()
     if policy is None:
-        policy = FaultPolicy.from_options(config.max_retries, config.task_timeout,
-                                          config.on_fault)
+        policy = config.fault_policy()
     if config.testing != "pooled":
         raise ValueError("auto_reconstruct supports pooled testing only")
     if config.correction not in _SUPPORTED_CORRECTIONS:
@@ -222,8 +221,10 @@ def auto_reconstruct(
         weights = weight_tensor(transformed, config.bins, config.order,
                                 np.dtype(config.dtype))
         source = TensorSource(weights)
-    plan = plan_tiles(source, tile=config.tile, base=config.base,
-                      schedule=config.schedule)
+    plan, kernel = plan_run(source, tile=config.tile, base=config.base,
+                            schedule=config.schedule, kernel=config.kernel,
+                            kernel_dtype=config.kernel_dtype,
+                            autotune=config.autotune, engine=engine)
     if strategy == "out-of-core":
         sink = MmapMatrixSink(workdir / "mi", source.n_genes)
         artifacts["mi_store"] = sink.out_path
@@ -264,7 +265,8 @@ def auto_reconstruct(
 
     try:
         result = run_tile_plan(plan, source, sink, engine=engine,
-                               tracer=tracer, progress=progress, policy=policy)
+                               tracer=tracer, progress=progress, policy=policy,
+                               kernel=kernel, kernel_dtype=config.kernel_dtype)
     finally:
         source.close()
     if strategy == "out-of-core":

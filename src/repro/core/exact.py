@@ -22,10 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.entropy import joint_entropy_from_probs, marginal_entropies
-from repro.core.exec import TensorSource, WeightSource, worker_workspace
+from repro.core.exec import TensorSource, WeightSource, mirror_upper, worker_workspace
 from repro.core.mi import _fused_block, mi_tile
 from repro.core.tiling import Tile, default_tile_size, pair_count, tile_grid
 from repro.obs.tracer import NULL_TRACER
+from repro.parallel.engine import SerialEngine, raise_first_failure
 from repro.stats.random import as_rng, permutation_matrix
 
 __all__ = ["ExactTestResult", "mi_tile_fused", "exact_mi_pvalues"]
@@ -94,7 +95,7 @@ def mi_tile_fused(
     ti, b = wi.shape[0], wi.shape[2]
     tj = wj.shape[0]
     if ti == 1 and tj == 1:
-        # Degenerate tiles keep the legacy loop (see mi.py on 1x1 GEMM
+        # Degenerate tiles keep the reference loop (see mi.py on 1x1 GEMM
         # summation order); cost is negligible at this size.
         observed = mi_tile(wi, wj, h_i=h_i, h_j=h_j, base=base)
         exceed = np.zeros(observed.shape, dtype=np.int64)
@@ -109,7 +110,7 @@ def mi_tile_fused(
     # reused workspace; each permutation is one sample-axis gather of the
     # already-transposed row operand plus one GEMM + fused reduction —
     # the column operand and both marginal entropy vectors are reused
-    # across all q replicas.  Bit-identical to the legacy loop.
+    # across all q replicas.  Bit-identical to the reference loop.
     ws = worker_workspace()
     at = ws.array("at", (ti, b, m), wi.dtype)
     np.copyto(at, wi.transpose(0, 2, 1), casting="same_kind")
@@ -161,9 +162,9 @@ def exact_mi_pvalues(
     tile, engine, base, progress, tracer:
         As in :func:`repro.core.mi_matrix.mi_matrix` (the fused kernel does
         ``(1 + q)x`` the work per tile, so a progress line matters even
-        more here).  Completion ticks the same ``tiles_done`` /
-        ``pairs_done`` counters; per-tile for serial and in-process
-        engines, per-batch for fork-based ones.
+        more here).  The grid is one supervised engine dispatch, and each
+        finished tile ticks the same ``tiles_done`` / ``pairs_done``
+        counters and the progress line, on every engine.
     """
     source = weights if isinstance(weights, WeightSource) else TensorSource(weights)
     weights = getattr(source, "weights", None)
@@ -202,28 +203,12 @@ def exact_mi_pvalues(
         if progress is not None:
             progress(done, total)
 
+    engine = engine if engine is not None else SerialEngine()
     with tracer.span("exact_mi", n_genes=n, n_tiles=total,
                      n_pairs=pair_count(n), n_permutations=n_permutations):
-        if engine is None:
-            blocks = []
-            for t in tiles:
-                blocks.append(run(t))
-                tick(1, t.n_pairs)
-        elif getattr(engine, "in_process", False):
-            def run_ticked(t: Tile):
-                block = run(t)
-                tick(1, t.n_pairs)
-                return block
-
-            blocks = engine.map(run_ticked, tiles)
-        else:
-            observing = progress is not None or tracer is not NULL_TRACER
-            chunk = max(1, 4 * getattr(engine, "n_workers", 1)) if observing else total
-            blocks = []
-            for s in range(0, total, chunk):
-                batch = tiles[s : s + chunk]
-                blocks.extend(engine.map(run, batch))
-                tick(len(batch), sum(t.n_pairs for t in batch))
+        blocks, failures = engine.map_supervised(
+            run, tiles, on_done=lambda pos, _block: tick(1, tiles[pos].n_pairs))
+        raise_first_failure(engine, failures)
 
     mi = np.zeros((n, n), dtype=np.float64)
     pvals = np.ones((n, n), dtype=np.float64)
@@ -235,9 +220,8 @@ def exact_mi_pvalues(
             p_block = np.where(mask, p_block, 1.0)
         mi[t.i0 : t.i1, t.j0 : t.j1] = observed
         pvals[t.i0 : t.i1, t.j0 : t.j1] = p_block
-    iu = np.triu_indices(n, k=1)
-    mi[(iu[1], iu[0])] = mi[iu]
-    pvals[(iu[1], iu[0])] = pvals[iu]
+    mirror_upper(mi)
+    mirror_upper(pvals)
     np.fill_diagonal(mi, 0.0)
     np.fill_diagonal(pvals, 1.0)
     return ExactTestResult(mi=mi, pvalues=pvals, n_permutations=n_permutations)

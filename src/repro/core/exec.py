@@ -19,11 +19,13 @@ module factors that loop into three small protocols plus one executor:
   (with per-tile costs for the cost-model policies), not just the
   simulator's replay.
 
-:func:`run_tile_plan` then owns tile iteration, engine dispatch
-(``map``/``map_into``, with fork-engine batching and shared-memory
-staging), progress reporting and span/counter emission — identically for
-every driver, so a new backend is one new protocol implementation, not a
-fourth fork of the loop.
+:func:`run_tile_plan` then owns tile iteration, the one supervised
+engine dispatch (``map_supervised`` / ``map_into_supervised``, with
+shared-memory staging, retries and engine fallback), progress reporting
+and span/counter emission — identically for every driver, so a new
+backend is one new protocol implementation, not a fourth fork of the
+loop.  Every tile, whatever the driver, runs through
+:func:`compute_tile`.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ from repro.core.mi import (
     KERNEL_NAMES,
     TileWorkspace,
     _resolve_kernel_dtype,
-    mi_tile,
+    mi_tile_block,
     mi_tile_into,
     mi_tile_sparse,
+    mi_tile_sparse_block,
     mi_tile_sparse_packed,
     prepare_operands,
 )
@@ -63,8 +66,10 @@ from repro.faults.policy import FaultPolicy, FaultToleranceExceeded, Quarantined
 from repro.obs.tracer import NULL_TRACER
 from repro.parallel.engine import (
     EngineFailure,
+    SerialEngine,
     SharedMemoryEngine,
     WorkerLocal,
+    engine_kind,
     fallback_engine,
 )
 from repro.parallel.scheduler import (
@@ -84,7 +89,10 @@ __all__ = [
     "TensorSource",
     "TilePlan",
     "WeightSource",
+    "compute_tile",
     "filter_plan",
+    "mirror_upper",
+    "plan_run",
     "plan_tiles",
     "resolve_kernel",
     "result_cache_key",
@@ -478,7 +486,7 @@ def plan_tiles(
     or the sparse kernel selects the fused cache model
     (:func:`repro.core.tiling.fused_tile_size` — the sparse count buffer
     has the same footprint shape as the fused joint buffer); otherwise the
-    legacy :func:`repro.core.tiling.default_tile_size` applies, keeping
+    original :func:`repro.core.tiling.default_tile_size` applies, keeping
     default runs tile-for-tile identical to previous releases.
     ``schedule`` is a name from :data:`SCHEDULE_NAMES`, a policy instance,
     or ``None`` (grid order).  ``kernel`` is a variant name from
@@ -523,7 +531,7 @@ def resolve_kernel(
     returning the per-host winning ``(variant, tile)`` — persisted in the
     sidecar so later runs skip the measurement.
     """
-    if kernel in (None, "legacy", "fused", "sparse"):
+    if kernel in (None, "fused", "sparse"):
         return kernel, None
     if kernel != "auto":
         raise ValueError(
@@ -533,6 +541,34 @@ def resolve_kernel(
     sample = np.ascontiguousarray(source.slab(0, min(source.n_genes, 256)))
     return autotune_kernel(sample, dtype=kernel_dtype, engine=engine_name,
                            base=base)
+
+
+def plan_run(
+    source: WeightSource,
+    tile: "int | None" = None,
+    base: str = "nat",
+    schedule=None,
+    kernel=None,
+    kernel_dtype=None,
+    autotune: bool = False,
+    engine=None,
+) -> "tuple[TilePlan, str | None]":
+    """Resolve the kernel knob and plan the tiles: ``(plan, variant)``.
+
+    The shared front half of every MI driver — :func:`resolve_kernel`
+    (which may autotune ``"auto"`` into a variant and tile size) followed
+    by :func:`plan_tiles` with the same kernel settings — so the plan and
+    the ``kernel`` / ``kernel_dtype`` later handed to
+    :func:`run_tile_plan` can never disagree.  An explicit ``tile`` wins
+    over the autotuned one.
+    """
+    engine_name = engine_kind(engine)
+    kernel, tile_override = resolve_kernel(source, kernel, kernel_dtype=kernel_dtype,
+                                           engine_name=engine_name, base=base)
+    plan = plan_tiles(source, tile=tile if tile is not None else tile_override,
+                      base=base, schedule=schedule, kernel_dtype=kernel_dtype,
+                      autotune=autotune, engine_name=engine_name, kernel=kernel)
+    return plan, kernel
 
 
 def filter_plan(plan: TilePlan, tiles: list) -> TilePlan:
@@ -576,10 +612,9 @@ class MatrixSink:
     ``grain`` picks the executor's dispatch shape:
 
     * ``"matrix"`` — tiles are independent; the executor dispatches the
-      whole (policy-ordered) grid at once, batching fork engines and
-      staging shared memory exactly as the in-memory driver always did.
-      The sink exposes an optional :meth:`buffer` for in-place
-      ``map_into`` writes and receives every block through :meth:`put`.
+      whole (policy-ordered) grid at once.  The sink exposes an optional
+      :meth:`buffer` for in-place writes (in-process and shared-memory
+      engines) and otherwise receives every block through :meth:`put`.
     * ``"rows"`` — tiles are processed one block-row at a time (the
       checkpoint and out-of-core layouts); the executor hands each
       completed row to :meth:`store_row`, then :meth:`commit_row` decides
@@ -617,8 +652,8 @@ class MatrixSink:
 
     # -- matrix grain ------------------------------------------------------
     def buffer(self) -> "np.ndarray | None":
-        """Array for direct ``map_into`` writes, or ``None`` to force
-        block-wise :meth:`put`."""
+        """Array for in-place writes (in-process and shared-memory
+        engines), or ``None`` to force block-wise :meth:`put`."""
         return None
 
     def put(self, idx: int, t: Tile, block: np.ndarray) -> None:
@@ -679,15 +714,13 @@ class DenseSink(MatrixSink):
         self.mi[t.i0 : t.i1, t.j0 : t.j1] = block
 
     def finalize(self, completed: bool = True) -> np.ndarray:
-        # Mirror the strict upper triangle into the lower one.
-        iu = np.triu_indices(self.n, k=1)
-        self.mi[(iu[1], iu[0])] = self.mi[iu]
+        mirror_upper(self.mi)
         np.fill_diagonal(self.mi, 0.0)
         return self.mi
 
 
 # ---------------------------------------------------------------------------
-# The executor
+# The tile kernel
 # ---------------------------------------------------------------------------
 
 
@@ -701,67 +734,77 @@ def worker_workspace() -> TileWorkspace:
     return _WORKER_WORKSPACE.get()
 
 
-def default_kernel(
-    source: WeightSource, h: np.ndarray, t: Tile, base: str, kernel_dtype=None,
-    kernel=None,
+def compute_tile(
+    source, h: np.ndarray, t: Tile, base: str = "nat", kernel=None,
+    kernel_dtype=None,
 ) -> np.ndarray:
-    """One tile's MI block from the source's slabs (diagonal masked).
+    """One tile's ``(rows, cols)`` MI block, diagonal masked.
 
-    ``kernel`` selects the variant: ``None``/``"fused"`` runs the fused
-    workspace kernel (:func:`repro.core.mi.mi_tile_into`; bit-identical to
-    the legacy path unless ``kernel_dtype`` selects mixed precision),
-    ``"legacy"`` the allocating :func:`repro.core.mi.mi_tile`, and
-    ``"sparse"`` the packed scatter kernel — straight from the source's
-    packed operands when it carries them (:class:`PackedWeightSource`),
-    otherwise packing the dense slabs per tile.
+    The only place a kernel-variant name maps to an ``mi_tile*`` call;
+    every driver's tiles run through here.  ``source`` is a
+    :class:`WeightSource` or a bare ``(n, m, b)`` weight tensor.
+    ``kernel`` picks the variant: ``None``/``"fused"`` runs the fused
+    workspace kernel (bit-identical to :func:`repro.core.mi.mi_tile` unless
+    ``kernel_dtype`` selects mixed precision) and ``"sparse"`` the packed
+    scatter kernel (~1 ulp from ``mi_tile`` in float64).  Resident tensors
+    use the process-cached hoisted operands; a packed source
+    (:class:`PackedWeightSource`) feeds its packed slabs straight to the
+    scatter kernel; other sources (mmap stores) stage per-tile slabs.
     """
+    weights = source if isinstance(source, np.ndarray) else getattr(source, "weights", None)
+    args = dict(h_i=h[t.i0 : t.i1], h_j=h[t.j0 : t.j1], base=base,
+                workspace=worker_workspace(), dtype=kernel_dtype)
     if kernel == "sparse":
         packed = getattr(source, "packed", None)
-        if callable(packed):
+        if weights is not None:
+            block = mi_tile_sparse_block(weights, t.i0, t.i1, t.j0, t.j1, **args)
+        elif callable(packed):
             values, first, span = packed()
             block = mi_tile_sparse_packed(
                 values[t.i0 : t.i1], first[t.i0 : t.i1],
                 values[t.j0 : t.j1], first[t.j0 : t.j1],
-                span, source.bins, source.m_samples,
-                h_i=h[t.i0 : t.i1], h_j=h[t.j0 : t.j1], base=base,
-                workspace=worker_workspace(), dtype=kernel_dtype,
-            )
+                span, source.bins, source.m_samples, **args)
         else:
-            block = mi_tile_sparse(
-                source.slab(t.i0, t.i1), source.slab(t.j0, t.j1),
-                h_i=h[t.i0 : t.i1], h_j=h[t.j0 : t.j1], base=base,
-                workspace=worker_workspace(), dtype=kernel_dtype,
-            )
-    elif kernel == "legacy":
-        block = mi_tile(
-            source.slab(t.i0, t.i1), source.slab(t.j0, t.j1),
-            h_i=h[t.i0 : t.i1], h_j=h[t.j0 : t.j1], base=base,
-        )
+            block = mi_tile_sparse(source.slab(t.i0, t.i1), source.slab(t.j0, t.j1),
+                                   **args)
+    elif weights is not None:
+        block = mi_tile_block(weights, t.i0, t.i1, t.j0, t.j1, **args)
     else:
-        block = mi_tile_into(
-            source.slab(t.i0, t.i1),
-            source.slab(t.j0, t.j1),
-            h_i=h[t.i0 : t.i1],
-            h_j=h[t.j0 : t.j1],
-            base=base,
-            workspace=worker_workspace(),
-            dtype=kernel_dtype,
-        )
+        block = mi_tile_into(source.slab(t.i0, t.i1), source.slab(t.j0, t.j1),
+                             **args)
     if t.is_diagonal:
         block[~t.pair_mask()] = 0.0
     return block
 
 
-def _default_kernel_task(source, h, base, kernel_dtype, kernel, t: Tile) -> np.ndarray:
-    """Picklable form of the default tile task (see :func:`run_tile_plan`)."""
-    return default_kernel(source, h, t, base, kernel_dtype=kernel_dtype,
-                          kernel=kernel)
+def _write_tile(run, out: np.ndarray, t: Tile) -> None:
+    """In-place task shape: write tile ``t``'s block into the matrix."""
+    out[t.i0 : t.i1, t.j0 : t.j1] = run(t)
 
 
-def _custom_kernel_task(kernel, source, h, base, t: Tile) -> np.ndarray:
-    """Picklable adapter for caller-supplied kernels (picklable iff the
-    kernel is — drivers pass partials of module-level functions)."""
-    return kernel(source, h, t, base)
+def mirror_upper(mi: np.ndarray, block: int = 256) -> np.ndarray:
+    """Copy the strict upper triangle of square ``mi`` into its lower one.
+
+    In place, block-row by block-row: each step copies the transposed
+    column strip ``mi[:i0, i0:i1]`` into ``mi[i0:i1, :i0]`` and mirrors the
+    diagonal block, so transient memory is ``O(block^2)`` instead of the
+    ``O(n^2)`` index arrays of ``triu_indices`` fancy indexing (1.9 GB at
+    ``n = 15,575``).  A pure copy: bit-identical to the indexed form.
+    Returns ``mi``.
+    """
+    n = mi.shape[0]
+    for i0 in range(0, n, block):
+        i1 = min(i0 + block, n)
+        mi[i0:i1, :i0] = mi[:i0, i0:i1].T
+        d = mi[i0:i1, i0:i1]
+        lower = np.tril_indices(i1 - i0, k=-1)
+        d[lower] = d.T[lower]
+    return mi
+
+
+# ---------------------------------------------------------------------------
+# The executor
+# ---------------------------------------------------------------------------
 
 
 def run_tile_plan(
@@ -774,75 +817,68 @@ def run_tile_plan(
     kernel=None,
     policy: "FaultPolicy | None" = None,
     kernel_dtype=None,
-    kernel_variant=None,
 ):
-    """Execute ``plan``: every tile through ``kernel`` into ``sink``.
+    """Execute ``plan``: every tile through :func:`compute_tile` into ``sink``.
 
     This is the one tile loop all MI drivers share.  ``engine`` is any
-    :mod:`repro.parallel.engine` engine (or ``None`` for serial);
-    ``kernel(source, h, tile, base)`` defaults to the fused workspace MI
-    kernel and is overridable (the checkpoint driver routes through its
-    patchable ``compute_tile``).  ``kernel_dtype`` selects the default
-    kernel's GEMM precision (``"float32"`` = mixed precision) and is also
-    used to warm the process-wide hoisted-operand cache before dispatch,
-    so fork workers inherit the repacked tensor copy-on-write instead of
-    each rebuilding it; custom kernels receive it via their own closures.  ``progress(done, total)`` and the tracer's
-    ``tiles_done``/``pairs_done`` (and, for row sinks, ``rows_done``)
-    counters tick at each driver's historical granularity: per tile for
-    serial and in-process engines, per batch/row for fork engines.
+    :mod:`repro.parallel.engine` engine (``None`` runs serially in this
+    thread); the whole grid — or, for row-grain sinks, each block-row —
+    is one supervised engine dispatch.  ``kernel`` names the tile variant
+    (``None``/``"fused"`` or ``"sparse"``; ``"auto"`` must be resolved by
+    :func:`resolve_kernel` first) and ``kernel_dtype`` its GEMM precision
+    (``"float32"`` = mixed precision).  Both also pick which operand cache
+    is warmed in the parent before dispatch, so fork workers inherit the
+    repacked tensor copy-on-write instead of each rebuilding it.
 
-    ``policy`` (a :class:`repro.faults.policy.FaultPolicy`) switches on
-    the resilient dispatch layer: failed tasks are retried with backoff,
-    hung fork-engine tasks are timed out and their workers replaced, an
-    engine that loses its pool is swapped for the next one down the
-    fallback chain, and tasks that exhaust the budget are quarantined on
-    the sink (or raise, per ``policy.on_fault``).  ``policy=None`` —
-    the default — runs the original dispatch paths untouched.
+    ``progress(done, total)`` and the tracer's ``tiles_done`` /
+    ``pairs_done`` counters tick per tile as each task finishes, on every
+    engine; row-unit sinks (``progress_units="rows"``) report progress
+    and ``rows_done`` per committed block-row instead.
+
+    ``policy`` (a :class:`repro.faults.policy.FaultPolicy`) sets the fault
+    handling: failed or invalid (non-finite) blocks are retried with
+    backoff, hung fork-engine tasks are timed out and their workers
+    replaced, an engine that loses its pool is swapped for the next one
+    down the fallback chain, and tasks that exhaust the budget are
+    quarantined on the sink or raise, per ``policy.on_fault``.  ``None``
+    means ``FaultPolicy(max_retries=0, on_fault="raise")``: one attempt
+    per tile, and a failing tile raises
+    :class:`~repro.faults.policy.FaultToleranceExceeded`.
 
     Returns ``sink.finalize(completed)`` — the sink-specific result.
     """
+    if kernel not in (None, "fused", "sparse"):
+        raise ValueError(
+            f"run_tile_plan needs a resolved kernel variant (None, 'fused' or "
+            f"'sparse'), got {kernel!r}")
     tracer = tracer or NULL_TRACER
+    if policy is None:
+        policy = FaultPolicy.from_options()
     h = source.entropies(plan.base)
-    base = plan.base
 
     # Warm the per-variant operand caches in the parent: thread workers
     # share the one repacking, fork workers inherit it copy-on-write.
     weights = getattr(source, "weights", None)
     if weights is not None and weights.ndim == 3 and weights.shape[0] >= 2:
-        dt = np.dtype(kernel_dtype) if kernel_dtype is not None else None
-        if kernel_variant == "sparse":
+        if kernel == "sparse":
             prepare_packed(weights, _resolve_kernel_dtype(kernel_dtype,
                                                           weights.dtype)[0])
-        elif kernel_variant != "legacy":
-            prepare_operands(weights, dt)
-    elif kernel_variant == "sparse":
-        packed = getattr(source, "packed", None)
-        if callable(packed):
-            packed()  # materialize the padded lanes pre-fork (COW)
+        else:
+            prepare_operands(weights, kernel_dtype)
+    elif kernel == "sparse" and callable(getattr(source, "packed", None)):
+        source.packed()  # materialize the padded lanes pre-fork (COW)
 
-    if kernel is None:
-        # functools.partial of a module-level function, not a closure, so
-        # the default task pickles — the elastic engine ships it (source
-        # tensor included, broadcast once per worker) to remote processes.
-        # Behavior is identical for every in-process engine.
-        run = functools.partial(_default_kernel_task, source, h, base,
-                                kernel_dtype, kernel_variant)
-    else:
-        run = functools.partial(_custom_kernel_task, kernel, source, h, base)
-
+    # A partial of a module-level function, not a closure, so the task
+    # pickles — the elastic engine ships it (source tensor included,
+    # broadcast once per worker) to remote processes.
+    run = functools.partial(compute_tile, source, h, base=plan.base,
+                            kernel=kernel, kernel_dtype=kernel_dtype)
+    engine = engine if engine is not None else SerialEngine()
     try:
         if sink.grain == "rows":
-            if policy is None:
-                completed = _run_rows(plan, sink, run, engine, tracer, progress)
-            else:
-                completed = _run_rows_resilient(
-                    plan, sink, run, engine, tracer, progress, policy)
+            completed = _execute_rows(plan, sink, run, engine, tracer, progress, policy)
         else:
-            if policy is None:
-                _run_matrix(plan, sink, run, engine, tracer, progress)
-            else:
-                _run_matrix_resilient(
-                    plan, sink, run, engine, tracer, progress, policy)
+            _execute_matrix(plan, sink, run, engine, tracer, progress, policy)
             completed = True
         return sink.finalize(completed=completed)
     finally:
@@ -857,222 +893,77 @@ def _engine_workers(engine) -> int:
     return max(int(getattr(engine, "n_workers", 1) or 1), 1)
 
 
-def _run_matrix(plan, sink, run, engine, tracer, progress) -> None:
-    """Whole-grid dispatch (dense and distributed sinks)."""
-    tiles = plan.tiles
-    total = len(tiles)
-    order = plan.order(_engine_workers(engine))
-    counter_lock = threading.Lock()
-    done_count = [0]
+def _ticker(tracer, progress, total: int):
+    """Thread-safe ``tick(n_tiles, n_pairs)``: counters, then progress.
+
+    Progress is reported under the lock, so concurrent workers' calls
+    arrive in increasing order.
+    """
+    lock = threading.Lock()
+    count = [0]
 
     def tick(n_tiles: int, n_pairs: int) -> None:
-        """Record completed work: counters first, then the progress line."""
-        with counter_lock:
-            done_count[0] += n_tiles
-            done = done_count[0]
         tracer.add("tiles_done", n_tiles)
         tracer.add("pairs_done", n_pairs)
-        if progress is not None:
-            progress(done, total)
+        with lock:
+            count[0] += n_tiles
+            if progress is not None:
+                progress(count[0], total)
 
-    buf = sink.buffer()
-
-    def run_into(out: np.ndarray, t: Tile) -> None:
-        out[t.i0 : t.i1, t.j0 : t.j1] = run(t)
-
-    with _span(tracer, sink.span_name, **sink.span_meta(plan)):
-        if engine is None:
-            for idx in order:
-                t = tiles[idx]
-                sink.put(idx, t, run(t))
-                tick(1, t.n_pairs)
-        elif getattr(engine, "in_process", False):
-            # Workers share this address space, so per-tile completion can
-            # be reported live from inside the mapped function itself.
-            if buf is not None and hasattr(engine, "map_into"):
-                def run_into_ticked(out: np.ndarray, t: Tile) -> None:
-                    run_into(out, t)
-                    tick(1, t.n_pairs)
-
-                engine.map_into(run_into_ticked, [tiles[i] for i in order], buf)
-            else:
-                def run_ticked(t: Tile) -> np.ndarray:
-                    block = run(t)
-                    tick(1, t.n_pairs)
-                    return block
-
-                blocks = engine.map(run_ticked, [tiles[i] for i in order])
-                for idx, block in zip(order, blocks):
-                    sink.put(idx, tiles[idx], block)
-        else:
-            # Fork-based engines: tile completion happens in child
-            # processes, invisible to a parent-side callback.  When someone
-            # is watching, split the grid into batches (a few tiles per
-            # worker keeps the pools saturated) and report per batch; when
-            # nobody is, keep the single dispatch.
-            observing = progress is not None or tracer is not NULL_TRACER
-            chunk = max(1, 4 * _engine_workers(engine)) if observing else total
-            use_into = buf is not None and hasattr(engine, "map_into")
-            out: object = buf
-            staged = None
-            if use_into and chunk < total:
-                # Shared-memory engines stage a plain-ndarray sink per
-                # map_into call; stage once here so batching costs one
-                # memcpy total, not one per batch.
-                from repro.parallel.engine import SharedMemoryEngine
-                from repro.parallel.sharedmem import SharedArray
-
-                if isinstance(engine, SharedMemoryEngine):
-                    staged = SharedArray.from_array(buf)
-                    out = staged
-            try:
-                for s in range(0, total, chunk):
-                    batch_idx = order[s : s + chunk]
-                    batch = [tiles[i] for i in batch_idx]
-                    if use_into:
-                        engine.map_into(run_into, batch, out)
-                    else:
-                        blocks = engine.map(run, batch)
-                        for idx, block in zip(batch_idx, blocks):
-                            sink.put(idx, tiles[idx], block)
-                    tick(len(batch), sum(t.n_pairs for t in batch))
-                if staged is not None:
-                    buf[...] = staged.array
-            finally:
-                if staged is not None:
-                    staged.close()
-                    staged.unlink()
+    return tick
 
 
-def _run_rows(plan, sink, run, engine, tracer, progress) -> bool:
-    """Block-row dispatch (checkpoint and out-of-core sinks).
+def _writes_in_place(engine, staged) -> bool:
+    """Whether ``engine`` can write blocks straight into the output.
 
-    Returns False when the sink stopped the run early (checkpoint
-    interruption), True on completion.
+    In-process engines share the parent's memory; the shared-memory
+    engine needs the output staged in a :class:`SharedArray`.
     """
-    rows = plan.rows
-    row_progress = sink.progress_units == "rows"
-    total = len(rows) if row_progress else len(plan.tiles)
-    pending = [i0 for i0 in rows if not sink.skip_row(i0)]
-    done = len(rows) - len(pending) if row_progress else 0
-    if progress is not None and done:
-        progress(done, total)  # resumed rows are already complete
-
-    with _span(tracer, sink.span_name, **sink.span_meta(plan)):
-        return _run_pending_rows(
-            plan, sink, run, engine, tracer, progress, pending, row_progress,
-            done, total,
-        )
+    if getattr(engine, "in_process", False):
+        return True
+    return staged is not None and isinstance(engine, SharedMemoryEngine)
 
 
-def _run_pending_rows(
-    plan, sink, run, engine, tracer, progress, pending, row_progress, done, total
-) -> bool:
-    for i0 in pending:
-        row_tiles = plan.row_tiles(i0)
-        with _span(tracer, sink.row_span_name, i0=i0, n_tiles=len(row_tiles)):
-            if engine is None:
-                items = []
-                for t in row_tiles:
-                    items.append((t, run(t)))
-                    if not row_progress:
-                        done += 1
-                        tracer.add("tiles_done")
-                        tracer.add("pairs_done", t.n_pairs)
-                        if progress is not None:
-                            progress(done, total)
-                sink.store_row(i0, items)
-            elif hasattr(engine, "map_into"):
-                # Workers fill one (rows, n) buffer in place; the row is
-                # then sliced out of it, keeping storage formats identical.
-                buf = np.zeros((row_tiles[0].i1 - i0, plan.n_genes), dtype=np.float64)
+def _dispatch_once(engine, tiles, idxs, run, target, staged, timeout, accept):
+    """One supervised engine call over ``idxs``; returns ``{idx: error}``.
 
-                def run_into(out, t):
-                    out[:, t.j0 : t.j1] = run(t)
-
-                engine.map_into(run_into, row_tiles, buf)
-                sink.store_row(i0, [(t, buf[:, t.j0 : t.j1]) for t in row_tiles])
-            else:
-                blocks = engine.map(run, row_tiles)
-                sink.store_row(i0, list(zip(row_tiles, blocks)))
-        keep_going = sink.commit_row(i0)
-        if row_progress:
-            done += 1
-            tracer.add("rows_done")
-            tracer.add("tiles_done", len(row_tiles))
-            tracer.add("pairs_done", sum(t.n_pairs for t in row_tiles))
-            if progress is not None:
-                progress(done, total)
-        elif engine is not None:
-            done += len(row_tiles)
-            tracer.add("tiles_done", len(row_tiles))
-            tracer.add("pairs_done", sum(t.n_pairs for t in row_tiles))
-            if progress is not None:
-                progress(done, total)
-        if not keep_going:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Resilient dispatch (active only under a FaultPolicy)
-# ---------------------------------------------------------------------------
-# The legacy paths above are the hot paths: bit-identical to PR 3 and
-# wrapper-free.  Everything below runs only when run_tile_plan receives a
-# FaultPolicy, trading a little dispatch overhead for survival: tolerant
-# per-task dispatch, validation, retries with backoff, per-task timeouts
-# (fork engines), quarantine, and the sharedmem → process → thread →
-# serial engine fallback chain.
-
-
-def _dispatch_once(engine, tiles, idxs, run, run_into, shm_out, timeout):
-    """One tolerant dispatch round over ``idxs``.
-
-    Returns ``(blocks, failures, inplace)``: per-index result blocks
-    (views into shared memory when ``inplace``), per-index error strings,
-    and whether successful blocks were already written in place.
+    ``accept(idx, block, in_place)`` fires in the parent (in the worker
+    thread for in-process engines) as each task finishes: with the block
+    the worker returned, or — for in-place dispatch into ``target`` — a
+    view of the region it wrote.
     """
     items = [tiles[i] for i in idxs]
-    if engine is None:
-        blocks, failures = {}, {}
-        for i, t in zip(idxs, items):
-            try:
-                blocks[i] = run(t)
-            except Exception as exc:
-                failures[i] = f"{type(exc).__name__}: {exc}"
-        return blocks, failures, False
-    if (shm_out is not None and isinstance(engine, SharedMemoryEngine)
-            and not engine._inline()):
-        pos_failures = engine.map_into_supervised(
-            run_into, items, shm_out, timeout=timeout)
-        failures = {idxs[p]: err for p, err in pos_failures.items()}
-        blocks = {
-            i: shm_out.array[tiles[i].i0:tiles[i].i1, tiles[i].j0:tiles[i].j1]
-            for i in idxs if i not in failures
-        }
-        return blocks, failures, True
-    if getattr(engine, "in_process", False):
-        results, pos_failures = engine.map_tolerant(run, items)
+    if target is not None and _writes_in_place(engine, staged):
+        def done(pos: int, _value) -> None:
+            t = items[pos]
+            accept(idxs[pos], target[t.i0 : t.i1, t.j0 : t.j1], True)
+
+        out = staged if isinstance(engine, SharedMemoryEngine) else target
+        failures = engine.map_into_supervised(
+            functools.partial(_write_tile, run), items, out,
+            timeout=timeout, on_done=done)
     else:
-        results, pos_failures = engine.map_supervised(run, items, timeout=timeout)
-    failures = {idxs[p]: err for p, err in pos_failures.items()}
-    blocks = {idxs[p]: results[p]
-              for p in range(len(idxs)) if idxs[p] not in failures}
-    return blocks, failures, False
+        _, failures = engine.map_supervised(
+            run, items, timeout=timeout,
+            on_done=lambda pos, block: accept(idxs[pos], block, False))
+    return {idxs[p]: err for p, err in failures.items()}
 
 
-def _execute_resilient(engine, tiles, idxs, run, run_into, shm_out, policy,
-                       tracer, deliver):
-    """Retry/timeout/fallback loop over one batch of tile indices.
+def _supervise(engine, tiles, idxs, run, policy, tracer, deliver,
+             target=None, staged=None):
+    """Retry/timeout/fallback loop over one set of tile indices.
 
-    ``deliver(idx, tile, block)`` fires once per eventual success (block
-    is ``None`` when the worker already wrote it in place).  Returns
-    ``(failures, engine)``: the tasks whose budget ran out, each with its
-    last error string, and the (possibly degraded) engine now in use —
-    callers thread it through so a fallback persists for later batches.
+    Each round is one supervised dispatch of the still-pending tiles.
+    ``deliver(idx, tile, block)`` fires once per validated success as the
+    task finishes (``block`` is ``None`` when the worker already wrote it
+    into ``target``).  Returns ``(failures, engine)``: the tasks whose
+    budget ran out, each with its last error string, and the (possibly
+    degraded) engine now in use — callers thread it through so a fallback
+    persists for later rows.
     """
     pending = list(idxs)
     errors: dict = {}
+    delivered: set = set()
     eng = engine
     attempt = 0
     max_retries = 0 if policy.on_fault == "quarantine" else policy.max_retries
@@ -1084,11 +975,22 @@ def _execute_resilient(engine, tiles, idxs, run, run_into, shm_out, policy,
             if delay > 0:
                 time.sleep(delay)
             tracer.add("task_retries", len(pending))
+        corrupt: dict = {}
+
+        def accept(idx: int, block, in_place: bool) -> None:
+            t = tiles[idx]
+            if not policy.check(t, block):
+                corrupt[idx] = "corrupt result (validation failed)"
+                tracer.add("task_corruptions")
+                return
+            delivered.add(idx)
+            deliver(idx, t, None if in_place else block)
+
         try:
-            blocks, failures, inplace = _dispatch_once(
-                eng, tiles, pending, run, run_into, shm_out, policy.task_timeout)
+            failures = _dispatch_once(eng, tiles, pending, run, target, staged,
+                                      policy.task_timeout, accept)
         except EngineFailure as exc:
-            nxt = fallback_engine(eng) if eng is not None else None
+            nxt = fallback_engine(eng)
             if nxt is None:
                 raise
             with tracer.span("engine_fault", engine=type(eng).__name__,
@@ -1097,22 +999,14 @@ def _execute_resilient(engine, tiles, idxs, run, run_into, shm_out, policy,
                 pass
             tracer.add("engine_fallbacks")
             eng = nxt
-            if shm_out is not None and not isinstance(eng, SharedMemoryEngine):
-                shm_out = None  # degraded off the write-in-place path
-            continue  # a fallback does not consume a retry
+            # Tiles delivered before the pool died are done; a fallback
+            # does not consume a retry.
+            pending = [idx for idx in pending if idx not in delivered]
+            continue
         attempt += 1
-        still = dict(failures)
-        for idx in pending:
-            if idx in still:
-                continue
-            t = tiles[idx]
-            if not policy.check(t, blocks[idx]):
-                still[idx] = "corrupt result (validation failed)"
-                tracer.add("task_corruptions")
-                continue
-            deliver(idx, t, None if inplace else blocks[idx])
+        failures.update(corrupt)
         faults = getattr(eng, "faults", None)
-        for idx, err in still.items():
+        for idx, err in failures.items():
             if err.startswith("task timed out"):
                 tracer.add("task_timeouts")
             if faults is not None:
@@ -1120,12 +1014,12 @@ def _execute_resilient(engine, tiles, idxs, run, run_into, shm_out, policy,
                 # round, so children inherit the updated counts and a
                 # task that burned its failure budget retries clean.
                 faults.record_failure(tiles[idx])
-        pending = [idx for idx in pending if idx in still]
-        errors = still
+        pending = [idx for idx in pending if idx in failures]
+        errors = failures
     return {idx: errors[idx] for idx in pending}, eng
 
 
-def _quarantine_failures(sink, tiles, failures, policy, tracer, tick=None):
+def _quarantine_failures(sink, tiles, failures, policy, tracer, tick):
     """Record budget-exhausted tasks on the sink (or abort, per policy)."""
     if not failures:
         return
@@ -1137,59 +1031,43 @@ def _quarantine_failures(sink, tiles, failures, policy, tracer, tick=None):
             pass
         tracer.add("tasks_quarantined")
         sink.quarantine(idx, t, error)
-        if tick is not None:
-            tick(1, 0)
+        tick(1, 0)
     if policy.on_fault == "raise":
         raise FaultToleranceExceeded(sink.quarantined)
 
 
-def _run_matrix_resilient(plan, sink, run, engine, tracer, progress, policy) -> None:
-    """Whole-grid dispatch with retry/timeout/quarantine/fallback.
+def _execute_matrix(plan, sink, run, engine, tracer, progress, policy) -> None:
+    """Whole-grid dispatch (dense and distributed sinks).
 
-    Differences from :func:`_run_matrix`: dispatch is always per-task
-    tolerant (no opaque whole-grid map), a shared-memory engine writes
-    into a staging copy so retries and engine fallback can overwrite
-    partial garbage before the single copy-back, and blocks that end up
-    quarantined are reset to the sink's zero fill.
+    The policy-ordered grid is one supervised dispatch.  Sinks with a
+    :meth:`~MatrixSink.buffer` are written in place by in-process and
+    shared-memory engines (the latter through one staging copy, so
+    retries and engine fallback can overwrite partial garbage before the
+    single copy-back); other engines return blocks for :meth:`put`.
+    Blocks that end up quarantined are reset to the sink's zero fill.
     """
     tiles = plan.tiles
-    total = len(tiles)
     order = plan.order(_engine_workers(engine))
-    counter_lock = threading.Lock()
-    done_count = [0]
-
-    def tick(n_tiles: int, n_pairs: int) -> None:
-        with counter_lock:
-            done_count[0] += n_tiles
-            done = done_count[0]
-        tracer.add("tiles_done", n_tiles)
-        tracer.add("pairs_done", n_pairs)
-        if progress is not None:
-            progress(done, total)
-
+    tick = _ticker(tracer, progress, len(tiles))
     buf = sink.buffer()
-
-    def run_into(out: np.ndarray, t: Tile) -> None:
-        out[t.i0:t.i1, t.j0:t.j1] = run(t)
-
-    use_shm = (buf is not None and isinstance(engine, SharedMemoryEngine)
-               and not engine._inline())
-    staged = SharedArray.from_array(buf) if use_shm else None
-    target = staged.array if staged is not None else None
+    staged = (SharedArray.from_array(buf)
+              if buf is not None and isinstance(engine, SharedMemoryEngine) else None)
+    target = staged.array if staged is not None else buf
+    put_lock = threading.Lock()
 
     def deliver(idx: int, t: Tile, block) -> None:
         if block is not None:
             if target is not None:
-                target[t.i0:t.i1, t.j0:t.j1] = block
+                target[t.i0 : t.i1, t.j0 : t.j1] = block
             else:
-                sink.put(idx, t, block)
+                with put_lock:
+                    sink.put(idx, t, block)
         tick(1, t.n_pairs)
 
     with _span(tracer, sink.span_name, **sink.span_meta(plan)):
         try:
-            failures, _ = _execute_resilient(
-                engine, tiles, order, run, run_into, staged, policy, tracer,
-                deliver)
+            failures, _ = _supervise(engine, tiles, order, run, policy, tracer,
+                                   deliver, target=target, staged=staged)
             if staged is not None:
                 buf[...] = staged.array
         finally:
@@ -1199,18 +1077,20 @@ def _run_matrix_resilient(plan, sink, run, engine, tracer, progress, policy) -> 
         if failures and buf is not None:
             for idx in failures:  # quarantined blocks keep the zero fill
                 t = tiles[idx]
-                buf[t.i0:t.i1, t.j0:t.j1] = 0.0
+                buf[t.i0 : t.i1, t.j0 : t.j1] = 0.0
         _quarantine_failures(sink, tiles, failures, policy, tracer, tick)
 
 
-def _run_rows_resilient(plan, sink, run, engine, tracer, progress, policy) -> bool:
-    """Block-row dispatch with retry/timeout/quarantine/fallback.
+def _execute_rows(plan, sink, run, engine, tracer, progress, policy) -> bool:
+    """Block-row dispatch (checkpoint and out-of-core sinks).
 
-    Blocks always return to the parent (pickle for fork engines) so one
-    code path serves every engine; ``store_row`` receives only the tiles
-    that succeeded, leaving quarantined blocks at the sink's fill value.
-    Quarantine is recorded *before* ``commit_row`` so ledger-backed sinks
-    persist it atomically with the row.
+    Each pending row is one supervised dispatch; blocks return to the
+    parent (pickle for fork engines) so ``store_row`` receives only the
+    tiles that succeeded, leaving quarantined blocks at the sink's fill
+    value.  Quarantine is recorded *before* ``commit_row`` so
+    ledger-backed sinks persist it atomically with the row.  Returns
+    False when the sink stopped the run early (checkpoint interruption),
+    True on completion.
     """
     rows = plan.rows
     row_progress = sink.progress_units == "rows"
@@ -1219,6 +1099,7 @@ def _run_rows_resilient(plan, sink, run, engine, tracer, progress, policy) -> bo
     done = len(rows) - len(pending) if row_progress else 0
     if progress is not None and done:
         progress(done, total)  # resumed rows are already complete
+    tick = _ticker(tracer, None if row_progress else progress, total)
     tiles = plan.tiles
     row_idx: dict = {}
     for idx, t in enumerate(tiles):
@@ -1232,23 +1113,19 @@ def _run_rows_resilient(plan, sink, run, engine, tracer, progress, policy) -> bo
 
             def deliver(idx, t, block, _c=collected):
                 _c[idx] = (t, block)
+                tick(1, t.n_pairs)
 
             with _span(tracer, sink.row_span_name, i0=i0, n_tiles=len(idxs)):
-                failures, eng = _execute_resilient(
-                    eng, tiles, idxs, run, None, None, policy, tracer, deliver)
+                failures, eng = _supervise(eng, tiles, idxs, run, policy, tracer,
+                                         deliver)
                 sink.store_row(i0, [collected[i] for i in idxs if i in collected])
-                _quarantine_failures(sink, tiles, failures, policy, tracer)
+                _quarantine_failures(sink, tiles, failures, policy, tracer, tick)
             keep_going = sink.commit_row(i0)
-            row_tiles = [tiles[i] for i in idxs]
             if row_progress:
                 done += 1
                 tracer.add("rows_done")
-            else:
-                done += len(row_tiles)
-            tracer.add("tiles_done", len(row_tiles))
-            tracer.add("pairs_done", sum(t.n_pairs for t in row_tiles))
-            if progress is not None:
-                progress(done, total)
+                if progress is not None:
+                    progress(done, total)
             if not keep_going:
                 return False
     return True

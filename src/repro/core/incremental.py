@@ -46,7 +46,6 @@ identity and the screen's conservativeness.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,18 +57,16 @@ from repro.core.entropy import marginal_entropies
 from repro.core.exec import (
     DenseSink,
     TensorSource,
+    TilePlan,
     filter_plan,
-    plan_tiles,
-    resolve_kernel,
+    plan_run,
     run_tile_plan,
 )
-from repro.core.mi_matrix import compute_tile, mi_pairs, mi_row
+from repro.core.mi_matrix import mi_pairs, mi_row
 from repro.core.network import GeneNetwork
 from repro.core.permutation import NullDistribution, pooled_null
-from repro.core.exec import TilePlan
 from repro.core.threshold import threshold_adjacency
 from repro.core.tiling import Tile, pair_count
-from repro.parallel.engine import engine_kind
 
 __all__ = ["NetworkUpdater", "UpdateDelta"]
 
@@ -134,14 +131,6 @@ class UpdateDelta:
             "cached": self.cached,
             "quarantined": list(self.quarantined),
         }
-
-
-def _delta_kernel(source, h: np.ndarray, t, base: str, kernel_dtype=None,
-                  kernel=None) -> np.ndarray:
-    """Dirty-tile kernel: the same patchable :func:`compute_tile` the full
-    drivers run, so recomputed blocks are bit-identical to a full pass."""
-    return compute_tile(source.weights, h, t, base, kernel_dtype=kernel_dtype,
-                        kernel=kernel)
 
 
 class NetworkUpdater:
@@ -517,13 +506,12 @@ class NetworkUpdater:
         dirty = (upper > thr_new) | adj_old
         np.fill_diagonal(dirty, False)
 
-        kernel_variant, _tile_override = resolve_kernel(
-            source, cfg.kernel, kernel_dtype=cfg.kernel_dtype,
-            engine_name=engine_kind(engine), base=cfg.base)
-        plan = plan_tiles(source, tile=cfg.tile, base=cfg.base,
-                          schedule=cfg.schedule, kernel_dtype=cfg.kernel_dtype,
-                          autotune=cfg.autotune, engine_name=engine_kind(engine),
-                          kernel=kernel_variant)
+        # The same kernel and grid the pipeline's MI phase resolves, so
+        # every replayed tile is the kernel call a full pass would make.
+        plan, kernel = plan_run(source, tile=cfg.tile, base=cfg.base,
+                                schedule=cfg.schedule, kernel=cfg.kernel,
+                                kernel_dtype=cfg.kernel_dtype,
+                                autotune=cfg.autotune, engine=engine)
         dirty_tiles = [t for t in plan.tiles
                        if dirty[t.i0 : t.i1, t.j0 : t.j1].any()]
         dirty_upper = np.triu(dirty, k=1)
@@ -547,8 +535,6 @@ class NetworkUpdater:
         tracer.add("tiles_dirty", len(dirty_tiles))
         tracer.add("tiles_skipped", plan.n_tiles - len(dirty_tiles))
 
-        kernel = functools.partial(_delta_kernel, kernel_dtype=cfg.kernel_dtype,
-                                   kernel=kernel_variant)
         if checkpoint_dir is None:
             staged = np.array(self._mi)
             sink = DenseSink(n, out=staged)
@@ -562,8 +548,7 @@ class NetworkUpdater:
         mi_new = run_tile_plan(sub, source, sink, engine=engine, tracer=tracer,
                                progress=progress, kernel=kernel,
                                policy=cfg.fault_policy(),
-                               kernel_dtype=cfg.kernel_dtype,
-                               kernel_variant=kernel_variant)
+                               kernel_dtype=cfg.kernel_dtype)
         quarantined = [q.as_dict() for q in sink.quarantined]
         if mi_new is None:
             # Interrupted mid-replay: the ledger survives, the updater's

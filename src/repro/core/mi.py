@@ -228,7 +228,7 @@ def mi_tile(
 # Fused workspace kernel
 # ---------------------------------------------------------------------------
 #
-# The legacy mi_tile above allocates a fresh (TI, b, TJ, b) tensordot result,
+# The reference mi_tile above allocates a fresh (TI, b, TJ, b) tensordot result,
 # copies it into pair-major layout, and runs two more same-size temporaries
 # through xlogy/sum — every tile.  The fused kernel below removes all of that:
 #
@@ -247,9 +247,9 @@ def mi_tile(
 # tests/test_fused_kernel.py).  One caveat shaped the formulation: BLAS
 # summation order is transpose- and shape-dependent, so only the NoTrans
 # form with the column operand laid out exactly as tensordot lays it out
-# reproduces the legacy bits; degenerate 1x1 tiles (where tensordot's
+# reproduces the reference bits; degenerate 1x1 tiles (where tensordot's
 # reshape yields an F-order no-copy view and hence a TransA call) fall back
-# to the legacy kernel.
+# to the reference kernel.
 
 _OPERAND_LOCK = threading.Lock()
 _OPERAND_CACHE: list = []  # [(weights, dtype, (row_ops, col_ops))] — at most 2 entries
@@ -315,11 +315,11 @@ class TileWorkspace:
 
 
 def _degenerate_block(block: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """Deliver a legacy-kernel fallback block through the ``out`` contract.
+    """Deliver a reference-kernel fallback block through the ``out`` contract.
 
     1x1 tiles take this path: tensordot's no-copy reshape there issues a
     TransA GEMM whose summation order the fused NoTrans call cannot
-    reproduce, so bit-identity requires the legacy kernel itself.
+    reproduce, so bit-identity requires the reference kernel itself.
     """
     if out is None:
         return block
@@ -369,7 +369,7 @@ def _fused_block(
             # to copy-then-divide).
             np.divide(dot.reshape(ti, b, tj, b).transpose(0, 2, 1, 3), m, out=joint)
         else:
-            # Non-float64 slabs must upcast *before* dividing: the legacy
+            # Non-float64 slabs must upcast *before* dividing: the reference
             # kernel divides in float64, and a fused divide would resolve to
             # the float32 loop and round differently.
             np.copyto(joint, dot.reshape(ti, b, tj, b).transpose(0, 2, 1, 3))
@@ -412,7 +412,7 @@ def _finish_block(
 def _resolve_kernel_dtype(dtype, slab_dtype) -> tuple:
     """Map the kernel ``dtype`` knob to (operand dtype, mixed-mode flag).
 
-    ``None`` keeps the slab's own precision (bit-replicates the legacy
+    ``None`` keeps the slab's own precision (bit-replicates the reference
     kernel for float64 *and* float32 tensors); ``"float32"`` selects the
     mixed-precision path; ``"float64"`` forces a float64 GEMM.
     """
@@ -500,7 +500,7 @@ def mi_tile_block(
     The all-pairs driver hot path: tile operands are free contiguous views
     of the process-cached hoisted tensor (:func:`prepare_operands`), so the
     per-tile cost is one GEMM plus the fused entropy reduction.  Bit-
-    identical to the legacy ``mi_tile`` path when ``dtype`` is ``None``.
+    identical to the reference ``mi_tile`` path when ``dtype`` is ``None``.
     """
     weights = np.asarray(weights)
     if weights.ndim != 3:
@@ -546,7 +546,7 @@ def mi_tile_block(
 
 # Kernel-variant names accepted by config/CLI ("auto" lets the autotuner
 # pick the per-host winner across variants x tile sizes).
-KERNEL_NAMES = ("legacy", "fused", "sparse", "auto")
+KERNEL_NAMES = ("fused", "sparse", "auto")
 
 
 def _sparse_block(

@@ -2,22 +2,21 @@
 
 Given the ``(n, m, b)`` B-spline weight tensor of ``n`` genes, computes the
 symmetric ``(n, n)`` MI matrix by iterating cache-blocked tiles of the upper
-triangle (see :mod:`repro.core.tiling`) and dispatching one GEMM-formulated
-kernel call per tile (:func:`repro.core.mi.mi_tile`).  Marginal entropies
+triangle (see :mod:`repro.core.tiling`) and dispatching one kernel call per
+tile (:func:`repro.core.exec.compute_tile`, re-exported here).  Marginal entropies
 are hoisted: computed once per gene, reused by every tile.
 
 This driver is a thin configuration of the unified execution core
 (:mod:`repro.core.exec`): an in-memory :class:`~repro.core.exec.TensorSource`
 feeding a dense :class:`~repro.core.exec.DenseSink` through
-:func:`~repro.core.exec.run_tile_plan`, which owns engine dispatch
-(``map``/``map_into``), scheduling, progress and tracing.  This is exactly
+:func:`~repro.core.exec.run_tile_plan`, which owns the one supervised
+engine dispatch, scheduling, fault handling, progress and tracing.  This is exactly
 the decomposition the paper distributes over the Phi's 240 hardware
 threads, which write disjoint blocks of the MI matrix in place.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,13 +27,11 @@ from repro.core.exec import (
     PackedWeightSource,
     TensorSource,
     WeightSource,
-    plan_tiles,
-    resolve_kernel,
+    compute_tile,
+    plan_run,
     run_tile_plan,
-    worker_workspace,
 )
-from repro.core.mi import mi_tile, mi_tile_block, mi_tile_sparse_block
-from repro.core.tiling import Tile, pair_count
+from repro.core.mi import mi_tile
 from repro.parallel.engine import engine_kind
 
 __all__ = ["MiMatrixResult", "compute_tile", "mi_matrix", "mi_pairs", "mi_row"]
@@ -71,64 +68,6 @@ class MiMatrixResult:
         return self.mi.shape[0]
 
 
-def compute_tile(
-    weights: np.ndarray,
-    h: np.ndarray,
-    t: Tile,
-    base: str = "nat",
-    workspace=None,
-    kernel_dtype=None,
-    kernel=None,
-) -> np.ndarray:
-    """Kernel for one tile: the ``(rows, cols)`` MI block.
-
-    Module-level (not a closure) so process-based engines can pickle a
-    reference to it and look the weight tensor up in worker-shared memory.
-    ``kernel`` picks the tile variant: ``None``/``"fused"`` runs the fused
-    workspace kernel (:func:`repro.core.mi.mi_tile_block`) against the
-    process-cached hoisted operands, bit-identical to the legacy
-    ``mi_tile`` path unless ``kernel_dtype`` selects mixed precision;
-    ``"sparse"`` runs the packed compiled kernel
-    (:func:`repro.core.mi.mi_tile_sparse_block`, ~1 ulp from ``mi_tile``
-    in float64); ``"legacy"`` runs the plain GEMM path.  ``workspace``
-    defaults to this worker's reused buffers.
-    """
-    ws = workspace if workspace is not None else worker_workspace()
-    if kernel == "sparse":
-        block = mi_tile_sparse_block(
-            weights, t.i0, t.i1, t.j0, t.j1,
-            h_i=h[t.i0 : t.i1], h_j=h[t.j0 : t.j1],
-            base=base, workspace=ws, dtype=kernel_dtype,
-        )
-    elif kernel == "legacy":
-        block = mi_tile(
-            weights[t.i0 : t.i1], weights[t.j0 : t.j1],
-            h_i=h[t.i0 : t.i1], h_j=h[t.j0 : t.j1], base=base,
-        )
-    else:
-        block = mi_tile_block(
-            weights, t.i0, t.i1, t.j0, t.j1,
-            h_i=h[t.i0 : t.i1], h_j=h[t.j0 : t.j1],
-            base=base, workspace=ws, dtype=kernel_dtype,
-        )
-    if t.is_diagonal:
-        block[~t.pair_mask()] = 0.0
-    return block
-
-
-def _tile_kernel(source, h: np.ndarray, t: Tile, base: str, kernel_dtype=None,
-                 kernel=None) -> np.ndarray:
-    """Executor kernel routing through the patchable :func:`compute_tile`."""
-    weights = getattr(source, "weights", None)
-    if weights is None:  # non-tensor sources slab through the default kernel
-        from repro.core.exec import default_kernel
-
-        return default_kernel(source, h, t, base, kernel_dtype=kernel_dtype,
-                              kernel=kernel)
-    return compute_tile(weights, h, t, base, kernel_dtype=kernel_dtype,
-                        kernel=kernel)
-
-
 def mi_matrix(
     weights: "np.ndarray | WeightSource",
     tile: int | None = None,
@@ -159,26 +98,25 @@ def mi_matrix(
         Entropy log base (``"nat"`` or ``"bit"``).
     engine:
         Optional execution engine; defaults to serial in-process execution.
-        Engines exposing ``map_into(fn, items, out)`` (the sink protocol)
-        have their workers write tile blocks straight into the output
-        matrix; plain ``map(fn, items)`` engines return blocks for a
-        parent-side assembly loop.
+        The whole grid is one supervised dispatch: in-process and
+        shared-memory engines write tile blocks straight into the output
+        matrix; the others return blocks for a parent-side assembly loop.
     progress:
-        Optional callback ``progress(done_tiles, total_tiles)``.  The
-        serial path and in-process engines (``engine.in_process``) call it
-        after *every* tile; fork-based engines split the grid into batches
-        of a few tiles per worker and call it per batch — whole-genome runs
-        take hours and deserve a live progress line, not one callback after
-        the final tile.
+        Optional callback ``progress(done_tiles, total_tiles)``, called as
+        *every* tile finishes on every engine (fork engines report from
+        the parent's supervising loop) — whole-genome runs take hours and
+        deserve a live progress line, not one callback after the final
+        tile.
     out:
         Optional preallocated ``(n, n)`` float64 output (e.g. a memmap or a
         :class:`repro.parallel.sharedmem.SharedArray` view) the matrix is
         computed into; allocated fresh when omitted.
     tracer:
         Optional :class:`repro.obs.tracer.Tracer`.  The whole computation
-        runs under an ``mi_matrix`` span; each tile (in-process paths) or
-        tile batch (fork paths) ticks the ``tiles_done`` / ``pairs_done``
-        counters, so throughput over time is recoverable from the trace.
+        runs under an ``mi_matrix`` span holding one ``engine_map`` span
+        (more only on retries or engine fallback); each finished tile
+        ticks the ``tiles_done`` / ``pairs_done`` counters, so throughput
+        over time is recoverable from the trace.
     schedule:
         Optional scheduling policy for the tile dispatch order: a name
         from :data:`repro.core.exec.SCHEDULE_NAMES` (``static``,
@@ -186,9 +124,10 @@ def mi_matrix(
         :class:`repro.parallel.scheduler.SchedulerPolicy`; default is
         grid order (equivalent to dynamic chunk-1 pull).
     policy:
-        Optional :class:`repro.faults.policy.FaultPolicy` enabling the
-        resilient dispatch layer (retries, timeouts, quarantine, engine
-        fallback); ``None`` keeps the zero-overhead legacy paths.
+        Optional :class:`repro.faults.policy.FaultPolicy` (retries,
+        timeouts, quarantine, engine fallback); ``None`` means one attempt
+        per tile, and a failing or non-finite tile raises
+        :class:`~repro.faults.policy.FaultToleranceExceeded`.
     kernel_dtype:
         GEMM precision of the fused tile kernel: ``None`` (default) keeps
         the weight tensor's own precision and stays bit-identical to
@@ -206,7 +145,7 @@ def mi_matrix(
         explicitly.
     kernel:
         Tile kernel variant: ``None``/``"fused"`` (default, the GEMM
-        workspace kernel), ``"legacy"`` (plain ``mi_tile``), ``"sparse"``
+        workspace kernel, bit-identical to ``mi_tile``), ``"sparse"``
         (the compiled packed-weight kernel exploiting B-spline sparsity;
         float64 results within ~1 ulp of ``mi_tile``), or ``"auto"``
         (autotune the per-host winner across variants and tile sizes,
@@ -217,28 +156,19 @@ def mi_matrix(
     MiMatrixResult
     """
     source = weights if isinstance(weights, WeightSource) else TensorSource(weights)
-    engine_name = engine_kind(engine)
-    kernel, tile_override = resolve_kernel(source, kernel,
-                                           kernel_dtype=kernel_dtype,
-                                           engine_name=engine_name, base=base)
-    if tile is None and tile_override is not None:
-        tile = tile_override
-    if (kernel == "sparse" and engine_name == "elastic"
+    plan, kernel = plan_run(source, tile=tile, base=base, schedule=schedule,
+                            kernel=kernel, kernel_dtype=kernel_dtype,
+                            autotune=autotune, engine=engine)
+    if (kernel == "sparse" and engine_kind(engine) == "elastic"
             and isinstance(source, TensorSource)):
         # Elastic workers receive the source by value: ship the ~k/b-sized
         # packed slabs instead of the dense tensor (metered by comm.bytes_sent).
         source = PackedWeightSource.from_source(source, base=base,
                                                 dtype=kernel_dtype)
-    plan = plan_tiles(source, tile=tile, base=base, schedule=schedule,
-                      kernel_dtype=kernel_dtype, autotune=autotune,
-                      engine_name=engine_name, kernel=kernel)
     sink = DenseSink(source.n_genes, out=out)
-    # A partial, not a closure, so the task pickles for remote engines.
-    task = functools.partial(_tile_kernel, kernel_dtype=kernel_dtype,
-                             kernel=kernel)
     mi = run_tile_plan(plan, source, sink, engine=engine, tracer=tracer,
-                       progress=progress, kernel=task, policy=policy,
-                       kernel_dtype=kernel_dtype, kernel_variant=kernel)
+                       progress=progress, kernel=kernel, policy=policy,
+                       kernel_dtype=kernel_dtype)
     return MiMatrixResult(
         mi=mi,
         marginal_entropy=source.entropies(base),

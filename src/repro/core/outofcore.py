@@ -188,10 +188,9 @@ def mi_matrix_outofcore(
     is one block-row of weights plus one block-row of output at a time.
 
     ``engine`` (optional, :mod:`repro.parallel.engine`) parallelizes the
-    tiles of each block-row: engines with ``map_into`` have workers write
-    tile blocks into a shared row buffer in place (forked workers read the
-    weight store through the inherited mapping), plain ``map`` engines
-    return blocks by pickling.  The parent alone writes the output memmap,
+    tiles of each block-row as one supervised dispatch; workers return
+    their blocks (forked workers read the weight store through the
+    inherited mapping).  The parent alone writes the output memmap,
     preserving the streaming memory profile.
 
     ``schedule`` orders tiles within each block-row (see

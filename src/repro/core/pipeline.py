@@ -95,8 +95,9 @@ class TingeConfig:
         workers are killed and replaced), and what to do when the budget
         is exhausted (``"retry"``/``"quarantine"`` record the tile and
         keep going, ``"raise"`` aborts).  The defaults (0 / ``None`` /
-        ``"raise"``) disable the resilient layer entirely, keeping the MI
-        phase on the legacy zero-overhead dispatch paths.
+        ``"raise"``) give every tile one attempt: a tile that fails or
+        returns a non-finite block aborts the run with
+        :class:`~repro.faults.policy.FaultToleranceExceeded`.
     kernel_dtype:
         GEMM precision of the fused MI tile kernel: ``None`` (default)
         keeps the weight tensor's own precision and is bit-identical to
@@ -110,7 +111,7 @@ class TingeConfig:
         ``tile`` is set explicitly.
     kernel:
         MI tile kernel variant: ``"fused"`` (default, the GEMM workspace
-        kernel), ``"legacy"`` (plain ``mi_tile``), ``"sparse"`` (the
+        kernel, bit-identical to ``mi_tile``), ``"sparse"`` (the
         compiled packed-weight kernel exploiting B-spline sparsity —
         float64 results within ~1 ulp of ``mi_tile``), or ``"auto"``
         (measure all variants on a slab sample and use the per-host
@@ -183,9 +184,8 @@ class TingeConfig:
                 f"on_fault must be one of {ON_FAULT_MODES}, got {self.on_fault!r}"
             )
 
-    def fault_policy(self):
-        """The :class:`repro.faults.policy.FaultPolicy` these fields imply,
-        or ``None`` when they are all defaults (legacy dispatch)."""
+    def fault_policy(self) -> FaultPolicy:
+        """The :class:`repro.faults.policy.FaultPolicy` these fields imply."""
         return FaultPolicy.from_options(self.max_retries, self.task_timeout,
                                         self.on_fault)
 

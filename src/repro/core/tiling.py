@@ -158,7 +158,7 @@ def fused_tile_size(
 ) -> int:
     """Cache-model tile size calibrated for the *fused* workspace kernel.
 
-    The fused kernel's per-tile working set differs from the legacy path:
+    The fused kernel's per-tile working set differs from the reference mi_tile path:
     operands are views of the hoisted tensor (no per-tile transpose
     copies), and the only large temporaries are the GEMM output and the
     in-place joint buffer — ``2 * T * m * b`` streamed operand words plus
@@ -187,7 +187,7 @@ def fused_tile_size(
 _AUTOTUNE_ENV = "REPRO_AUTOTUNE_CACHE"
 _AUTOTUNE_CANDIDATES = (16, 32, 64, 128)
 _AUTOTUNE_VERSION = 2
-_AUTOTUNE_KERNELS = ("legacy", "fused", "sparse")
+_AUTOTUNE_KERNELS = ("fused", "sparse")
 
 
 def autotune_cache_path() -> Path:
@@ -307,15 +307,12 @@ def _merge_autotune_entry(path: Path, key: str, value: int) -> None:
 
 def _kernel_block_timer(kernel: str):
     """The ``(sample, t, base, ws, dtype) -> block`` call timed per variant."""
-    from repro.core.mi import mi_tile, mi_tile_block, mi_tile_sparse_block
+    from repro.core.mi import mi_tile_block, mi_tile_sparse_block
 
     if kernel == "sparse":
         def run(sample, t, base, ws, dtype):
             return mi_tile_sparse_block(sample, 0, t, t, 2 * t, base=base,
                                         workspace=ws, dtype=dtype)
-    elif kernel == "legacy":
-        def run(sample, t, base, ws, dtype):
-            return mi_tile(sample[0:t], sample[t : 2 * t], base=base)
     elif kernel in (None, "fused"):
         def run(sample, t, base, ws, dtype):
             return mi_tile_block(sample, 0, t, t, 2 * t, base=base,
@@ -331,12 +328,12 @@ def _time_candidates(sample, usable, base, dtype, kernel, repeats):
     from repro.core.sparsekernel import prepare_packed
 
     ws = TileWorkspace()
+    run = _kernel_block_timer(kernel)
     if kernel == "sparse":
         dt = np.dtype(dtype) if dtype is not None else sample.dtype
         prepare_packed(sample, dt)
-    elif kernel != "legacy":
+    else:
         prepare_operands(sample, np.dtype(dtype) if dtype is not None else None)
-    run = _kernel_block_timer(kernel)
     timings: dict[int, float] = {}
     for t in usable:
         # One warm-up call sizes the workspace buffers outside the timing.
@@ -364,8 +361,8 @@ def autotune_tile_size(
 ) -> int:
     """Measure candidate tile sizes on a real slab sample; pick the fastest.
 
-    Times the selected kernel variant (fused GEMM by default; ``legacy``
-    or ``sparse`` per the ``kernel`` knob) over one representative
+    Times the selected kernel variant (fused GEMM by default, or
+    ``sparse`` per the ``kernel`` knob) over one representative
     off-diagonal tile per candidate size, on a prefix sample of the actual
     weight tensor, and returns the argmin — normalized per matrix cell so
     different tile sizes compare fairly.  The winner is persisted in a
@@ -412,7 +409,7 @@ def autotune_kernel(
     repeats: int = 3,
     use_cache: bool = True,
 ) -> "tuple[str, int]":
-    """Pick the per-host winner across {legacy, fused, sparse} x tile size.
+    """Pick the per-host winner across {fused, sparse} x tile size.
 
     The cross-variant extension of :func:`autotune_tile_size` behind
     ``--kernel auto``: every variant is timed at every candidate tile on
@@ -420,7 +417,8 @@ def autotune_kernel(
     returned and persisted under a ``kernel=auto`` sidecar entry (a
     ``{"kernel": ..., "tile": ...}`` value — the v2 schema allows dict
     entries).  Variants a sample cannot run (e.g. sparse with a spline
-    order above the packed lane count) are skipped, never fatal.
+    order above the packed lane count) are skipped, never fatal.  A cached
+    entry naming a variant this build no longer offers is re-measured.
     """
     weights = np.asarray(weights)
     if weights.ndim != 3:

@@ -17,9 +17,10 @@ in :mod:`repro.core.exec` consumes:
   run after enumerating the poison tiles.
 
 ``FaultPolicy.from_options`` maps the config/CLI triple
-(``max_retries``, ``task_timeout``, ``on_fault``) to a policy, returning
-``None`` for the all-default triple so the legacy zero-overhead dispatch
-path keeps running byte-for-byte unchanged.
+(``max_retries``, ``task_timeout``, ``on_fault``) to a policy.  The
+all-default triple is the executor's default too: one attempt per tile,
+and a tile that fails or returns a non-finite block raises
+:class:`FaultToleranceExceeded` — never a silent hole in the network.
 """
 
 from __future__ import annotations
@@ -46,8 +47,10 @@ class FaultToleranceExceeded(RuntimeError):
     def __init__(self, quarantined):
         self.quarantined = list(quarantined)
         tiles = ", ".join(f"({q.i0},{q.j0})" for q in self.quarantined)
+        first = f"; first error: {self.quarantined[0].error}" if self.quarantined else ""
         super().__init__(
-            f"{len(self.quarantined)} tile task(s) exhausted the retry budget: {tiles}"
+            f"{len(self.quarantined)} tile task(s) exhausted the retry budget: "
+            f"{tiles}{first}"
         )
 
 
@@ -123,17 +126,11 @@ class FaultPolicy:
 
     @classmethod
     def from_options(cls, max_retries: int = 0, task_timeout: float | None = None,
-                     on_fault: str = "raise") -> "FaultPolicy | None":
-        """Config/CLI triple → policy; ``None`` for the legacy defaults.
+                     on_fault: str = "raise") -> "FaultPolicy":
+        """Config/CLI triple → policy.
 
-        The all-default triple means "no tolerance requested": drivers
-        then take the original dispatch path, which is guaranteed
-        bit-identical to PR 3 and carries zero wrapper overhead.
+        The all-default triple means "no tolerance requested": one attempt
+        per tile, and the first failing tile aborts the run.
         """
-        if on_fault not in ON_FAULT_MODES:
-            raise ValueError(
-                f"on_fault must be one of {ON_FAULT_MODES}, got {on_fault!r}")
-        if max_retries == 0 and task_timeout is None and on_fault == "raise":
-            return None
         return cls(max_retries=max_retries, task_timeout=task_timeout,
                    on_fault=on_fault)

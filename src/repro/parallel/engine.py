@@ -1,40 +1,49 @@
 """Execution engines: how tile tasks actually run on this host.
 
-An engine is anything with ``map(fn, items) -> list`` (results in item
-order).  The core drivers (:func:`repro.core.mi_matrix.mi_matrix`) are
-engine-agnostic; picking an engine picks the host-level parallelism:
+Every engine speaks one supervised protocol of two methods:
+
+* ``map_supervised(fn, items, timeout=None, on_done=None)`` runs
+  ``fn(item)`` for every item and returns ``(results, failures)``:
+  results in item order, and ``{position: error string}`` for the tasks
+  that raised (their result slots hold ``None``).
+* ``map_into_supervised(fn, items, out, timeout=None, on_done=None)`` is
+  the in-place form: ``fn(out_view, item)`` writes each item's result
+  into a region of ``out`` disjoint from every other item's and returns
+  nothing; the call returns the failures dict.
+
+``on_done(pos, value)`` (optional) fires once per task that completed
+without raising, as it completes: in the worker thread for in-process
+engines, in the parent's supervising loop for fork engines (when the
+task's ``"ok"`` message arrives).  ``value`` is the task's return value
+(``None`` for the in-place form).  ``timeout`` bounds each task's run
+time on engines that can kill a worker (the fork engines); in-process
+engines cannot kill a thread and ignore it.
+
+``map`` and ``map_into`` are the strict conveniences on top: they call
+the supervised form and raise :class:`RuntimeError` naming the first
+failed position.
 
 * :class:`SerialEngine` — in-process loop (the reference).
 * :class:`ThreadEngine` — ``ThreadPoolExecutor``; effective for the MI
   kernel because its time is spent inside BLAS/numpy calls that release the
   GIL, the numpy analog of the paper's OpenMP threads.
-* :class:`ProcessEngine` — a ``fork``-based process pool for kernels that
+* :class:`ProcessEngine` — a supervised ``fork`` pool for kernels that
   hold the GIL.  Task functions may be closures: the engine publishes the
   function in a module-level registry *before* forking, so children inherit
   it by COW memory instead of pickling (the same zero-copy trick the paper
   plays with the weight matrices resident on the coprocessor).  Results
-  still cross the pipe by pickling.
-* :class:`SharedMemoryEngine` — the write-in-place pool.  In addition to
-  ``map`` it implements the sink protocol ``map_into(fn, items, out)``:
-  workers attach ``out`` through named shared memory and write their
-  disjoint output blocks directly into it, so *nothing* but task indices
-  crosses the pipe — the process analog of the paper's 240 Phi threads
-  writing disjoint blocks of the MI matrix in coprocessor memory.
+  cross the pipe by pickling; the in-place form stages ``out`` through
+  named shared memory.
+* :class:`SharedMemoryEngine` — the same pool, marked as the write-in-place
+  engine: drivers hand it the output matrix (staged once in shared
+  memory) and workers write their disjoint output blocks directly into
+  it, so *nothing* but task indices crosses the pipe — the process analog
+  of the paper's 240 Phi threads writing disjoint blocks of the MI matrix
+  in coprocessor memory.
 
 Engines execute tasks in the order given by a
 :class:`repro.parallel.scheduler.SchedulerPolicy`; results are always
 returned in the original item order regardless of execution order.
-
-The sink protocol
------------------
-``map_into(fn, items, out)`` calls ``fn(out_view, item)`` exactly once per
-item, where ``out_view`` is a numpy array aliasing ``out``'s storage (in a
-worker process: a shared-memory view of it).  ``fn`` must write each item's
-result into a region of ``out_view`` disjoint from every other item's, and
-its return value is ignored.  Drivers probe for the protocol with
-``hasattr(engine, "map_into")`` and fall back to ``map`` plus a parent-side
-assembly loop for engines without it (:class:`ProcessEngine`, third-party
-engines).
 """
 
 from __future__ import annotations
@@ -42,7 +51,6 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
-import queue as queue_mod
 import threading
 import time
 import traceback
@@ -77,7 +85,8 @@ ENGINE_KINDS = ("serial", "thread", "process", "sharedmem", "elastic")
 #: Supervised-pool message poll interval; bounds timeout-detection latency.
 _POLL_SECONDS = 0.02
 
-#: Give up and fail over if a supervised pool makes no progress this long.
+#: Give up and fail over if a supervised pool with no task running makes
+#: no progress this long (a wedged queue, not a slow task).
 _STALL_SECONDS = 60.0
 
 
@@ -154,12 +163,36 @@ def _result_nbytes(value) -> int:
     return 0
 
 
-class _EngineObsMixin:
-    """Shared observability plumbing for all engines.
+def _format_error(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
-    Every ``map``/``map_into`` call times each task and aggregates the
-    timings per worker into a :class:`repro.obs.metrics.MapStats`, stored
-    on ``last_map_stats`` and — when a tracer is attached (constructor
+
+def raise_first_failure(engine, failures: dict) -> None:
+    """Raise :class:`RuntimeError` naming the first failed position, if any."""
+    if failures:
+        pos = min(failures)
+        raise RuntimeError(f"{engine_kind(engine)} task {pos} failed: {failures[pos]}")
+
+
+def _run_serial(task: Callable, n_items: int) -> list:
+    """Run ``task(idx)`` for every index in this thread; one worker's stats."""
+    busy = 0.0
+    for idx in range(n_items):
+        s = time.perf_counter()
+        task(idx)
+        busy += time.perf_counter() - s
+    return [WorkerStats("w0", n_items, busy)]
+
+
+class _EngineObsMixin:
+    """The supervised protocol plus its observability plumbing.
+
+    Subclasses implement ``_dispatch(fn, items, out, timeout, on_done,
+    span) -> (results, failures, worker_stats)``; this mixin turns it into
+    ``map_supervised`` / ``map_into_supervised`` (and the strict ``map`` /
+    ``map_into``).  Every call times each task and aggregates the timings
+    per worker into a :class:`repro.obs.metrics.MapStats`, stored on
+    ``last_map_stats`` and — when a tracer is attached (constructor
     argument or ``engine.tracer = ...``) — recorded as an ``engine_map``
     span whose metadata carries per-worker task counts and busy seconds.
     """
@@ -168,8 +201,86 @@ class _EngineObsMixin:
     last_map_stats: "MapStats | None" = None
     faults: "FaultPlan | None" = None
 
+    # -- the protocol ------------------------------------------------------
+    def map_supervised(self, fn: Callable, items: Sequence,
+                       timeout: float | None = None, on_done=None):
+        """Fault-isolating map: ``(results, failures)`` (see module doc)."""
+        return self._supervised(fn, items, None, timeout, on_done)
+
+    def map_into_supervised(self, fn: Callable, items: Sequence, out,
+                            timeout: float | None = None, on_done=None) -> dict:
+        """Fault-isolating in-place map: ``{position: error}``.
+
+        ``out`` is a numpy array or a
+        :class:`repro.parallel.sharedmem.SharedArray`; fork engines stage a
+        plain array through shared memory and copy it back once.
+        """
+        _as_output_array(out)
+        return self._supervised(fn, items, out, timeout, on_done)[1]
+
+    def map(self, fn: Callable, items: Sequence) -> list:
+        """Apply ``fn`` to every item, returning results in order.
+
+        A task that raises makes the call raise :class:`RuntimeError`
+        naming the first failed position.
+        """
+        results, failures = self.map_supervised(fn, items)
+        raise_first_failure(self, failures)
+        return results
+
+    def map_into(self, fn: Callable, items: Sequence, out) -> None:
+        """Run ``fn(out, item)`` for every item; strict like :meth:`map`."""
+        raise_first_failure(self, self.map_into_supervised(fn, items, out))
+
+    def _supervised(self, fn, items, out, timeout, on_done):
+        self._engine_fault_check()
+        items = list(items)
+        if not items:
+            return [], {}
+        with self._obs_tracer().span("engine_map", **self._span_meta()) as sp:
+            t0 = time.perf_counter()
+            results, failures, workers = self._dispatch(
+                fn, items, out, timeout, on_done, sp)
+            self._record_map(sp, "map" if out is None else "map_into",
+                             len(items), time.perf_counter() - t0, workers)
+            if failures:
+                sp.annotate(failed=len(failures))
+        return results, failures
+
+    def _run_local(self, fn, items: list, out, on_done, run_tasks=_run_serial):
+        """Supervised dispatch inside this process (serial, threads, inline).
+
+        ``run_tasks(task, n)`` runs ``task(idx)`` for every index and
+        returns the per-worker stats.  A raising task fails only its own
+        slot; ``on_done`` fires in the worker as each task succeeds.
+        """
+        arr = None if out is None else _as_output_array(out)
+        call = self._faulty(fn) if arr is None else self._faulty_into(fn)
+        results: list = [None] * len(items)
+        failures: dict[int, str] = {}
+
+        def task(idx: int) -> None:
+            try:
+                value = call(items[idx]) if arr is None else call(arr, items[idx])
+            except Exception as exc:
+                failures[idx] = _format_error(exc)
+                return
+            results[idx] = value
+            if on_done is not None:
+                on_done(idx, value)
+
+        return results, failures, run_tasks(task, len(items))
+
+    # -- observability and fault plumbing ---------------------------------
     def _obs_tracer(self):
         return self.tracer if self.tracer is not None else NULL_TRACER
+
+    def _span_meta(self) -> dict:
+        meta = {"engine": type(self).__name__}
+        policy = getattr(self, "policy", None)
+        if policy is not None:
+            meta["policy"] = policy.name
+        return meta
 
     def _faulty(self, fn: Callable) -> Callable:
         """Wrap a ``fn(item)`` task with this engine's fault plan (if any)."""
@@ -195,27 +306,6 @@ class _EngineObsMixin:
         return stats
 
 
-def _format_error(exc: BaseException) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _tolerant_loop(fn: Callable, items: Sequence, arr: np.ndarray | None = None):
-    """In-process fallback dispatch: run every task, collect failures.
-
-    Returns ``(results, failures)`` where ``failures`` maps item position
-    to an error string.  With ``arr`` set, tasks are ``fn(arr, item)``
-    (the write-in-place shape) and results are all ``None``.
-    """
-    results: list = [None] * len(items)
-    failures: dict[int, str] = {}
-    for i, item in enumerate(items):
-        try:
-            results[i] = fn(item) if arr is None else fn(arr, item)
-        except Exception as exc:
-            failures[i] = _format_error(exc)
-    return results, failures
-
-
 class SerialEngine(_EngineObsMixin):
     """Run tasks one after another in the calling thread."""
 
@@ -226,58 +316,11 @@ class SerialEngine(_EngineObsMixin):
         self.tracer = tracer
         self.faults = faults
 
-    def map_tolerant(self, fn: Callable, items: Sequence):
-        """``map`` that survives task failures: ``(results, failures)``.
+    def _engine_fault_check(self) -> None:
+        """The end of the fallback chain never reports an engine failure."""
 
-        ``failures`` maps item position to an error string; failed
-        positions hold ``None`` in ``results``.  The serial engine is the
-        end of the fallback chain, so it never raises
-        :class:`EngineFailure` (injected engine faults are ignored here).
-        """
-        items = list(items)
-        if not items:
-            return [], {}
-        with self._obs_tracer().span("engine_map", engine="SerialEngine") as sp:
-            t0 = time.perf_counter()
-            results, failures = _tolerant_loop(self._faulty(fn), items)
-            wall = time.perf_counter() - t0
-            self._record_map(sp, "map", len(items), wall,
-                             [WorkerStats("w0", len(items), wall)])
-            sp.annotate(mode="tolerant", failed=len(failures))
-        return results, failures
-
-    def map(self, fn: Callable, items: Sequence) -> list:
-        """Apply ``fn`` to every item, returning results in order."""
-        fn = self._faulty(fn)
-        items = list(items)
-        results: list = []
-        with self._obs_tracer().span("engine_map", engine="SerialEngine") as sp:
-            t0 = time.perf_counter()
-            busy = 0.0
-            for item in items:
-                s = time.perf_counter()
-                results.append(fn(item))
-                busy += time.perf_counter() - s
-            wall = time.perf_counter() - t0
-            self._record_map(sp, "map", len(items), wall,
-                             [WorkerStats("w0", len(items), busy)] if items else [])
-        return results
-
-    def map_into(self, fn: Callable, items: Sequence, out) -> None:
-        """Run ``fn(out, item)`` for every item (in-process, same array)."""
-        fn = self._faulty_into(fn)
-        arr = _as_output_array(out)
-        items = list(items)
-        with self._obs_tracer().span("engine_map", engine="SerialEngine") as sp:
-            t0 = time.perf_counter()
-            busy = 0.0
-            for item in items:
-                s = time.perf_counter()
-                fn(arr, item)
-                busy += time.perf_counter() - s
-            wall = time.perf_counter() - t0
-            self._record_map(sp, "map_into", len(items), wall,
-                             [WorkerStats("w0", len(items), busy)] if items else [])
+    def _dispatch(self, fn, items, out, timeout, on_done, sp):
+        return self._run_local(fn, items, out, on_done)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "SerialEngine()"
@@ -298,6 +341,10 @@ class ThreadEngine(_EngineObsMixin):
     tracer:
         Optional :class:`repro.obs.tracer.Tracer` receiving one
         ``engine_map`` span (with per-worker metrics) per map call.
+
+    Per-task timeouts are not supported — Python threads cannot be killed
+    — so a hung task simply occupies its thread until it returns (use a
+    fork engine for hang protection).
     """
 
     in_process = True
@@ -342,70 +389,8 @@ class ThreadEngine(_EngineObsMixin):
             list(pool.map(run_chunk, self._chunks(n_items)))
         return merge_worker_stats(raw)
 
-    def map(self, fn: Callable, items: Sequence) -> list:
-        fn = self._faulty(fn)
-        items = list(items)
-        results: list = [None] * len(items)
-        if not items:
-            return results
-        with self._obs_tracer().span(
-            "engine_map", engine="ThreadEngine", policy=self.policy.name
-        ) as sp:
-            t0 = time.perf_counter()
-            workers = self._run_chunks(lambda idx: results.__setitem__(idx, fn(items[idx])),
-                                       len(items))
-            self._record_map(sp, "map", len(items), time.perf_counter() - t0, workers)
-        return results
-
-    def map_tolerant(self, fn: Callable, items: Sequence):
-        """``map`` that survives task failures: ``(results, failures)``.
-
-        Failed positions hold ``None`` in ``results`` and an error string
-        in ``failures``.  Per-task timeouts are *not* supported here —
-        Python threads cannot be killed — so a hung task simply occupies
-        its thread until it returns (use a fork engine for hang
-        protection).
-        """
-        self._engine_fault_check()
-        fn = self._faulty(fn)
-        items = list(items)
-        results: list = [None] * len(items)
-        failures: dict[int, str] = {}
-        if not items:
-            return results, failures
-        lock = threading.Lock()
-
-        def task(idx: int) -> None:
-            try:
-                value = fn(items[idx])
-            except Exception as exc:
-                with lock:
-                    failures[idx] = _format_error(exc)
-            else:
-                results[idx] = value
-
-        with self._obs_tracer().span(
-            "engine_map", engine="ThreadEngine", policy=self.policy.name
-        ) as sp:
-            t0 = time.perf_counter()
-            workers = self._run_chunks(task, len(items))
-            self._record_map(sp, "map", len(items), time.perf_counter() - t0, workers)
-            sp.annotate(mode="tolerant", failed=len(failures))
-        return results, failures
-
-    def map_into(self, fn: Callable, items: Sequence, out) -> None:
-        """Run ``fn(out, item)`` on the pool; threads share the array."""
-        fn = self._faulty_into(fn)
-        items = list(items)
-        if not items:
-            return
-        arr = _as_output_array(out)
-        with self._obs_tracer().span(
-            "engine_map", engine="ThreadEngine", policy=self.policy.name
-        ) as sp:
-            t0 = time.perf_counter()
-            workers = self._run_chunks(lambda idx: fn(arr, items[idx]), len(items))
-            self._record_map(sp, "map_into", len(items), time.perf_counter() - t0, workers)
+    def _dispatch(self, fn, items, out, timeout, on_done, sp):
+        return self._run_local(fn, items, out, on_done, self._run_chunks)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ThreadEngine(n_workers={self.n_workers}, policy={self.policy.name})"
@@ -414,9 +399,9 @@ class ThreadEngine(_EngineObsMixin):
 # ---------------------------------------------------------------------------
 # Fork-based process pools
 # ---------------------------------------------------------------------------
-# Task registry inherited by children through fork; only (token, index)
-# pairs cross the pipe, never the function or the (large, read-only) arrays
-# it closes over.  Keyed by a unique token per map call so concurrent or
+# Task registry inherited by children through fork; only task indices
+# cross the pipe, never the function or the (large, read-only) arrays it
+# closes over.  Keyed by a unique token per map call so concurrent or
 # nested calls never clobber each other's tasks (itertools.count.__next__
 # is atomic under the GIL, so tokens are unique across threads too).
 _FORK_TASKS: dict = {}
@@ -429,35 +414,30 @@ def _publish(payload) -> int:
     return token
 
 
-def _fork_worker(args):
-    token, idx = args
-    fn, items = _FORK_TASKS[token]
-    t0 = time.perf_counter()
-    value = fn(items[idx])
-    # The elapsed seconds and pid ride back with the result so the parent
-    # can aggregate per-worker busy time without any extra IPC.
-    return idx, value, time.perf_counter() - t0, os.getpid()
-
-
-def _supervised_worker(token: int, task_q, msg_q) -> None:
+def _supervised_worker(token: int, task_q, msg_w, msg_lock) -> None:
     """Worker loop for the supervised (timeout-capable) pool.
 
     Announces ``("start", pid, idx, None)`` *before* running each task so
     the parent can hold a deadline against it, then ``("ok", pid, idx,
     (value, seconds))`` or ``("err", pid, idx, traceback)``.  Task
     failures stay inside the worker — only the message crosses the pipe —
-    so one poisoned tile never kills the pool.
+    so one poisoned tile never kills the pool.  Messages go straight down
+    one shared pipe under a lock (no per-worker feeder thread to wake).
     """
     fn, items, handle, into = _FORK_TASKS[token]
     view = SharedArray.attach(*handle) if handle is not None else None
     pid = os.getpid()
+
+    def send(msg) -> None:
+        with msg_lock:
+            msg_w.send(msg)
+
     try:
         while True:
             idx = task_q.get()
             if idx is None:
-                msg_q.put(("exit", pid, None, None))
                 return
-            msg_q.put(("start", pid, idx, None))
+            send(("start", pid, idx, None))
             t0 = time.perf_counter()
             try:
                 if into:
@@ -466,24 +446,33 @@ def _supervised_worker(token: int, task_q, msg_q) -> None:
                 else:
                     value = fn(items[idx])
             except Exception:
-                msg_q.put(("err", pid, idx, traceback.format_exc()))
+                send(("err", pid, idx, traceback.format_exc()))
             else:
-                msg_q.put(("ok", pid, idx, (value, time.perf_counter() - t0)))
+                send(("ok", pid, idx, (value, time.perf_counter() - t0)))
     finally:
         if view is not None:
             view.close()
 
 
 class ProcessEngine(_EngineObsMixin):
-    """Fork-based process pool for GIL-bound task functions.
+    """Supervised fork pool for GIL-bound task functions.
 
     Only usable where ``fork`` is available (Linux; the benchmark hosts) —
     the constructor raises :class:`RuntimeError` elsewhere.  A nested
-    ``map`` issued from inside a worker runs inline (daemonic workers may
-    not fork grandchildren), as does ``n_workers=1``.  Results cross
-    process boundaries by pickling — fine for tile-sized MI blocks, wrong
-    for whole-matrix outputs; use :class:`SharedMemoryEngine` when workers
-    should write the output in place instead.
+    call issued from inside a worker runs inline (daemonic workers may
+    not fork grandchildren), as does ``n_workers=1``; inline execution
+    cannot enforce timeouts.
+
+    Per call, the engine publishes ``(fn, items, out-handle)`` in the fork
+    registry, forks a pool that persists for the whole call, and feeds it
+    task *indices* through a queue (dynamic self-scheduling, the policy
+    that wins on the paper's imbalanced diagonal tiles).  The pool is
+    forked *after* publication — copy-on-write is how closures over
+    multi-GB weight tensors reach the workers without pickling — which is
+    also why one pool cannot outlive its call.  Results of
+    ``map_supervised`` cross the pipe by pickling (fine for tile-sized
+    blocks); use :class:`SharedMemoryEngine` when workers should write the
+    output in place instead.
     """
 
     in_process = False
@@ -516,123 +505,77 @@ class ProcessEngine(_EngineObsMixin):
         # nested map degrades gracefully to the serial path.
         return self.n_workers == 1 or multiprocessing.current_process().daemon
 
-    def _map_inline(self, fn: Callable, items: list, sp) -> list:
-        results: list = []
-        t0 = time.perf_counter()
-        busy = 0.0
-        for item in items:
-            s = time.perf_counter()
-            results.append(fn(item))
-            busy += time.perf_counter() - s
-        self._record_map(sp, "map", len(items), time.perf_counter() - t0,
-                         [WorkerStats("w0", len(items), busy)])
-        return results
-
-    def map(self, fn: Callable, items: Sequence) -> list:
-        fn = self._faulty(fn)
-        items = list(items)
-        if not items:
-            return []
-        with self._obs_tracer().span(
-            "engine_map", engine=type(self).__name__, policy=self.policy.name
-        ) as sp:
-            if self._inline():
-                return self._map_inline(fn, items, sp)
-            t0 = time.perf_counter()
-            ctx = multiprocessing.get_context("fork")
-            token = _publish((fn, items))
-            try:
-                with ctx.Pool(self.n_workers) as pool:
-                    quads = pool.map(
-                        _fork_worker,
-                        [(token, i) for i in self._submission_order(len(items))],
-                    )
-            finally:
-                del _FORK_TASKS[token]
-            results: list = [None] * len(items)
-            raw: dict = {}
-            nbytes = 0
-            for idx, value, dt, pid in quads:
-                results[idx] = value
-                tasks, b = raw.get(pid, (0, 0.0))
-                raw[pid] = (tasks + 1, b + dt)
-                nbytes += _result_nbytes(value)
-            wall = time.perf_counter() - t0
-            self._record_map(sp, "map", len(items), wall, merge_worker_stats(raw))
+    def _dispatch(self, fn, items, out, timeout, on_done, sp):
+        if self._inline():
+            return self._run_local(fn, items, out, on_done)
+        if out is None:
+            results, failures, raw, nbytes = self._run_supervised(
+                fn, items, None, timeout, on_done)
             sp.annotate(result_bytes=nbytes)
             self._obs_tracer().add("bytes_transported", nbytes)
-        return results
-
-    def map_supervised(self, fn: Callable, items: Sequence, timeout: float | None = None):
-        """Fault-isolating ``map``: ``(results, failures)``.
-
-        Unlike :meth:`map`, a task that raises only fails its own slot,
-        and a task that runs past ``timeout`` seconds has its worker
-        killed and replaced (the hung-straggler defence the paper's
-        multi-hour cluster runs need).  Inline (nested / one-worker)
-        execution degrades to the in-process tolerant loop, where
-        timeouts cannot be enforced.
-        """
-        self._engine_fault_check()
-        items = list(items)
-        if not items:
-            return [], {}
-        with self._obs_tracer().span(
-            "engine_map", engine=type(self).__name__, policy=self.policy.name
-        ) as sp:
-            t0 = time.perf_counter()
-            if self._inline():
-                results, failures = _tolerant_loop(self._faulty(fn), items)
-                wall = time.perf_counter() - t0
-                self._record_map(sp, "map", len(items), wall,
-                                 [WorkerStats("w0", len(items), wall)])
-            else:
-                results, failures, raw = self._run_supervised(
-                    fn, items, out=None, timeout=timeout)
-                self._record_map(sp, "map", len(items), time.perf_counter() - t0,
-                                 merge_worker_stats(raw))
-            sp.annotate(mode="supervised", failed=len(failures))
-        return results, failures
+            return results, failures, merge_worker_stats(raw)
+        staged = None
+        if isinstance(out, SharedArray):
+            shared = out
+        else:
+            staged = shared = SharedArray.from_array(out)
+        try:
+            results, failures, raw, _ = self._run_supervised(
+                fn, items, shared, timeout, on_done)
+            if staged is not None:
+                out[...] = staged.array
+        finally:
+            if staged is not None:
+                staged.close()
+                staged.unlink()
+        # Results never cross the pipe; the only transport is the
+        # optional one-shot staging memcpy back into a plain ndarray.
+        sp.annotate(result_bytes=0,
+                    staged_bytes=int(out.nbytes) if staged is not None else 0)
+        return results, failures, merge_worker_stats(raw)
 
     def _run_supervised(self, fn: Callable, items: list, out: SharedArray | None,
-                        timeout: float | None):
+                        timeout: float | None, on_done):
         """Supervised fork pool: per-task messages, deadlines, replacement.
 
-        Returns ``(results, failures, raw_worker_stats)``.  The parent
-        drains a message queue; any worker whose announced task exceeds
+        Returns ``(results, failures, raw_worker_stats, result_bytes)``.
+        The parent drains a message queue, firing ``on_done`` as each
+        ``"ok"`` arrives; any worker whose announced task exceeds
         ``timeout`` is terminated and a replacement forked (the unserved
         indices still sit in the task queue).  A worker that dies without
         a word (hard crash) fails the task it had announced.  Terminating
-        a worker mid-``put`` could in principle wedge a queue; the
-        watchdog converts any such total stall into an
-        :class:`EngineFailure` so the fallback chain takes over.
+        a worker mid-``send`` could in principle wedge the message pipe;
+        the watchdog converts a pool that makes no progress with no task
+        running into an :class:`EngineFailure` so the fallback chain takes
+        over (a long task is not a stall: ``timeout`` bounds those).
         """
         ctx = multiprocessing.get_context("fork")
         into = out is not None
         task = self._faulty_into(fn) if into else self._faulty(fn)
         token = _publish((task, items, out.handle() if into else None, into))
         task_q = ctx.Queue()
-        msg_q = ctx.Queue()
+        msg_r, msg_w = ctx.Pipe(duplex=False)
+        msg_lock = ctx.Lock()
         results: list = [None] * len(items)
         failures: dict[int, str] = {}
         raw: dict = {}
         running: dict = {}   # pid -> (idx, started_at)
         workers: dict = {}   # pid -> Process
         settled: set = set()
+        nbytes = 0
 
         def spawn() -> None:
-            w = ctx.Process(target=_supervised_worker, args=(token, task_q, msg_q))
+            w = ctx.Process(target=_supervised_worker,
+                            args=(token, task_q, msg_w, msg_lock), daemon=True)
             w.start()
             workers[w.pid] = w
 
-        def settle(idx: int, error: str | None, value=None) -> bool:
+        def settle(idx: int, error: str | None) -> bool:
             if idx in settled:
                 return False  # late message for a task already timed out
             settled.add(idx)
             if error is not None:
                 failures[idx] = error
-            else:
-                results[idx] = value
             return True
 
         try:
@@ -645,19 +588,21 @@ class ProcessEngine(_EngineObsMixin):
                 task_q.put(idx)
             last_progress = time.perf_counter()
             while len(settled) < len(items):
-                try:
-                    tag, pid, idx, payload = msg_q.get(timeout=_POLL_SECONDS)
-                except queue_mod.Empty:
-                    pass
-                else:
+                if msg_r.poll(_POLL_SECONDS):
+                    tag, pid, idx, payload = msg_r.recv()
                     last_progress = time.perf_counter()
                     if tag == "start":
                         running[pid] = (idx, time.perf_counter())
                     elif tag == "ok":
                         running.pop(pid, None)
-                        if settle(idx, None, payload[0]):
+                        if settle(idx, None):
+                            value, seconds = payload
+                            results[idx] = value
+                            nbytes += _result_nbytes(value)
                             tasks, busy = raw.get(pid, (0, 0.0))
-                            raw[pid] = (tasks + 1, busy + payload[1])
+                            raw[pid] = (tasks + 1, busy + seconds)
+                            if on_done is not None:
+                                on_done(idx, value)
                     elif tag == "err":
                         running.pop(pid, None)
                         settle(idx, payload.strip().splitlines()[-1])
@@ -685,7 +630,7 @@ class ProcessEngine(_EngineObsMixin):
                             last_progress = now
                         if len(settled) < len(items) and not workers:
                             spawn()
-                if now - last_progress > _STALL_SECONDS:
+                if not running and now - last_progress > _STALL_SECONDS:
                     raise EngineFailure(
                         f"supervised pool stalled for {_STALL_SECONDS:.0f}s "
                         f"({len(settled)}/{len(items)} tasks settled)")
@@ -701,182 +646,30 @@ class ProcessEngine(_EngineObsMixin):
                     w.join()
             task_q.cancel_join_thread()
             task_q.close()
-            msg_q.cancel_join_thread()
-            msg_q.close()
-        return results, failures, raw
+            msg_r.close()
+            msg_w.close()
+        return results, failures, raw, nbytes
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ProcessEngine(n_workers={self.n_workers}, policy={self.policy.name})"
 
 
-def _shm_worker(token: int, task_q, done_q) -> None:
-    """Worker loop: pull task indices, write results into shared memory.
-
-    On clean shutdown the worker reports ``(tasks, busy_seconds)`` through
-    the done queue — the per-worker timing the parent aggregates into its
-    :class:`~repro.obs.metrics.MapStats`.
-    """
-    fn, items, handle = _FORK_TASKS[token]
-    view = SharedArray.attach(*handle)
-    tasks = 0
-    busy = 0.0
-    try:
-        while True:
-            idx = task_q.get()
-            if idx is None:
-                done_q.put(("ok", (os.getpid(), tasks, busy)))
-                return
-            t0 = time.perf_counter()
-            fn(view.array, items[idx])
-            busy += time.perf_counter() - t0
-            tasks += 1
-    except BaseException:
-        done_q.put(("error", traceback.format_exc()))
-    finally:
-        view.close()
-
-
 class SharedMemoryEngine(ProcessEngine):
     """Fork pool whose workers write outputs in place via shared memory.
 
-    ``map`` is inherited from :class:`ProcessEngine` (pickle-return, for
-    tasks that genuinely produce small values); ``map_into`` is the
-    zero-copy path.  Per call, the engine publishes ``(fn, items,
-    out-handle)`` in the fork registry, forks a pool of workers that
-    persists for the whole call, and feeds them task *indices* through a
-    queue (dynamic self-scheduling, the policy that wins on the paper's
-    imbalanced diagonal tiles).  Each worker attaches the output matrix
-    with :meth:`repro.parallel.sharedmem.SharedArray.attach` and runs
-    ``fn(out_view, item)``, so results never touch a pipe and the parent
-    never runs a reassembly loop.
-
-    The pool is forked *after* task publication — copy-on-write is how
-    closures over multi-GB weight tensors reach the workers without
-    pickling — which is also why one pool cannot outlive its call: a
-    worker forked earlier could never see a later task's memory.
+    The pool and both protocol methods are :class:`ProcessEngine`'s; this
+    class marks the engine drivers should hand the output matrix to.  The
+    executor (:func:`repro.core.exec.run_tile_plan`) stages the sink once
+    in a :class:`~repro.parallel.sharedmem.SharedArray` and calls
+    ``map_into_supervised``: each worker attaches the shared block and
+    runs ``fn(out_view, item)``, so results never touch a pipe and the
+    parent never runs a reassembly loop.
 
     Sinks: pass a plain ndarray (the engine stages it through a temporary
     shared block and copies back once — one memcpy, still no per-item
     pickling) or a :class:`SharedArray` you allocated up front for the
     fully zero-copy path.
     """
-
-    def map_into(self, fn: Callable, items: Sequence, out) -> None:
-        fn = self._faulty_into(fn)
-        items = list(items)
-        if not items:
-            return
-        arr = _as_output_array(out)
-        with self._obs_tracer().span(
-            "engine_map", engine="SharedMemoryEngine", policy=self.policy.name
-        ) as sp:
-            t0 = time.perf_counter()
-            if self._inline():
-                busy = 0.0
-                for item in items:
-                    s = time.perf_counter()
-                    fn(arr, item)
-                    busy += time.perf_counter() - s
-                self._record_map(sp, "map_into", len(items), time.perf_counter() - t0,
-                                 [WorkerStats("w0", len(items), busy)])
-                return
-            if isinstance(out, SharedArray):
-                shared, staged = out, None
-            else:
-                staged = SharedArray.from_array(arr)
-                shared = staged
-            try:
-                raw = self._run_pool(fn, items, shared)
-                if staged is not None:
-                    arr[...] = staged.array
-            finally:
-                if staged is not None:
-                    staged.close()
-                    staged.unlink()
-            self._record_map(sp, "map_into", len(items), time.perf_counter() - t0,
-                             merge_worker_stats(raw))
-            # Results never cross the pipe; the only transport is the
-            # optional one-shot staging memcpy back into a plain ndarray.
-            sp.annotate(result_bytes=0,
-                        staged_bytes=int(arr.nbytes) if staged is not None else 0)
-
-    def _run_pool(self, fn: Callable, items: list, shared: SharedArray) -> dict:
-        ctx = multiprocessing.get_context("fork")
-        n_proc = min(self.n_workers, len(items))
-        task_q = ctx.Queue()
-        done_q = ctx.SimpleQueue()
-        token = _publish((fn, items, shared.handle()))
-        workers = []
-        raw: dict = {}
-        try:
-            # Publish-then-fork: children inherit fn/items by COW.
-            workers = [
-                ctx.Process(target=_shm_worker, args=(token, task_q, done_q))
-                for _ in range(n_proc)
-            ]
-            for w in workers:
-                w.start()
-            for idx in self._submission_order(len(items)):
-                task_q.put(idx)
-            for _ in workers:
-                task_q.put(None)
-            errors = []
-            for _ in workers:
-                status, detail = done_q.get()
-                if status == "error":
-                    errors.append(detail)
-                else:
-                    pid, tasks, busy = detail
-                    raw[pid] = (tasks, busy)
-            for w in workers:
-                w.join()
-            if errors:
-                raise RuntimeError(
-                    "shared-memory worker failed:\n" + "\n".join(errors)
-                )
-        finally:
-            del _FORK_TASKS[token]
-            for w in workers:
-                if w.is_alive():  # pragma: no cover - error-path cleanup
-                    w.terminate()
-                    w.join()
-            task_q.cancel_join_thread()
-            task_q.close()
-        return raw
-
-    def map_into_supervised(self, fn: Callable, items: Sequence, out: SharedArray,
-                            timeout: float | None = None) -> dict:
-        """Fault-isolating ``map_into``: returns ``{position: error}``.
-
-        Workers write their blocks straight into the shared array; a task
-        that raises fails only its slot, and a task past ``timeout`` has
-        its worker killed and replaced.  ``out`` must be a
-        :class:`SharedArray` (the resilient dispatch layer stages plain
-        ndarrays itself so retries and fallback survive restaging).
-        """
-        self._engine_fault_check()
-        items = list(items)
-        if not items:
-            return {}
-        if not isinstance(out, SharedArray):
-            raise TypeError("map_into_supervised requires a SharedArray sink")
-        with self._obs_tracer().span(
-            "engine_map", engine="SharedMemoryEngine", policy=self.policy.name
-        ) as sp:
-            t0 = time.perf_counter()
-            if self._inline():
-                _, failures = _tolerant_loop(self._faulty_into(fn), items,
-                                             arr=out.array)
-                wall = time.perf_counter() - t0
-                self._record_map(sp, "map_into", len(items), wall,
-                                 [WorkerStats("w0", len(items), wall)])
-            else:
-                _, failures, raw = self._run_supervised(
-                    fn, items, out=out, timeout=timeout)
-                self._record_map(sp, "map_into", len(items),
-                                 time.perf_counter() - t0, merge_worker_stats(raw))
-            sp.annotate(mode="supervised", failed=len(failures), result_bytes=0)
-        return failures
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

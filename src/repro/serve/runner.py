@@ -32,8 +32,7 @@ from repro.core.checkpoint import CheckpointSink
 from repro.core.discretize import preprocess
 from repro.core.exec import (
     TensorSource,
-    plan_tiles,
-    resolve_kernel,
+    plan_run,
     result_cache_key,
     run_tile_plan,
 )
@@ -44,7 +43,7 @@ from repro.core.threshold import fdr_adjacency, threshold_adjacency
 from repro.core.tiling import pair_count
 from repro.obs.progress import ProgressState
 from repro.obs.tracer import Tracer
-from repro.parallel.engine import engine_kind, make_engine
+from repro.parallel.engine import make_engine
 from repro.serve.cache import ResultCache
 from repro.serve.jobs import Job, JobState
 
@@ -226,24 +225,8 @@ def _execute(job: Job, cache: ResultCache, state_dir: Path) -> None:
                                min(cfg.n_null_pairs, pair_count(n)),
                                cfg.seed, cfg.base, engine)
 
-        job.phase = "mi"
-        kernel, tile_override = resolve_kernel(
-            source, cfg.kernel, kernel_dtype=cfg.kernel_dtype,
-            engine_name=engine_kind(engine), base=cfg.base)
-        plan = plan_tiles(source,
-                          tile=cfg.tile if cfg.tile is not None else tile_override,
-                          base=cfg.base, schedule=cfg.schedule,
-                          kernel_dtype=cfg.kernel_dtype, autotune=cfg.autotune,
-                          engine_name=engine_kind(engine), kernel=kernel)
-        ck_dir = state_dir / "checkpoints" / key
-        sink = CheckpointSink(ck_dir, plan, source.fingerprint(),
-                              interrupt_after_rows=job.interrupt_after_rows)
-        with tracer.span("mi", n_genes=n, n_tiles=plan.n_tiles):
-            mi = run_tile_plan(plan, source, sink, engine=engine,
-                               tracer=tracer, progress=job.progress,
-                               policy=cfg.fault_policy(),
-                               kernel_dtype=cfg.kernel_dtype,
-                               kernel_variant=kernel)
+        mi, sink, ck_dir = _checkpointed_mi(job, cfg, source, engine,
+                                            state_dir / "checkpoints" / key)
     finally:
         # Only the elastic engine holds resources (worker subprocesses,
         # a listener socket); in-process pools are per-call.
@@ -281,6 +264,27 @@ def _execute(job: Job, cache: ResultCache, state_dir: Path) -> None:
         shutil.rmtree(ck_dir, ignore_errors=True)
     job.result = _result_payload(job, network, cached=False)
     job.state = JobState.DONE
+
+
+def _checkpointed_mi(job, cfg, source, engine, ck_dir: Path):
+    """The MI phase of a job: checkpointed, resumable, kernel per config.
+
+    Returns ``(mi, sink, ck_dir)``; ``mi`` is ``None`` when the run was
+    interrupted (the ledger in ``ck_dir`` then resumes it).
+    """
+    job.phase = "mi"
+    plan, kernel = plan_run(source, tile=cfg.tile, base=cfg.base,
+                            schedule=cfg.schedule, kernel=cfg.kernel,
+                            kernel_dtype=cfg.kernel_dtype,
+                            autotune=cfg.autotune, engine=engine)
+    sink = CheckpointSink(ck_dir, plan, source.fingerprint(),
+                          interrupt_after_rows=job.interrupt_after_rows)
+    with job.tracer.span("mi", n_genes=source.n_genes, n_tiles=plan.n_tiles):
+        mi = run_tile_plan(plan, source, sink, engine=engine,
+                           tracer=job.tracer, progress=job.progress,
+                           policy=cfg.fault_policy(), kernel=kernel,
+                           kernel_dtype=cfg.kernel_dtype)
+    return mi, sink, ck_dir
 
 
 # ---------------------------------------------------------------------------
@@ -338,24 +342,8 @@ def _bootstrap_updater(job, ds, cache, state_dir: Path, engine):
             null = pooled_null(weights, cfg.n_permutations,
                                min(cfg.n_null_pairs, pair_count(n)),
                                cfg.seed, cfg.base, engine)
-        job.phase = "mi"
-        kernel, tile_override = resolve_kernel(
-            source, cfg.kernel, kernel_dtype=cfg.kernel_dtype,
-            engine_name=engine_kind(engine), base=cfg.base)
-        plan = plan_tiles(source,
-                          tile=cfg.tile if cfg.tile is not None else tile_override,
-                          base=cfg.base, schedule=cfg.schedule,
-                          kernel_dtype=cfg.kernel_dtype, autotune=cfg.autotune,
-                          engine_name=engine_kind(engine), kernel=kernel)
-        ck_dir = state_dir / "checkpoints" / key
-        sink = CheckpointSink(ck_dir, plan, source.fingerprint(),
-                              interrupt_after_rows=job.interrupt_after_rows)
-        with tracer.span("mi", n_genes=n, n_tiles=plan.n_tiles):
-            mi = run_tile_plan(plan, source, sink, engine=engine,
-                               tracer=tracer, progress=job.progress,
-                               policy=cfg.fault_policy(),
-                               kernel_dtype=cfg.kernel_dtype,
-                               kernel_variant=kernel)
+        mi, sink, ck_dir = _checkpointed_mi(job, cfg, source, engine,
+                                            state_dir / "checkpoints" / key)
         job.quarantined = [q.as_dict() for q in sink.quarantined]
         if mi is None:
             return None

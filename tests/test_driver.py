@@ -16,6 +16,27 @@ def dataset():
 CFG = TingeConfig(n_permutations=12, seed=3)
 
 
+class TestKernelSettings:
+    def test_in_memory_honours_kernel_and_dtype(self, dataset):
+        """The driver runs the config's kernel, not a hard-wired default:
+        its MI matrix is the pipeline's, bit for bit."""
+        cfg = TingeConfig(n_permutations=12, seed=3, kernel="sparse",
+                          kernel_dtype="float32")
+        out = auto_reconstruct(dataset.expression, dataset.genes, cfg)
+        ref = reconstruct_network(dataset.expression, dataset.genes, config=cfg)
+        assert out.strategy == "in-memory"
+        assert np.array_equal(out.network.weights, ref.mi)
+
+    def test_kernel_dtype_no_longer_ignored(self, dataset):
+        default = auto_reconstruct(dataset.expression, dataset.genes, CFG)
+        mixed = auto_reconstruct(dataset.expression, dataset.genes,
+                                 TingeConfig(n_permutations=12, seed=3,
+                                             kernel_dtype="float32"))
+        assert not np.array_equal(default.network.weights, mixed.network.weights)
+        np.testing.assert_allclose(mixed.network.weights, default.network.weights,
+                                   rtol=0, atol=5e-6)
+
+
 class TestStrategySelection:
     def test_small_run_in_memory(self, dataset):
         out = auto_reconstruct(dataset.expression, dataset.genes, CFG)

@@ -210,10 +210,12 @@ class TestMapIntoInProcessEngines:
         engine.map_into(write_slot, list(range(12)), out)
         assert np.array_equal(out, np.arange(12) * 10.0)
 
-    def test_process_engine_has_no_map_into(self):
-        # ProcessEngine workers write COW copies that the parent never
-        # sees; drivers must fall back to its pickle-return map.
-        assert not hasattr(ProcessEngine(n_workers=1), "map_into")
+    def test_process_engine_map_into_stages_shared_memory(self):
+        # ProcessEngine workers would write COW copies the parent never
+        # sees, so the in-place form stages the sink in shared memory.
+        out = np.zeros(6)
+        ProcessEngine(n_workers=2).map_into(write_slot, list(range(6)), out)
+        assert np.array_equal(out, np.arange(6) * 10.0)
 
 
 class TestMakeEngine:

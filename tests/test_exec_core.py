@@ -21,6 +21,7 @@ from repro.core.exec import (
     DenseSink,
     MmapSource,
     TensorSource,
+    mirror_upper,
     plan_tiles,
     run_tile_plan,
     schedule_policy,
@@ -34,7 +35,12 @@ from repro.core.outofcore import (
 )
 from repro.core.pipeline import TingeConfig, reconstruct_network
 from repro.obs.tracer import Tracer
-from repro.parallel.engine import ProcessEngine, ThreadEngine, make_engine
+from repro.parallel.engine import (
+    ProcessEngine,
+    SharedMemoryEngine,
+    ThreadEngine,
+    make_engine,
+)
 from repro.parallel.scheduler import (
     CyclicScheduler,
     DynamicScheduler,
@@ -274,6 +280,64 @@ class TestDispatchOrder:
 
 def _square(x):
     return x * x
+
+
+class TestSingleDispatch:
+    """The whole grid is one supervised engine call on every engine, with
+    progress ticking per tile as each task finishes."""
+
+    def test_fork_engine_one_dispatch_per_tile_progress(self, weights, reference):
+        tracer = Tracer()
+        engine = SharedMemoryEngine(n_workers=2, tracer=tracer)
+        calls = []
+        res = mi_matrix(weights, tile=TILE, engine=engine, tracer=tracer,
+                        progress=lambda done, total: calls.append((done, total)))
+        assert np.array_equal(res.mi, reference)
+        (outer,) = tracer.find_spans("mi_matrix")
+        maps = [s for s in tracer.find_spans("engine_map")
+                if s.parent_id == outer.span_id]
+        assert len(maps) == 1
+        assert len(tracer.find_spans("engine_map")) == 1
+        assert calls == [(k, res.n_tiles) for k in range(1, res.n_tiles + 1)]
+
+    def test_thread_workers_lose_no_tick_or_put(self, data, weights):
+        """More worker threads than cores and a short switch interval: the
+        per-tile callbacks run concurrently in the workers, and neither the
+        progress count nor a put-only sink may lose an update."""
+        import sys
+
+        from repro.cluster.distributed import distributed_reconstruct
+
+        serial = mi_matrix(weights, tile=2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            tracer = Tracer()
+            calls = []
+            res = mi_matrix(weights, tile=2, engine=ThreadEngine(n_workers=8),
+                            tracer=tracer,
+                            progress=lambda done, total: calls.append(done))
+            dist = distributed_reconstruct(data, n_ranks=3, bins=8, tile=2,
+                                           engine=ThreadEngine(n_workers=8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(res.mi, serial.mi)
+        assert calls == list(range(1, res.n_tiles + 1))
+        assert tracer.counters["tiles_done"] == res.n_tiles
+        assert sum(dist.tiles_per_rank) == res.n_tiles
+
+
+class TestMirrorUpper:
+    @pytest.mark.parametrize("n", [2, 7, 64, 130])
+    def test_matches_indexed_mirror(self, n):
+        rng = np.random.default_rng(n)
+        mi = rng.normal(size=(n, n))
+        expected = mi.copy()
+        iu = np.triu_indices(n, k=1)
+        expected[(iu[1], iu[0])] = expected[iu]
+        got = mirror_upper(mi.copy(), block=32)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(mirror_upper(mi.copy()), expected)
 
 
 # ---------------------------------------------------------------------------

@@ -196,8 +196,17 @@ class TestChaosMatrix:
     def test_no_policy_crash_propagates(self, weights):
         plan = _chaos_plan("crash", fork=False)
         eng = _engine("thread", faults=plan)
-        with pytest.raises(InjectedFault):
+        with pytest.raises(FaultToleranceExceeded, match=InjectedFault.__name__):
             mi_matrix(weights, tile=TILE, engine=eng)
+
+    @pytest.mark.parametrize("kind", ["serial", "thread", "sharedmem"])
+    def test_default_policy_raises_on_nan_tiles(self, weights, kind):
+        """No policy means one attempt per tile: a NaN block aborts the run
+        instead of leaving a silent hole in the network."""
+        plan = FaultPlan(seed=CHAOS_SEED, rate=1.0, kinds=("corrupt",),
+                         max_failures=None)
+        with pytest.raises(FaultToleranceExceeded, match="corrupt"):
+            mi_matrix(weights, tile=TILE, engine=_engine(kind, faults=plan))
 
     def test_no_faults_with_policy_is_identical(self, weights, baseline):
         tracer = Tracer()
@@ -283,7 +292,7 @@ class TestEngineFallback:
         assert tracer.counters["engine_fallbacks"] == 2  # sharedmem->process->thread
 
     def test_fallback_does_not_trigger_without_policy(self, weights, baseline):
-        # Legacy dispatch (policy=None) never consults the fallback chain.
+        # A healthy engine under the default policy never degrades.
         res = mi_matrix(weights, tile=TILE, engine=_engine("thread"))
         assert np.array_equal(res.mi, baseline)
 
@@ -488,7 +497,8 @@ class TestDriverPaths:
             TingeConfig(task_timeout=0.0)
         with pytest.raises(ValueError, match="on_fault"):
             TingeConfig(on_fault="panic")
-        assert TingeConfig().fault_policy() is None
+        default = TingeConfig().fault_policy()
+        assert (default.max_retries, default.on_fault) == (0, "raise")
         p = TingeConfig(max_retries=2, on_fault="quarantine").fault_policy()
         assert p.max_retries == 2 and p.on_fault == "quarantine"
 

@@ -206,6 +206,7 @@ class TestValidation:
         ({"dataset": "PLACEHOLDER", "engine": "gpu"}, "unknown engine"),
         ({"dataset": "PLACEHOLDER", "workers": 0}, "workers"),
         ({"dataset": "PLACEHOLDER", "typo": 1}, "unknown field"),
+        ({"dataset": "PLACEHOLDER", "config": {"kernel": "legacy"}}, "kernel"),
     ])
     def test_rejections(self, dataset_path, payload, match):
         if payload.get("dataset") == "PLACEHOLDER":
@@ -294,6 +295,12 @@ class TestServeEndToEnd:
         assert client.post("/bogus", {})[0] == 404
         code, body = client.post("/jobs", {"dataset": "missing.npz"})
         assert code == 400 and "not found" in body["error"]
+
+    def test_removed_kernel_variant_is_a_400(self, daemon, dataset_path):
+        _app, client = daemon
+        code, body = _submit(client, dataset_path,
+                             config=dict(CONFIG, kernel="legacy"))
+        assert code == 400 and "kernel" in body["error"]
 
     def test_health_endpoint(self, daemon, dataset_path):
         _app, client = daemon

@@ -376,17 +376,16 @@ class TestSparseKernel:
 
 class TestKernelVariantRouting:
     def test_kernel_names(self):
-        assert set(KERNEL_NAMES) == {"legacy", "fused", "sparse", "auto"}
+        assert set(KERNEL_NAMES) == {"fused", "sparse", "auto"}
 
     def test_mi_matrix_sparse_close_to_fused(self, weights):
         ref = mi_matrix(weights, tile=8).mi
         got = mi_matrix(weights, tile=8, kernel="sparse").mi
         np.testing.assert_allclose(got, ref, rtol=0, atol=SPARSE_VS_DENSE_ATOL)
 
-    def test_mi_matrix_legacy_bitwise_equals_fused(self, weights):
-        ref = mi_matrix(weights, tile=8).mi
-        got = mi_matrix(weights, tile=8, kernel="legacy").mi
-        assert np.array_equal(got, ref)
+    def test_mi_matrix_legacy_kernel_rejected(self, weights):
+        with pytest.raises(ValueError, match="kernel"):
+            mi_matrix(weights, tile=8, kernel="legacy")
 
     def test_mi_matrix_unknown_kernel_raises(self, weights):
         with pytest.raises(ValueError, match="kernel"):
@@ -421,7 +420,7 @@ class TestKernelVariantRouting:
         data = json.loads((tmp_path / "t.json").read_text())
         assert data["version"] == 2
         auto = [v for k, v in data["entries"].items() if ";kernel=auto;" in k]
-        assert auto and auto[0]["kernel"] in ("legacy", "fused", "sparse")
+        assert auto and auto[0]["kernel"] in ("fused", "sparse")
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +507,27 @@ class TestAutotuneSidecarV2:
         assert any(";kernel=fused;" in k for k in keys)
         assert any(";kernel=sparse;" in k for k in keys)
 
+    def test_cached_legacy_winner_is_remeasured(self, weights, tmp_path,
+                                                monkeypatch):
+        from repro.core.tiling import _autotune_key, autotune_kernel
+
+        path = tmp_path / "t.json"
+        monkeypatch.setenv("REPRO_AUTOTUNE_CACHE", str(path))
+        m, b = weights.shape[1], weights.shape[2]
+        key = _autotune_key(m, b, "float64", "serial", "auto")
+        path.write_text(json.dumps(
+            {"version": 2, "entries": {key: {"kernel": "legacy", "tile": 4}}}))
+        kernel, tile = autotune_kernel(weights, candidates=(4, 8), repeats=1)
+        assert kernel in ("fused", "sparse") and tile in (4, 8)
+        entry = json.loads(path.read_text())["entries"][key]
+        assert entry == {"kernel": kernel, "tile": tile}
+
     def test_autotune_kernel_round_trip(self, weights, tmp_path, monkeypatch):
         from repro.core.tiling import autotune_kernel
 
         monkeypatch.setenv("REPRO_AUTOTUNE_CACHE", str(tmp_path / "t.json"))
         kernel, tile = autotune_kernel(weights, candidates=(4, 8), repeats=1)
-        assert kernel in ("legacy", "fused", "sparse") and tile in (4, 8)
+        assert kernel in ("fused", "sparse") and tile in (4, 8)
         again = autotune_kernel(weights, candidates=(4, 8), repeats=1)
         assert again == (kernel, tile)
 
