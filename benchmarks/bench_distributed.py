@@ -1,17 +1,36 @@
-"""E19 (ablation) — the distributed TINGe algorithm, executed and metered.
+"""E19 (ablation) — distributed TINGe on the elastic engine, executed and metered.
 
-Runs the real SPMD algorithm on simulated MPI ranks (E8 uses the analytic
-cluster model; this experiment *executes* the algorithm) and reports:
-identical results to the serial pipeline, cyclic tile balance across
-ranks, and measured communication volume vs. rank count — the allgather
-term grows as ``(P-1)/P * n * m * b`` per the model the E8 table relies
-on.
+A distributed run is the ordinary pipeline over an
+:class:`~repro.cluster.elastic.ElasticEngine`.  Here its ``P`` workers are
+threads in this process (``spawn=False`` plus ``worker_main``), so the
+real socket protocol and its byte metering run without subprocesses.
+For P ∈ {1, 2, 4, 8} the experiment reports:
+
+* the full pipeline's MI matrix, threshold and edge list, asserted
+  bitwise equal to the serial pipeline at every P;
+* the MI phase's metered wire bytes (``mi_matrix`` alone over a fresh
+  engine) and the tiles each worker ran (assignment is pull-based, so
+  the split varies from run to run);
+* the byte increment per added worker, asserted equal to the weight
+  tensor's size W within 2%.
+
+The coordinator ships the task payload, weights included, once per
+worker, so the MI phase moves P·W.  The ring allgather that
+:func:`repro.baselines.cluster_tinge.estimate_cluster_run` charges moves
+(P−1)·W: the same W per added rank, offset by one W because the
+coordinator holds the tensor without being a worker.  The pipeline total
+also carries the null phase's payload (the sampled gene slabs), which is
+why it is reported separately and not asserted.
 """
+
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from repro.cluster.distributed import distributed_reconstruct
+from repro import TingeConfig, reconstruct_network
+from repro.cluster.elastic import ElasticEngine, worker_main
 from repro.core.bspline import weight_tensor
 from repro.core.discretize import rank_transform
 from repro.core.mi_matrix import mi_matrix
@@ -19,6 +38,30 @@ from repro.data import yeast_subset
 
 N_GENES = 48
 M_SAMPLES = 200
+TILE = 8  # 21 tiles: at least one per worker at every P
+WORKERS = (1, 2, 4, 8)
+
+
+@contextmanager
+def elastic_workers(p):
+    """An ElasticEngine with ``p`` in-process worker threads, all joined."""
+    eng = ElasticEngine(n_workers=p, spawn=False, heartbeat=0.5)
+    threads = [
+        threading.Thread(
+            target=worker_main,
+            args=(eng.coordinator.host, eng.coordinator.port),
+            kwargs={"name": f"t{i}"}, daemon=True)
+        for i in range(p)
+    ]
+    for t in threads:
+        t.start()
+    try:
+        eng.coordinator.wait_for_workers(p, timeout=10)
+        yield eng
+    finally:
+        eng.close()
+        for t in threads:
+            t.join(timeout=5)
 
 
 @pytest.fixture(scope="module")
@@ -27,28 +70,59 @@ def dataset():
 
 
 def test_distributed_scaling_table(benchmark, report, dataset):
-    serial_mi = mi_matrix(weight_tensor(rank_transform(dataset.expression))).mi
+    cfg = TingeConfig(n_permutations=10, seed=2, tile=TILE)
+    serial = reconstruct_network(dataset.expression, dataset.genes, cfg)
+    weights = weight_tensor(rank_transform(dataset.expression))
+    w_bytes = float(weights.nbytes)
 
-    rows = []
-    for p in (1, 2, 4, 8):
-        info = distributed_reconstruct(
-            dataset.expression, dataset.genes, n_ranks=p,
-            n_permutations=10, seed=2,
-        )
-        assert np.allclose(info.mi, serial_mi)  # correctness at every P
+    rows, mi_bytes = [], {}
+    for p in WORKERS:
+        with elastic_workers(p) as eng:
+            res = reconstruct_network(dataset.expression, dataset.genes, cfg,
+                                      engine=eng)
+            pipeline_bytes = eng.meter.volume_bytes
+        assert np.array_equal(res.mi, serial.mi)
+        assert res.network.threshold == serial.network.threshold
+        assert res.network.edge_list() == serial.network.edge_list()
+
+        with elastic_workers(p) as eng:
+            mi = mi_matrix(weights, tile=TILE, engine=eng)
+            mi_bytes[p] = eng.meter.volume_bytes
+            tiles = sorted(eng.last_graph.owners().values())
+        assert np.array_equal(mi.mi, serial.mi)
+        assert len(tiles) == p and sum(tiles) == mi.n_tiles
+
         rows.append({
-            "ranks": p,
-            "tiles/rank": f"{min(info.tiles_per_rank)}-{max(info.tiles_per_rank)}",
-            "comm volume": f"{info.comm_volume_bytes / 1e6:.2f} MB",
-            "edges": info.network.n_edges,
+            "workers": p,
+            "tiles/worker": f"{tiles[0]}-{tiles[-1]}",
+            "MI-phase bytes": f"{mi_bytes[p] / 1e6:.3f} MB",
+            "MI bytes / W": f"{mi_bytes[p] / w_bytes:.3f}",
+            "ring allgather (P-1)W": f"{(p - 1) * w_bytes / 1e6:.3f} MB",
+            "pipeline bytes": f"{pipeline_bytes / 1e6:.2f} MB",
+            "MI/threshold == serial": "bitwise",
+            "edges": res.network.n_edges,
         })
-    benchmark(lambda: distributed_reconstruct(
-        dataset.expression, dataset.genes, n_ranks=4, n_permutations=10, seed=2))
-    report("E19", f"executable distributed TINGe, n={N_GENES}", rows)
 
-    # Communication volume grows with rank count (the allgather term).
-    volumes = [float(r["comm volume"].split()[0]) for r in rows]
-    assert volumes[0] < volumes[1] < volumes[2] < volumes[3]
-    # All rank counts reconstruct the same network.
-    edge_counts = {r["edges"] for r in rows}
-    assert len(edge_counts) == 1
+    def run_p4():
+        with elastic_workers(4) as eng:
+            return reconstruct_network(dataset.expression, dataset.genes, cfg,
+                                       engine=eng)
+
+    benchmark(run_p4)
+
+    increments = [
+        (mi_bytes[hi] - mi_bytes[lo]) / (hi - lo) / w_bytes
+        for lo, hi in zip(WORKERS, WORKERS[1:])
+    ]
+    for row, inc in zip(rows, ["-"] + [f"{i:.4f}" for i in increments]):
+        row["added bytes per worker / W"] = inc
+    report("E19", f"distributed TINGe on ElasticEngine, n={N_GENES}, "
+                  f"m={M_SAMPLES}, W={w_bytes / 1e6:.3f} MB", rows,
+           metrics={"weight_bytes": w_bytes,
+                    "mi_bytes_per_added_worker_over_w": increments})
+
+    # Each added worker costs one weight tensor: W within 2%, the same
+    # increment as the cost model's (P-1)·W ring allgather.
+    for inc in increments:
+        assert inc == pytest.approx(1.0, rel=0.02)
+    assert mi_bytes[1] == pytest.approx(w_bytes, rel=0.02)

@@ -4,8 +4,8 @@ The B-spline estimator's structural sparsity: each sample touches at most
 ``k`` of the ``b`` bins, so the joint-histogram accumulation needs
 ``k^2/b^2`` of the dense GEMM's multiply-adds (9/100 at the paper's
 ``b=10, k=3``).  The sparse tier scatters packed ``(values, first)``
-operands through a compiled per-pair loop (Numba JIT, or a cc-compiled
-library, or a pure-numpy scatter — all bitwise identical at float64) and
+operands through a compiled per-pair loop (a cc-compiled library, or a
+pure-numpy scatter — bitwise identical at float64) and
 fuses the xlogy entropy reduction over the padded joint buffer.
 
 Measured here against fused float64 at the paper configuration
@@ -19,7 +19,7 @@ Correctness is asserted in the same run: the float64 sparse matrix must
 match ``mi_tile`` to ~1 ulp (the documented summation-order bound — the
 dense GEMM may contract into FMAs, the scatter never does), and the
 numpy fallback must be *bit-identical* to the selected compiled backend.
-Set ``REPRO_BENCH_SMOKE=1`` (the CI kernel-regression legs) to run the
+Set ``REPRO_BENCH_SMOKE=1`` (the CI kernel-regression job) to run the
 correctness guards on a small problem and skip the timing assertions.
 """
 

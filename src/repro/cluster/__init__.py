@@ -1,50 +1,30 @@
-"""Distributed execution: lockstep simulation and the elastic backend.
+"""Distributed execution: the elastic backend and its metering.
 
-Two distribution substrates share one metering vocabulary
-(:class:`~repro.cluster.comm.CommMeter`):
-
-* **Lockstep** (:mod:`repro.cluster.comm`, :mod:`repro.cluster.distributed`)
-  — real MPI is unavailable in this environment, so metered
-  MPI-semantics collectives run the original cluster TINGe algorithm
-  in-process, verified against the serial pipeline (its measured
-  communication volumes ground the alpha-beta cost model in
-  :mod:`repro.baselines.cluster_tinge`).
-* **Elastic** (:mod:`repro.cluster.transport`,
-  :mod:`repro.cluster.taskgraph`, :mod:`repro.cluster.elastic`) — a
-  socket coordinator shards one reconstruction's tile graph across
-  worker processes that may join and leave mid-run, behind the standard
-  engine protocol (``make_engine("elastic")``), with bit-identical
-  output.  See ``docs/DISTRIBUTED.md`` for the layering.
+A socket coordinator (:mod:`repro.cluster.transport`,
+:mod:`repro.cluster.taskgraph`, :mod:`repro.cluster.elastic`) shards one
+reconstruction's tile graph across worker processes that may join and
+leave mid-run, behind the standard engine protocol
+(``make_engine("elastic")``), with bit-identical output.  A distributed
+run is ``reconstruct_network(data, genes, cfg, engine=ElasticEngine(...))``;
+every byte it moves is metered per peer on ``engine.meter``
+(:class:`~repro.cluster.comm.CommMeter`) and the tiles each worker ran
+are in ``engine.last_graph.owners()``.  See ``docs/DISTRIBUTED.md`` for
+the layering.
 """
 
-from repro.cluster.comm import (
-    Comm,
-    CommMeter,
-    CommMismatchError,
-    LockstepComm,
-    RankComm,
-    run_lockstep,
-)
-from repro.cluster.distributed import DistributedRunInfo, distributed_reconstruct
+from repro.cluster.comm import CommMeter
 from repro.cluster.elastic import ElasticCoordinator, ElasticEngine, worker_main
 from repro.cluster.taskgraph import TaskGraph, TileTask, compile_plan
 from repro.cluster.transport import Channel, FrameError
 
 __all__ = [
     "Channel",
-    "Comm",
     "CommMeter",
-    "CommMismatchError",
-    "DistributedRunInfo",
     "ElasticCoordinator",
     "ElasticEngine",
     "FrameError",
-    "LockstepComm",
-    "RankComm",
     "TaskGraph",
     "TileTask",
     "compile_plan",
-    "distributed_reconstruct",
-    "run_lockstep",
     "worker_main",
 ]

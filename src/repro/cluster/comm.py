@@ -1,67 +1,25 @@
-"""Communicator protocol and the in-process lockstep implementation.
+"""Communication metering shared by the distributed stack.
 
-mpi4py is unavailable in this environment (see DESIGN.md), so the
-distributed TINGe baseline runs on a substitute: ``P`` ranks execute
-against a communicator that implements the collectives the algorithm needs
-(bcast, scatter, gather, allgather, allreduce) with MPI semantics, while
-*metering* every byte moved so the communication-volume numbers feeding the
-cost model are measured, not assumed.
-
-The module defines three layers:
-
-* :class:`Comm` — the communicator *protocol*: the collective and
-  point-to-point surface every backend implements.  The socket transport
-  (:mod:`repro.cluster.transport`) and the elastic scheduler
-  (:mod:`repro.cluster.elastic`) share the same :class:`CommMeter`
-  accounting, so in-process and networked runs report comparable volumes.
-* :class:`LockstepComm` — the bulk-synchronous in-process implementation:
-  the caller drives all ranks through each collective with one call
-  carrying every rank's contribution.  This is what
-  :mod:`repro.cluster.distributed` uses for the TINGe baseline.
-* :func:`run_lockstep` — runs a lockstep SPMD algorithm.  Given one
-  driver callable it behaves as before; given *per-rank* callables it runs
-  each rank on its own thread against a :class:`RankComm` view and
-  validates at every rendezvous that all ranks reached the same collective
-  in the same order, raising :class:`CommMismatchError` instead of
-  silently misaligning when a rank's callable diverges.
+:class:`CommMeter` counts the bytes and calls a communicator moves.  The
+socket transport (:mod:`repro.cluster.transport`) charges every frame to
+it per peer, and the elastic engine (:mod:`repro.cluster.elastic`)
+exposes its coordinator's meter as ``engine.meter``, so a distributed run
+reports measured, not modelled, traffic.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
-import numpy as np
-
-__all__ = [
-    "Comm",
-    "CommMeter",
-    "CommMismatchError",
-    "LockstepComm",
-    "RankComm",
-    "run_lockstep",
-]
-
-
-class CommMismatchError(RuntimeError):
-    """Ranks of a lockstep program issued diverging collective sequences.
-
-    Raised by the threaded :func:`run_lockstep` mode when, at a
-    rendezvous, ranks disagree on which collective (or which root) comes
-    next — or when some ranks finished while others still wait at a
-    collective that can therefore never complete.  In real MPI both
-    conditions are silent deadlocks or garbage exchanges; here they are a
-    loud, attributed error.
-    """
+__all__ = ["CommMeter"]
 
 
 @dataclass
 class CommMeter:
     """Byte and call accounting for a communicator.
 
-    ``volume_bytes`` counts the *wire* traffic under the standard
-    implementations: ring allgather moves ``(P-1) * local_bytes`` per rank;
-    recursive-doubling allreduce moves ``log2(P) * message`` per rank.
+    ``volume_bytes`` counts the *wire* traffic: every byte once, charged
+    by the sender (receives add calls and per-peer totals, not volume).
 
     Point-to-point traffic is accounted per peer: :meth:`record_send` and
     :meth:`record_recv` maintain ``sent_by_peer`` / ``recv_by_peer`` byte
@@ -120,435 +78,3 @@ class CommMeter:
                 self._exported[name] = total
                 deltas[name] = delta
         return deltas
-
-
-class Comm:
-    """The communicator protocol: collectives plus point-to-point.
-
-    Subclasses own ``n_ranks`` and a :class:`CommMeter` and implement MPI
-    semantics for the operations below.  The lockstep formulation passes
-    *every* rank's contribution in one call (``contributions[r]`` is rank
-    ``r``'s) and returns one value per rank, which keeps data flow explicit
-    and testable without real processes.
-    """
-
-    n_ranks: int
-    meter: CommMeter
-
-    def bcast(self, value, root: int = 0):
-        raise NotImplementedError
-
-    def scatter(self, chunks: list, root: int = 0) -> list:
-        raise NotImplementedError
-
-    def gather(self, contributions: list, root: int = 0) -> list:
-        raise NotImplementedError
-
-    def allgather(self, contributions: list) -> list:
-        raise NotImplementedError
-
-    def allreduce(self, contributions: list, op=np.add):
-        raise NotImplementedError
-
-    def barrier(self) -> None:
-        raise NotImplementedError
-
-    def send(self, value, src: int, dst: int):
-        raise NotImplementedError
-
-
-class LockstepComm(Comm):
-    """Bulk-synchronous communicator: all ranks call collectives in the
-    same order; rank-local state lives in the caller.
-
-    The caller drives ranks through *supersteps*: for each collective, it
-    calls the communicator once with every rank's contribution (the
-    lockstep formulation of SPMD).  This matches how bulk-synchronous
-    algorithms like TINGe are actually reasoned about, and it makes the
-    data flow — who contributes what, who receives what — explicit and
-    testable.
-
-    All volumes are metered on :attr:`meter`; point-to-point
-    :meth:`send` traffic lands in the meter's per-peer accounting.
-    """
-
-    def __init__(self, n_ranks: int):
-        if n_ranks < 1:
-            raise ValueError(f"n_ranks must be >= 1, got {n_ranks}")
-        self.n_ranks = n_ranks
-        self.meter = CommMeter()
-        self.failed: set = set()
-
-    # -- fault tolerance -------------------------------------------------
-    @property
-    def alive(self) -> list:
-        """Ranks still participating, in rank order."""
-        return [r for r in range(self.n_ranks) if r not in self.failed]
-
-    def mark_failed(self, rank: int) -> None:
-        """Declare ``rank`` lost: it contributes ``None`` to every later
-        collective (skipped in reductions and byte metering).
-
-        At least one rank must survive — losing the last one raises.
-        """
-        if not 0 <= rank < self.n_ranks:
-            raise ValueError(f"rank {rank} out of range for {self.n_ranks} ranks")
-        if len(self.failed) + 1 >= self.n_ranks and rank not in self.failed:
-            raise ValueError(
-                f"cannot fail rank {rank}: at least one of {self.n_ranks} "
-                "ranks must survive"
-            )
-        self.failed.add(rank)
-
-    # -- point-to-point --------------------------------------------------
-    def send(self, value, src: int, dst: int):
-        """Deliver ``value`` from rank ``src`` to rank ``dst``.
-
-        In-process delivery returns the value directly (the receiver's
-        copy); both directions are charged to the meter's per-peer
-        accounting, so point-to-point traffic shows up in
-        ``comm.bytes_sent{peer=...}`` counters exactly like the socket
-        transport's.
-        """
-        self._check_root(src)
-        self._check_root(dst)
-        if src in self.failed:
-            raise ValueError(f"cannot send from failed rank {src}")
-        if dst in self.failed:
-            raise ValueError(f"cannot send to failed rank {dst}")
-        nbytes = _nbytes(value)
-        self.meter.record_send(f"rank{dst}", nbytes)
-        self.meter.record_recv(f"rank{src}", nbytes)
-        return value
-
-    # -- collectives -----------------------------------------------------
-    def bcast(self, value, root: int = 0):
-        """Every rank receives ``value`` from ``root``; returns the list of
-        per-rank copies (shared object: read-only by convention)."""
-        self._check_root(root)
-        nbytes = _nbytes(value)
-        self.meter.record("bcast", nbytes * (self.n_ranks - 1))
-        return [value for _ in range(self.n_ranks)]
-
-    def scatter(self, chunks: list, root: int = 0) -> list:
-        """Rank ``r`` receives ``chunks[r]``."""
-        self._check_root(root)
-        if len(chunks) != self.n_ranks:
-            raise ValueError(f"scatter needs {self.n_ranks} chunks, got {len(chunks)}")
-        self.meter.record(
-            "scatter", sum(_nbytes(c) for i, c in enumerate(chunks) if i != root)
-        )
-        return list(chunks)
-
-    def gather(self, contributions: list, root: int = 0) -> list:
-        """Root receives every rank's contribution (list indexed by rank);
-        non-roots receive ``None``."""
-        self._check_root(root)
-        self._check_contrib(contributions)
-        self.meter.record(
-            "gather",
-            sum(_nbytes(c) for i, c in enumerate(contributions) if i != root),
-        )
-        return [list(contributions) if r == root else None for r in range(self.n_ranks)]
-
-    def allgather(self, contributions: list) -> list:
-        """Every rank receives the full list of contributions.
-
-        Wire volume follows the ring algorithm: each rank forwards
-        ``(P-1)`` slabs, so total volume is ``(P-1) * sum(local bytes)``.
-        Failed ranks contribute ``None`` — kept as a placeholder in the
-        gathered list (positions stay rank-indexed) and metered as zero
-        bytes, so survivor counts drive the volume.
-        """
-        self._check_contrib(contributions)
-        live = len(self.alive)
-        total = sum(_nbytes(c) for c in contributions)
-        self.meter.record("allgather", max(live - 1, 0) * total)
-        gathered = list(contributions)
-        return [list(gathered) for _ in range(self.n_ranks)]
-
-    def allreduce(self, contributions: list, op=np.add):
-        """Element-wise reduction of numpy arrays (or scalars) across ranks;
-        every rank receives the result.
-
-        Volume follows recursive doubling: ``log2(P)`` message rounds of
-        the full buffer per rank.  ``None`` contributions (failed ranks)
-        are skipped in the reduction and the metering; at least one live
-        contribution is required.
-        """
-        self._check_contrib(contributions)
-        live_vals = [c for c in contributions if c is not None]
-        if not live_vals:
-            raise ValueError("allreduce needs at least one live contribution")
-        acc = live_vals[0]
-        for c in live_vals[1:]:
-            acc = op(acc, c)
-        live = len(live_vals)
-        rounds = int(np.ceil(np.log2(live))) if live > 1 else 0
-        self.meter.record("allreduce", rounds * live * _nbytes(live_vals[0]))
-        return [acc for _ in range(self.n_ranks)]
-
-    def barrier(self) -> None:
-        """Synchronization point (zero data volume, counted as a call)."""
-        self.meter.record("barrier", 0.0)
-
-    # -- helpers ---------------------------------------------------------
-    def _check_root(self, root: int) -> None:
-        if not 0 <= root < self.n_ranks:
-            raise ValueError(f"root {root} out of range for {self.n_ranks} ranks")
-
-    def _check_contrib(self, contributions: list) -> None:
-        if len(contributions) != self.n_ranks:
-            raise ValueError(
-                f"expected one contribution per rank ({self.n_ranks}), "
-                f"got {len(contributions)}"
-            )
-
-
-def _nbytes(value) -> float:
-    if isinstance(value, np.ndarray):
-        return float(value.nbytes)
-    if isinstance(value, (list, tuple)):
-        return float(sum(_nbytes(v) for v in value))
-    if isinstance(value, (int, float, np.integer, np.floating)):
-        return 8.0
-    if value is None:
-        return 0.0
-    # Fallback: rough object size; collective metadata, not bulk data.
-    return 64.0
-
-
-# ---------------------------------------------------------------------------
-# Threaded lockstep: per-rank callables with sequence validation
-# ---------------------------------------------------------------------------
-
-
-#: Backstop for rendezvous waits; a correct program never hits it, a buggy
-#: one fails loudly instead of deadlocking the test suite.
-_RENDEZVOUS_TIMEOUT = 120.0
-
-
-class _LockstepController:
-    """Rendezvous driving per-rank callables through one :class:`LockstepComm`.
-
-    Every rank blocks at each collective until all still-running ranks
-    arrive; the last arrival validates that everyone issued the *same*
-    operation with the same parameters, performs it once on the underlying
-    communicator (so metering is identical to the legacy single-driver
-    mode), and publishes the per-rank results.  Divergence — different
-    ops, different roots, or a rank finishing while others wait — raises
-    :class:`CommMismatchError` in every participating thread.
-    """
-
-    def __init__(self, comm: LockstepComm):
-        self.comm = comm
-        self._cond = threading.Condition()
-        self._arrived: dict = {}  # rank -> (op, key, contribution)
-        self._finished: set = set()
-        self._results: "list | None" = None
-        self._step = 0
-        self.error: "BaseException | None" = None
-
-    # Everything below runs with self._cond held.
-    def _expected(self) -> set:
-        return set(range(self.comm.n_ranks)) - self._finished
-
-    def _ready(self) -> bool:
-        expected = self._expected()
-        return bool(expected) and set(self._arrived) == expected
-
-    def _fail_locked(self, exc: BaseException) -> None:
-        if self.error is None:
-            self.error = exc
-        self._cond.notify_all()
-
-    def fail(self, exc: BaseException) -> None:
-        with self._cond:
-            self._fail_locked(exc)
-
-    def _perform(self, op: str, key, contribs: list):
-        if op == "bcast":
-            return self.comm.bcast(contribs[key], root=key)
-        if op == "scatter":
-            return self.comm.scatter(contribs[key], root=key)
-        if op == "gather":
-            return self.comm.gather(contribs, root=key)
-        if op == "allgather":
-            return self.comm.allgather(contribs)
-        if op == "allreduce":
-            return self.comm.allreduce(contribs, op=key)
-        if op == "barrier":
-            self.comm.barrier()
-            return [None] * self.comm.n_ranks
-        raise ValueError(f"unknown collective {op!r}")  # pragma: no cover
-
-    def _complete_round(self) -> None:
-        step = self._step
-        if self._finished:
-            waiting = sorted(self._arrived)
-            op = self._arrived[waiting[0]][0]
-            raise CommMismatchError(
-                f"rank(s) {sorted(self._finished)} finished while rank(s) "
-                f"{waiting} wait at collective #{step} ({op!r}); all ranks "
-                "must issue the same collective sequence"
-            )
-        sigs = {(op, _keyid(key)) for op, key, _ in self._arrived.values()}
-        if len(sigs) > 1:
-            detail = ", ".join(
-                f"rank {r}: {self._arrived[r][0]}"
-                + (f"(root={self._arrived[r][1]})"
-                   if isinstance(self._arrived[r][1], int) else "")
-                for r in sorted(self._arrived)
-            )
-            raise CommMismatchError(
-                f"collective sequence diverged at step #{step}: {detail}"
-            )
-        op, key, _ = self._arrived[0] if 0 in self._arrived else next(
-            iter(self._arrived.values()))
-        contribs = [self._arrived[r][2] for r in range(self.comm.n_ranks)]
-        self._results = self._perform(op, key, contribs)
-        self._arrived.clear()
-        self._step = step + 1
-        self._cond.notify_all()
-
-    def collective(self, rank: int, op: str, key, contribution):
-        """Rank ``rank`` arrives at collective ``op``; blocks, returns its slice."""
-        with self._cond:
-            if self.error is not None:
-                raise self.error
-            my_step = self._step
-            self._arrived[rank] = (op, key, contribution)
-            if self._ready():
-                try:
-                    self._complete_round()
-                except BaseException as exc:
-                    self._fail_locked(exc)
-                    raise
-            else:
-                while self._step == my_step and self.error is None:
-                    if not self._cond.wait(timeout=_RENDEZVOUS_TIMEOUT):
-                        exc = CommMismatchError(
-                            f"rank {rank} timed out waiting at collective "
-                            f"#{my_step} ({op!r}); peers never arrived"
-                        )
-                        self._fail_locked(exc)
-                        raise exc
-                if self.error is not None:
-                    raise self.error
-            return self._results[rank]
-
-    def finish(self, rank: int) -> None:
-        """Rank ``rank``'s callable returned; detect stranded waiters."""
-        with self._cond:
-            self._finished.add(rank)
-            if self.error is not None:
-                return
-            if self._arrived and self._ready():
-                try:
-                    self._complete_round()
-                except BaseException as exc:
-                    self._fail_locked(exc)
-
-
-def _keyid(key):
-    """Hashable identity of a collective's parameter for divergence checks."""
-    try:
-        hash(key)
-        return key
-    except TypeError:  # pragma: no cover - exotic reduction ops
-        return id(key)
-
-
-class RankComm:
-    """One rank's view of the communicator in threaded lockstep mode.
-
-    The MPI-shaped per-rank API: each rank contributes only its own value
-    and receives only its own result.  All calls rendezvous through the
-    shared :class:`_LockstepController`, which validates sequence
-    alignment across ranks.
-    """
-
-    def __init__(self, controller: _LockstepController, rank: int):
-        self._controller = controller
-        self.rank = rank
-        self.n_ranks = controller.comm.n_ranks
-
-    @property
-    def meter(self) -> CommMeter:
-        return self._controller.comm.meter
-
-    def bcast(self, value=None, root: int = 0):
-        """Root passes the value; every rank receives it."""
-        return self._controller.collective(self.rank, "bcast", root, value)
-
-    def scatter(self, chunks: "list | None" = None, root: int = 0):
-        """Root passes the chunk list; rank ``r`` receives ``chunks[r]``."""
-        return self._controller.collective(self.rank, "scatter", root, chunks)
-
-    def gather(self, value, root: int = 0):
-        """Every rank contributes; root receives the list, others ``None``."""
-        return self._controller.collective(self.rank, "gather", root, value)
-
-    def allgather(self, value) -> list:
-        """Every rank contributes and receives the full list."""
-        return self._controller.collective(self.rank, "allgather", None, value)
-
-    def allreduce(self, value, op=np.add):
-        """Element-wise reduction; every rank receives the result."""
-        return self._controller.collective(self.rank, "allreduce", op, value)
-
-    def barrier(self) -> None:
-        self._controller.collective(self.rank, "barrier", None, None)
-
-
-def run_lockstep(n_ranks: int, algorithm, *args, **kwargs):
-    """Run a lockstep SPMD algorithm and return ``(results, comm)``.
-
-    Two calling conventions:
-
-    * ``algorithm`` is one callable — the legacy driver mode:
-      ``algorithm(comm, *args, **kwargs)`` receives the full
-      :class:`LockstepComm` and must return the per-rank result list.
-    * ``algorithm`` is a sequence of ``n_ranks`` callables — true SPMD:
-      each ``algorithm[r](rank_comm, *args, **kwargs)`` runs on its own
-      thread against a :class:`RankComm` view.  Every collective is a
-      validated rendezvous: if ranks issue different operations (or one
-      rank returns while others wait), every thread raises
-      :class:`CommMismatchError` naming the diverging ranks, instead of
-      the silent misalignment the old API allowed.
-    """
-    comm = LockstepComm(n_ranks)
-    if callable(algorithm):
-        results = algorithm(comm, *args, **kwargs)
-        return results, comm
-
-    ranks = list(algorithm)
-    if len(ranks) != n_ranks:
-        raise ValueError(
-            f"need one callable per rank ({n_ranks}), got {len(ranks)}")
-    for r, fn in enumerate(ranks):
-        if not callable(fn):
-            raise TypeError(f"rank {r} entry is not callable: {fn!r}")
-
-    controller = _LockstepController(comm)
-    results: list = [None] * n_ranks
-
-    def runner(rank: int, fn) -> None:
-        try:
-            results[rank] = fn(RankComm(controller, rank), *args, **kwargs)
-        except BaseException as exc:  # noqa: BLE001 - released via controller
-            controller.fail(exc)
-        finally:
-            controller.finish(rank)
-
-    threads = [
-        threading.Thread(target=runner, args=(r, fn), name=f"lockstep-rank-{r}")
-        for r, fn in enumerate(ranks)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if controller.error is not None:
-        raise controller.error
-    return results, comm

@@ -14,9 +14,7 @@ receive the current task payload and start pulling work) and may die
 mid-run (socket EOF or heartbeat silence; their in-flight tasks return
 to the queue and are reassigned).  Because every task knows its plan
 index and results are committed positionally, the final matrix is
-bit-identical to the serial path no matter how membership churned —
-the same determinism argument as PR 4's rank-loss recovery, generalized
-from fixed lockstep ranks to arbitrary membership.
+bit-identical to the serial path no matter how membership churned.
 
 The task function is pickled once per dispatch and broadcast under
 its content digest; workers cache payloads by digest, so the weight
@@ -381,7 +379,10 @@ class ElasticEngine(_EngineObsMixin):
             tracer.add("elastic_locality_hits", graph.locality_hits)
         self.meter.export(tracer)
         self.last_graph = graph
-        return results, failures, [s for s in self._run_stats.values() if s.tasks]
+        # Failures arrive in completion order; report them by plan index so
+        # callers see one order however the workers raced.
+        return (results, dict(sorted(failures.items())),
+                [s for s in self._run_stats.values() if s.tasks])
 
     def _drive(self, graph: TaskGraph, payload: bytes, digest: str,
                results: list, failures: dict, timeout: "float | None",

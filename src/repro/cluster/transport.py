@@ -12,10 +12,9 @@ a byte stream, and the magic + a configurable ``max_frame`` reject
 garbage or runaway frames before a single payload byte is read.
 
 :class:`Channel` wraps a connected socket with this framing plus
-per-peer byte metering through the same :class:`~repro.cluster.comm.CommMeter`
-the in-process :class:`~repro.cluster.comm.LockstepComm` uses, so
-networked runs report communication volumes in the same units and under
-the same counter names (``comm.bytes_sent{peer=...}``) as simulated ones.
+per-peer byte metering through a :class:`~repro.cluster.comm.CommMeter`,
+so networked runs report communication volumes per peer under the
+counter names ``comm.bytes_sent{peer=...}`` / ``comm.bytes_recv{peer=...}``.
 """
 
 from __future__ import annotations

@@ -28,8 +28,6 @@ layout, which is what the paper lays out for aligned vector loads.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +39,6 @@ __all__ = [
     "weight_matrix",
     "weight_tensor",
     "packed_weights",
-    "packed_weight_tensor",
     "unpack_weights",
 ]
 
@@ -291,167 +288,3 @@ def unpack_weights(values: np.ndarray, first: np.ndarray, bins: int) -> np.ndarr
     cols = first[:, None] + np.arange(k)[None, :]
     np.put_along_axis(w, cols, values, axis=1)
     return w
-
-
-# ---------------------------------------------------------------------------
-# Compiled weight phase: Cox–de Boor straight into the packed layout
-# ---------------------------------------------------------------------------
-
-_JIT_LOCK = threading.Lock()
-_JIT_FN = None
-_JIT_STATE = "unset"  # "unset" | "numba" | "numpy"
-
-
-def _packed_tensor_jit():
-    """The Numba-compiled packed weight kernel, or ``None`` (numpy path).
-
-    Detection is cached; ``REPRO_BSPLINE_JIT=numpy`` forces the fallback
-    and ``REPRO_BSPLINE_JIT=numba`` makes a missing Numba an error instead
-    of a silent downgrade (used by CI to pin each matrix leg to its tier).
-    """
-    global _JIT_FN, _JIT_STATE
-    forced = os.environ.get("REPRO_BSPLINE_JIT", "").strip().lower()
-    if forced == "numpy":
-        return None
-    with _JIT_LOCK:
-        if _JIT_STATE == "unset":
-            try:
-                _JIT_FN = _numba_packed_tensor()
-                _JIT_STATE = "numba"
-            except ImportError:
-                _JIT_FN = None
-                _JIT_STATE = "numpy"
-        if forced == "numba" and _JIT_STATE != "numba":
-            raise RuntimeError(
-                "REPRO_BSPLINE_JIT=numba but Numba is not importable"
-            )
-        return _JIT_FN
-
-
-def _reset_bspline_jit_cache() -> None:
-    """Test hook: force re-detection (e.g. after changing the env override)."""
-    global _JIT_FN, _JIT_STATE
-    with _JIT_LOCK:
-        _JIT_FN = None
-        _JIT_STATE = "unset"
-
-
-def _numba_packed_tensor():
-    """Build the Numba kernel (raises ImportError when Numba is absent).
-
-    The scalar recursion replicates :func:`basis_matrix` operation for
-    operation — same knot differences, same ``(z - t_i) / Δ * w`` and
-    ``(t_{i+d} - z) / Δ * w`` factor order, separate products summed left
-    to right, ``fastmath=False`` so LLVM contracts nothing into FMAs —
-    which is what makes the compiled phase bitwise identical to the
-    vectorized numpy evaluation, not merely close.
-    """
-    import numba
-
-    @numba.njit(cache=False, fastmath=False)
-    def _kernel(data, bins, order, t, domain_hi, values, first):  # pragma: no cover - compiled
-        n, m = data.shape
-        k = order
-        width = bins + k - 1
-        wbuf = np.zeros(width, dtype=np.float64)
-        tmp = np.zeros(width, dtype=np.float64)
-        for g in range(n):
-            lo = data[g, 0]
-            hi = data[g, 0]
-            for s in range(1, m):
-                v = data[g, s]
-                if v < lo:
-                    lo = v
-                if v > hi:
-                    hi = v
-            span = hi - lo
-            for s in range(m):
-                if span > 0.0:
-                    z = (data[g, s] - lo) / span * domain_hi
-                else:
-                    z = 0.0
-                if z < 0.0:
-                    z = 0.0
-                elif z > domain_hi:
-                    z = domain_hi
-                # Order-1 indicator on the active knot span.
-                for i in range(width):
-                    wbuf[i] = 0.0
-                sp = int(np.floor(z)) + (k - 1)
-                if sp < k - 1:
-                    sp = k - 1
-                elif sp > bins - 1:
-                    sp = bins - 1
-                wbuf[sp] = 1.0
-                # Lift order d-1 -> d (Cox–de Boor).
-                for d in range(2, k + 1):
-                    n_funcs = bins + k - d
-                    for i in range(n_funcs):
-                        acc = 0.0
-                        dl = t[i + d - 1] - t[i]
-                        if dl > 0.0:
-                            acc += (z - t[i]) / dl * wbuf[i]
-                        dr = t[i + d] - t[i + 1]
-                        if dr > 0.0:
-                            acc += (t[i + d] - z) / dr * wbuf[i + 1]
-                        tmp[i] = acc
-                    for i in range(n_funcs):
-                        wbuf[i] = tmp[i]
-                # Pack: first nonzero, window clamped into the matrix.
-                f = 0
-                for i in range(bins):
-                    if wbuf[i] != 0.0:
-                        f = i
-                        break
-                if f > bins - k:
-                    f = bins - k
-                first[g, s] = f
-                for j in range(k):
-                    values[g, s, j] = wbuf[f + j]
-        return None
-
-    return _kernel
-
-
-def packed_weight_tensor(
-    data: np.ndarray, bins: int = 10, order: int = 3, dtype=np.float64
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weight phase straight into the packed layout, compiled when possible.
-
-    The packed analog of :func:`weight_tensor`: evaluates the Cox–de Boor
-    recursion per sample and stores only the ``order`` (possibly) non-zero
-    weights plus their first bin index, skipping the dense ``(n, m, bins)``
-    tensor entirely — ``order/bins`` of the weight-phase memory traffic,
-    and the native operand of the sparse MI kernel
-    (:func:`repro.core.mi.mi_tile_sparse_packed`).
-
-    Runs a Numba-JIT scalar kernel when Numba is importable and a
-    ``weight_tensor`` + :func:`packed_weights` fallback otherwise; both
-    tiers produce bitwise-identical output at float64 (the compiled
-    recursion replicates the numpy operation order with FMA contraction
-    disabled).
-
-    Returns
-    -------
-    (values, first):
-        ``(n, m, order)`` C-contiguous weights in ``dtype`` and the
-        ``(n, m)`` int32 first-bin indices.
-    """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2:
-        raise ValueError(f"expected (genes, samples) matrix, got shape {data.shape}")
-    _check_params(bins, order)
-    n, m = data.shape
-    fn = _packed_tensor_jit()
-    if fn is not None:
-        values = np.empty((n, m, order), dtype=np.dtype(dtype))
-        first = np.empty((n, m), dtype=np.int32)
-        fn(np.ascontiguousarray(data), bins, order, knot_vector(bins, order),
-           float(bins - order + 1), values, first)
-        return values, first
-    w = weight_tensor(data, bins, order, dtype=dtype)
-    values, first = packed_weights(w.reshape(n * m, bins), order)
-    return (
-        np.ascontiguousarray(values.reshape(n, m, order)),
-        first.reshape(n, m).astype(np.int32),
-    )

@@ -11,9 +11,9 @@ module factors that loop into three small protocols plus one executor:
   The source also owns the hoisted per-gene marginal entropies and the
   tensor fingerprint, so neither is recomputed per driver.
 * :class:`MatrixSink` — where tile blocks go: a dense ``(n, n)`` array,
-  a checkpointed block ledger, a memory-mapped matrix, or per-rank
-  partial matrices.  Sinks declare their *grain* (whole-matrix or
-  block-row) and the executor adapts its dispatch to it.
+  a checkpointed block ledger, or a memory-mapped matrix.  Sinks declare
+  their *grain* (whole-matrix or block-row) and the executor adapts its
+  dispatch to it.
 * :class:`TilePlan` — the tile grid plus the schedule: a
   :class:`repro.parallel.scheduler.SchedulerPolicy` orders real dispatch
   (with per-tile costs for the cost-model policies), not just the
@@ -1037,7 +1037,7 @@ def _quarantine_failures(sink, tiles, failures, policy, tracer, tick):
 
 
 def _execute_matrix(plan, sink, run, engine, tracer, progress, policy) -> None:
-    """Whole-grid dispatch (dense and distributed sinks).
+    """Whole-grid dispatch (matrix-grain sinks).
 
     The policy-ordered grid is one supervised dispatch.  Sinks with a
     :meth:`~MatrixSink.buffer` are written in place by in-process and

@@ -534,8 +534,8 @@ def mi_tile_block(
 #
 # Third tier of the kernel ladder (--kernel sparse): instead of the dense
 # b x b GEMM, accumulate only the <= k*k cells each sample actually touches,
-# through the packed (values, first) layout and the compiled backends of
-# repro.core.sparsekernel (numba > cc > numpy, bitwise identical in float64
+# through the packed (values, first) layout and the backends of
+# repro.core.sparsekernel (cc > numpy, bitwise identical in float64
 # — see that module's bit-consistency contract).  The entropy reduction runs
 # over the padded (b, b + PACK_LANES - 1) count buffer; pad cells are exact
 # +0.0 so xlogy contributes exact zeros and only the summation *tree* over

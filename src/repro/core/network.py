@@ -91,10 +91,11 @@ class GeneNetwork:
     def edge_list(self) -> list[tuple[str, str, float]]:
         """Undirected edges as ``(gene_i, gene_j, mi)`` with ``i < j``,
         sorted by descending MI."""
-        iu = np.nonzero(np.triu(self.adjacency, k=1))
-        order = np.argsort(self.weights[iu], kind="stable")[::-1]
+        rows, cols = np.nonzero(np.triu(self.adjacency, k=1))
+        mi = self.weights[rows, cols]
+        order = np.argsort(mi, kind="stable")[::-1]
         return [
-            (self.genes[iu[0][e]], self.genes[iu[1][e]], float(self.weights[iu][e]))
+            (self.genes[rows[e]], self.genes[cols[e]], float(mi[e]))
             for e in order
         ]
 

@@ -4,34 +4,31 @@ Each sample contributes at most ``k`` consecutive non-zero B-spline weights
 per gene (PAPER.md, preprocessing), so the ``b x b`` joint-histogram
 contraction ``Wx^T Wy`` touches only ``k * k`` of the ``b * b`` cells per
 sample — 9/100 of the dense GEMM's FLOPs at the paper's ``b=10, k=3``.
-This module owns the three interchangeable backends that exploit that
-structure, all consuming the packed ``(values, first)`` layout of
+This module owns the two interchangeable backends that exploit that
+structure, both consuming the packed ``(values, first)`` layout of
 :func:`repro.core.bspline.packed_weights` padded to :data:`PACK_LANES`
 vector lanes:
 
-* ``numba`` — an ``@njit`` scatter loop (when Numba is importable).
 * ``cc``    — a small C kernel compiled on demand with the system C
   compiler (``-O3 -ffp-contract=off``) and loaded via ctypes; 8 column
   genes are interleaved per row gene so the 3 row-major read-modify-write
   streams of each pair hide each other's store latency.
 * ``numpy`` — a vectorized ``np.bincount`` scatter, always available.
 
-**Bit-consistency contract.**  All three backends produce *bitwise
-identical* float64 joint counts: each sample adds exactly one product per
-touched cell, per-cell accumulation order is sample order in every
-backend, and no backend contracts multiply+add into an FMA (the C build
-passes ``-ffp-contract=off``; Numba's default ``fastmath=False`` does not
-contract; ``np.bincount`` accumulates sequentially in input order).  The
-float32 path accumulates in float32 in the compiled backends (numba and
-cc are bitwise identical to each other); the numpy fallback accumulates
-in float64 and casts — documented tolerance ~2e-6 relative, the same
-regime as the PR 5 mixed-precision GEMM.  Because the padded lanes and
+**Bit-consistency contract.**  Both backends produce *bitwise identical*
+float64 joint counts: each sample adds exactly one product per touched
+cell, per-cell accumulation order is sample order in both, and neither
+contracts multiply+add into an FMA (the C build passes
+``-ffp-contract=off``; ``np.bincount`` accumulates sequentially in input
+order).  The float32 path accumulates in float32 in the cc backend; the
+numpy fallback accumulates in float64 and casts — documented tolerance
+~2e-6 relative, the same regime as the PR 5 mixed-precision GEMM.  Because the padded lanes and
 pad columns hold exact ``+0.0`` and every accumulated product is
 non-negative, padding never perturbs a single bit.
 
-The backend is picked once per process (numba > cc > numpy) and can be
-forced with ``REPRO_SPARSE_BACKEND=numba|cc|numpy`` (unavailable forced
-backends raise instead of silently degrading — tests rely on that).
+The backend is picked once per process (cc > numpy) and can be forced
+with ``REPRO_SPARSE_BACKEND=cc|numpy`` (an unavailable forced backend
+raises instead of silently degrading — tests rely on that).
 """
 
 from __future__ import annotations
@@ -66,7 +63,7 @@ MAX_COMPILED_ORDER = PACK_LANES
 
 _BACKEND_ENV = "REPRO_SPARSE_BACKEND"
 _CACHE_ENV = "REPRO_CC_CACHE"
-_BACKENDS = ("numba", "cc", "numpy")
+_BACKENDS = ("cc", "numpy")
 
 
 def joint_pad(bins: int) -> int:
@@ -176,8 +173,8 @@ def prepare_packed(weights: np.ndarray, dtype=None) -> tuple[np.ndarray, np.ndar
 # interleaved per row gene so the broadcasts of a's lanes are hoisted and
 # the dependent read-modify-write chains of eight independent blocks
 # overlap.  GCC vector extensions (not intrinsics) keep the source
-# portable across x86/ARM; -ffp-contract=off forbids FMA so the numba and
-# numpy tiers can reproduce the bits.
+# portable across x86/ARM; -ffp-contract=off forbids FMA so the numpy tier
+# can reproduce the bits.
 
 _C_SOURCE = r"""
 #include <stdint.h>
@@ -352,60 +349,6 @@ def _cc_tile(vi, fi, vj, fj, span, bins, bp, out) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Numba backend
-# ---------------------------------------------------------------------------
-
-_NUMBA_LOCK = threading.Lock()
-_NUMBA_TILE: "list | None" = None  # [jit_fn_or_None]
-
-
-def _numba_build():
-    """Compile the scatter loop with Numba, or return ``None``.
-
-    The loop body is the scalar transliteration of the C kernel: per pair,
-    zero the cell block, then for each sample add ``x[l] * y[q]`` into
-    ``(first_a + l, first_c + q)`` — one rounded multiply and one rounded
-    add per cell contribution, in sample order, exactly like the vector
-    code (elementwise vector mul+add == scalar mul+add), so float64 and
-    float32 results are bitwise identical to the cc backend.
-    """
-    try:
-        import numba
-    except ImportError:
-        return None
-
-    @numba.njit(cache=False, fastmath=False)
-    def _tile(vi, fi, vj, fj, span, bp, out):
-        ti = vi.shape[0]
-        tj = vj.shape[0]
-        m = vi.shape[1]
-        for a in range(ti):
-            for c in range(tj):
-                block = out[a, c]
-                block[:, :] = 0.0
-                for s in range(m):
-                    r0 = fi[a, s]
-                    c0 = fj[c, s]
-                    for l in range(span):
-                        x = vi[a, s, l]
-                        block[r0 + l, c0] += x * vj[c, s, 0]
-                        block[r0 + l, c0 + 1] += x * vj[c, s, 1]
-                        block[r0 + l, c0 + 2] += x * vj[c, s, 2]
-                        block[r0 + l, c0 + 3] += x * vj[c, s, 3]
-        return out
-
-    return _tile
-
-
-def _numba_tile_fn():
-    global _NUMBA_TILE
-    with _NUMBA_LOCK:
-        if _NUMBA_TILE is None:
-            _NUMBA_TILE = [_numba_build()]
-        return _NUMBA_TILE[0]
-
-
-# ---------------------------------------------------------------------------
 # Numpy fallback
 # ---------------------------------------------------------------------------
 
@@ -452,13 +395,9 @@ def _detect_backend() -> str:
         if forced not in _BACKENDS:
             raise ValueError(
                 f"{_BACKEND_ENV} must be one of {_BACKENDS}, got {forced!r}")
-        if forced == "numba" and _numba_tile_fn() is None:
-            raise RuntimeError(f"{_BACKEND_ENV}=numba but numba is not importable")
         if forced == "cc" and _cc_library() is None:
             raise RuntimeError(f"{_BACKEND_ENV}=cc but no working C compiler found")
         return forced
-    if _numba_tile_fn() is not None:
-        return "numba"
     if _cc_library() is not None:
         return "cc"
     return "numpy"
@@ -467,9 +406,9 @@ def _detect_backend() -> str:
 def sparse_backend() -> str:
     """The sparse-accumulation backend this process uses (resolved once).
 
-    ``numba`` > ``cc`` > ``numpy`` by availability; forceable via the
+    ``cc`` > ``numpy`` by availability; forceable via the
     ``REPRO_SPARSE_BACKEND`` environment variable (raises when the forced
-    backend is unavailable).  All backends are bitwise identical in
+    backend is unavailable).  Both backends are bitwise identical in
     float64, so the choice affects speed only.
     """
     global _BACKEND
@@ -524,7 +463,7 @@ def accumulate_tile(
         raise ValueError("packed operands must share the sample axis")
     # Row lanes iterate `span` from fi and every backend writes PACK_LANES
     # columns from fj; reject indices the (b, bp) cell block cannot hold
-    # before the compiled backends turn them into out-of-bounds writes.
+    # before the cc backend turns them into out-of-bounds writes.
     # Operands packed at a narrower span than `span` trip this — repack
     # them at the shared span (pack_slab's `span=` argument).
     if fi.size and not 0 <= int(fi.min()) <= int(fi.max()) <= bins - span:
@@ -547,12 +486,9 @@ def accumulate_tile(
         raise ValueError(
             f"packed operands must match out dtype {out.dtype}, "
             f"got {vi.dtype}/{vj.dtype}")
-    if backend == "numba":
-        _numba_tile_fn()(vi, fi, vj, fj, span, bp, out)
-    else:
-        if not (vi.flags.c_contiguous and vj.flags.c_contiguous
-                and fi.flags.c_contiguous and fj.flags.c_contiguous
-                and out.flags.c_contiguous):
-            raise ValueError("cc backend requires C-contiguous operands")
-        _cc_tile(vi, fi, vj, fj, span, bins, bp, out)
+    if not (vi.flags.c_contiguous and vj.flags.c_contiguous
+            and fi.flags.c_contiguous and fj.flags.c_contiguous
+            and out.flags.c_contiguous):
+        raise ValueError("cc backend requires C-contiguous operands")
+    _cc_tile(vi, fi, vj, fj, span, bins, bp, out)
     return out

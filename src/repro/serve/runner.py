@@ -158,24 +158,27 @@ def execute_job(job: Job, cache: ResultCache, state_dir: "str | Path",
     job.started_at = time.time()
     job.tracer = Tracer(meta={"job_id": job.job_id, "dataset": job.dataset})
     job.progress = ProgressState()
+    final = JobState.FAILED
     try:
         if job.kind == "reconstruct":
-            _execute(job, cache, state_dir)
+            final = _execute(job, cache, state_dir)
         elif job.kind in ("dataset_init", "dataset_samples"):
             if datasets is None:
                 raise ValueError(f"{job.kind} job without a dataset registry")
-            _execute_dataset(job, cache, state_dir, datasets)
+            final = _execute_dataset(job, cache, state_dir, datasets)
         else:
             raise ValueError(f"unknown job kind {job.kind!r}")
     except Exception as exc:  # noqa: BLE001 - the daemon must survive any job
-        job.state = JobState.FAILED
         job.error = f"{type(exc).__name__}: {exc}"
     finally:
+        # Stamp the finish time before publishing the terminal state: a
+        # status poll that sees a terminal state must also see finished_at.
         job.finished_at = time.time()
         job.phase = None
+        job.state = final
 
 
-def _execute(job: Job, cache: ResultCache, state_dir: Path) -> None:
+def _execute(job: Job, cache: ResultCache, state_dir: Path) -> str:
     cfg = TingeConfig(**job.config)
     tracer = job.tracer
     ds = load_job_dataset(job.dataset)
@@ -206,8 +209,7 @@ def _execute(job: Job, cache: ResultCache, state_dir: Path) -> None:
         job.quarantined = list(hit.meta.get("quarantined", []))
         job.result = _result_payload(job, hit.network, cached=True)
         job.cached = True
-        job.state = JobState.DONE
-        return
+        return JobState.DONE
 
     engine = None
     try:
@@ -236,9 +238,8 @@ def _execute(job: Job, cache: ResultCache, state_dir: Path) -> None:
     if mi is None:
         # Interrupted mid-run (simulated kill or preemption): the ledger
         # stays on disk, so resubmitting the same job resumes it.
-        job.state = JobState.INTERRUPTED
         job.error = "interrupted mid-run; resubmit to resume from the ledger"
-        return
+        return JobState.INTERRUPTED
 
     job.phase = "threshold"
     with tracer.span("threshold"):
@@ -263,7 +264,7 @@ def _execute(job: Job, cache: ResultCache, state_dir: Path) -> None:
         # purpose and a whole-genome ledger is not small.
         shutil.rmtree(ck_dir, ignore_errors=True)
     job.result = _result_payload(job, network, cached=False)
-    job.state = JobState.DONE
+    return JobState.DONE
 
 
 def _checkpointed_mi(job, cfg, source, engine, ck_dir: Path):
@@ -395,7 +396,7 @@ def _dataset_payload(job, ds, event=None) -> dict:
 
 
 def _execute_dataset(job: Job, cache: ResultCache, state_dir: Path,
-                     datasets) -> None:
+                     datasets) -> str:
     """Run one ``dataset_init`` / ``dataset_samples`` job."""
     ds = datasets.get(job.dataset_id)
     if ds is None:
@@ -410,23 +411,22 @@ def _execute_dataset(job: Job, cache: ResultCache, state_dir: Path,
             engine = _dataset_engine(job, cfg, job.tracer)
             if ds.updater is None:
                 if _bootstrap_updater(job, ds, cache, state_dir, engine) is None:
-                    job.state = JobState.INTERRUPTED
                     job.error = ("interrupted mid-build; post to "
                                  f"/datasets/{ds.dataset_id}/samples "
                                  "to resume from the ledger")
-                    return
+                    return JobState.INTERRUPTED
             if job.kind == "dataset_init":
                 job.result = _dataset_payload(job, ds)
-                job.state = JobState.DONE
-                return
-            _execute_dataset_samples(job, ds, cache, state_dir, cfg, engine)
+                return JobState.DONE
+            return _execute_dataset_samples(job, ds, cache, state_dir, cfg,
+                                            engine)
         finally:
             if engine is not None and hasattr(engine, "close"):
                 engine.close()
 
 
 def _execute_dataset_samples(job: Job, ds, cache: ResultCache,
-                             state_dir: Path, cfg, engine) -> None:
+                             state_dir: Path, cfg, engine) -> str:
     from repro.core.discretize import extend_columns
 
     new, n_batches = ds.pending_columns()
@@ -434,8 +434,7 @@ def _execute_dataset_samples(job: Job, ds, cache: ResultCache,
         # Nothing staged (an extra retry after the batch already
         # committed): idempotent no-op serving the current state.
         job.result = _dataset_payload(job, ds)
-        job.state = JobState.DONE
-        return
+        return JobState.DONE
 
     # Key the *grown* dataset's cache entry before running anything: if
     # another daemon (or an earlier life of this one) already computed
@@ -464,11 +463,10 @@ def _execute_dataset_samples(job: Job, ds, cache: ResultCache,
         if delta is None:
             # The staged batch and the replay ledger both survive; the
             # next (even empty) samples post resumes from the ledger.
-            job.state = JobState.INTERRUPTED
             job.error = ("interrupted mid-replay; post to "
                          f"/datasets/{ds.dataset_id}/samples "
                          "to resume from the ledger")
-            return
+            return JobState.INTERRUPTED
         job.quarantined = list(delta.quarantined)
         if not delta.quarantined:
             cache.put(key, ds.updater.network, meta={
@@ -484,4 +482,4 @@ def _execute_dataset_samples(job: Job, ds, cache: ResultCache,
     event = ds.emit("delta", {"job_id": job.job_id, **delta.as_dict()})
     ds.save()
     job.result = _dataset_payload(job, ds, event=event)
-    job.state = JobState.DONE
+    return JobState.DONE

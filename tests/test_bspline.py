@@ -247,81 +247,18 @@ class TestPackedWeights:
 
 
 class TestPackedWeightTensor:
-    def test_matches_weight_tensor_plus_pack(self, rng):
-        from repro.core.bspline import packed_weight_tensor
-
-        data = rng.normal(size=(8, 50))
-        values, first = packed_weight_tensor(data, bins=10, order=3)
-        assert values.shape == (8, 50, 3) and first.dtype == np.int32
-        w = weight_tensor(data, bins=10, order=3)
-        ref_v, ref_f = packed_weights(w.reshape(-1, 10), 3)
-        assert np.array_equal(values.reshape(-1, 3), ref_v)
-        assert np.array_equal(first.reshape(-1), ref_f)
+    """The weight tensor in the packed ``(values, first)`` layout."""
 
     def test_constant_gene(self):
-        from repro.core.bspline import packed_weight_tensor
-
         data = np.full((2, 20), 3.25)
-        values, first = packed_weight_tensor(data, bins=10, order=3)
+        w = weight_tensor(data, bins=10, order=3)
+        values, first = packed_weights(w.reshape(-1, 10), 3)
         # A constant gene maps to domain 0: all mass in the first window.
         assert (first == 0).all()
-        assert np.allclose(values.sum(axis=2), 1.0)  # partition of unity
+        assert np.allclose(values.sum(axis=1), 1.0)  # partition of unity
 
     def test_float32_output(self, rng):
-        from repro.core.bspline import packed_weight_tensor
-
-        values, first = packed_weight_tensor(rng.normal(size=(3, 30)),
-                                             bins=10, order=3,
-                                             dtype=np.float32)
+        w = weight_tensor(rng.normal(size=(3, 30)), bins=10, order=3,
+                          dtype=np.float32)
+        values, first = packed_weights(w.reshape(-1, 10), 3)
         assert values.dtype == np.float32
-
-    def test_forced_numba_without_numba_raises(self, rng, monkeypatch):
-        from repro.core import bspline as bs
-
-        try:
-            import numba  # noqa: F401
-            pytest.skip("Numba installed; the forced tier is available")
-        except ImportError:
-            pass
-        monkeypatch.setenv("REPRO_BSPLINE_JIT", "numba")
-        bs._reset_bspline_jit_cache()
-        try:
-            with pytest.raises(RuntimeError, match="Numba"):
-                bs.packed_weight_tensor(rng.normal(size=(2, 10)))
-        finally:
-            bs._reset_bspline_jit_cache()
-
-    def test_numpy_tier_forced(self, rng, monkeypatch):
-        from repro.core import bspline as bs
-
-        monkeypatch.setenv("REPRO_BSPLINE_JIT", "numpy")
-        bs._reset_bspline_jit_cache()
-        try:
-            data = rng.normal(size=(4, 40))
-            values, first = bs.packed_weight_tensor(data)
-            w = weight_tensor(data, bins=10, order=3)
-            ref_v, ref_f = packed_weights(w.reshape(-1, 10), 3)
-            assert np.array_equal(values.reshape(-1, 3), ref_v)
-            assert np.array_equal(first.reshape(-1), ref_f)
-        finally:
-            bs._reset_bspline_jit_cache()
-
-    def test_jit_tier_matches_numpy_tier_bitwise(self, rng, monkeypatch):
-        from repro.core import bspline as bs
-
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            pytest.skip("Numba not installed; single-tier environment")
-        data = rng.normal(size=(6, 60))
-        monkeypatch.setenv("REPRO_BSPLINE_JIT", "numba")
-        bs._reset_bspline_jit_cache()
-        jit_v, jit_f = bs.packed_weight_tensor(data)
-        monkeypatch.setenv("REPRO_BSPLINE_JIT", "numpy")
-        bs._reset_bspline_jit_cache()
-        try:
-            np_v, np_f = bs.packed_weight_tensor(data)
-            assert np.array_equal(jit_v, np_v)
-            assert np.array_equal(jit_f, np_f)
-        finally:
-            bs._reset_bspline_jit_cache()

@@ -278,33 +278,3 @@ class TestKillAndJoin:
         owners = graph.owners()
         assert state["joined"] in owners       # the hot-joined worker worked
         assert np.array_equal(out, reference)  # bit-identical despite churn
-
-
-class TestDistributedElasticBackend:
-    def test_elastic_backend_matches_lockstep(self):
-        from repro.cluster.distributed import distributed_reconstruct
-
-        ds = yeast_subset(n_genes=16, m_samples=40, seed=1)
-        kwargs = dict(n_ranks=3, n_permutations=4, tile=6, seed=5)
-        ref = distributed_reconstruct(ds.expression, ds.genes, **kwargs)
-        dist = distributed_reconstruct(ds.expression, ds.genes,
-                                       backend="elastic", **kwargs)
-        assert np.array_equal(dist.mi, ref.mi)
-        assert dist.threshold == ref.threshold
-        assert np.array_equal(dist.network.adjacency, ref.network.adjacency)
-        assert sum(dist.tiles_per_rank) == sum(ref.tiles_per_rank)
-        assert dist.comm_volume_bytes > 0
-
-    def test_elastic_backend_validation(self):
-        from repro.cluster.distributed import distributed_reconstruct
-
-        ds = yeast_subset(n_genes=8, m_samples=30, seed=1)
-        with pytest.raises(ValueError, match="lockstep simulation knob"):
-            distributed_reconstruct(ds.expression, ds.genes, n_ranks=3,
-                                    backend="elastic", lost_ranks=[1])
-        with pytest.raises(ValueError, match="builds its own engine"):
-            distributed_reconstruct(ds.expression, ds.genes, n_ranks=3,
-                                    backend="elastic", engine=object())
-        with pytest.raises(ValueError, match="backend"):
-            distributed_reconstruct(ds.expression, ds.genes, n_ranks=3,
-                                    backend="carrier-pigeon")

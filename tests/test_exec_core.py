@@ -300,15 +300,18 @@ class TestSingleDispatch:
         assert len(tracer.find_spans("engine_map")) == 1
         assert calls == [(k, res.n_tiles) for k in range(1, res.n_tiles + 1)]
 
-    def test_thread_workers_lose_no_tick_or_put(self, data, weights):
+    def test_thread_workers_lose_no_tick_or_put(self, weights):
         """More worker threads than cores and a short switch interval: the
         per-tile callbacks run concurrently in the workers, and neither the
         progress count nor a put-only sink may lose an update."""
         import sys
 
-        from repro.cluster.distributed import distributed_reconstruct
+        class PutOnlySink(DenseSink):
+            def buffer(self):
+                return None  # every block goes through put()
 
         serial = mi_matrix(weights, tile=2)
+        source = TensorSource(weights)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -317,14 +320,15 @@ class TestSingleDispatch:
             res = mi_matrix(weights, tile=2, engine=ThreadEngine(n_workers=8),
                             tracer=tracer,
                             progress=lambda done, total: calls.append(done))
-            dist = distributed_reconstruct(data, n_ranks=3, bins=8, tile=2,
-                                           engine=ThreadEngine(n_workers=8))
+            put_only = run_tile_plan(plan_tiles(source, tile=2), source,
+                                     PutOnlySink(source.n_genes),
+                                     engine=ThreadEngine(n_workers=8))
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(res.mi, serial.mi)
         assert calls == list(range(1, res.n_tiles + 1))
         assert tracer.counters["tiles_done"] == res.n_tiles
-        assert sum(dist.tiles_per_rank) == res.n_tiles
+        assert np.array_equal(put_only, serial.mi)
 
 
 class TestMirrorUpper:

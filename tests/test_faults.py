@@ -12,7 +12,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.cluster.distributed import distributed_reconstruct
 from repro.core.bspline import weight_tensor
 from repro.core.checkpoint import checkpoint_status, mi_matrix_checkpointed
 from repro.core.mi_matrix import mi_matrix
@@ -408,53 +407,6 @@ class TestOutOfCoreUnderFaults:
         mi = np.load(out)
         for r in records:
             assert np.all(mi[r["i0"]:r["i1"], r["j0"]:r["j1"]] == 0.0)
-
-
-class TestDistributedRankLoss:
-    @pytest.fixture(scope="class")
-    def data(self):
-        rng = np.random.default_rng(0)
-        return rng.normal(size=(20, 40))
-
-    def test_rank_loss_bit_identical(self, data):
-        base = distributed_reconstruct(data, n_ranks=4, tile=6)
-        lossy = distributed_reconstruct(data, n_ranks=4, tile=6,
-                                        lost_ranks=(1, 3))
-        assert np.array_equal(base.mi, lossy.mi)
-        assert base.threshold == lossy.threshold
-        assert np.array_equal(base.network.adjacency, lossy.network.adjacency)
-        assert lossy.lost_ranks == (1, 3)
-        assert lossy.reassigned_tiles > 0
-        assert lossy.tiles_per_rank[1] == 0 and lossy.tiles_per_rank[3] == 0
-
-    def test_rank_loss_with_faulty_engine(self, data):
-        base = distributed_reconstruct(data, n_ranks=4, tile=6)
-        eng = _engine("thread", FaultPlan(seed=CHAOS_SEED, rate=CHAOS_RATE,
-                                          kinds=("crash",)))
-        faulty = distributed_reconstruct(
-            data, n_ranks=4, tile=6, lost_ranks=(2,), engine=eng,
-            policy=FaultPolicy(max_retries=3, backoff=0.01))
-        assert np.array_equal(base.mi, faulty.mi)
-        assert faulty.quarantined == []
-
-    def test_cannot_lose_every_rank(self, data):
-        with pytest.raises(ValueError, match="at least one must survive"):
-            distributed_reconstruct(data, n_ranks=2, lost_ranks=(0, 1))
-        with pytest.raises(ValueError, match="out of range"):
-            distributed_reconstruct(data, n_ranks=2, lost_ranks=(5,))
-
-    def test_comm_mark_failed(self):
-        from repro.cluster.comm import LockstepComm
-
-        comm = LockstepComm(3)
-        comm.mark_failed(1)
-        assert comm.alive == [0, 2]
-        acc = comm.allreduce([np.ones(2), None, np.ones(2)])
-        assert np.array_equal(acc[0], 2 * np.ones(2))
-        with pytest.raises(ValueError, match="survive"):
-            comm.mark_failed(0), comm.mark_failed(2)
-        with pytest.raises(ValueError, match="live contribution"):
-            LockstepComm(1).allreduce([None])
 
 
 class TestDriverPaths:

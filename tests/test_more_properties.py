@@ -1,8 +1,8 @@
-"""Second round of property-based tests: comm, consensus, offload, exact.
+"""Second round of property-based tests: offload, exact, comparison.
 
 Complements ``test_properties.py`` with invariants for the modules added
-after it: the simulated MPI collectives, the offload schedule, the fused
-exact kernel, and the network-comparison metrics.
+after it: the offload schedule, the fused exact kernel, and the
+network-comparison metrics.
 """
 
 import numpy as np
@@ -11,46 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.compare import compare_networks
-from repro.cluster.comm import LockstepComm
 from repro.core.bspline import weight_tensor
 from repro.core.exact import exact_mi_pvalues
 from repro.core.network import GeneNetwork
 from repro.core.threshold import top_k_adjacency
 from repro.machine.offload import offload_plan
 from repro.machine.spec import XEON_PHI_5110P
-
-
-class TestCommProperties:
-    @given(p=st.integers(1, 32), size=st.integers(1, 50), seed=st.integers(0, 50))
-    @settings(max_examples=30, deadline=None)
-    def test_allreduce_equals_serial_sum(self, p, size, seed):
-        rng = np.random.default_rng(seed)
-        parts = [rng.normal(size=size) for _ in range(p)]
-        comm = LockstepComm(p)
-        out = comm.allreduce(parts)
-        expected = np.sum(parts, axis=0)
-        for o in out:
-            assert np.allclose(o, expected)
-
-    @given(p=st.integers(1, 16))
-    @settings(max_examples=20, deadline=None)
-    def test_allgather_volume_formula(self, p):
-        comm = LockstepComm(p)
-        slabs = [np.zeros(10, dtype=np.float64) for _ in range(p)]
-        comm.allgather(slabs)
-        assert comm.meter.volume_bytes == (p - 1) * p * 80
-
-    @given(p=st.integers(2, 16), root=st.integers(0, 15))
-    @settings(max_examples=20, deadline=None)
-    def test_gather_only_root_receives(self, p, root):
-        root = root % p
-        comm = LockstepComm(p)
-        out = comm.gather(list(range(p)), root=root)
-        for r in range(p):
-            if r == root:
-                assert out[r] == list(range(p))
-            else:
-                assert out[r] is None
 
 
 class TestOffloadProperties:

@@ -168,6 +168,30 @@ class TestJobQueue:
         assert time.monotonic() - t0 < 2.0
 
 
+class TestJobLifecycle:
+    def test_terminal_state_published_after_finish_time(self, dataset_path,
+                                                        tmp_path):
+        """A status poll that sees a terminal state also sees finished_at."""
+        from repro.serve.jobs import JobState
+        from repro.serve.runner import execute_job
+
+        seen = []
+
+        class WatchedJob(Job):
+            def __setattr__(self, name, value):
+                if name == "state" and value in JobState.TERMINAL:
+                    seen.append((value, self.finished_at))
+                super().__setattr__(name, value)
+
+        cache = ResultCache(tmp_path / "cache")
+        # A fresh run, its cache hit, and a job that fails.
+        for path in (dataset_path, dataset_path, tmp_path / "missing.npz"):
+            execute_job(WatchedJob(dataset=str(path), config=dict(CONFIG)),
+                        cache, tmp_path / "state")
+        assert [state for state, _ in seen] == ["done", "done", "failed"]
+        assert all(finished is not None for _, finished in seen)
+
+
 class TestResultCache:
     def test_roundtrip_and_stats(self, tmp_path, reference_network):
         cache = ResultCache(tmp_path)

@@ -3,14 +3,13 @@
 The sparse tile kernel (:func:`repro.core.mi.mi_tile_sparse` /
 ``mi_tile_sparse_block``) consumes the packed ``(values, first)`` layout
 and scatters per-sample weight products into the joint histogram instead
-of running the dense GEMM.  Three backend tiers exist — Numba JIT, a
-cc-compiled shared library, and a pure-numpy scatter — and all of them
-must be *bitwise identical* to each other at float64 (one product per
-touched cell per sample, accumulated in sample order, no FMA
-contraction), so any installed tier is interchangeable.  Against the
-dense ``mi_tile`` reference the float64 sparse path agrees to ~1 ulp
-(the dense GEMM may contract into FMAs; the summation-order difference
-is documented, bounded, and pinned here).
+of running the dense GEMM.  Two backend tiers exist — a cc-compiled
+shared library and a pure-numpy scatter — and they must be *bitwise
+identical* to each other at float64 (one product per touched cell per
+sample, accumulated in sample order, no FMA contraction), so either tier
+is interchangeable.  Against the dense ``mi_tile`` reference the float64
+sparse path agrees to ~1 ulp (the dense GEMM may contract into FMAs; the
+summation-order difference is documented, bounded, and pinned here).
 """
 
 import json
@@ -117,12 +116,12 @@ class TestPackSlab:
 
 
 # ---------------------------------------------------------------------------
-# Backend equivalence: numba == cc == numpy, bit for bit at float64
+# Backend equivalence: cc == numpy, bit for bit at float64
 # ---------------------------------------------------------------------------
 
 class TestBackendEquivalence:
     def test_some_backend_selected(self):
-        assert sparse_backend() in ("numba", "cc", "numpy")
+        assert sparse_backend() in ("cc", "numpy")
 
     def test_forced_unavailable_raises(self, monkeypatch):
         _forced_backend(monkeypatch, "not-a-backend")
@@ -219,14 +218,12 @@ class TestMixedSpanTiles:
         got = mi_tile_sparse(wide, narrow, h_i=h_w, h_j=h_n)
         np.testing.assert_allclose(got, ref, rtol=0, atol=SPARSE_VS_DENSE_ATOL)
 
-    @pytest.mark.parametrize("backend", ["numpy", "cc", "numba"])
+    @pytest.mark.parametrize("backend", ["numpy", "cc"])
     def test_each_backend_mixed_span(self, slabs, monkeypatch, backend):
         import repro.core.sparsekernel as sk
 
         if backend == "cc" and sk._cc_library() is None:
             pytest.skip("no C compiler")
-        if backend == "numba" and sk._numba_tile_fn() is None:
-            pytest.skip("numba not installed")
         _forced_backend(monkeypatch, backend)
         narrow, wide = slabs
         h_n = marginal_entropies(narrow)
@@ -533,30 +530,20 @@ class TestAutotuneSidecarV2:
 
 
 # ---------------------------------------------------------------------------
-# Compiled weight phase (packed_weight_tensor)
+# Packed weight layout as a sparse-kernel operand
 # ---------------------------------------------------------------------------
 
 class TestPackedWeightTensor:
-    def test_matches_dense_pack_bitwise(self):
-        from repro.core.bspline import packed_weight_tensor, packed_weights
-
-        rng = np.random.default_rng(11)
-        data = rng.normal(size=(10, 80))
-        values, first = packed_weight_tensor(data, bins=10, order=3)
-        w = weight_tensor(data, bins=10, order=3)
-        ref_v, ref_f = packed_weights(w.reshape(-1, 10), 3)
-        assert np.array_equal(values.reshape(-1, 3), ref_v)
-        assert np.array_equal(first.reshape(-1), ref_f)
-
     def test_feeds_sparse_mi_bitwise(self):
-        from repro.core.bspline import packed_weight_tensor
+        from repro.core.bspline import packed_weights
 
         rng = np.random.default_rng(12)
         data = rng.normal(size=(12, 90))
         w = weight_tensor(data, bins=10, order=3)
         h = marginal_entropies(w)
         ref = mi_tile_sparse(w[:6], w[6:12], h_i=h[:6], h_j=h[6:12])
-        values, first = packed_weight_tensor(data, bins=10, order=3)
+        values, first = packed_weights(w.reshape(-1, 10), 3)
+        values, first = values.reshape(12, 90, 3), first.reshape(12, 90)
         lanes = np.zeros((12, 90, PACK_LANES), dtype=np.float64)
         lanes[:, :, :3] = values
         got = mi_tile_sparse_packed(lanes[:6], first[:6].astype(np.int32),
