@@ -10,6 +10,7 @@ answer to "where does the time go?" is always a function call away.
 from __future__ import annotations
 
 import cProfile
+import gc
 import io
 import pstats
 from dataclasses import dataclass
@@ -43,16 +44,22 @@ def profile_callable(fn, *args, top: int = 15, **kwargs) -> ProfileReport:
     """Run ``fn(*args, **kwargs)`` under cProfile and summarize.
 
     Profiling slows numpy-light code noticeably; use the report's
-    *relative* weights, not its absolute times.
+    *relative* weights, not its absolute times.  Garbage collection is
+    paused during the call, as :mod:`timeit` does, so a collection is not
+    charged to whichever frame happened to trigger it.
     """
     if top < 1:
         raise ValueError("top must be >= 1")
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     profiler = cProfile.Profile()
     profiler.enable()
     try:
         result = fn(*args, **kwargs)
     finally:
         profiler.disable()
+        if gc_was_enabled:
+            gc.enable()
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream).sort_stats("cumulative")
     stats.print_stats(top)

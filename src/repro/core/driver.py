@@ -14,9 +14,10 @@ Strategy selection mirrors :func:`repro.machine.memory.memory_plan`:
 * weights exceed the budget          → the out-of-core path (weights and
   MI matrix on disk, streamed block-rows).
 
-The statistical stages (null, threshold) are identical across strategies,
-so every path yields the same network for the same seed — asserted by the
-test suite.
+Every strategy runs :class:`repro.core.pipeline.TingePipeline`'s phases
+(input checks, weights, null, MI, threshold and exact re-test) and differs
+only in where the weights and the MI matrix live, so every path yields the
+pipeline's network for the same seed — asserted by the test suite.
 """
 
 from __future__ import annotations
@@ -28,22 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.bspline import weight_tensor
 from repro.core.checkpoint import CheckpointSink
-from repro.core.discretize import preprocess
-from repro.core.exec import (
-    DenseSink,
-    MmapSource,
-    TensorSource,
-    plan_run,
-    run_tile_plan,
-)
+from repro.core.exec import DenseSink, MmapSource, TensorSource
 from repro.core.network import GeneNetwork
-from repro.core.outofcore import MmapMatrixSink, build_weight_store
-from repro.core.permutation import pooled_null
-from repro.core.pipeline import TingeConfig
-from repro.core.threshold import threshold_adjacency
-from repro.core.tiling import pair_count
+from repro.core.outofcore import MmapMatrixSink, build_weight_store, open_weight_store
+from repro.core.pipeline import TingeConfig, TingePipeline
 
 __all__ = ["AutoRunResult", "auto_reconstruct"]
 
@@ -143,15 +133,11 @@ def auto_reconstruct(
         ``checkpoint_threshold`` genes.
     engine:
         Optional execution engine (:mod:`repro.parallel.engine`) for the
-        all-pairs MI stage of whichever strategy is chosen.  The MI stage
-        runs the config's ``kernel`` / ``kernel_dtype`` / ``autotune``
-        settings exactly as :func:`repro.core.mi_matrix.mi_matrix` does, so
-        every strategy computes the pipeline's MI matrix.
+        null and all-pairs MI phases of whichever strategy is chosen.
     tracer:
-        Optional :class:`repro.obs.tracer.Tracer` forwarded to whichever
-        MI driver the strategy selects (and, via the engine, to the worker
-        metrics); the null phase dispatches through the engine as well, so
-        a traced run records every phase regardless of strategy.
+        Optional :class:`repro.obs.tracer.Tracer`; every phase runs under
+        its pipeline span (and, via the engine, records worker metrics)
+        regardless of strategy.
     progress:
         Optional ``progress(done, total)`` callback — tile-granular for
         the in-memory and out-of-core strategies, row-granular for the
@@ -165,8 +151,6 @@ def auto_reconstruct(
         instead of aborting the run.
     """
     config = config or TingeConfig()
-    if policy is None:
-        policy = config.fault_policy()
     if config.testing != "pooled":
         raise ValueError("auto_reconstruct supports pooled testing only")
     if config.correction not in _SUPPORTED_CORRECTIONS:
@@ -176,18 +160,11 @@ def auto_reconstruct(
             f"{_SUPPORTED_CORRECTIONS} (correction='bh' needs per-edge "
             "p-values; use repro.core.pipeline.reconstruct_network instead)"
         )
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2:
-        raise ValueError(f"expected (genes, samples) matrix, got shape {data.shape}")
-    if not np.isfinite(data).all():
-        raise ValueError("expression data contains NaN/inf; impute first")
-    n, m = data.shape
-    if n < 2:
-        raise ValueError(f"need at least 2 genes, got {n}")
-    if genes is None:
-        genes = [f"G{i:05d}" for i in range(n)]
     if mem_budget_gb <= 0:
         raise ValueError("mem_budget_gb must be positive")
+    pipe = TingePipeline(config, engine=engine, tracer=tracer, progress=progress)
+    data, genes = pipe.check_inputs(data, genes)
+    n, m = data.shape
     workdir = Path(workdir) if workdir is not None else None
 
     fits = _weights_bytes(n, m, config.bins, config.dtype) <= mem_budget_gb * 1e9
@@ -205,81 +182,47 @@ def auto_reconstruct(
         workdir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    transformed = preprocess(data, config.transform)
     artifacts: dict = {}
 
-    # Every strategy is the same executor run over a different
+    # Every strategy runs the pipeline's phases over a different
     # (source, sink) pair; only weight residency and output storage differ.
     if strategy == "out-of-core":
         wpath = build_weight_store(
-            transformed, workdir / "weights", bins=config.bins,
+            pipe.transform(data), workdir / "weights", bins=config.bins,
             order=config.order, dtype=config.dtype,
         )
         artifacts["weight_store"] = wpath
         source = MmapSource(wpath)
+        weights = open_weight_store(wpath)
+        # The null needs the weights in RAM: every gene when small enough,
+        # otherwise a seeded random sample (a contiguous prefix would bias
+        # the null for genome-ordered data).
+        subset = _null_gene_subset(n, _NULL_GENE_CAP, config.seed)
+        null_weights = np.asarray(weights[subset], dtype=np.float64)
     else:
-        weights = weight_tensor(transformed, config.bins, config.order,
-                                np.dtype(config.dtype))
+        weights = null_weights = pipe.weights(pipe.transform(data))
         source = TensorSource(weights)
-    plan, kernel = plan_run(source, tile=config.tile, base=config.base,
-                            schedule=config.schedule, kernel=config.kernel,
-                            kernel_dtype=config.kernel_dtype,
-                            autotune=config.autotune, engine=engine)
-    if strategy == "out-of-core":
-        sink = MmapMatrixSink(workdir / "mi", source.n_genes)
-        artifacts["mi_store"] = sink.out_path
-    elif strategy == "checkpointed":
-        ck = workdir / "checkpoint"
-        sink = CheckpointSink(ck, plan, source.fingerprint())
-        artifacts["checkpoint_dir"] = ck
-    else:
-        sink = DenseSink(source.n_genes)
-
-    # The null phase is strategy-independent statistics; only which
-    # weights seed it differs.  Out of core it needs a bounded subset:
-    # every gene when small enough, otherwise a seeded random sample (a
-    # contiguous prefix would bias the null for genome-ordered data).
-    if strategy == "out-of-core":
-        weights_view = np.load(wpath, mmap_mode="r")
-        try:
-            subset = _null_gene_subset(n, _NULL_GENE_CAP, config.seed)
-            null_weights = np.asarray(weights_view[subset], dtype=np.float64)
-        finally:
-            mmap_handle = getattr(weights_view, "_mmap", None)
-            del weights_view
-            if mmap_handle is not None:
-                mmap_handle.close()
-        null = pooled_null(
-            null_weights,
-            config.n_permutations,
-            min(config.n_null_pairs, pair_count(n)),
-            config.seed, config.base, engine,
-        )
-        del null_weights
-    else:
-        null = pooled_null(
-            weights, config.n_permutations,
-            min(config.n_null_pairs, pair_count(n)), config.seed, config.base,
-            engine,
-        )
-
     try:
-        result = run_tile_plan(plan, source, sink, engine=engine,
-                               tracer=tracer, progress=progress, policy=policy,
-                               kernel=kernel, kernel_dtype=config.kernel_dtype)
+        null = pipe.null(null_weights)
+        del null_weights
+        plan = pipe.plan(source)
+        if strategy == "out-of-core":
+            sink = MmapMatrixSink(workdir / "mi", n)
+            artifacts["mi_store"] = sink.out_path
+        elif strategy == "checkpointed":
+            ck = workdir / "checkpoint"
+            sink = CheckpointSink(ck, plan[0], source.fingerprint())
+            artifacts["checkpoint_dir"] = ck
+        else:
+            sink = DenseSink(n)
+        result = pipe.mi(source, sink, plan, policy=policy)
     finally:
         source.close()
     if strategy == "out-of-core":
         mi = np.asarray(np.load(result, mmap_mode="r"))
     else:
         mi = result
-
-    threshold = null.threshold(config.alpha, n_tests=pair_count(n),
-                               correction=config.correction)
-    network = GeneNetwork(
-        adjacency=threshold_adjacency(mi, threshold),
-        weights=mi, genes=list(genes), threshold=threshold,
-    )
+    network = pipe.network(mi, null, genes, weights)
     seconds = time.perf_counter() - t0
 
     if workdir is not None:

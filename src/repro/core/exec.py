@@ -301,12 +301,13 @@ class PackedWeightSource(WeightSource):
     Each sample has at most ``span`` (the spline order ``k``) non-zero
     weights, so the packed ``(values, first)`` form is
     ``(span * itemsize + 4) / (b * itemsize)`` the size of the dense
-    tensor — 28/80 at the paper's ``b=10, k=3`` float64 config.  The MI
-    driver wraps a :class:`TensorSource` in this class for serializing
-    engines (elastic) when the sparse kernel is selected, so remote task
-    closures ship the small layout (metered by the transport's
-    ``comm.bytes_sent`` counters) and workers scatter from it directly;
-    no worker ever reconstructs the dense tensor on the kernel path.
+    tensor — 28/80 at the paper's ``b=10, k=3`` float64 config.
+    :func:`run_tile_plan` wraps a :class:`TensorSource` in this class for
+    serializing engines (elastic) when the sparse kernel is selected, so
+    every MI driver's remote task closures ship the small layout (metered
+    by the transport's ``comm.bytes_sent`` counters) and workers scatter
+    from it directly; no worker ever reconstructs the dense tensor on the
+    kernel path.
 
     Marginal entropies and the dense tensor's fingerprint are computed at
     wrap time and carried along, so cache keys and thresholds are
@@ -612,9 +613,9 @@ class MatrixSink:
     ``grain`` picks the executor's dispatch shape:
 
     * ``"matrix"`` — tiles are independent; the executor dispatches the
-      whole (policy-ordered) grid at once.  The sink exposes an optional
-      :meth:`buffer` for in-place writes (in-process and shared-memory
-      engines) and otherwise receives every block through :meth:`put`.
+      whole (policy-ordered) grid at once and writes every block into the
+      sink's :meth:`buffer` (in place on in-process and shared-memory
+      engines, from returned blocks on the others).
     * ``"rows"`` — tiles are processed one block-row at a time (the
       checkpoint and out-of-core layouts); the executor hands each
       completed row to :meth:`store_row`, then :meth:`commit_row` decides
@@ -651,12 +652,8 @@ class MatrixSink:
                             error=error))
 
     # -- matrix grain ------------------------------------------------------
-    def buffer(self) -> "np.ndarray | None":
-        """Array for in-place writes (in-process and shared-memory
-        engines), or ``None`` to force block-wise :meth:`put`."""
-        return None
-
-    def put(self, idx: int, t: Tile, block: np.ndarray) -> None:
+    def buffer(self) -> np.ndarray:
+        """The ``(n, n)`` array every tile block is written into."""
         raise NotImplementedError
 
     # -- rows grain --------------------------------------------------------
@@ -709,9 +706,6 @@ class DenseSink(MatrixSink):
 
     def buffer(self) -> np.ndarray:
         return self.mi
-
-    def put(self, idx: int, t: Tile, block: np.ndarray) -> None:
-        self.mi[t.i0 : t.i1, t.j0 : t.j1] = block
 
     def finalize(self, completed: bool = True) -> np.ndarray:
         mirror_upper(self.mi)
@@ -854,6 +848,12 @@ def run_tile_plan(
     tracer = tracer or NULL_TRACER
     if policy is None:
         policy = FaultPolicy.from_options()
+    if (kernel == "sparse" and engine_kind(engine) == "elastic"
+            and isinstance(source, TensorSource)):
+        # Elastic workers receive the source by value: ship the ~k/b-sized
+        # packed slabs instead of the dense tensor (metered by comm.bytes_sent).
+        source = PackedWeightSource.from_source(source, base=plan.base,
+                                                dtype=kernel_dtype)
     h = source.entropies(plan.base)
 
     # Warm the per-variant operand caches in the parent: thread workers
@@ -1039,11 +1039,11 @@ def _quarantine_failures(sink, tiles, failures, policy, tracer, tick):
 def _execute_matrix(plan, sink, run, engine, tracer, progress, policy) -> None:
     """Whole-grid dispatch (matrix-grain sinks).
 
-    The policy-ordered grid is one supervised dispatch.  Sinks with a
-    :meth:`~MatrixSink.buffer` are written in place by in-process and
-    shared-memory engines (the latter through one staging copy, so
-    retries and engine fallback can overwrite partial garbage before the
-    single copy-back); other engines return blocks for :meth:`put`.
+    The policy-ordered grid is one supervised dispatch into the sink's
+    :meth:`~MatrixSink.buffer`: in-process and shared-memory engines write
+    it in place (the latter through one staging copy, so retries and
+    engine fallback can overwrite partial garbage before the single
+    copy-back); other engines return blocks the parent writes there.
     Blocks that end up quarantined are reset to the sink's zero fill.
     """
     tiles = plan.tiles
@@ -1051,17 +1051,12 @@ def _execute_matrix(plan, sink, run, engine, tracer, progress, policy) -> None:
     tick = _ticker(tracer, progress, len(tiles))
     buf = sink.buffer()
     staged = (SharedArray.from_array(buf)
-              if buf is not None and isinstance(engine, SharedMemoryEngine) else None)
+              if isinstance(engine, SharedMemoryEngine) else None)
     target = staged.array if staged is not None else buf
-    put_lock = threading.Lock()
 
     def deliver(idx: int, t: Tile, block) -> None:
         if block is not None:
-            if target is not None:
-                target[t.i0 : t.i1, t.j0 : t.j1] = block
-            else:
-                with put_lock:
-                    sink.put(idx, t, block)
+            target[t.i0 : t.i1, t.j0 : t.j1] = block
         tick(1, t.n_pairs)
 
     with _span(tracer, sink.span_name, **sink.span_meta(plan)):
@@ -1074,7 +1069,7 @@ def _execute_matrix(plan, sink, run, engine, tracer, progress, policy) -> None:
             if staged is not None:
                 staged.close()
                 staged.unlink()
-        if failures and buf is not None:
+        if failures:
             for idx in failures:  # quarantined blocks keep the zero fill
                 t = tiles[idx]
                 buf[t.i0 : t.i1, t.j0 : t.j1] = 0.0

@@ -51,22 +51,16 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.bspline import BsplineBasis, weight_tensor
-from repro.core.discretize import extend_columns, preprocess, rank_transform
+from repro.core.bspline import BsplineBasis
+from repro.core.discretize import extend_columns, rank_transform
 from repro.core.entropy import marginal_entropies
-from repro.core.exec import (
-    DenseSink,
-    TensorSource,
-    TilePlan,
-    filter_plan,
-    plan_run,
-    run_tile_plan,
-)
+from repro.core.exec import DenseSink, TensorSource, TilePlan, filter_plan
 from repro.core.mi_matrix import mi_pairs, mi_row
 from repro.core.network import GeneNetwork
-from repro.core.permutation import NullDistribution, pooled_null
-from repro.core.threshold import threshold_adjacency
+from repro.core.permutation import NullDistribution
+from repro.core.pipeline import TingeConfig, TingePipeline
 from repro.core.tiling import Tile, pair_count
+from repro.obs.tracer import NULL_TRACER
 
 __all__ = ["NetworkUpdater", "UpdateDelta"]
 
@@ -185,12 +179,7 @@ class NetworkUpdater:
         if mi.shape != (n, n) or len(genes) != n:
             raise ValueError("weights / mi / genes sizes disagree")
         if config is not None and not hasattr(config, "alpha"):
-            from repro.core.pipeline import TingeConfig
-
             config = TingeConfig(**dict(config))
-        if config is not None:
-            alpha = config.alpha
-            correction = config.correction
         if data is not None:
             data = np.array(data, dtype=np.float64)
             if data.shape != (n, weights.shape[1]):
@@ -226,14 +215,23 @@ class NetworkUpdater:
         """Build a streaming-capable updater from a
         :class:`~repro.core.pipeline.TingeResult` plus the raw data that
         produced it (the weight tensor is re-derived, cheaply)."""
-        cfg = result.config
         if result.null is None:
             raise ValueError("streaming updates need a pooled null "
                              "(testing='pooled' runs only)")
-        transformed = preprocess(np.asarray(data, dtype=np.float64), cfg.transform)
-        weights = weight_tensor(transformed, cfg.bins, cfg.order, np.dtype(cfg.dtype))
-        return cls(weights, result.mi, list(result.network.genes), result.null,
-                   data=data, config=cfg)
+        pipe = TingePipeline(result.config, tracer=NULL_TRACER)
+        data, _genes = pipe.check_inputs(data, result.network.genes)
+        return cls(pipe.weights(pipe.transform(data)), result.mi,
+                   list(result.network.genes),
+                   result.null, data=data, config=result.config)
+
+    def _pipeline(self, engine=None, tracer=None, progress=None) -> TingePipeline:
+        """A pipeline over this updater's config (or, for an updater built
+        without one, its ``alpha`` / ``correction``): the one place its
+        weights, null and threshold rule come from."""
+        cfg = self._config or TingeConfig(alpha=self._alpha,
+                                          correction=self._correction)
+        return TingePipeline(cfg, engine=engine, tracer=tracer or NULL_TRACER,
+                             progress=progress)
 
     # -- backing storage ------------------------------------------------
     @property
@@ -286,22 +284,15 @@ class NetworkUpdater:
 
     @property
     def threshold(self) -> float:
-        return self._null.threshold(
-            self._alpha, n_tests=pair_count(self.n_genes),
-            correction=self._correction,
-        )
+        """The current network's threshold (NaN under ``correction="bh"``)."""
+        return self.network.threshold
 
     @property
     def network(self) -> GeneNetwork:
-        """The current thresholded network (threshold re-tightened to the
-        current gene count)."""
-        thr = self.threshold
-        return GeneNetwork(
-            adjacency=threshold_adjacency(self._mi, thr),
-            weights=self._mi.copy(),
-            genes=list(self._genes),
-            threshold=thr,
-        )
+        """The current network under the pipeline's threshold rule
+        (re-tightened to the current gene count)."""
+        return self._pipeline().network(self._mi.copy(), self._null,
+                                        self._genes, self._weights)
 
     # ------------------------------------------------------------------
     def add_gene(self, name: str, samples: np.ndarray) -> None:
@@ -371,6 +362,25 @@ class NetworkUpdater:
         self._n = n - 1
 
     # -- sample increment ----------------------------------------------
+    @staticmethod
+    def check_streaming_config(cfg, what: str = "streaming updates") -> None:
+        """Raise ``ValueError`` unless ``cfg`` (a :class:`TingeConfig`)
+        allows sample increments; messages start with ``what``."""
+        if cfg.testing != "pooled" or cfg.exact_retest:
+            raise ValueError(f"{what}: pooled-null testing only "
+                             "(testing='pooled', exact_retest=False)")
+        if cfg.correction == "bh":
+            raise ValueError(
+                f"{what}: needs a fixed threshold (correction='bonferroni' "
+                "or 'none'); FDR re-ranks every pair on every update"
+            )
+        if cfg.transform != "rank":
+            raise ValueError(f"{what}: requires transform='rank'")
+        if cfg.base != "nat":
+            raise ValueError(f"{what}: requires base='nat' (the entropy-cache base)")
+        if cfg.dtype != "float64":
+            raise ValueError(f"{what}: requires dtype='float64'")
+
     def _streaming_config(self, what: str):
         """The validated config for the sample-increment path (or raise)."""
         if self._data is None or self._config is None:
@@ -378,21 +388,8 @@ class NetworkUpdater:
                 f"{what} needs the raw data and pipeline config; construct "
                 "the updater with data=/config= (or NetworkUpdater.from_result)"
             )
-        cfg = self._config
-        if cfg.testing != "pooled" or cfg.exact_retest:
-            raise ValueError(f"{what} supports pooled-null testing only")
-        if cfg.correction == "bh":
-            raise ValueError(
-                f"{what} needs a fixed threshold (correction='bonferroni' "
-                "or 'none'); FDR re-ranks every pair on every update"
-            )
-        if cfg.transform != "rank":
-            raise ValueError(f"{what} requires the rank transform")
-        if cfg.base != "nat":
-            raise ValueError(f"{what} requires base='nat' (the entropy-cache base)")
-        if cfg.dtype != "float64":
-            raise ValueError(f"{what} requires dtype='float64'")
-        return cfg
+        self.check_streaming_config(self._config, what)
+        return self._config
 
     def _screen_gamma(
         self,
@@ -476,42 +473,30 @@ class NetworkUpdater:
             ``None`` when interrupted before completion (state unchanged).
         """
         cfg = self._streaming_config("add_samples")
-        from repro.obs.tracer import NULL_TRACER
-
-        tracer = tracer or NULL_TRACER
+        pipe = self._pipeline(engine, tracer, progress)
+        tracer = pipe.tracer
         n = self._n
         data_new = extend_columns(self._data, new_data)
-        m_old = self._data.shape[1]
-        m_new = data_new.shape[1]
 
-        # Mirror the pipeline's phases exactly on the grown dataset; every
-        # array below is bitwise what a from-scratch run would produce.
-        transformed = preprocess(data_new, cfg.transform)
-        weights_new = weight_tensor(transformed, cfg.bins, cfg.order,
-                                    np.dtype(cfg.dtype))
+        # The pipeline's own phases on the grown dataset: every array
+        # below is bitwise what a from-scratch run would produce.
+        weights_new = pipe.weights(pipe.transform(data_new))
         source = TensorSource(weights_new)
         h_new = source.entropies(cfg.base)
-        null_new = pooled_null(weights_new, cfg.n_permutations,
-                               min(cfg.n_null_pairs, pair_count(n)),
-                               cfg.seed, cfg.base, engine)
-        thr_old = self.threshold
-        thr_new = null_new.threshold(cfg.alpha, n_tests=pair_count(n),
-                                     correction=self._correction)
+        null_new = pipe.null(weights_new)
+        old = pipe.network(self._mi, self._null, self._genes, self._weights)
+        thr_new = pipe.threshold(null_new, n)
 
         # The screen: exact marginal deltas + calibrated joint bound.
         dh = h_new - self._h
         gamma = self._screen_gamma(weights_new, dh, n_probes, safety)
         upper = self._mi + dh[:, None] + dh[None, :] + gamma
-        adj_old = threshold_adjacency(self._mi, thr_old)
-        dirty = (upper > thr_new) | adj_old
+        dirty = (upper > thr_new) | old.adjacency
         np.fill_diagonal(dirty, False)
 
         # The same kernel and grid the pipeline's MI phase resolves, so
         # every replayed tile is the kernel call a full pass would make.
-        plan, kernel = plan_run(source, tile=cfg.tile, base=cfg.base,
-                                schedule=cfg.schedule, kernel=cfg.kernel,
-                                kernel_dtype=cfg.kernel_dtype,
-                                autotune=cfg.autotune, engine=engine)
+        plan, kernel = pipe.plan(source)
         dirty_tiles = [t for t in plan.tiles
                        if dirty[t.i0 : t.i1, t.j0 : t.j1].any()]
         dirty_upper = np.triu(dirty, k=1)
@@ -536,55 +521,28 @@ class NetworkUpdater:
         tracer.add("tiles_skipped", plan.n_tiles - len(dirty_tiles))
 
         if checkpoint_dir is None:
-            staged = np.array(self._mi)
-            sink = DenseSink(n, out=staged)
+            sink = DenseSink(n, out=np.array(self._mi))
         else:
             from repro.core.checkpoint import DeltaCheckpointSink
 
             sink = DeltaCheckpointSink(Path(checkpoint_dir), sub,
                                        source.fingerprint(), base=self._mi,
-                                       m_samples=m_new,
+                                       m_samples=data_new.shape[1],
                                        interrupt_after_rows=interrupt_after_rows)
-        mi_new = run_tile_plan(sub, source, sink, engine=engine, tracer=tracer,
-                               progress=progress, kernel=kernel,
-                               policy=cfg.fault_policy(),
-                               kernel_dtype=cfg.kernel_dtype)
-        quarantined = [q.as_dict() for q in sink.quarantined]
+        mi_new = pipe.mi(source, sink, (sub, kernel))
         if mi_new is None:
             # Interrupted mid-replay: the ledger survives, the updater's
             # visible state is untouched.
             return None
-
-        adj_new = threshold_adjacency(mi_new, thr_new)
-        added, removed = self._edge_delta(adj_old, adj_new, self._mi, mi_new)
-        tracer.add("delta_edges", len(added) + len(removed))
-
-        # Commit (the only state mutation in this method).
-        cap = self.capacity
-        b = self._wbuf.shape[2]
-        wbuf = np.zeros((cap, m_new, b), dtype=np.float64)
-        wbuf[:n] = weights_new
-        self._wbuf = wbuf
-        self._hbuf[:n] = h_new
-        self._mibuf[:n, :n] = mi_new
-        self._null = null_new
-        self._data = data_new
-
-        return UpdateDelta(
-            n_samples_before=m_old,
-            n_samples_after=m_new,
-            threshold_before=float(thr_old),
-            threshold_after=float(thr_new),
-            edges_added=added,
-            edges_removed=removed,
+        return self._commit(
+            pipe, old, data_new, weights_new, h_new, null_new, mi_new,
             tiles_total=plan.n_tiles,
             tiles_dirty=len(dirty_tiles),
             tiles_skipped=plan.n_tiles - len(dirty_tiles),
-            pairs_total=pair_count(n),
             pairs_screened_dirty=n_dirty_pairs,
             pairs_recomputed=int(sum(t.n_pairs for t in sub.tiles)),
             gamma=gamma,
-            quarantined=quarantined,
+            quarantined=[q.as_dict() for q in sink.quarantined],
         )
 
     def adopt_samples(self, new_data: np.ndarray, mi: np.ndarray,
@@ -598,56 +556,51 @@ class NetworkUpdater:
         to what :meth:`add_samples` would have produced.
         """
         cfg = self._streaming_config("adopt_samples")
+        pipe = self._pipeline(tracer=tracer)
         n = self._n
         data_new = extend_columns(self._data, new_data)
-        m_old = self._data.shape[1]
-        m_new = data_new.shape[1]
         mi = np.asarray(mi, dtype=np.float64)
         if mi.shape != (n, n):
             raise ValueError(f"expected ({n}, {n}) MI matrix, got {mi.shape}")
 
-        transformed = preprocess(data_new, cfg.transform)
-        weights_new = weight_tensor(transformed, cfg.bins, cfg.order,
-                                    np.dtype(cfg.dtype))
-        h_new = marginal_entropies(weights_new, base=cfg.base)
-        null_new = pooled_null(weights_new, cfg.n_permutations,
-                               min(cfg.n_null_pairs, pair_count(n)),
-                               cfg.seed, cfg.base)
-        thr_old = self.threshold
-        thr_new = null_new.threshold(cfg.alpha, n_tests=pair_count(n),
-                                     correction=self._correction)
-        adj_old = threshold_adjacency(self._mi, thr_old)
-        adj_new = threshold_adjacency(mi, thr_new)
-        added, removed = self._edge_delta(adj_old, adj_new, self._mi, mi)
-        if tracer is not None:
-            tracer.add("delta_edges", len(added) + len(removed))
+        weights_new = pipe.weights(pipe.transform(data_new))
+        old = pipe.network(self._mi, self._null, self._genes, self._weights)
+        return self._commit(
+            pipe, old, data_new, weights_new,
+            marginal_entropies(weights_new, base=cfg.base),
+            pipe.null(weights_new), mi,
+            tiles_total=0, tiles_dirty=0, tiles_skipped=0,
+            pairs_screened_dirty=0, pairs_recomputed=0, gamma=0.0, cached=True,
+        )
 
-        cap = self.capacity
-        b = self._wbuf.shape[2]
-        wbuf = np.zeros((cap, m_new, b), dtype=np.float64)
+    def _commit(self, pipe, old, data_new, weights_new, h_new, null_new,
+                mi_new, **counters) -> UpdateDelta:
+        """Threshold the grown state, then swap it in (the only state
+        mutation of a sample increment); returns the :class:`UpdateDelta`."""
+        n = self._n
+        new = pipe.network(mi_new, null_new, self._genes, weights_new)
+        added, removed = self._edge_delta(old.adjacency, new.adjacency,
+                                          self._mi, mi_new)
+        pipe.tracer.add("delta_edges", len(added) + len(removed))
+
+        m_old, m_new = self._data.shape[1], data_new.shape[1]
+        wbuf = np.zeros((self.capacity, m_new, self._wbuf.shape[2]),
+                        dtype=np.float64)
         wbuf[:n] = weights_new
         self._wbuf = wbuf
         self._hbuf[:n] = h_new
-        self._mibuf[:n, :n] = mi
+        self._mibuf[:n, :n] = mi_new
         self._null = null_new
         self._data = data_new
-
-        n_tiles = 0
         return UpdateDelta(
             n_samples_before=m_old,
             n_samples_after=m_new,
-            threshold_before=float(thr_old),
-            threshold_after=float(thr_new),
+            threshold_before=float(old.threshold),
+            threshold_after=float(new.threshold),
             edges_added=added,
             edges_removed=removed,
-            tiles_total=n_tiles,
-            tiles_dirty=0,
-            tiles_skipped=0,
             pairs_total=pair_count(n),
-            pairs_screened_dirty=0,
-            pairs_recomputed=0,
-            gamma=0.0,
-            cached=True,
+            **counters,
         )
 
     def _edge_delta(self, adj_old, adj_new, mi_old, mi_new):

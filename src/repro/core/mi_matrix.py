@@ -24,7 +24,6 @@ import numpy as np
 from repro.core.entropy import joint_entropy_from_probs, marginal_entropies
 from repro.core.exec import (
     DenseSink,
-    PackedWeightSource,
     TensorSource,
     WeightSource,
     compute_tile,
@@ -32,7 +31,6 @@ from repro.core.exec import (
     run_tile_plan,
 )
 from repro.core.mi import mi_tile
-from repro.parallel.engine import engine_kind
 
 __all__ = ["MiMatrixResult", "compute_tile", "mi_matrix", "mi_pairs", "mi_row"]
 
@@ -159,12 +157,6 @@ def mi_matrix(
     plan, kernel = plan_run(source, tile=tile, base=base, schedule=schedule,
                             kernel=kernel, kernel_dtype=kernel_dtype,
                             autotune=autotune, engine=engine)
-    if (kernel == "sparse" and engine_kind(engine) == "elastic"
-            and isinstance(source, TensorSource)):
-        # Elastic workers receive the source by value: ship the ~k/b-sized
-        # packed slabs instead of the dense tensor (metered by comm.bytes_sent).
-        source = PackedWeightSource.from_source(source, base=base,
-                                                dtype=kernel_dtype)
     sink = DenseSink(source.n_genes, out=out)
     mi = run_tile_plan(plan, source, sink, engine=engine, tracer=tracer,
                        progress=progress, kernel=kernel, policy=policy,

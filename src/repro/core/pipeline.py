@@ -10,12 +10,13 @@ The phases correspond one-to-one to the stages the paper times on the Phi:
 1. ``preprocess``  — rank transform (copula), see :mod:`repro.core.discretize`.
 2. ``weights``     — B-spline weight tensor, :mod:`repro.core.bspline`.
 3. ``null``        — pooled permutation null, :mod:`repro.core.permutation`.
-4. ``mi``          — tiled all-pairs MI, :mod:`repro.core.mi_matrix`.
+4. ``mi``          — tiled all-pairs MI, :func:`repro.core.exec.run_tile_plan`.
 5. ``threshold``   — significance thresholding + network object.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,15 +24,23 @@ import numpy as np
 from repro.core.bspline import weight_tensor
 from repro.core.discretize import preprocess
 from repro.core.exact import exact_mi_pvalues
-from repro.core.exec import SCHEDULE_NAMES, TensorSource
+from repro.core.exec import (
+    SCHEDULE_NAMES,
+    DenseSink,
+    MatrixSink,
+    TensorSource,
+    TilePlan,
+    WeightSource,
+    plan_run,
+    run_tile_plan,
+)
 from repro.core.mi import KERNEL_NAMES
-from repro.core.mi_matrix import mi_matrix
 from repro.core.network import GeneNetwork
 from repro.core.permutation import NullDistribution, pooled_null
 from repro.core.threshold import fdr_adjacency, threshold_adjacency
 from repro.core.tiling import pair_count
 from repro.faults.policy import ON_FAULT_MODES, FaultPolicy
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = ["TingeConfig", "TingeResult", "reconstruct_network", "TingePipeline"]
 
@@ -228,6 +237,21 @@ class TingePipeline:
     pipeline directly when you need intermediate artifacts (e.g. the weight
     tensor for a custom analysis) or a non-default execution engine.
 
+    Each phase is a method that runs under its span name, so every
+    caller — :meth:`run`, :func:`repro.core.driver.auto_reconstruct`, the
+    serve runner and :class:`repro.core.incremental.NetworkUpdater` —
+    executes the same validation, weights, null sizing, MI kernel
+    resolution and threshold rule:
+
+    * :meth:`check_inputs` — shape, finiteness and gene-name checks;
+    * :meth:`transform` then :meth:`weights` — the rank transform
+      (``preprocess``) and its B-spline weight tensor (``weights``);
+    * :meth:`null` — the pooled permutation null (``null``);
+    * :meth:`plan` / :meth:`mi` — the MI phase into any
+      :class:`~repro.core.exec.MatrixSink` (``mi``);
+    * :meth:`network` — the threshold rule (``threshold``) and the
+      optional exact re-test (``retest``).
+
     Every run is traced: each phase executes under a span on ``tracer``
     (:class:`repro.obs.tracer.Tracer`; one is created per pipeline when not
     supplied) and ``timings`` is derived *from* those spans, so the legacy
@@ -245,26 +269,30 @@ class TingePipeline:
         self.progress = progress
         self.timings: dict = {}
         # An engine without its own tracer reports worker metrics into the
-        # pipeline's trace (engine_map spans nest under the phase spans).
-        if engine is not None and getattr(engine, "tracer", None) is None:
+        # pipeline's trace (engine_map spans nest under the phase spans);
+        # an untraced pipeline leaves the engine for a later traced one.
+        if (engine is not None and self.tracer is not NULL_TRACER
+                and getattr(engine, "tracer", None) is None):
             try:
                 engine.tracer = self.tracer
             except AttributeError:  # third-party engine with __slots__
                 pass
 
-    def _timed(self, phase: str, fn, *args, **kwargs):
-        with self.tracer.span(phase) as sp:
-            out = fn(*args, **kwargs)
+    @contextmanager
+    def _phase(self, phase: str, **meta):
+        """Run the block under the ``phase`` span and record its timing."""
+        with self.tracer.span(phase, **meta) as sp:
+            yield sp
         self.timings[phase] = sp.wall
-        return out
 
-    def run(self, data: np.ndarray, genes: "list[str] | None" = None) -> TingeResult:
-        """Reconstruct the network of ``data`` (``(n_genes, m_samples)``).
+    # -- phases ------------------------------------------------------------
 
-        Raises on degenerate inputs (fewer than 2 genes, fewer samples than
-        the spline order needs to be meaningful).
-        """
-        cfg = self.config
+    def check_inputs(self, data: np.ndarray,
+                     genes: "list[str] | None" = None) -> "tuple[np.ndarray, list]":
+        """``(data as float64, gene names)``, or raise on degenerate inputs
+        (not a matrix, NaN/inf, fewer than 2 genes, fewer samples than the
+        spline order needs, a gene list of the wrong length)."""
+        order = self.config.order
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 2:
             raise ValueError(f"expected (genes, samples) matrix, got shape {data.shape}")
@@ -276,63 +304,129 @@ class TingePipeline:
             )
         if n < 2:
             raise ValueError(f"need at least 2 genes, got {n}")
-        if m < 2 * cfg.order:
+        if m < 2 * order:
             raise ValueError(
-                f"need at least {2 * cfg.order} samples for order {cfg.order}, got {m}"
+                f"need at least {2 * order} samples for order {order}, got {m}"
             )
         if genes is None:
             genes = [f"G{i:05d}" for i in range(n)]
         if len(genes) != n:
             raise ValueError(f"{len(genes)} gene names for {n} genes")
+        return data, list(genes)
+
+    def transform(self, data: np.ndarray) -> np.ndarray:
+        """The ``preprocess`` phase: the configured (rank) transform."""
+        with self._phase("preprocess"):
+            return preprocess(data, self.config.transform)
+
+    def weights(self, transformed: np.ndarray) -> np.ndarray:
+        """The ``weights`` phase: the ``(n, m, b)`` B-spline tensor of
+        :meth:`transform`'s output."""
+        cfg = self.config
+        with self._phase("weights"):
+            return weight_tensor(transformed, cfg.bins, cfg.order,
+                                 np.dtype(cfg.dtype))
+
+    def null(self, weights: np.ndarray) -> NullDistribution:
+        """The ``null`` phase: the pooled permutation null of ``weights``,
+        sampling ``min(n_null_pairs, n(n-1)/2)`` pairs with the run's seed."""
+        cfg = self.config
+        n_pairs = min(cfg.n_null_pairs, pair_count(np.shape(weights)[0]))
+        with self._phase("null"):
+            return pooled_null(weights, cfg.n_permutations, n_pairs, cfg.seed,
+                               cfg.base, self.engine)
+
+    def plan(self, source: WeightSource) -> "tuple[TilePlan, str | None]":
+        """MI-phase kernel resolution: the config's tile plan and kernel
+        variant for ``source`` (:func:`repro.core.exec.plan_run`)."""
+        cfg = self.config
+        return plan_run(source, tile=cfg.tile, base=cfg.base,
+                        schedule=cfg.schedule, kernel=cfg.kernel,
+                        kernel_dtype=cfg.kernel_dtype, autotune=cfg.autotune,
+                        engine=self.engine)
+
+    def mi(self, source: WeightSource, sink: "MatrixSink | None" = None,
+           plan: "tuple[TilePlan, str | None] | None" = None, policy=None):
+        """The ``mi`` phase: run ``plan`` (default :meth:`plan`) into
+        ``sink`` (default a :class:`~repro.core.exec.DenseSink`).
+
+        Returns ``sink.finalize()`` — the dense matrix, or ``None`` when a
+        checkpoint sink stopped the run early.  ``policy`` overrides the
+        config's :meth:`TingeConfig.fault_policy`.
+        """
+        cfg = self.config
+        if sink is None:
+            sink = DenseSink(source.n_genes)
+        with self._phase("mi", n_genes=source.n_genes) as sp:
+            tile_plan, kernel = plan if plan is not None else self.plan(source)
+            sp.annotate(n_tiles=tile_plan.n_tiles)
+            return run_tile_plan(
+                tile_plan, source, sink, engine=self.engine, tracer=self.tracer,
+                progress=self.progress, kernel=kernel,
+                policy=policy if policy is not None else cfg.fault_policy(),
+                kernel_dtype=cfg.kernel_dtype,
+            )
+
+    def threshold(self, null: NullDistribution, n_genes: int) -> float:
+        """The pooled-quantile MI threshold ``I_alpha`` for ``n_genes``
+        under a fixed-threshold correction (``bonferroni`` / ``none``)."""
+        cfg = self.config
+        return null.threshold(cfg.alpha, n_tests=pair_count(n_genes),
+                              correction=cfg.correction)
+
+    def network(self, mi: np.ndarray, null: NullDistribution, genes: list,
+                weights: np.ndarray) -> GeneNetwork:
+        """``threshold`` (then ``retest``): the network of an MI matrix.
+
+        ``correction="bh"`` keeps the edges whose pooled-null p-values pass
+        Benjamini–Hochberg (threshold NaN); the other corrections keep MI
+        above :meth:`threshold`.  With ``exact_retest`` the candidate edges
+        are then re-tested pair by pair on ``weights``.
+        """
+        cfg = self.config
+        with self._phase("threshold"):
+            if cfg.correction == "bh":
+                adj, _p = fdr_adjacency(mi, null, alpha=cfg.alpha)
+                thr = float("nan")
+            else:
+                thr = self.threshold(null, len(genes))
+                adj = threshold_adjacency(mi, thr)
+            network = GeneNetwork(adjacency=adj, weights=mi, genes=list(genes),
+                                  threshold=thr)
+        if cfg.exact_retest and network.n_edges:
+            with self._phase("retest"):
+                network = self._exact_retest(network, weights)
+        return network
+
+    def run(self, data: np.ndarray, genes: "list[str] | None" = None) -> TingeResult:
+        """Reconstruct the network of ``data`` (``(n_genes, m_samples)``).
+
+        Raises on degenerate inputs (see :meth:`check_inputs`).
+        """
+        cfg = self.config
+        data, genes = self.check_inputs(data, genes)
+        n, m = data.shape
         self.timings = {}
 
         with self.tracer.span("reconstruct", n_genes=n, m_samples=m,
                               testing=cfg.testing):
-            transformed = self._timed("preprocess", preprocess, data, cfg.transform)
-            weights = self._timed(
-                "weights", weight_tensor, transformed, cfg.bins, cfg.order, np.dtype(cfg.dtype)
-            )
+            weights = self.weights(self.transform(data))
             # One weight source for the whole run: marginal entropies are
             # computed once here and reused by every phase that needs them.
             source = TensorSource(weights)
             if cfg.testing == "exact":
                 return self._run_exact(source, genes, n)
-            null = self._timed(
-                "null",
-                pooled_null,
-                weights,
-                cfg.n_permutations,
-                min(cfg.n_null_pairs, pair_count(n)),
-                cfg.seed,
-                cfg.base,
-                self.engine,
-            )
-            result = self._timed(
-                "mi", mi_matrix, source, cfg.tile, cfg.base, self.engine,
-                self.progress, None, self.tracer, cfg.schedule,
-                policy=cfg.fault_policy(), kernel_dtype=cfg.kernel_dtype,
-                autotune=cfg.autotune, kernel=cfg.kernel,
-            )
-
-            def build():
-                if cfg.correction == "bh":
-                    adj, _p = fdr_adjacency(result.mi, null, alpha=cfg.alpha)
-                    thr = float("nan")
-                else:
-                    thr = null.threshold(cfg.alpha, n_tests=pair_count(n), correction=cfg.correction)
-                    adj = threshold_adjacency(result.mi, thr)
-                return GeneNetwork(adjacency=adj, weights=result.mi, genes=list(genes), threshold=thr)
-
-            network = self._timed("threshold", build)
-            if cfg.exact_retest and network.n_edges:
-                network = self._timed("retest", self._exact_retest, network, weights)
+            null = self.null(weights)
+            sink = DenseSink(n)
+            mi = self.mi(source, sink)
+            network = self.network(mi, null, genes, weights)
         return TingeResult(
             network=network,
-            mi=result.mi,
+            mi=mi,
             null=null,
             timings=dict(self.timings),
             config=cfg,
-            quarantined=result.quarantined,
+            quarantined=sink.quarantined,
         )
 
     def _run_exact(self, source: TensorSource, genes: list, n: int) -> TingeResult:
@@ -348,12 +442,13 @@ class TingePipeline:
                 f"{cfg.alpha / pair_count(n):.2e} for {pair_count(n)} pairs; "
                 "raise n_permutations or use correction='bh'/'none'"
             )
-        exact = self._timed(
-            "mi", exact_mi_pvalues, source, cfg.n_permutations, cfg.tile,
-            cfg.seed, cfg.base, self.engine, self.progress, self.tracer,
-        )
+        with self._phase("mi"):
+            exact = exact_mi_pvalues(
+                source, cfg.n_permutations, cfg.tile, cfg.seed, cfg.base,
+                self.engine, self.progress, self.tracer,
+            )
 
-        def build():
+        with self._phase("threshold"):
             iu = np.triu_indices(n, k=1)
             p_upper = exact.pvalues[iu]
             if cfg.correction == "bh":
@@ -365,10 +460,8 @@ class TingePipeline:
             adj = np.zeros((n, n), dtype=bool)
             adj[(iu[0][keep], iu[1][keep])] = True
             adj = adj | adj.T
-            return GeneNetwork(adjacency=adj, weights=exact.mi,
-                               genes=list(genes), threshold=float("nan"))
-
-        network = self._timed("threshold", build)
+            network = GeneNetwork(adjacency=adj, weights=exact.mi,
+                                  genes=list(genes), threshold=float("nan"))
         return TingeResult(
             network=network,
             mi=exact.mi,
@@ -398,8 +491,6 @@ class TingePipeline:
             adjacency=adj, weights=network.weights,
             genes=network.genes, threshold=network.threshold,
         )
-
-
 
 
 def reconstruct_network(

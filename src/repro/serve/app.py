@@ -127,9 +127,6 @@ class ServeApp:
         if self._draining:
             raise QueueFull("daemon is draining; not accepting datasets")
         genes, data, config, engine = validate_dataset_payload(payload)
-        if engine not in ("serial", "thread", "process", "sharedmem",
-                          "elastic"):
-            raise DatasetError(f"unknown engine {engine!r}")
         state, created = self.datasets.register(genes, data, config, engine)
         job = None
         if created or state.updater is None:

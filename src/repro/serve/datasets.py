@@ -39,7 +39,9 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.incremental import NetworkUpdater
 from repro.core.pipeline import TingeConfig
+from repro.parallel.engine import ENGINE_KINDS
 
 __all__ = [
     "DatasetError",
@@ -73,9 +75,9 @@ def dataset_fingerprint(genes: list, data: np.ndarray, config: dict) -> str:
 def _check_streaming_config(config: dict) -> TingeConfig:
     """Validate a dataset config against the streaming path's constraints.
 
-    Mirrors :meth:`NetworkUpdater._streaming_config` so a dataset that can
-    never take an incremental update is rejected at registration, not at
-    its first sample batch.
+    Runs :meth:`NetworkUpdater.check_streaming_config` so a dataset that
+    can never take an incremental update is rejected at registration, not
+    at its first sample batch.
     """
     try:
         cfg = TingeConfig(**config)
@@ -83,19 +85,18 @@ def _check_streaming_config(config: dict) -> TingeConfig:
         raise DatasetError(f"bad config field: {exc}") from None
     except ValueError as exc:
         raise DatasetError(f"bad config: {exc}") from None
-    if cfg.testing != "pooled" or cfg.exact_retest:
-        raise DatasetError("streaming datasets support testing='pooled' only")
-    if cfg.correction == "bh":
-        raise DatasetError(
-            "streaming datasets need a fixed threshold "
-            "(correction='bonferroni' or 'none')")
-    if cfg.transform != "rank":
-        raise DatasetError("streaming datasets require transform='rank'")
-    if cfg.base != "nat":
-        raise DatasetError("streaming datasets require base='nat'")
-    if cfg.dtype != "float64":
-        raise DatasetError("streaming datasets require dtype='float64'")
+    try:
+        NetworkUpdater.check_streaming_config(cfg, "streaming datasets")
+    except ValueError as exc:
+        raise DatasetError(str(exc)) from None
     return cfg
+
+
+def _check_engine(engine) -> str:
+    if engine not in ENGINE_KINDS:
+        raise DatasetError(
+            f"unknown engine {engine!r}; choose from {list(ENGINE_KINDS)}")
+    return engine
 
 
 def _parse_matrix(raw, n_rows: "int | None", what: str) -> np.ndarray:
@@ -142,8 +143,7 @@ def validate_dataset_payload(payload: dict):
     if data.shape[1] < 2 * cfg.order:
         raise DatasetError(f"need at least {2 * cfg.order} samples for "
                            f"order {cfg.order}, got {data.shape[1]}")
-    engine = payload.get("engine", "serial")
-    return genes, data, dict(config), engine
+    return genes, data, dict(config), _check_engine(payload.get("engine", "serial"))
 
 
 def validate_samples_payload(payload: dict, n_genes: int) -> "np.ndarray | None":
@@ -159,6 +159,8 @@ def validate_samples_payload(payload: dict, n_genes: int) -> "np.ndarray | None"
                               "interrupt_after_rows"}
     if unknown:
         raise DatasetError(f"unknown field(s): {sorted(unknown)}")
+    if "engine" in payload:
+        _check_engine(payload["engine"])
     raw = payload.get("data")
     if raw is None or raw == []:
         return None

@@ -1,22 +1,22 @@
 """Job execution: the serve daemon's reconstruction path.
 
-One job runs the same phases as :class:`repro.core.pipeline.TingePipeline`
-(preprocess → weights → null → mi → threshold), with two service-grade
-differences wired in at the weight-source boundary:
+One job calls the phases of :class:`repro.core.pipeline.TingePipeline`
+(input checks → weights → null → mi → threshold) on the job's tracer and
+progress, and adds only job-state bookkeeping plus two service-grade
+steps:
 
 * **cache check** — once the weight tensor exists, its fingerprint plus
   the config form the :func:`repro.core.exec.result_cache_key`; a
   committed cache entry short-circuits the run before any null/MI work,
   so resubmissions finish with ``tiles_done == 0``.
-* **checkpointed MI** — the MI phase runs through a
+* **checkpointed MI** — the MI phase runs into a
   :class:`~repro.core.checkpoint.CheckpointSink` in a per-key directory,
   so a job killed mid-run (preemption, daemon restart) resumes from the
   ledger when the same (dataset, config) is resubmitted, and the resumed
   matrix is bit-identical to an uninterrupted run.
 
-Phase ordering, seeds and null sizing match the pipeline exactly, so a
-served network equals what ``reconstruct_network`` returns for the same
-inputs.
+Because the phases are the pipeline's own, a served network equals what
+``reconstruct_network`` returns for the same inputs.
 """
 
 from __future__ import annotations
@@ -27,29 +27,17 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.bspline import weight_tensor
 from repro.core.checkpoint import CheckpointSink
-from repro.core.discretize import preprocess
-from repro.core.exec import (
-    TensorSource,
-    plan_run,
-    result_cache_key,
-    run_tile_plan,
-)
+from repro.core.exec import TensorSource, result_cache_key
 from repro.core.network import GeneNetwork
-from repro.core.permutation import pooled_null
-from repro.core.pipeline import TingeConfig
-from repro.core.threshold import fdr_adjacency, threshold_adjacency
-from repro.core.tiling import pair_count
+from repro.core.pipeline import TingeConfig, TingePipeline
 from repro.obs.progress import ProgressState
 from repro.obs.tracer import Tracer
-from repro.parallel.engine import make_engine
+from repro.parallel.engine import ENGINE_KINDS, make_engine
 from repro.serve.cache import ResultCache
 from repro.serve.jobs import Job, JobState
 
 __all__ = ["execute_job", "load_job_dataset", "validate_submission"]
-
-_ENGINE_KINDS = ("serial", "thread", "process", "sharedmem", "elastic")
 
 
 class ValidationError(ValueError):
@@ -97,9 +85,9 @@ def validate_submission(payload: dict) -> Job:
     if cfg.exact_retest:
         raise ValidationError("exact_retest is not supported by the serve path")
     engine = payload.get("engine", "serial")
-    if engine not in _ENGINE_KINDS:
+    if engine not in ENGINE_KINDS:
         raise ValidationError(
-            f"unknown engine {engine!r}; choose from {list(_ENGINE_KINDS)}")
+            f"unknown engine {engine!r}; choose from {list(ENGINE_KINDS)}")
     workers = payload.get("workers")
     if workers is not None and (not isinstance(workers, int) or workers < 1):
         raise ValidationError(f"workers must be a positive integer, got {workers!r}")
@@ -178,26 +166,20 @@ def execute_job(job: Job, cache: ResultCache, state_dir: "str | Path",
         job.state = final
 
 
+def _job_pipeline(job: Job, cfg: TingeConfig) -> TingePipeline:
+    """The pipeline a job runs its phases on: the job's tracer and tile
+    progress, no engine until the cache check has missed."""
+    return TingePipeline(cfg, tracer=job.tracer, progress=job.progress)
+
+
 def _execute(job: Job, cache: ResultCache, state_dir: Path) -> str:
     cfg = TingeConfig(**job.config)
-    tracer = job.tracer
+    pipe = _job_pipeline(job, cfg)
     ds = load_job_dataset(job.dataset)
-    data = np.asarray(ds.expression, dtype=np.float64)
-    n, m = data.shape
-    if n < 2:
-        raise ValueError(f"need at least 2 genes, got {n}")
-    if m < 2 * cfg.order:
-        raise ValueError(
-            f"need at least {2 * cfg.order} samples for order {cfg.order}, got {m}")
-    if not np.isfinite(data).all():
-        raise ValueError("expression data contains NaN/inf; impute first")
+    data, genes = pipe.check_inputs(ds.expression, ds.genes)
 
-    job.phase = "preprocess"
-    with tracer.span("preprocess"):
-        transformed = preprocess(data, cfg.transform)
     job.phase = "weights"
-    with tracer.span("weights"):
-        weights = weight_tensor(transformed, cfg.bins, cfg.order, np.dtype(cfg.dtype))
+    weights = pipe.weights(pipe.transform(data))
     source = TensorSource(weights)
     key = result_cache_key(source.fingerprint(), cfg)
     job.cache_key = key
@@ -211,29 +193,19 @@ def _execute(job: Job, cache: ResultCache, state_dir: Path) -> str:
         job.cached = True
         return JobState.DONE
 
-    engine = None
     try:
-        if job.engine != "serial":
-            # An elastic job spawns (job.workers or 3) local worker
-            # subprocesses; remote workers can additionally join the
-            # printed coordinator address at any time via `repro worker`.
-            engine = make_engine(job.engine, n_workers=job.workers,
-                                 tracer=tracer,
-                                 fallback=cfg.on_fault != "raise")
-
+        # An elastic job spawns (job.workers or 3) local worker
+        # subprocesses; remote workers can additionally join the
+        # printed coordinator address at any time via `repro worker`.
+        pipe.engine = _job_engine(job, cfg)
         job.phase = "null"
-        with tracer.span("null"):
-            null = pooled_null(weights, cfg.n_permutations,
-                               min(cfg.n_null_pairs, pair_count(n)),
-                               cfg.seed, cfg.base, engine)
-
-        mi, sink, ck_dir = _checkpointed_mi(job, cfg, source, engine,
-                                            state_dir / "checkpoints" / key)
+        null = pipe.null(weights)
+        ck_dir = state_dir / "checkpoints" / key
+        mi, sink = _checkpointed_mi(job, pipe, source, ck_dir)
     finally:
         # Only the elastic engine holds resources (worker subprocesses,
         # a listener socket); in-process pools are per-call.
-        if engine is not None and hasattr(engine, "close"):
-            engine.close()
+        _close_engine(pipe.engine)
     job.quarantined = [q.as_dict() for q in sink.quarantined]
     if mi is None:
         # Interrupted mid-run (simulated kill or preemption): the ledger
@@ -242,16 +214,7 @@ def _execute(job: Job, cache: ResultCache, state_dir: Path) -> str:
         return JobState.INTERRUPTED
 
     job.phase = "threshold"
-    with tracer.span("threshold"):
-        if cfg.correction == "bh":
-            adj, _p = fdr_adjacency(mi, null, alpha=cfg.alpha)
-            thr = float("nan")
-        else:
-            thr = null.threshold(cfg.alpha, n_tests=pair_count(n),
-                                 correction=cfg.correction)
-            adj = threshold_adjacency(mi, thr)
-        network = GeneNetwork(adjacency=adj, weights=mi,
-                              genes=list(ds.genes), threshold=thr)
+    network = pipe.network(mi, null, genes, weights)
 
     if not job.quarantined:
         cache.put(key, network, meta={
@@ -267,38 +230,36 @@ def _execute(job: Job, cache: ResultCache, state_dir: Path) -> str:
     return JobState.DONE
 
 
-def _checkpointed_mi(job, cfg, source, engine, ck_dir: Path):
-    """The MI phase of a job: checkpointed, resumable, kernel per config.
+def _checkpointed_mi(job, pipe, source, ck_dir: Path):
+    """The MI phase of a job: the pipeline's, into a resumable
+    :class:`~repro.core.checkpoint.CheckpointSink`.
 
-    Returns ``(mi, sink, ck_dir)``; ``mi`` is ``None`` when the run was
+    Returns ``(mi, sink)``; ``mi`` is ``None`` when the run was
     interrupted (the ledger in ``ck_dir`` then resumes it).
     """
     job.phase = "mi"
-    plan, kernel = plan_run(source, tile=cfg.tile, base=cfg.base,
-                            schedule=cfg.schedule, kernel=cfg.kernel,
-                            kernel_dtype=cfg.kernel_dtype,
-                            autotune=cfg.autotune, engine=engine)
-    sink = CheckpointSink(ck_dir, plan, source.fingerprint(),
+    plan = pipe.plan(source)
+    sink = CheckpointSink(ck_dir, plan[0], source.fingerprint(),
                           interrupt_after_rows=job.interrupt_after_rows)
-    with job.tracer.span("mi", n_genes=source.n_genes, n_tiles=plan.n_tiles):
-        mi = run_tile_plan(plan, source, sink, engine=engine,
-                           tracer=job.tracer, progress=job.progress,
-                           policy=cfg.fault_policy(), kernel=kernel,
-                           kernel_dtype=cfg.kernel_dtype)
-    return mi, sink, ck_dir
+    return pipe.mi(source, sink, plan), sink
+
+
+def _job_engine(job, cfg):
+    """The (possibly None) engine a job runs its null and tiles on."""
+    if job.engine == "serial":
+        return None
+    return make_engine(job.engine, n_workers=job.workers, tracer=job.tracer,
+                       fallback=cfg.on_fault != "raise")
+
+
+def _close_engine(engine) -> None:
+    if engine is not None and hasattr(engine, "close"):
+        engine.close()
 
 
 # ---------------------------------------------------------------------------
 # Streaming dataset jobs
 # ---------------------------------------------------------------------------
-
-def _dataset_engine(job, cfg, tracer):
-    """The (possibly None) engine a dataset job runs tiles/null through."""
-    if job.engine == "serial":
-        return None
-    return make_engine(job.engine, n_workers=job.workers, tracer=tracer,
-                       fallback=cfg.on_fault != "raise")
-
 
 def _bootstrap_updater(job, ds, cache, state_dir: Path, engine):
     """Build (or rebuild, after a daemon restart) the dataset's updater.
@@ -312,52 +273,37 @@ def _bootstrap_updater(job, ds, cache, state_dir: Path, engine):
     from repro.core.incremental import NetworkUpdater
 
     cfg = TingeConfig(**ds.config)
-    tracer = job.tracer
-    data = ds.data
-    n = data.shape[0]
+    pipe = _job_pipeline(job, cfg)
+    pipe.engine = engine
 
-    job.phase = "preprocess"
-    with tracer.span("preprocess"):
-        transformed = preprocess(data, cfg.transform)
     job.phase = "weights"
-    with tracer.span("weights"):
-        weights = weight_tensor(transformed, cfg.bins, cfg.order,
-                                np.dtype(cfg.dtype))
+    weights = pipe.weights(pipe.transform(ds.data))
     source = TensorSource(weights)
     key = result_cache_key(source.fingerprint(), cfg)
     job.cache_key = key
 
     hit = cache.get(key)
+    job.phase = "null"
+    null = pipe.null(weights)
+    ck_dir = state_dir / "checkpoints" / key
     if hit is not None:
         job.cached = True
-        job.phase = "null"
-        with tracer.span("null"):
-            null = pooled_null(weights, cfg.n_permutations,
-                               min(cfg.n_null_pairs, pair_count(n)),
-                               cfg.seed, cfg.base, engine)
-        updater = NetworkUpdater(weights, hit.network.weights, list(ds.genes),
-                                 null, data=data, config=cfg)
+        mi = hit.network.weights
     else:
-        job.phase = "null"
-        with tracer.span("null"):
-            null = pooled_null(weights, cfg.n_permutations,
-                               min(cfg.n_null_pairs, pair_count(n)),
-                               cfg.seed, cfg.base, engine)
-        mi, sink, ck_dir = _checkpointed_mi(job, cfg, source, engine,
-                                            state_dir / "checkpoints" / key)
+        mi, sink = _checkpointed_mi(job, pipe, source, ck_dir)
         job.quarantined = [q.as_dict() for q in sink.quarantined]
         if mi is None:
             return None
-        updater = NetworkUpdater(weights, mi, list(ds.genes), null,
-                                 data=data, config=cfg)
-        if not job.quarantined:
-            cache.put(key, updater.network, meta={
-                "fingerprint": source.fingerprint(),
-                "config": dict(ds.config),
-                "dataset_id": ds.dataset_id,
-                "quarantined": [],
-            })
-            shutil.rmtree(ck_dir, ignore_errors=True)
+    updater = NetworkUpdater(weights, mi, list(ds.genes), null,
+                             data=ds.data, config=cfg)
+    if hit is None and not job.quarantined:
+        cache.put(key, updater.network, meta={
+            "fingerprint": source.fingerprint(),
+            "config": dict(ds.config),
+            "dataset_id": ds.dataset_id,
+            "quarantined": [],
+        })
+        shutil.rmtree(ck_dir, ignore_errors=True)
     ds.updater = updater
     ds.latest_key = key
     if ds.version == 0:
@@ -408,7 +354,7 @@ def _execute_dataset(job: Job, cache: ResultCache, state_dir: Path,
     # when its turn comes.
     with ds.exec_lock:
         try:
-            engine = _dataset_engine(job, cfg, job.tracer)
+            engine = _job_engine(job, cfg)
             if ds.updater is None:
                 if _bootstrap_updater(job, ds, cache, state_dir, engine) is None:
                     job.error = ("interrupted mid-build; post to "
@@ -421,8 +367,7 @@ def _execute_dataset(job: Job, cache: ResultCache, state_dir: Path,
             return _execute_dataset_samples(job, ds, cache, state_dir, cfg,
                                             engine)
         finally:
-            if engine is not None and hasattr(engine, "close"):
-                engine.close()
+            _close_engine(engine)
 
 
 def _execute_dataset_samples(job: Job, ds, cache: ResultCache,
@@ -441,9 +386,8 @@ def _execute_dataset_samples(job: Job, ds, cache: ResultCache,
     # this exact version, adopt its matrix with zero tiles.
     job.phase = "weights"
     grown = extend_columns(ds.data, new)
-    with job.tracer.span("weights"):
-        weights = weight_tensor(preprocess(grown, cfg.transform),
-                                cfg.bins, cfg.order, np.dtype(cfg.dtype))
+    pipe = _job_pipeline(job, cfg)
+    weights = pipe.weights(pipe.transform(grown))
     key = result_cache_key(TensorSource(weights).fingerprint(), cfg)
     job.cache_key = key
 

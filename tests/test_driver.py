@@ -84,6 +84,32 @@ class TestStrategyEquivalence:
         assert auto.network.threshold == pytest.approx(pipe.network.threshold)
 
 
+class TestExactRetest:
+    """Regression: the driver used to skip the exact re-test stage and
+    return the un-retested pooled-threshold network."""
+
+    CFG = TingeConfig(exact_retest=True, retest_permutations=30, alpha=0.2,
+                      correction="none")
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return np.random.default_rng(1).normal(size=(40, 100))
+
+    @pytest.mark.parametrize("strategy_kwargs", [
+        {},
+        {"checkpoint": True},
+        {"mem_budget_gb": 1e-6},
+    ], ids=["in-memory", "checkpointed", "out-of-core"])
+    def test_matches_pipeline(self, data, tmp_path, strategy_kwargs):
+        ref = reconstruct_network(data, config=self.CFG)
+        plain = reconstruct_network(
+            data, config=TingeConfig(alpha=0.2, correction="none"))
+        assert ref.network.n_edges < plain.network.n_edges
+        out = auto_reconstruct(data, config=self.CFG, workdir=tmp_path,
+                               **strategy_kwargs)
+        assert np.array_equal(out.network.adjacency, ref.network.adjacency)
+
+
 class TestArtifacts:
     def test_network_and_edges_written(self, dataset, tmp_path):
         out = auto_reconstruct(dataset.expression, dataset.genes, CFG,
@@ -199,6 +225,23 @@ class TestValidation:
         bad[0, 0] = np.nan
         with pytest.raises(ValueError, match="impute"):
             auto_reconstruct(bad, dataset.genes, CFG)
+
+    def test_too_few_samples_rejected(self, dataset):
+        # Regression: m < 2 * order used to return a 0-edge network.
+        with pytest.raises(ValueError, match="need at least 6 samples"):
+            auto_reconstruct(dataset.expression[:, :4], dataset.genes, CFG)
+
+    def test_gene_count_mismatch_rejected_before_any_phase(self, dataset):
+        # Regression: a wrong-length gene list used to fail only after the
+        # whole MI phase had run.
+        from repro.obs.tracer import Tracer
+
+        tracer = Tracer()
+        with pytest.raises(ValueError, match="gene names"):
+            auto_reconstruct(dataset.expression, dataset.genes[:-1], CFG,
+                             tracer=tracer)
+        assert tracer.spans == []
+        assert tracer.counters.get("tiles_done", 0) == 0
 
     def test_bad_budget(self, dataset):
         with pytest.raises(ValueError):

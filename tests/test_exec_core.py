@@ -303,12 +303,8 @@ class TestSingleDispatch:
     def test_thread_workers_lose_no_tick_or_put(self, weights):
         """More worker threads than cores and a short switch interval: the
         per-tile callbacks run concurrently in the workers, and neither the
-        progress count nor a put-only sink may lose an update."""
+        progress count nor a sink's block writes may lose an update."""
         import sys
-
-        class PutOnlySink(DenseSink):
-            def buffer(self):
-                return None  # every block goes through put()
 
         serial = mi_matrix(weights, tile=2)
         source = TensorSource(weights)
@@ -320,15 +316,15 @@ class TestSingleDispatch:
             res = mi_matrix(weights, tile=2, engine=ThreadEngine(n_workers=8),
                             tracer=tracer,
                             progress=lambda done, total: calls.append(done))
-            put_only = run_tile_plan(plan_tiles(source, tile=2), source,
-                                     PutOnlySink(source.n_genes),
-                                     engine=ThreadEngine(n_workers=8))
+            sunk = run_tile_plan(plan_tiles(source, tile=2), source,
+                                 DenseSink(source.n_genes),
+                                 engine=ThreadEngine(n_workers=8))
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(res.mi, serial.mi)
         assert calls == list(range(1, res.n_tiles + 1))
         assert tracer.counters["tiles_done"] == res.n_tiles
-        assert np.array_equal(put_only, serial.mi)
+        assert np.array_equal(sunk, serial.mi)
 
 
 class TestMirrorUpper:

@@ -252,6 +252,21 @@ class TestStreamingValidation:
             NetworkUpdater.from_result(gutted, data)
 
 
+class TestFromResultCorrections:
+    def test_bh_run_network_matches(self, stream):
+        """Regression: an updater built from a ``correction="bh"`` run used
+        to raise on ``.network``; it now thresholds with the pipeline's
+        BH rule and reproduces the run's network."""
+        data = stream[0]
+        cfg = TingeConfig(**{**CONFIG.__dict__, "correction": "bh", "alpha": 0.2})
+        res = reconstruct_network(data, config=cfg)
+        assert res.network.n_edges > 0
+        net = NetworkUpdater.from_result(res, data).network
+        assert np.isnan(net.threshold)
+        assert np.array_equal(net.adjacency, res.network.adjacency)
+        assert np.array_equal(net.weights, res.network.weights)
+
+
 class TestDeltaCheckpointSink:
     @pytest.fixture
     def plan_and_source(self):

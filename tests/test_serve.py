@@ -669,6 +669,24 @@ class TestDatasetEndpoints:
         code, _ = client.get(f"/datasets/{ds_id}/events?since=abc")
         assert code == 400
 
+    def test_unknown_engine_rejected_before_staging(self, daemon, stream_data):
+        # Regression: a samples post with a bogus engine used to stage the
+        # batch, then fail its job with "unknown engine kind".
+        _app, client = daemon
+        genes, data, new = stream_data
+        ds_id, _ = _register(client, genes, data)
+        code, body = client.post(
+            f"/datasets/{ds_id}/samples",
+            {"data": [[float(v) for v in row] for row in new],
+             "engine": "bogus"})
+        assert code == 400 and "unknown engine" in body["error"]
+        _, ds = client.get(f"/datasets/{ds_id}")
+        assert ds["pending_batches"] == 0
+        assert ds["version"] == 1
+        code, body = client.post("/datasets",
+                                 _ds_payload(genes, data, engine="bogus"))
+        assert code == 400 and "unknown engine" in body["error"]
+
 
 class TestDatasetResume:
     def test_interrupted_increment_resumes_from_ledger(self, daemon,
