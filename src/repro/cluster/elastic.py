@@ -40,7 +40,7 @@ from repro.cluster.comm import CommMeter
 from repro.cluster.taskgraph import TaskGraph, TileTask, tile_shards
 from repro.cluster.transport import Channel, DEFAULT_MAX_FRAME, connect
 from repro.obs.metrics import WorkerStats
-from repro.parallel.engine import EngineFailure, _EngineObsMixin
+from repro.parallel.engine import EngineFailure, _EngineObsMixin, worker_blas_threads
 from repro.parallel.scheduler import DynamicScheduler
 
 __all__ = [
@@ -327,8 +327,20 @@ class ElasticEngine(_EngineObsMixin):
         return self.coordinator.address
 
     def spawn_worker(self) -> subprocess.Popen:
-        """Launch one local worker subprocess connected to this engine."""
+        """Launch one local worker subprocess connected to this engine.
+
+        The worker's ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` are
+        set to its share of the usable cores (cores // initial workers, at
+        least 1; :func:`~repro.parallel.engine.worker_blas_threads`), so
+        the local workers together run no more BLAS threads than there
+        are cores.  A lower value already in the environment is kept.
+        """
         env = dict(os.environ)
+        threads = worker_blas_threads(self._initial_workers)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            user = env.get(var, "")
+            if not (user.isdigit() and 0 < int(user) <= threads):
+                env[var] = str(threads)
         pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(
             __import__("repro").__file__)))
         parts = [pkg_root] + [p for p in env.get("PYTHONPATH", "").split(

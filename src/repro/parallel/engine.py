@@ -48,6 +48,7 @@ returned in the original item order regardless of execution order.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import multiprocessing
 import os
@@ -414,16 +415,91 @@ def _publish(payload) -> int:
     return token
 
 
-def _supervised_worker(token: int, task_q, msg_w, msg_lock) -> None:
+#: ``(get, set)`` thread-count symbols of the OpenBLAS builds numpy
+#: (64-bit integer interface) and scipy ship, then a plain OpenBLAS.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def worker_blas_threads(n_workers: int) -> int:
+    """BLAS threads each of ``n_workers`` worker processes may run.
+
+    The usable cores split evenly, at least one each.  A worker process
+    otherwise starts a BLAS pool as wide as the machine, and ``n_workers``
+    such pools thrash the MI GEMMs on the shared cores.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cores = os.cpu_count() or 1
+    return max(1, cores // n_workers)
+
+
+def _blas_caps(n_workers: int) -> list:
+    """``(set, stop, threads)`` per loaded OpenBLAS for one of ``n_workers`` workers.
+
+    Resolved in the parent before forking.  numpy and scipy each load
+    their own OpenBLAS, so every copy mapped into the process (read from
+    ``/proc/self/maps``) gets an entry; without procfs, or with no
+    OpenBLAS loaded, the list is empty and the cap is a no-op.
+    ``threads`` is :func:`worker_blas_threads` but never more than the
+    library's current count, so a user's lower ``OPENBLAS_NUM_THREADS``
+    holds.  ``stop`` is the library's pool shutdown
+    (``blas_thread_shutdown_``, the routine OpenBLAS itself runs before a
+    fork), or ``None`` when the build does not export it.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {fields[5].strip() for fields in (line.split(None, 5) for line in fh)
+                     if len(fields) == 6 and "openblas" in os.path.basename(fields[5]).lower()}
+    except OSError:
+        return []
+    budget = worker_blas_threads(n_workers)
+    caps = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            try:
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            stop = getattr(lib, "blas_thread_shutdown_", None)
+            if stop is not None:
+                stop.argtypes, stop.restype = [], ctypes.c_int
+            caps.append((set_, stop, min(get(), budget)))
+            break
+    return caps
+
+
+def _supervised_worker(token: int, task_q, msg_w, msg_lock, blas_caps) -> None:
     """Worker loop for the supervised (timeout-capable) pool.
 
-    Announces ``("start", pid, idx, None)`` *before* running each task so
+    First caps each loaded OpenBLAS at its ``blas_caps`` thread count
+    (the parent's pools are left as they are).  Then announces
+    ``("start", pid, idx, None)`` *before* running each task so
     the parent can hold a deadline against it, then ``("ok", pid, idx,
     (value, seconds))`` or ``("err", pid, idx, traceback)``.  Task
     failures stay inside the worker — only the message crosses the pipe —
     so one poisoned tile never kills the pool.  Messages go straight down
     one shared pipe under a lock (no per-worker feeder thread to wake).
     """
+    for set_threads, stop_pool, threads in blas_caps:
+        set_threads(threads)
+        # Setting the count in a forked child starts the library's thread
+        # pool at its old width, and those threads busy-wait for work,
+        # stealing the cores from the other workers' non-BLAS tasks.  A
+        # stopped pool restarts only on the first call that runs more
+        # than one thread, so a 1-thread cap never starts one.
+        if stop_pool is not None:
+            stop_pool()
     fn, items, handle, into = _FORK_TASKS[token]
     view = SharedArray.attach(*handle) if handle is not None else None
     pid = os.getpid()
@@ -473,6 +549,13 @@ class ProcessEngine(_EngineObsMixin):
     ``map_supervised`` cross the pipe by pickling (fine for tile-sized
     blocks); use :class:`SharedMemoryEngine` when workers should write the
     output in place instead.
+
+    Each forked worker first caps every loaded OpenBLAS at
+    :func:`worker_blas_threads` of the pool size (usable cores // workers,
+    at least 1, never above the library's current count): left alone,
+    every worker would run a BLAS pool as wide as the machine and the
+    workers' GEMMs would thrash on shared cores.  The parent's BLAS pools,
+    and with them serial, thread and inline runs, are untouched.
     """
 
     in_process = False
@@ -556,6 +639,8 @@ class ProcessEngine(_EngineObsMixin):
         task_q = ctx.Queue()
         msg_r, msg_w = ctx.Pipe(duplex=False)
         msg_lock = ctx.Lock()
+        pool_size = min(self.n_workers, len(items))
+        blas_caps = _blas_caps(pool_size)
         results: list = [None] * len(items)
         failures: dict[int, str] = {}
         raw: dict = {}
@@ -566,7 +651,8 @@ class ProcessEngine(_EngineObsMixin):
 
         def spawn() -> None:
             w = ctx.Process(target=_supervised_worker,
-                            args=(token, task_q, msg_w, msg_lock), daemon=True)
+                            args=(token, task_q, msg_w, msg_lock, blas_caps),
+                            daemon=True)
             w.start()
             workers[w.pid] = w
 
@@ -580,7 +666,7 @@ class ProcessEngine(_EngineObsMixin):
 
         try:
             try:
-                for _ in range(min(self.n_workers, len(items))):
+                for _ in range(pool_size):
                     spawn()
             except OSError as exc:
                 raise EngineFailure(f"could not fork supervised workers: {exc}") from exc

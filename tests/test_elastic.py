@@ -215,6 +215,59 @@ class TestElasticEngine:
 
 
 # ---------------------------------------------------------------------------
+# Spawned workers' BLAS thread budget
+# ---------------------------------------------------------------------------
+
+
+class TestSpawnedWorkerBlasBudget:
+    BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+    @staticmethod
+    def budget(n_workers):
+        return max(1, len(os.sched_getaffinity(0)) // n_workers)
+
+    def test_spawned_workers_run_the_budget(self, monkeypatch):
+        for var in self.BLAS_VARS:
+            monkeypatch.delenv(var, raising=False)
+        eng = ElasticEngine(n_workers=2, heartbeat=1.0)
+        try:
+            seen = eng.map(os.getenv, list(self.BLAS_VARS) * 2)
+        finally:
+            eng.close()
+        assert seen == [str(self.budget(2))] * 4
+
+    @pytest.mark.parametrize("n_workers,user,expected", [
+        (2, None, "budget"),
+        (2, "64", "budget"),    # above the budget: capped
+        (1, "1", "1"),          # a lower user setting is kept
+        (1, "0", "budget"),     # not a thread count: replaced
+    ])
+    def test_env_rule(self, monkeypatch, n_workers, user, expected):
+        envs = []
+
+        class CapturedPopen:
+            def __init__(self, args, env, **kwargs):
+                envs.append(env)
+
+            def poll(self):
+                return 0
+
+        monkeypatch.setattr("repro.cluster.elastic.subprocess.Popen", CapturedPopen)
+        for var in self.BLAS_VARS:
+            if user is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, user)
+        eng = ElasticEngine(n_workers=n_workers, spawn=False)
+        try:
+            eng.spawn_worker()
+        finally:
+            eng.close()
+        want = str(self.budget(n_workers)) if expected == "budget" else expected
+        assert [envs[0][var] for var in self.BLAS_VARS] == [want, want]
+
+
+# ---------------------------------------------------------------------------
 # Real subprocesses: bit-identity through membership churn
 # ---------------------------------------------------------------------------
 

@@ -10,7 +10,9 @@ block-row.
 import numpy as np
 import pytest
 
+from repro.core.bspline import weight_tensor
 from repro.core.checkpoint import mi_matrix_checkpointed
+from repro.core.discretize import rank_transform
 from repro.core.mi_matrix import mi_matrix
 from repro.core.outofcore import build_weight_store, mi_matrix_outofcore
 from repro.parallel.engine import (
@@ -107,6 +109,24 @@ class TestSparseKernelEquivalence:
             out = mi_matrix(small_weights, tile=8, kernel="sparse",
                             kernel_dtype="float32", engine=engine).mi
             assert np.array_equal(out, ref), f"{kind} diverged (float32)"
+
+
+class TestBlasThreadedShapeEquivalence:
+    """At n = m = 256 the tile GEMMs are large enough for OpenBLAS to run
+    them on several threads in the parent, while each fork worker runs
+    its capped share; the bits must not depend on the thread count."""
+
+    @pytest.fixture(scope="class")
+    def weights(self):
+        rng = np.random.default_rng(15)
+        return weight_tensor(rank_transform(rng.normal(size=(256, 256))), bins=10, order=3)
+
+    @pytest.mark.parametrize("dtype", [None, "float32"])
+    @pytest.mark.parametrize("cls", [ProcessEngine, SharedMemoryEngine])
+    def test_bit_identical_to_serial(self, weights, cls, dtype):
+        ref = mi_matrix(weights, kernel_dtype=dtype).mi
+        out = mi_matrix(weights, kernel_dtype=dtype, engine=cls(n_workers=2)).mi
+        assert np.array_equal(out, ref)
 
 
 class TestCheckpointedEquivalence:

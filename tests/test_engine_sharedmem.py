@@ -1,9 +1,12 @@
 """Tests for repro.parallel.engine, sharedmem and reductions."""
 
+import ctypes
+import os
 import threading
 
 import numpy as np
 import pytest
+import scipy.linalg  # noqa: F401  (loads scipy's own OpenBLAS copy)
 
 from repro.parallel.engine import (
     _FORK_TASKS,
@@ -120,6 +123,62 @@ class TestProcessEngine:
 
     def test_empty(self):
         assert ProcessEngine(n_workers=2).map(square, []) == []
+
+
+#: Thread-count getters of numpy's and scipy's OpenBLAS builds and of a
+#: plain OpenBLAS, resolved here independently of the engine's resolver.
+_OPENBLAS_GETTERS = ("scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads", "openblas_get_num_threads")
+
+
+def blas_thread_counts() -> dict:
+    """``{library path: thread count}`` of every OpenBLAS in this process."""
+    with open("/proc/self/maps") as fh:
+        paths = {line.split()[-1] for line in fh
+                 if "openblas" in line.rsplit("/", 1)[-1].lower()}
+    counts = {}
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in _OPENBLAS_GETTERS:
+            if hasattr(lib, name):
+                counts[path] = getattr(lib, name)()
+                break
+    return counts
+
+
+def os_threads() -> int:
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
+
+
+class TestWorkerBlasBudget:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps") or not blas_thread_counts(),
+                        reason="no OpenBLAS loaded: the per-worker cap is a no-op")
+    @pytest.mark.parametrize("cls", [ProcessEngine, SharedMemoryEngine])
+    def test_fork_workers_get_budget_parent_and_inline_keep_theirs(self, cls):
+        parent = blas_thread_counts()
+        budget = max(1, len(os.sched_getaffinity(0)) // 2)
+        # Never above the parent's count: a user's OPENBLAS_NUM_THREADS=1 holds.
+        capped = {path: min(n, budget) for path, n in parent.items()}
+        seen = cls(n_workers=2).map(lambda _: (blas_thread_counts(), os_threads()), range(4))
+        assert [counts for counts, _ in seen] == [capped] * 4
+        if all(hasattr(ctypes.CDLL(path), "blas_thread_shutdown_") for path in parent):
+            # Capping must not leave BLAS pool threads spinning in a worker
+            # whose tasks never call BLAS.
+            assert [threads for _, threads in seen] == [1] * 4
+        assert blas_thread_counts() == parent
+
+        # Inline paths run in the calling process and change nothing.
+        assert cls(n_workers=1).map(lambda _: blas_thread_counts(), [0, 1]) == [parent] * 2
+
+        def nested(_):
+            before = blas_thread_counts()
+            inner = cls(n_workers=2).map(lambda _: blas_thread_counts(), [0, 1])
+            return before, inner, blas_thread_counts()
+
+        for before, inner, after in cls(n_workers=2).map(nested, [0, 1]):
+            assert before == capped and inner == [capped] * 2 and after == capped
+        assert blas_thread_counts() == parent
 
 
 class TestSharedMemoryEngine:
