@@ -1,14 +1,14 @@
-"""E26 — result transport: pickle-return vs write-in-place engines.
+"""E26 — result transport: pickle-return vs write-in-place on one fork pool.
 
 The paper's whole-genome runs work because all 240 Phi threads write
-disjoint blocks of the MI matrix in place.  `ProcessEngine` instead ships
-every tile block back to the parent through a pipe (pickle, copy, and a
+disjoint blocks of the MI matrix in place.  `SharedMemoryEngine.map`
+ships every block back to the parent through a pipe (pickle, copy, and a
 parent-side reassembly loop); `SharedMemoryEngine.map_into` has workers
-attach the output matrix via `SharedArray.handle()` and write their blocks
+attach the output matrix in shared memory and write their blocks
 directly, so only task indices cross the pipe.  This bench measures both
-backends on (a) a transport-dominated synthetic workload and (b) the real
-tiled MI matrix, and reports the result bytes each backend moves through
-the pipe — zero for the shared-memory backend, by construction.
+transports on the same engine on a transport-dominated synthetic
+workload, and reports the result bytes each moves through the pipe —
+zero for write-in-place, by construction.
 """
 
 import time
@@ -17,8 +17,7 @@ import numpy as np
 import pytest
 
 from repro.bench.reporting import format_seconds
-from repro.core.mi_matrix import mi_matrix
-from repro.parallel.engine import ProcessEngine, SharedMemoryEngine
+from repro.parallel.engine import SharedMemoryEngine
 
 N_BLOCKS = 24
 EDGE = 256  # one synthetic result block: 256x256 float64 = 512 KiB
@@ -27,7 +26,7 @@ WORKER_COUNTS = [1, 2, 4]
 
 def _block(k: int) -> np.ndarray:
     # Deliberately cheap compute: the workload is transport-dominated, so
-    # the gap between the backends *is* the per-block transport cost.
+    # the gap between the transports *is* the per-block transport cost.
     return np.full((EDGE, EDGE), float(k + 1))
 
 
@@ -54,13 +53,12 @@ def test_transport_synthetic(report):
     block_bytes = N_BLOCKS * EDGE * EDGE * 8
     rows = []
     for n_workers in WORKER_COUNTS:
-        proc = ProcessEngine(n_workers=n_workers)
         shm = SharedMemoryEngine(n_workers=n_workers)
 
         out_proc = np.zeros((N_BLOCKS * EDGE, EDGE))
 
         def via_pickle():
-            blocks = proc.map(_return_block, list(range(N_BLOCKS)))
+            blocks = shm.map(_return_block, list(range(N_BLOCKS)))
             for k, blk in enumerate(blocks):  # the reassembly loop
                 out_proc[k * EDGE : (k + 1) * EDGE, :] = blk
 
@@ -82,34 +80,6 @@ def test_transport_synthetic(report):
             "piped result MB (shm)": "0",
         })
     report("E26", f"result transport, {N_BLOCKS} blocks of {EDGE}x{EDGE} float64", rows)
-
-
-def test_mi_matrix_end_to_end(report, bench_weights):
-    tile = 8
-    reference = mi_matrix(bench_weights, tile=tile)
-    n = reference.mi.shape[0]
-    # Every tile block the pickle path returns crosses the pipe; the
-    # shared-memory path moves none of them.
-    from repro.core.tiling import tile_grid
-
-    piped = sum(t.rows * t.cols * 8 for t in tile_grid(n, tile))
-    rows = []
-    for n_workers in WORKER_COUNTS:
-        t_proc = _timed(lambda: mi_matrix(
-            bench_weights, tile=tile, engine=ProcessEngine(n_workers=n_workers)))
-        t_shm = _timed(lambda: mi_matrix(
-            bench_weights, tile=tile, engine=SharedMemoryEngine(n_workers=n_workers)))
-        rows.append({
-            "workers": n_workers,
-            "ProcessEngine": format_seconds(t_proc),
-            "SharedMemoryEngine": format_seconds(t_shm),
-            "speedup": f"{t_proc / t_shm:.2f}x",
-            "piped result KB": f"{piped / 1e3:.0f} vs 0",
-        })
-    shm_mi = mi_matrix(bench_weights, tile=tile,
-                       engine=SharedMemoryEngine(n_workers=2)).mi
-    assert np.array_equal(shm_mi, reference.mi)
-    report("E26b", f"mi_matrix {n} genes, tile={tile}: pickle-return vs write-in-place", rows)
 
 
 def test_transport_cost_is_eliminated(benchmark):

@@ -26,6 +26,8 @@ import sys
 import time
 from pathlib import Path
 
+from repro.parallel.engine import ENGINE_KINDS
+
 __all__ = ["main", "build_parser"]
 
 
@@ -83,13 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "Ignored when --tile is given")
     rec.add_argument("--dpi", type=float, default=None, metavar="TOLERANCE",
                      help="apply ARACNE DPI pruning with this tolerance")
-    rec.add_argument("--engine",
-                     choices=["serial", "thread", "process", "sharedmem",
-                              "elastic"],
-                     default="serial",
+    rec.add_argument("--engine", choices=ENGINE_KINDS, default="serial",
                      help="execution engine for the all-pairs MI stage; "
-                          "'sharedmem' workers write the MI matrix in place "
-                          "(process/sharedmem need the fork start method); "
+                          "'sharedmem' fork workers write the MI matrix in "
+                          "place (needs the fork start method; 'process' is "
+                          "an alias); "
                           "'elastic' spawns --workers worker subprocesses "
                           "behind a socket coordinator (see `repro worker`)")
     rec.add_argument("--workers", type=int, default=None)
@@ -108,13 +108,13 @@ def build_parser() -> argparse.ArgumentParser:
                           "tile aborts the run)")
     rec.add_argument("--task-timeout", type=float, default=None, metavar="SECONDS",
                      help="per-task timeout for the MI stage; hung workers "
-                          "are killed and replaced (fork engines only)")
+                          "are killed and replaced (sharedmem engine only)")
     rec.add_argument("--on-fault", choices=["retry", "quarantine", "raise"],
                      default="raise",
                      help="when a tile exhausts its retries: record it and "
                           "keep going (retry/quarantine) or abort (raise); "
                           "non-raise modes also enable engine fallback "
-                          "(sharedmem -> process -> thread -> serial)")
+                          "(elastic -> sharedmem -> thread -> serial)")
     rec.add_argument("--record", type=Path, default=None,
                      help="write a provenance JSON record of the run")
     rec.add_argument("--trace", type=Path, default=None,
@@ -278,8 +278,8 @@ def _cmd_reconstruct(args) -> int:
                   if args.schedule in ("static", "cyclic") else None)
         try:
             # Non-raise fault modes also tolerate the *engine* being
-            # unavailable: degrade along sharedmem -> process -> thread ->
-            # serial instead of exiting.
+            # unavailable: degrade along elastic -> sharedmem -> thread ->
+            # serial instead of exiting ("process" is sharedmem).
             engine = make_engine(args.engine, n_workers=args.workers, policy=policy,
                                  fallback=args.on_fault != "raise")
         except (RuntimeError, ValueError) as exc:  # no fork support / bad worker count

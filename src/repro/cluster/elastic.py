@@ -266,10 +266,9 @@ class ElasticEngine(_EngineObsMixin):
     """Engine protocol over an elastic worker pool.
 
     Satisfies what :func:`repro.core.exec.run_tile_plan` asks of a
-    fork-style engine — ``in_process=False``,
-    ``map_supervised(fn, items, timeout, on_done)``, ``n_workers`` — so every
-    driver, fault policy and tracer span works over remote workers
-    unchanged.  ``n_workers`` is *current live membership*, not a
+    remote engine — ``map_supervised(fn, items, timeout, on_done)`` and
+    ``n_workers`` — so every driver, fault policy and tracer span works
+    over remote workers unchanged.  ``n_workers`` is *current live membership*, not a
     constructor constant.
 
     With ``spawn=True`` (default) the engine launches ``n_workers`` local
@@ -283,7 +282,6 @@ class ElasticEngine(_EngineObsMixin):
     deterministic points mid-run.
     """
 
-    in_process = False
     kind = "elastic"
 
     def __init__(self, n_workers: "int | None" = 3, host: str = "127.0.0.1",

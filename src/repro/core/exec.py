@@ -21,7 +21,7 @@ module factors that loop into three small protocols plus one executor:
 
 :func:`run_tile_plan` then owns tile iteration, the one supervised
 engine dispatch (``map_supervised`` / ``map_into_supervised``, with
-shared-memory staging, retries and engine fallback), progress reporting
+retries and engine fallback), progress reporting
 and span/counter emission — identically for every driver, so a new
 backend is one new protocol implementation, not a fourth fork of the
 loop.  Every tile, whatever the driver, runs through
@@ -67,7 +67,6 @@ from repro.obs.tracer import NULL_TRACER
 from repro.parallel.engine import (
     EngineFailure,
     SerialEngine,
-    SharedMemoryEngine,
     WorkerLocal,
     engine_kind,
     fallback_engine,
@@ -78,7 +77,6 @@ from repro.parallel.scheduler import (
     SchedulerPolicy,
     make_scheduler,
 )
-from repro.parallel.sharedmem import SharedArray
 
 __all__ = [
     "SCHEDULE_NAMES",
@@ -452,20 +450,13 @@ class TilePlan:
     def order(self, n_workers: int = 1) -> list:
         """Tile indices in dispatch order for ``n_workers`` workers.
 
-        Dynamic policies concatenate their chunk sequence (the pull
-        order); static policies concatenate per-worker assignments, with
-        the plan supplying per-tile costs so LPT works.  No policy means
-        grid order.
+        :meth:`SchedulerPolicy.order` with the plan supplying per-tile
+        costs, so LPT works.  No policy means grid order.
         """
-        n = len(self.tiles)
         if self.policy is None:
-            return list(range(n))
-        n_workers = max(int(n_workers), 1)
-        if self.policy.is_dynamic():
-            chunks = self.policy.chunk_sequence(n, n_workers)
-        else:
-            chunks = self.policy.static_assignment(n, n_workers, costs=self.costs())
-        return [int(i) for chunk in chunks for i in chunk]
+            return list(range(len(self.tiles)))
+        return self.policy.order(len(self.tiles), max(int(n_workers), 1),
+                                 costs=self.costs())
 
 
 def plan_tiles(
@@ -614,8 +605,8 @@ class MatrixSink:
 
     * ``"matrix"`` — tiles are independent; the executor dispatches the
       whole (policy-ordered) grid at once and writes every block into the
-      sink's :meth:`buffer` (in place on in-process and shared-memory
-      engines, from returned blocks on the others).
+      sink's :meth:`buffer` (in place on every local engine, from
+      returned blocks on the elastic one).
     * ``"rows"`` — tiles are processed one block-row at a time (the
       checkpoint and out-of-core layouts); the executor hands each
       completed row to :meth:`store_row`, then :meth:`commit_row` decides
@@ -913,34 +904,25 @@ def _ticker(tracer, progress, total: int):
     return tick
 
 
-def _writes_in_place(engine, staged) -> bool:
-    """Whether ``engine`` can write blocks straight into the output.
-
-    In-process engines share the parent's memory; the shared-memory
-    engine needs the output staged in a :class:`SharedArray`.
-    """
-    if getattr(engine, "in_process", False):
-        return True
-    return staged is not None and isinstance(engine, SharedMemoryEngine)
-
-
-def _dispatch_once(engine, tiles, idxs, run, target, staged, timeout, accept):
+def _dispatch_once(engine, tiles, idxs, run, target, timeout, accept):
     """One supervised engine call over ``idxs``; returns ``{idx: error}``.
 
     ``accept(idx, block, in_place)`` fires in the parent (in the worker
     thread for in-process engines) as each task finishes: with the block
     the worker returned, or — for in-place dispatch into ``target`` — a
-    view of the region it wrote.
+    view of the region it wrote, taken from the array the engine hands
+    ``on_done`` (the fork engine's shared-memory stage of ``target``).
+    Every local engine writes in place; elastic workers are remote and
+    return blocks.
     """
     items = [tiles[i] for i in idxs]
-    if target is not None and _writes_in_place(engine, staged):
-        def done(pos: int, _value) -> None:
+    if target is not None and engine_kind(engine) != "elastic":
+        def done(pos: int, written) -> None:
             t = items[pos]
-            accept(idxs[pos], target[t.i0 : t.i1, t.j0 : t.j1], True)
+            accept(idxs[pos], written[t.i0 : t.i1, t.j0 : t.j1], True)
 
-        out = staged if isinstance(engine, SharedMemoryEngine) else target
         failures = engine.map_into_supervised(
-            functools.partial(_write_tile, run), items, out,
+            functools.partial(_write_tile, run), items, target,
             timeout=timeout, on_done=done)
     else:
         _, failures = engine.map_supervised(
@@ -949,8 +931,7 @@ def _dispatch_once(engine, tiles, idxs, run, target, staged, timeout, accept):
     return {idxs[p]: err for p, err in failures.items()}
 
 
-def _supervise(engine, tiles, idxs, run, policy, tracer, deliver,
-             target=None, staged=None):
+def _supervise(engine, tiles, idxs, run, policy, tracer, deliver, target=None):
     """Retry/timeout/fallback loop over one set of tile indices.
 
     Each round is one supervised dispatch of the still-pending tiles.
@@ -987,7 +968,7 @@ def _supervise(engine, tiles, idxs, run, policy, tracer, deliver,
             deliver(idx, t, None if in_place else block)
 
         try:
-            failures = _dispatch_once(eng, tiles, pending, run, target, staged,
+            failures = _dispatch_once(eng, tiles, pending, run, target,
                                       policy.task_timeout, accept)
         except EngineFailure as exc:
             nxt = fallback_engine(eng)
@@ -1040,39 +1021,29 @@ def _execute_matrix(plan, sink, run, engine, tracer, progress, policy) -> None:
     """Whole-grid dispatch (matrix-grain sinks).
 
     The policy-ordered grid is one supervised dispatch into the sink's
-    :meth:`~MatrixSink.buffer`: in-process and shared-memory engines write
-    it in place (the latter through one staging copy, so retries and
-    engine fallback can overwrite partial garbage before the single
-    copy-back); other engines return blocks the parent writes there.
-    Blocks that end up quarantined are reset to the sink's zero fill.
+    :meth:`~MatrixSink.buffer`: local engines write it in place (the fork
+    engine through its shared-memory stage, copied back even when the
+    pool fails, so delivered blocks survive a fallback); the elastic
+    engine returns blocks the parent writes there.  Retries overwrite
+    partial writes; blocks that end up quarantined are reset to the
+    sink's zero fill.
     """
     tiles = plan.tiles
     order = plan.order(_engine_workers(engine))
     tick = _ticker(tracer, progress, len(tiles))
     buf = sink.buffer()
-    staged = (SharedArray.from_array(buf)
-              if isinstance(engine, SharedMemoryEngine) else None)
-    target = staged.array if staged is not None else buf
 
     def deliver(idx: int, t: Tile, block) -> None:
         if block is not None:
-            target[t.i0 : t.i1, t.j0 : t.j1] = block
+            buf[t.i0 : t.i1, t.j0 : t.j1] = block
         tick(1, t.n_pairs)
 
     with _span(tracer, sink.span_name, **sink.span_meta(plan)):
-        try:
-            failures, _ = _supervise(engine, tiles, order, run, policy, tracer,
-                                   deliver, target=target, staged=staged)
-            if staged is not None:
-                buf[...] = staged.array
-        finally:
-            if staged is not None:
-                staged.close()
-                staged.unlink()
-        if failures:
-            for idx in failures:  # quarantined blocks keep the zero fill
-                t = tiles[idx]
-                buf[t.i0 : t.i1, t.j0 : t.j1] = 0.0
+        failures, _ = _supervise(engine, tiles, order, run, policy, tracer,
+                               deliver, target=buf)
+        for idx in failures:  # quarantined blocks keep the zero fill
+            t = tiles[idx]
+            buf[t.i0 : t.i1, t.j0 : t.j1] = 0.0
         _quarantine_failures(sink, tiles, failures, policy, tracer, tick)
 
 

@@ -96,9 +96,9 @@ def mi_matrix(
         Entropy log base (``"nat"`` or ``"bit"``).
     engine:
         Optional execution engine; defaults to serial in-process execution.
-        The whole grid is one supervised dispatch: in-process and
-        shared-memory engines write tile blocks straight into the output
-        matrix; the others return blocks for a parent-side assembly loop.
+        The whole grid is one supervised dispatch: local engines write
+        tile blocks straight into the output matrix; the elastic engine
+        returns blocks for a parent-side assembly loop.
     progress:
         Optional callback ``progress(done_tiles, total_tiles)``, called as
         *every* tile finishes on every engine (fork engines report from

@@ -97,8 +97,8 @@ class FaultPlan:
         Sleep injected by ``hang`` faults before computing normally.
     engine_failures:
         Number of pooled-engine dispatch calls that raise an engine-level
-        failure (exercises the sharedmem → process → thread → serial
-        fallback chain).  Consumed globally, not per key.
+        failure (exercises the sharedmem → thread → serial fallback
+        chain).  Consumed globally, not per key.
     scope:
         ``"tiles"`` (default) faults only tile tasks — the MI stage, which
         is what the resilient dispatch layer protects — so a plan injected

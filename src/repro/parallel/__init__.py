@@ -10,7 +10,6 @@ modelled hardware.
 from repro.parallel.engine import (
     ENGINE_KINDS,
     EngineFailure,
-    ProcessEngine,
     SerialEngine,
     SharedMemoryEngine,
     ThreadEngine,
@@ -46,7 +45,6 @@ __all__ = [
     "EngineFailure",
     "GuidedScheduler",
     "LptScheduler",
-    "ProcessEngine",
     "SchedulerPolicy",
     "SerialEngine",
     "SharedArray",

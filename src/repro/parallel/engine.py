@@ -13,11 +13,12 @@ Every engine speaks one supervised protocol of two methods:
 
 ``on_done(pos, value)`` (optional) fires once per task that completed
 without raising, as it completes: in the worker thread for in-process
-engines, in the parent's supervising loop for fork engines (when the
-task's ``"ok"`` message arrives).  ``value`` is the task's return value
-(``None`` for the in-place form).  ``timeout`` bounds each task's run
-time on engines that can kill a worker (the fork engines); in-process
-engines cannot kill a thread and ignore it.
+engines, in the parent's supervising loop for the fork engine (when the
+task's ``"ok"`` message arrives).  ``value`` is the task's return value,
+or for the in-place form the array the workers write into, so the caller
+can inspect the task's region as it lands.  ``timeout`` bounds each
+task's run time on engines that can kill a worker (the fork engine);
+in-process engines cannot kill a thread and ignore it.
 
 ``map`` and ``map_into`` are the strict conveniences on top: they call
 the supervised form and raise :class:`RuntimeError` naming the first
@@ -27,19 +28,17 @@ failed position.
 * :class:`ThreadEngine` — ``ThreadPoolExecutor``; effective for the MI
   kernel because its time is spent inside BLAS/numpy calls that release the
   GIL, the numpy analog of the paper's OpenMP threads.
-* :class:`ProcessEngine` — a supervised ``fork`` pool for kernels that
-  hold the GIL.  Task functions may be closures: the engine publishes the
-  function in a module-level registry *before* forking, so children inherit
-  it by COW memory instead of pickling (the same zero-copy trick the paper
-  plays with the weight matrices resident on the coprocessor).  Results
-  cross the pipe by pickling; the in-place form stages ``out`` through
-  named shared memory.
-* :class:`SharedMemoryEngine` — the same pool, marked as the write-in-place
-  engine: drivers hand it the output matrix (staged once in shared
-  memory) and workers write their disjoint output blocks directly into
-  it, so *nothing* but task indices crosses the pipe — the process analog
-  of the paper's 240 Phi threads writing disjoint blocks of the MI matrix
-  in coprocessor memory.
+* :class:`SharedMemoryEngine` — the one supervised ``fork`` pool, for
+  kernels that hold the GIL.  Task functions may be closures: the engine
+  publishes the function in a module-level registry *before* forking, so
+  children inherit it by COW memory instead of pickling (the same
+  zero-copy trick the paper plays with the weight matrices resident on
+  the coprocessor).  ``map_supervised`` results cross the pipe by
+  pickling; the in-place form stages ``out`` in named shared memory, so
+  workers write their disjoint output blocks directly into it and
+  *nothing* but task indices crosses the pipe — the process analog of the
+  paper's 240 Phi threads writing disjoint blocks of the MI matrix in
+  coprocessor memory.  The ``"process"`` kind is an alias for it.
 
 Engines execute tasks in the order given by a
 :class:`repro.parallel.scheduler.SchedulerPolicy`; results are always
@@ -71,7 +70,6 @@ __all__ = [
     "EngineFailure",
     "SerialEngine",
     "ThreadEngine",
-    "ProcessEngine",
     "SharedMemoryEngine",
     "WorkerLocal",
     "engine_kind",
@@ -79,8 +77,9 @@ __all__ = [
     "make_engine",
 ]
 
-#: Valid ``make_engine`` kinds, in fallback-chain order (most to least
-#: capable): ``sharedmem → process → thread → serial``.
+#: Valid ``make_engine`` kinds.  ``"process"`` is an alias of
+#: ``"sharedmem"`` (the one fork pool); the fallback chain, most to least
+#: capable, is ``elastic → sharedmem → thread → serial``.
 ENGINE_KINDS = ("serial", "thread", "process", "sharedmem", "elastic")
 
 #: Supervised-pool message poll interval; bounds timeout-detection latency.
@@ -124,8 +123,6 @@ def engine_kind(engine) -> str:
         return "serial"
     if isinstance(engine, SharedMemoryEngine):
         return "sharedmem"
-    if isinstance(engine, ProcessEngine):
-        return "process"
     if isinstance(engine, ThreadEngine):
         return "thread"
     # Engines defined outside this module (e.g. the elastic cluster
@@ -139,7 +136,7 @@ class EngineFailure(RuntimeError):
     Distinct from a *task* failure: the resilient dispatch layer answers
     task failures with retries, but an :class:`EngineFailure` means the
     engine itself is unusable and dispatch should fall back down the
-    chain (``sharedmem → process → thread → serial``)."""
+    chain (``elastic → sharedmem → thread → serial``)."""
 
 
 def _as_output_array(out) -> np.ndarray:
@@ -213,8 +210,9 @@ class _EngineObsMixin:
         """Fault-isolating in-place map: ``{position: error}``.
 
         ``out`` is a numpy array or a
-        :class:`repro.parallel.sharedmem.SharedArray`; fork engines stage a
-        plain array through shared memory and copy it back once.
+        :class:`repro.parallel.sharedmem.SharedArray`; the fork engine
+        stages a plain array through shared memory and copies it back
+        once, also when the call raises.
         """
         _as_output_array(out)
         return self._supervised(fn, items, out, timeout, on_done)[1]
@@ -253,7 +251,8 @@ class _EngineObsMixin:
 
         ``run_tasks(task, n)`` runs ``task(idx)`` for every index and
         returns the per-worker stats.  A raising task fails only its own
-        slot; ``on_done`` fires in the worker as each task succeeds.
+        slot; ``on_done`` fires in the worker as each task succeeds, with
+        the output array for the in-place form.
         """
         arr = None if out is None else _as_output_array(out)
         call = self._faulty(fn) if arr is None else self._faulty_into(fn)
@@ -268,7 +267,7 @@ class _EngineObsMixin:
                 return
             results[idx] = value
             if on_done is not None:
-                on_done(idx, value)
+                on_done(idx, value if arr is None else arr)
 
         return results, failures, run_tasks(task, len(items))
 
@@ -311,7 +310,6 @@ class SerialEngine(_EngineObsMixin):
     """Run tasks one after another in the calling thread."""
 
     n_workers = 1
-    in_process = True
 
     def __init__(self, tracer=None, faults: FaultPlan | None = None):
         self.tracer = tracer
@@ -347,8 +345,6 @@ class ThreadEngine(_EngineObsMixin):
     — so a hung task simply occupies its thread until it returns (use a
     fork engine for hang protection).
     """
-
-    in_process = True
 
     def __init__(self, n_workers: int | None = None, policy: SchedulerPolicy | None = None,
                  tracer=None, faults: FaultPlan | None = None):
@@ -530,8 +526,8 @@ def _supervised_worker(token: int, task_q, msg_w, msg_lock, blas_caps) -> None:
             view.close()
 
 
-class ProcessEngine(_EngineObsMixin):
-    """Supervised fork pool for GIL-bound task functions.
+class SharedMemoryEngine(_EngineObsMixin):
+    """Supervised fork pool; in-place outputs go through shared memory.
 
     Only usable where ``fork`` is available (Linux; the benchmark hosts) —
     the constructor raises :class:`RuntimeError` elsewhere.  A nested
@@ -547,8 +543,19 @@ class ProcessEngine(_EngineObsMixin):
     multi-GB weight tensors reach the workers without pickling — which is
     also why one pool cannot outlive its call.  Results of
     ``map_supervised`` cross the pipe by pickling (fine for tile-sized
-    blocks); use :class:`SharedMemoryEngine` when workers should write the
-    output in place instead.
+    blocks).
+
+    ``map_into_supervised`` is the write-in-place path the executor
+    (:func:`repro.core.exec.run_tile_plan`) hands the output matrix to:
+    each worker attaches one shared block and runs ``fn(out_view, item)``,
+    so results never touch a pipe and the parent never runs a reassembly
+    loop.  Pass a plain ndarray (the engine stages it in a temporary
+    shared block and copies it back once — also when the call raises, so
+    blocks finished before a pool failure survive) or a
+    :class:`~repro.parallel.sharedmem.SharedArray` you allocated up front
+    for the fully zero-copy path.  ``on_done`` receives the shared array
+    the workers write into; a temporary stage is unmapped when the call
+    returns, so callers must not keep references to it.
 
     Each forked worker first caps every loaded OpenBLAS at
     :func:`worker_blas_threads` of the pool size (usable cores // workers,
@@ -558,30 +565,16 @@ class ProcessEngine(_EngineObsMixin):
     and with them serial, thread and inline runs, are untouched.
     """
 
-    in_process = False
-
     def __init__(self, n_workers: int | None = None, policy: SchedulerPolicy | None = None,
                  tracer=None, faults: FaultPlan | None = None):
         self.n_workers = (os.cpu_count() or 1) if n_workers is None else n_workers
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
         if "fork" not in multiprocessing.get_all_start_methods():
-            raise RuntimeError("ProcessEngine requires the fork start method")
+            raise RuntimeError("SharedMemoryEngine requires the fork start method")
         self.policy = policy or DynamicScheduler(chunk=1)
         self.tracer = tracer
         self.faults = faults
-
-    def _submission_order(self, n_items: int) -> list:
-        """Task indices in the order the policy submits them to the pool.
-
-        Results are reordered by index on return, so any permutation is
-        correct; the policy only shapes which tasks workers pull first.
-        """
-        if self.policy.is_dynamic():
-            chunks = self.policy.chunk_sequence(n_items, self.n_workers)
-        else:
-            chunks = self.policy.static_assignment(n_items, self.n_workers)
-        return [int(i) for chunk in chunks for i in chunk]
 
     def _inline(self) -> bool:
         # Daemonic pool workers cannot fork children of their own, so a
@@ -597,20 +590,19 @@ class ProcessEngine(_EngineObsMixin):
             sp.annotate(result_bytes=nbytes)
             self._obs_tracer().add("bytes_transported", nbytes)
             return results, failures, merge_worker_stats(raw)
-        staged = None
-        if isinstance(out, SharedArray):
-            shared = out
-        else:
-            staged = shared = SharedArray.from_array(out)
+        staged = None if isinstance(out, SharedArray) else SharedArray.from_array(out)
         try:
             results, failures, raw, _ = self._run_supervised(
-                fn, items, shared, timeout, on_done)
-            if staged is not None:
-                out[...] = staged.array
+                fn, items, out if staged is None else staged, timeout, on_done)
         finally:
             if staged is not None:
-                staged.close()
-                staged.unlink()
+                # Copy back even when the call raises (pool stall, a raising
+                # on_done): blocks already delivered must not be lost.
+                try:
+                    out[...] = staged.array
+                finally:
+                    staged.close()
+                    staged.unlink()
         # Results never cross the pipe; the only transport is the
         # optional one-shot staging memcpy back into a plain ndarray.
         sp.annotate(result_bytes=0,
@@ -623,7 +615,7 @@ class ProcessEngine(_EngineObsMixin):
 
         Returns ``(results, failures, raw_worker_stats, result_bytes)``.
         The parent drains a message queue, firing ``on_done`` as each
-        ``"ok"`` arrives; any worker whose announced task exceeds
+        ``"ok"`` arrives (with ``out.array`` for the in-place form); any worker whose announced task exceeds
         ``timeout`` is terminated and a replacement forked (the unserved
         indices still sit in the task queue).  A worker that dies without
         a word (hard crash) fails the task it had announced.  Terminating
@@ -670,7 +662,9 @@ class ProcessEngine(_EngineObsMixin):
                     spawn()
             except OSError as exc:
                 raise EngineFailure(f"could not fork supervised workers: {exc}") from exc
-            for idx in self._submission_order(len(items)):
+            # Results are reordered by index on return, so any permutation
+            # is correct; the policy only shapes which tasks run first.
+            for idx in self.policy.order(len(items), self.n_workers):
                 task_q.put(idx)
             last_progress = time.perf_counter()
             while len(settled) < len(items):
@@ -688,7 +682,7 @@ class ProcessEngine(_EngineObsMixin):
                             tasks, busy = raw.get(pid, (0, 0.0))
                             raw[pid] = (tasks + 1, busy + seconds)
                             if on_done is not None:
-                                on_done(idx, value)
+                                on_done(idx, out.array if into else value)
                     elif tag == "err":
                         running.pop(pid, None)
                         settle(idx, payload.strip().splitlines()[-1])
@@ -737,41 +731,19 @@ class ProcessEngine(_EngineObsMixin):
         return results, failures, raw, nbytes
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ProcessEngine(n_workers={self.n_workers}, policy={self.policy.name})"
-
-
-class SharedMemoryEngine(ProcessEngine):
-    """Fork pool whose workers write outputs in place via shared memory.
-
-    The pool and both protocol methods are :class:`ProcessEngine`'s; this
-    class marks the engine drivers should hand the output matrix to.  The
-    executor (:func:`repro.core.exec.run_tile_plan`) stages the sink once
-    in a :class:`~repro.parallel.sharedmem.SharedArray` and calls
-    ``map_into_supervised``: each worker attaches the shared block and
-    runs ``fn(out_view, item)``, so results never touch a pipe and the
-    parent never runs a reassembly loop.
-
-    Sinks: pass a plain ndarray (the engine stages it through a temporary
-    shared block and copies back once — one memcpy, still no per-item
-    pickling) or a :class:`SharedArray` you allocated up front for the
-    fully zero-copy path.
-    """
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"SharedMemoryEngine(n_workers={self.n_workers}, policy={self.policy.name})"
         )
 
 
 #: Degradation order: each kind's next-best substitute.
-_FALLBACK_NEXT = {"elastic": "sharedmem", "sharedmem": "process",
-                  "process": "thread", "thread": "serial"}
+_FALLBACK_NEXT = {"elastic": "sharedmem", "sharedmem": "thread", "thread": "serial"}
 
 
 def make_engine(kind: str = "serial", n_workers: int | None = None, tracer=None,
                 policy: SchedulerPolicy | None = None,
                 faults: FaultPlan | None = None, fallback: bool = False, **kwargs):
-    """Factory: ``serial``, ``thread``, ``process``, or ``sharedmem``.
+    """Factory for the :data:`ENGINE_KINDS` (``process`` is ``sharedmem``).
 
     ``tracer`` (optional) attaches a :class:`repro.obs.tracer.Tracer` so
     every map call records an ``engine_map`` span with worker metrics.
@@ -783,13 +755,15 @@ def make_engine(kind: str = "serial", n_workers: int | None = None, tracer=None,
     deterministic task faults into every map call — chaos-testing only.
     When omitted, the ``REPRO_FAULTS`` environment variable is consulted
     so forked subprocess workers (and CLI runs under chaos CI) see the
-    same plan.  ``fallback=True`` degrades down the chain ``sharedmem →
-    process → thread → serial`` if the requested kind cannot be
+    same plan.  ``fallback=True`` degrades down the chain ``elastic →
+    sharedmem → thread → serial`` if the requested kind cannot be
     constructed on this host, instead of raising.
     """
     if kind not in ENGINE_KINDS:
         raise ValueError(
             f"unknown engine kind {kind!r}; valid kinds: {', '.join(ENGINE_KINDS)}")
+    if kind == "process":
+        kind = "sharedmem"
     if faults is None:
         faults = plan_from_env()
     while True:
@@ -799,9 +773,6 @@ def make_engine(kind: str = "serial", n_workers: int | None = None, tracer=None,
             if kind == "thread":
                 return ThreadEngine(n_workers=n_workers, policy=policy, tracer=tracer,
                                     faults=faults, **kwargs)
-            if kind == "process":
-                return ProcessEngine(n_workers=n_workers, policy=policy, tracer=tracer,
-                                     faults=faults)
             if kind == "elastic":
                 # Imported lazily: repro.cluster imports this module.
                 from repro.cluster.elastic import ElasticEngine
@@ -819,7 +790,7 @@ def make_engine(kind: str = "serial", n_workers: int | None = None, tracer=None,
 def fallback_engine(engine):
     """The next engine down the degradation chain, or ``None`` at the end.
 
-    ``sharedmem → process → thread → serial``; the replacement inherits
+    ``elastic → sharedmem → thread → serial``; the replacement inherits
     the failing engine's worker count, scheduling policy, tracer and
     fault plan (so a chaos run keeps injecting task faults after a
     fallback — only the injected *engine* failures are consumed).
@@ -834,8 +805,6 @@ def fallback_engine(engine):
                            policy=getattr(engine, "policy", None),
                            faults=engine.faults, fallback=True)
     if isinstance(engine, SharedMemoryEngine):
-        kind = "process"
-    elif isinstance(engine, ProcessEngine):
         kind = "thread"
     elif isinstance(engine, ThreadEngine):
         kind = "serial"

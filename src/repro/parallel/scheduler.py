@@ -100,6 +100,19 @@ class SchedulerPolicy:
         pull from."""
         raise NotImplementedError
 
+    def order(self, n_items: int, n_workers: int, costs=None) -> list[int]:
+        """Item indices in dispatch order for ``n_workers`` workers.
+
+        Dynamic policies concatenate their chunk sequence (the pull
+        order); static policies concatenate their per-worker assignments,
+        with ``costs`` feeding the cost-model (LPT) policy.
+        """
+        if self.is_dynamic():
+            chunks = self.chunk_sequence(n_items, n_workers)
+        else:
+            chunks = self.static_assignment(n_items, n_workers, costs=costs)
+        return [int(i) for chunk in chunks for i in chunk]
+
     def simulate(self, costs: np.ndarray, n_workers: int) -> Assignment:
         """Event-driven replay of this policy against known task costs.
 

@@ -1,12 +1,14 @@
 """Shared-memory numpy arrays for cross-process tile kernels.
 
-The fork-based :class:`repro.parallel.engine.ProcessEngine` shares read-only
-inputs by copy-on-write inheritance, but *outputs* written by children are
-lost.  :class:`SharedArray` closes that gap with
-``multiprocessing.shared_memory``: workers write their tile blocks into one
-shared output matrix, the parent reads it back with zero copies — the
-process analog of the paper's threads writing disjoint blocks of the MI
-matrix in coprocessor memory.
+The fork pool :class:`repro.parallel.engine.SharedMemoryEngine` shares
+read-only inputs by copy-on-write inheritance, but *outputs* written by
+children would be lost.  :class:`SharedArray` closes that gap with
+``multiprocessing.shared_memory``: the engine stages the output of an
+in-place map in one shared block (or uses a caller's :class:`SharedArray`
+as is), workers write their tile blocks into it, and the parent reads it
+back with zero copies — the process analog of the paper's threads writing
+disjoint blocks of the MI matrix in coprocessor memory.  The MI executor
+never sees the staging: it hands the engine the plain output matrix.
 
 The fused tile kernel's hoisted GEMM operands ride the same
 copy-on-write channel: :func:`repro.core.exec.run_tile_plan` warms the

@@ -209,7 +209,6 @@ class TestElasticEngine:
         eng = make_engine("elastic", n_workers=1, spawn=False)
         try:
             assert engine_kind(eng) == "elastic"
-            assert eng.in_process is False
         finally:
             eng.close()
 

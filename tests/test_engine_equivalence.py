@@ -1,8 +1,8 @@
 """Cross-engine equivalence: every engine yields bit-identical results.
 
-Tiles are pure functions of the weight tensor, so serial, thread, process
-(pickle-return) and shared-memory (write-in-place) execution must produce
-*exactly* the same MI matrix — not merely close.  The same holds for the
+Tiles are pure functions of the weight tensor, so serial, thread and
+shared-memory fork-pool (write-in-place) execution must produce *exactly*
+the same MI matrix — not merely close.  The same holds for the
 checkpointed and out-of-core drivers, which reuse the engines per
 block-row.
 """
@@ -16,7 +16,6 @@ from repro.core.discretize import rank_transform
 from repro.core.mi_matrix import mi_matrix
 from repro.core.outofcore import build_weight_store, mi_matrix_outofcore
 from repro.parallel.engine import (
-    ProcessEngine,
     SerialEngine,
     SharedMemoryEngine,
     ThreadEngine,
@@ -27,7 +26,6 @@ def engines():
     return [
         ("serial", SerialEngine()),
         ("thread", ThreadEngine(n_workers=3)),
-        ("process", ProcessEngine(n_workers=3)),
         ("sharedmem", SharedMemoryEngine(n_workers=3)),
     ]
 
@@ -122,7 +120,7 @@ class TestBlasThreadedShapeEquivalence:
         return weight_tensor(rank_transform(rng.normal(size=(256, 256))), bins=10, order=3)
 
     @pytest.mark.parametrize("dtype", [None, "float32"])
-    @pytest.mark.parametrize("cls", [ProcessEngine, SharedMemoryEngine])
+    @pytest.mark.parametrize("cls", [SharedMemoryEngine])
     def test_bit_identical_to_serial(self, weights, cls, dtype):
         ref = mi_matrix(weights, kernel_dtype=dtype).mi
         out = mi_matrix(weights, kernel_dtype=dtype, engine=cls(n_workers=2)).mi

@@ -10,10 +10,12 @@ import scipy.linalg  # noqa: F401  (loads scipy's own OpenBLAS copy)
 
 from repro.parallel.engine import (
     _FORK_TASKS,
-    ProcessEngine,
+    ENGINE_KINDS,
+    EngineFailure,
     SerialEngine,
     SharedMemoryEngine,
     ThreadEngine,
+    engine_kind,
     make_engine,
 )
 from repro.parallel.reductions import linear_reduce, merge_histograms, tree_depth, tree_reduce
@@ -69,62 +71,6 @@ class TestThreadEngine:
             ThreadEngine(n_workers=2).map(boom, [1])
 
 
-class TestProcessEngine:
-    def test_concurrent_maps_do_not_clobber(self):
-        # Regression: task publication used one module-global slot, so two
-        # threads mapping at once overwrote each other's (fn, items).
-        eng = ProcessEngine(n_workers=2)
-        results = {}
-
-        def run(key, fn, items):
-            results[key] = eng.map(fn, items)
-
-        threads = [
-            threading.Thread(target=run, args=("double", lambda x: x * 2, list(range(100)))),
-            threading.Thread(target=run, args=("offset", lambda x: x + 1000, list(range(100)))),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert results["double"] == [x * 2 for x in range(100)]
-        assert results["offset"] == [x + 1000 for x in range(100)]
-
-    def test_nested_map_runs_inline(self):
-        # A map issued from inside a (daemonic) worker cannot fork again;
-        # it must degrade to in-process execution, not crash or hang.
-        def outer(x):
-            inner = ProcessEngine(n_workers=2)
-            return sum(inner.map(lambda y: y * x, [1, 2, 3]))
-
-        eng = ProcessEngine(n_workers=2)
-        assert eng.map(outer, [1, 2, 3]) == [6, 12, 18]
-
-    def test_registry_left_clean(self):
-        before = dict(_FORK_TASKS)
-        ProcessEngine(n_workers=2).map(square, list(range(8)))
-        assert _FORK_TASKS == before
-
-    def test_map_with_closure_over_array(self):
-        big = np.arange(100)
-
-        def task(i):
-            return int(big[i]) + 1
-
-        eng = ProcessEngine(n_workers=2)
-        assert eng.map(task, [0, 5, 99]) == [1, 6, 100]
-
-    def test_order_preserved(self):
-        eng = ProcessEngine(n_workers=2)
-        assert eng.map(square, list(range(10))) == [i * i for i in range(10)]
-
-    def test_single_worker_inline(self):
-        assert ProcessEngine(n_workers=1).map(square, [4]) == [16]
-
-    def test_empty(self):
-        assert ProcessEngine(n_workers=2).map(square, []) == []
-
-
 #: Thread-count getters of numpy's and scipy's OpenBLAS builds and of a
 #: plain OpenBLAS, resolved here independently of the engine's resolver.
 _OPENBLAS_GETTERS = ("scipy_openblas_get_num_threads64_",
@@ -154,7 +100,7 @@ def os_threads() -> int:
 class TestWorkerBlasBudget:
     @pytest.mark.skipif(not os.path.exists("/proc/self/maps") or not blas_thread_counts(),
                         reason="no OpenBLAS loaded: the per-worker cap is a no-op")
-    @pytest.mark.parametrize("cls", [ProcessEngine, SharedMemoryEngine])
+    @pytest.mark.parametrize("cls", [SharedMemoryEngine])
     def test_fork_workers_get_budget_parent_and_inline_keep_theirs(self, cls):
         parent = blas_thread_counts()
         budget = max(1, len(os.sched_getaffinity(0)) // 2)
@@ -182,6 +128,56 @@ class TestWorkerBlasBudget:
 
 
 class TestSharedMemoryEngine:
+    def test_concurrent_maps_do_not_clobber(self):
+        # Regression: task publication used one module-global slot, so two
+        # threads mapping at once overwrote each other's (fn, items).
+        eng = SharedMemoryEngine(n_workers=2)
+        results = {}
+
+        def run(key, fn, items):
+            results[key] = eng.map(fn, items)
+
+        threads = [
+            threading.Thread(target=run, args=("double", lambda x: x * 2, list(range(100)))),
+            threading.Thread(target=run, args=("offset", lambda x: x + 1000, list(range(100)))),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert results["double"] == [x * 2 for x in range(100)]
+        assert results["offset"] == [x + 1000 for x in range(100)]
+
+    def test_nested_map_runs_inline(self):
+        # A map issued from inside a (daemonic) worker cannot fork again;
+        # it must degrade to in-process execution, not crash or hang.
+        def outer(x):
+            inner = SharedMemoryEngine(n_workers=2)
+            return sum(inner.map(lambda y: y * x, [1, 2, 3]))
+
+        eng = SharedMemoryEngine(n_workers=2)
+        assert eng.map(outer, [1, 2, 3]) == [6, 12, 18]
+
+    def test_registry_left_clean(self):
+        before = dict(_FORK_TASKS)
+        SharedMemoryEngine(n_workers=2).map(square, list(range(8)))
+        assert _FORK_TASKS == before
+
+    def test_map_with_closure_over_array(self):
+        big = np.arange(100)
+
+        def task(i):
+            return int(big[i]) + 1
+
+        eng = SharedMemoryEngine(n_workers=2)
+        assert eng.map(task, [0, 5, 99]) == [1, 6, 100]
+
+    def test_single_worker_inline(self):
+        assert SharedMemoryEngine(n_workers=1).map(square, [4]) == [16]
+
+    def test_empty(self):
+        assert SharedMemoryEngine(n_workers=2).map(square, []) == []
+
     def test_map_into_writes_in_place(self):
         out = np.full(8, -1.0)
         SharedMemoryEngine(n_workers=2).map_into(write_slot, list(range(8)), out)
@@ -249,6 +245,27 @@ class TestSharedMemoryEngine:
             SharedMemoryEngine(n_workers=2).map_into(boom, [0, 1], np.zeros(2))
         assert _FORK_TASKS == before
 
+    def test_map_into_copies_back_when_the_call_raises(self):
+        # The engine stages a plain ndarray in shared memory; blocks whose
+        # on_done already fired must reach ``out`` even when the call
+        # raises (the executor keeps them across an engine fallback), and
+        # on_done sees the array the workers write into.
+        out = np.full(12, -1.0)
+        seen = {}
+
+        def done(pos, written):
+            seen[pos] = None if written is None else float(written[pos])
+            if len(seen) == 3:
+                raise EngineFailure("pool lost")
+
+        with pytest.raises(EngineFailure, match="pool lost"):
+            SharedMemoryEngine(n_workers=2).map_into_supervised(
+                write_slot, list(range(12)), out, on_done=done)
+        assert len(seen) == 3
+        for pos, written in seen.items():
+            assert written == pos * 10.0
+            assert out[pos] == pos * 10.0
+
     def test_plain_map_inherited(self):
         eng = SharedMemoryEngine(n_workers=2)
         assert eng.map(square, list(range(10))) == [i * i for i in range(10)]
@@ -269,20 +286,18 @@ class TestMapIntoInProcessEngines:
         engine.map_into(write_slot, list(range(12)), out)
         assert np.array_equal(out, np.arange(12) * 10.0)
 
-    def test_process_engine_map_into_stages_shared_memory(self):
-        # ProcessEngine workers would write COW copies the parent never
-        # sees, so the in-place form stages the sink in shared memory.
-        out = np.zeros(6)
-        ProcessEngine(n_workers=2).map_into(write_slot, list(range(6)), out)
-        assert np.array_equal(out, np.arange(6) * 10.0)
-
 
 class TestMakeEngine:
     def test_kinds(self):
         assert isinstance(make_engine("serial"), SerialEngine)
         assert isinstance(make_engine("thread", n_workers=2), ThreadEngine)
-        assert isinstance(make_engine("process", n_workers=1), ProcessEngine)
-        assert isinstance(make_engine("sharedmem", n_workers=1), SharedMemoryEngine)
+        # "process" stays accepted from outside (CLI, serve, streaming
+        # configs) as an alias of the one fork pool.
+        for kind in ("process", "sharedmem"):
+            eng = make_engine(kind, n_workers=1)
+            assert type(eng) is SharedMemoryEngine
+            assert engine_kind(eng) == "sharedmem"
+        assert ENGINE_KINDS == ("serial", "thread", "process", "sharedmem", "elastic")
 
     def test_unknown(self):
         with pytest.raises(ValueError):
@@ -348,7 +363,7 @@ class TestSharedArray:
                 dup.close()
                 return i
 
-            eng = ProcessEngine(n_workers=2)
+            eng = SharedMemoryEngine(n_workers=2)
             eng.map(worker, list(range(8)))
             assert np.array_equal(sa.array, np.arange(8) * 10.0)
         finally:

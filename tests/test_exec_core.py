@@ -36,7 +36,6 @@ from repro.core.outofcore import (
 from repro.core.pipeline import TingeConfig, reconstruct_network
 from repro.obs.tracer import Tracer
 from repro.parallel.engine import (
-    ProcessEngine,
     SharedMemoryEngine,
     ThreadEngine,
     make_engine,
@@ -124,6 +123,29 @@ class TestTilePlanOrder:
                 assert sorted(plan.order(workers)) == list(range(plan.n_tiles))
 
 
+class TestSchedulerPolicyOrder:
+    """``SchedulerPolicy.order`` is the one "dynamic → chunk sequence,
+    static → per-worker assignments" flattening; it returns what the
+    plan's and the fork engine's former private copies returned."""
+
+    COSTS = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0])
+    EXPECTED = {
+        "static": [0, 1, 2, 3, 4, 5, 6, 7],
+        "cyclic": [0, 3, 6, 1, 4, 7, 2, 5],
+        "dynamic": [0, 1, 2, 3, 4, 5, 6, 7],
+        "cost": [5, 6, 7, 0, 3, 4, 2, 1],
+    }
+
+    @pytest.mark.parametrize("name", SCHEDULE_NAMES)
+    def test_order_matches_former_copies(self, name, weights):
+        policy = schedule_policy(name)
+        assert policy.order(8, 3, costs=self.COSTS) == self.EXPECTED[name]
+        if name != "cost":  # the engine's copy passed no costs
+            assert policy.order(8, 3) == self.EXPECTED[name]
+        plan = plan_tiles(TensorSource(weights), tile=TILE, schedule=name)
+        assert plan.order(3) == policy.order(plan.n_tiles, 3, costs=plan.costs())
+
+
 class TestSchedulePolicy:
     def test_names_resolve(self):
         assert isinstance(schedule_policy("static"), StaticScheduler)
@@ -148,7 +170,7 @@ class TestSchedulePolicy:
 
 
 @pytest.mark.parametrize("schedule", list(SCHEDULE_NAMES))
-@pytest.mark.parametrize("engine_kind", [None, "serial", "thread", "process", "sharedmem"])
+@pytest.mark.parametrize("engine_kind", [None, "serial", "thread", "sharedmem"])
 def test_engine_schedule_equivalence(engine_kind, schedule, weights, reference):
     engine = None if engine_kind is None else make_engine(engine_kind, n_workers=2)
     result = mi_matrix(weights, tile=TILE, engine=engine, schedule=schedule)
@@ -261,7 +283,7 @@ class TestDispatchOrder:
 
     def test_engine_map_span_annotates_policy(self):
         tracer = Tracer()
-        engine = ProcessEngine(n_workers=2, policy=CyclicScheduler(), tracer=tracer)
+        engine = SharedMemoryEngine(n_workers=2, policy=CyclicScheduler(), tracer=tracer)
         assert engine.map(_square, list(range(5))) == [0, 1, 4, 9, 16]
         (span,) = tracer.find_spans("engine_map")
         assert span.metadata["policy"] == "cyclic"

@@ -34,8 +34,8 @@ TILE = 5  # 3x3 upper-tri block grid -> 6 tiles
 CHAOS_SEED = 3  # faults tiles (0,5), (0,10), (10,10) at rate 0.5
 CHAOS_RATE = 0.5
 
-ENGINES = ["serial", "thread", "process", "sharedmem"]
-FORK_ENGINES = ("process", "sharedmem")
+ENGINES = ["serial", "thread", "sharedmem"]
+FORK_ENGINES = ("sharedmem",)
 
 
 @pytest.fixture(scope="module")
@@ -288,7 +288,36 @@ class TestEngineFallback:
         res = mi_matrix(weights, tile=TILE, engine=eng, tracer=tracer,
                         policy=FaultPolicy(max_retries=2, backoff=0.01))
         assert np.array_equal(res.mi, baseline)
-        assert tracer.counters["engine_fallbacks"] == 2  # sharedmem->process->thread
+        assert tracer.counters["engine_fallbacks"] == 2  # sharedmem->thread->serial
+
+    def test_one_engine_failure_falls_back_bit_identical(self, weights, baseline):
+        plan = FaultPlan(seed=0, rate=0.0, engine_failures=1)
+        tracer = Tracer()
+        res = mi_matrix(weights, tile=TILE, engine=_engine("sharedmem", faults=plan),
+                        tracer=tracer, policy=FaultPolicy(max_retries=2, backoff=0.01))
+        assert np.array_equal(res.mi, baseline)
+        assert tracer.counters["engine_fallbacks"] == 1  # sharedmem->thread
+
+    def test_pool_lost_mid_dispatch_keeps_delivered_tiles(self, weights, baseline):
+        # The fork engine stages the matrix in shared memory; when the pool
+        # fails after some tiles were delivered, those tiles are not
+        # recomputed by the fallback engine, so they must have been copied
+        # back out of the stage.
+        from repro.parallel import EngineFailure
+
+        raised = []
+
+        def progress(done, total):
+            if done == 2 and not raised:
+                raised.append(done)
+                raise EngineFailure("pool lost mid-run")
+
+        tracer = Tracer()
+        res = mi_matrix(weights, tile=TILE, engine=_engine("sharedmem"),
+                        tracer=tracer, progress=progress,
+                        policy=FaultPolicy(max_retries=0, on_fault="retry"))
+        assert raised and tracer.counters["engine_fallbacks"] == 1
+        assert np.array_equal(res.mi, baseline)
 
     def test_fallback_does_not_trigger_without_policy(self, weights, baseline):
         # A healthy engine under the default policy never degrades.
@@ -301,7 +330,7 @@ class TestEngineFallback:
         def broken(*args, **kwargs):
             raise RuntimeError("no fork support")
 
-        monkeypatch.setattr(engine_mod.ProcessEngine, "__init__", broken)
+        monkeypatch.setattr(engine_mod.SharedMemoryEngine, "__init__", broken)
         eng = make_engine("process", fallback=True)
         assert type(eng).__name__ == "ThreadEngine"
         with pytest.raises(RuntimeError):
@@ -318,8 +347,11 @@ class TestMakeEngineValidation:
         )
 
     def test_engine_kinds_exported(self):
+        # "process" stays an accepted alias of the one fork pool.
         assert ENGINE_KINDS == ("serial", "thread", "process", "sharedmem",
                                 "elastic")
+        assert type(make_engine("process", n_workers=2)) is type(
+            make_engine("sharedmem", n_workers=2))
 
     def test_env_hook_attaches_plan(self, monkeypatch):
         plan = FaultPlan(seed=21, rate=0.25)

@@ -30,7 +30,6 @@ from repro.core.tiling import (
     fused_tile_size,
 )
 from repro.parallel.engine import (
-    ProcessEngine,
     SerialEngine,
     SharedMemoryEngine,
     ThreadEngine,
@@ -154,7 +153,6 @@ class TestEngineEquivalence:
     def test_all_engines_identical(self, small_weights, kernel_dtype):
         ref = mi_matrix(small_weights, tile=8, kernel_dtype=kernel_dtype).mi
         for engine in (SerialEngine(), ThreadEngine(n_workers=3),
-                       ProcessEngine(n_workers=3),
                        SharedMemoryEngine(n_workers=3)):
             got = mi_matrix(small_weights, tile=8, engine=engine,
                             kernel_dtype=kernel_dtype).mi

@@ -23,7 +23,7 @@ from repro.data import (
     yeast_subset,
 )
 from repro.machine import KernelProfile, MachineSimulator, XEON_PHI_5110P
-from repro.parallel import ProcessEngine, SerialEngine, ThreadEngine
+from repro.parallel import SerialEngine, SharedMemoryEngine, ThreadEngine
 
 
 class TestFullWorkflow:
@@ -83,7 +83,7 @@ class TestEngineEquivalence:
         cfg = TingeConfig(n_permutations=10, seed=1)
         nets = []
         for engine in (None, SerialEngine(), ThreadEngine(n_workers=3),
-                       ProcessEngine(n_workers=2)):
+                       SharedMemoryEngine(n_workers=2)):
             res = reconstruct_network(dataset.expression, dataset.genes, cfg,
                                       engine=engine)
             nets.append(res.network)

@@ -129,10 +129,10 @@ class TestProgressCallback:
             assert sorted(d for d, _ in calls) == list(range(1, 7))
 
     def test_fork_engine_progress_called_per_batch(self, weights12):
-        from repro.parallel.engine import ProcessEngine
+        from repro.parallel.engine import SharedMemoryEngine
 
         calls = []
-        mi_matrix(weights12, tile=4, engine=ProcessEngine(n_workers=2),
+        mi_matrix(weights12, tile=4, engine=SharedMemoryEngine(n_workers=2),
                   progress=lambda d, t: calls.append((d, t)))
         assert calls[-1] == (6, 6)
         assert all(calls[i][0] < calls[i + 1][0] for i in range(len(calls) - 1))

@@ -21,7 +21,6 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.parallel.engine import (
-    ProcessEngine,
     SerialEngine,
     SharedMemoryEngine,
     ThreadEngine,
@@ -38,7 +37,6 @@ def _engines():
     return [
         SerialEngine(),
         ThreadEngine(n_workers=2),
-        ProcessEngine(n_workers=2),
         SharedMemoryEngine(n_workers=2),
     ]
 
@@ -73,8 +71,9 @@ class TestEngineWorkerMetrics:
         assert engine.last_map_stats.n_tasks == 5
         assert sum(engine.last_map_stats.task_counts().values()) == 5
 
-    def test_process_engine_counts_transported_bytes(self):
-        engine = ProcessEngine(n_workers=2)
+    def test_sharedmem_engine_counts_transported_bytes(self):
+        # map_supervised results still cross the fork pool's pipe.
+        engine = SharedMemoryEngine(n_workers=2)
         tracer = Tracer()
         engine.tracer = tracer
         blocks = engine.map(lambda i: np.zeros((4, 4)), range(3))
@@ -97,16 +96,14 @@ class TestMiMatrixObservability:
         assert calls[-1] == (res.n_tiles, res.n_tiles)
         # Progress is cumulative and strictly increasing.
         assert all(calls[i][0] < calls[i + 1][0] for i in range(len(calls) - 1))
-        in_process = engine is None or getattr(engine, "in_process", False)
-        if in_process:
-            assert len(calls) == res.n_tiles  # per-tile reporting
+        assert len(calls) == res.n_tiles  # per-tile reporting on every engine
         assert len(tracer.find_spans("mi_matrix")) == 1
 
 
 class TestExactObservability:
     def test_counters_and_result_invariant(self, weights):
         ref = exact_mi_pvalues(weights, n_permutations=5, tile=6, seed=3)
-        for engine in (None, ThreadEngine(n_workers=2), ProcessEngine(n_workers=2)):
+        for engine in (None, ThreadEngine(n_workers=2), SharedMemoryEngine(n_workers=2)):
             tracer = Tracer()
             calls = []
             res = exact_mi_pvalues(weights, n_permutations=5, tile=6, seed=3,

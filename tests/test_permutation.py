@@ -150,11 +150,11 @@ class TestPerPairPvalues:
 
 class TestPooledNullEngineDispatch:
     def test_engine_paths_bit_identical(self, ranked_weights):
-        from repro.parallel.engine import ProcessEngine, SerialEngine, ThreadEngine
+        from repro.parallel.engine import SerialEngine, SharedMemoryEngine, ThreadEngine
 
         serial = pooled_null(ranked_weights, 8, 40, seed=13)
         for engine in (SerialEngine(), ThreadEngine(n_workers=3),
-                       ProcessEngine(n_workers=3)):
+                       SharedMemoryEngine(n_workers=3)):
             parallel = pooled_null(ranked_weights, 8, 40, seed=13, engine=engine)
             assert np.array_equal(serial.mis, parallel.mis), type(engine).__name__
             assert parallel.n_permutations == 8
