@@ -29,7 +29,8 @@ class ProfileReport:
     total_seconds:
         Wall time under the profiler (includes profiling overhead).
     hotspots:
-        ``(function, cumulative_seconds)`` pairs, heaviest first.
+        ``(function, cumulative_seconds)`` pairs, heaviest first; package
+        frames keep their path (``repro/core/exec.py:795(run_tile_plan)``).
     text:
         Full ``pstats`` table (cumulative order) for printing.
     """
@@ -67,7 +68,9 @@ def profile_callable(fn, *args, top: int = 15, **kwargs) -> ProfileReport:
     hotspots = []
     for (filename, lineno, name), row in stats.stats.items():  # type: ignore[attr-defined]
         cumulative = row[3]
-        hotspots.append((f"{filename.rsplit('/', 1)[-1]}:{lineno}({name})", cumulative))
+        cut = filename.rfind("/repro/")
+        where = filename[cut + 1:] if cut >= 0 else filename.rsplit("/", 1)[-1]
+        hotspots.append((f"{where}:{lineno}({name})", cumulative))
     hotspots.sort(key=lambda kv: kv[1], reverse=True)
     return ProfileReport(
         result=result,

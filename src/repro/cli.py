@@ -103,11 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--testing", choices=["pooled", "exact"], default="pooled",
                      help="pooled global null (fast) or exact per-pair p-values")
     rec.add_argument("--max-retries", type=int, default=0,
-                     help="retry budget per MI tile task before giving up "
+                     help="retry budget per tile or null-row task before giving up "
                           "(0 = one attempt; with --on-fault raise a failing "
                           "tile aborts the run)")
     rec.add_argument("--task-timeout", type=float, default=None, metavar="SECONDS",
-                     help="per-task timeout for the MI stage; hung workers "
+                     help="per-task timeout (tiles and null rows); hung workers "
                           "are killed and replaced (sharedmem engine only)")
     rec.add_argument("--on-fault", choices=["retry", "quarantine", "raise"],
                      default="raise",

@@ -47,6 +47,7 @@ from repro.core.mi import (
     TileWorkspace,
     _resolve_kernel_dtype,
     mi_tile_block,
+    mi_tile_fused,
     mi_tile_into,
     mi_tile_sparse,
     mi_tile_sparse_block,
@@ -96,6 +97,7 @@ __all__ = [
     "result_cache_key",
     "run_tile_plan",
     "schedule_policy",
+    "supervised_map",
     "weights_fingerprint",
 ]
 
@@ -624,7 +626,8 @@ class MatrixSink:
     _quarantined: "list | None" = None
 
     def span_meta(self, plan: TilePlan) -> dict:
-        return {}
+        return {"n_genes": plan.n_genes, "n_tiles": plan.n_tiles,
+                "n_pairs": plan.n_pairs, "tile": plan.tile}
 
     # -- fault tolerance ---------------------------------------------------
     @property
@@ -687,14 +690,6 @@ class DenseSink(MatrixSink):
             self.mi = out
         self.n = n
 
-    def span_meta(self, plan: TilePlan) -> dict:
-        return {
-            "n_genes": plan.n_genes,
-            "n_tiles": plan.n_tiles,
-            "n_pairs": plan.n_pairs,
-            "tile": plan.tile,
-        }
-
     def buffer(self) -> np.ndarray:
         return self.mi
 
@@ -721,7 +716,7 @@ def worker_workspace() -> TileWorkspace:
 
 def compute_tile(
     source, h: np.ndarray, t: Tile, base: str = "nat", kernel=None,
-    kernel_dtype=None,
+    kernel_dtype=None, permutations=None,
 ) -> np.ndarray:
     """One tile's ``(rows, cols)`` MI block, diagonal masked.
 
@@ -735,11 +730,19 @@ def compute_tile(
     use the process-cached hoisted operands; a packed source
     (:class:`PackedWeightSource`) feeds its packed slabs straight to the
     scatter kernel; other sources (mmap stores) stage per-tile slabs.
+    ``permutations`` (``(q, m)``) runs the exact tester's
+    :func:`repro.core.mi.mi_tile_fused` instead: a ``(rows, cols, 2)``
+    block of observed MI and null-exceedance counts.
     """
     weights = source if isinstance(source, np.ndarray) else getattr(source, "weights", None)
     args = dict(h_i=h[t.i0 : t.i1], h_j=h[t.j0 : t.j1], base=base,
                 workspace=worker_workspace(), dtype=kernel_dtype)
-    if kernel == "sparse":
+    if permutations is not None:
+        slab = source.slab if weights is None else (lambda a, b: weights[a:b])
+        block = np.stack(mi_tile_fused(
+            slab(t.i0, t.i1), slab(t.j0, t.j1), permutations, h_i=args["h_i"],
+            h_j=args["h_j"], base=base, workspace=args["workspace"]), axis=-1)
+    elif kernel == "sparse":
         packed = getattr(source, "packed", None)
         if weights is not None:
             block = mi_tile_sparse_block(weights, t.i0, t.i1, t.j0, t.j1, **args)
@@ -802,6 +805,7 @@ def run_tile_plan(
     kernel=None,
     policy: "FaultPolicy | None" = None,
     kernel_dtype=None,
+    permutations=None,
 ):
     """Execute ``plan``: every tile through :func:`compute_tile` into ``sink``.
 
@@ -814,6 +818,7 @@ def run_tile_plan(
     (``"float32"`` = mixed precision).  Both also pick which operand cache
     is warmed in the parent before dispatch, so fork workers inherit the
     repacked tensor copy-on-write instead of each rebuilding it.
+    ``permutations`` makes every tile an exact test (:func:`compute_tile`).
 
     ``progress(done, total)`` and the tracer's ``tiles_done`` /
     ``pairs_done`` counters tick per tile as each task finishes, on every
@@ -848,8 +853,9 @@ def run_tile_plan(
     h = source.entropies(plan.base)
 
     # Warm the per-variant operand caches in the parent: thread workers
-    # share the one repacking, fork workers inherit it copy-on-write.
-    weights = getattr(source, "weights", None)
+    # share the one repacking, fork workers inherit it copy-on-write (the
+    # permuted kernel stages its own operands).
+    weights = None if permutations is not None else getattr(source, "weights", None)
     if weights is not None and weights.ndim == 3 and weights.shape[0] >= 2:
         if kernel == "sparse":
             prepare_packed(weights, _resolve_kernel_dtype(kernel_dtype,
@@ -863,7 +869,8 @@ def run_tile_plan(
     # pickles — the elastic engine ships it (source tensor included,
     # broadcast once per worker) to remote processes.
     run = functools.partial(compute_tile, source, h, base=plan.base,
-                            kernel=kernel, kernel_dtype=kernel_dtype)
+                            kernel=kernel, kernel_dtype=kernel_dtype,
+                            permutations=permutations)
     engine = engine if engine is not None else SerialEngine()
     try:
         if sink.grain == "rows":
@@ -904,7 +911,7 @@ def _ticker(tracer, progress, total: int):
     return tick
 
 
-def _dispatch_once(engine, tiles, idxs, run, target, timeout, accept):
+def _dispatch_once(engine, items, idxs, run, target, timeout, accept):
     """One supervised engine call over ``idxs``; returns ``{idx: error}``.
 
     ``accept(idx, block, in_place)`` fires in the parent (in the worker
@@ -915,27 +922,28 @@ def _dispatch_once(engine, tiles, idxs, run, target, timeout, accept):
     Every local engine writes in place; elastic workers are remote and
     return blocks.
     """
-    items = [tiles[i] for i in idxs]
+    batch = [items[i] for i in idxs]
     if target is not None and engine_kind(engine) != "elastic":
         def done(pos: int, written) -> None:
-            t = items[pos]
+            t = batch[pos]
             accept(idxs[pos], written[t.i0 : t.i1, t.j0 : t.j1], True)
 
         failures = engine.map_into_supervised(
-            functools.partial(_write_tile, run), items, target,
+            functools.partial(_write_tile, run), batch, target,
             timeout=timeout, on_done=done)
     else:
         _, failures = engine.map_supervised(
-            run, items, timeout=timeout,
+            run, batch, timeout=timeout,
             on_done=lambda pos, block: accept(idxs[pos], block, False))
     return {idxs[p]: err for p, err in failures.items()}
 
 
-def _supervise(engine, tiles, idxs, run, policy, tracer, deliver, target=None):
-    """Retry/timeout/fallback loop over one set of tile indices.
+def _supervise(engine, items, idxs, run, policy, tracer, deliver, target=None):
+    """Retry/timeout/fallback loop over one set of item indices.
 
-    Each round is one supervised dispatch of the still-pending tiles.
-    ``deliver(idx, tile, block)`` fires once per validated success as the
+    Each round is one supervised dispatch of the still-pending items
+    (tiles, or :func:`supervised_map`'s items).
+    ``deliver(idx, item, block)`` fires once per validated success as the
     task finishes (``block`` is ``None`` when the worker already wrote it
     into ``target``).  Returns ``(failures, engine)``: the tasks whose
     budget ran out, each with its last error string, and the (possibly
@@ -959,7 +967,7 @@ def _supervise(engine, tiles, idxs, run, policy, tracer, deliver, target=None):
         corrupt: dict = {}
 
         def accept(idx: int, block, in_place: bool) -> None:
-            t = tiles[idx]
+            t = items[idx]
             if not policy.check(t, block):
                 corrupt[idx] = "corrupt result (validation failed)"
                 tracer.add("task_corruptions")
@@ -968,7 +976,7 @@ def _supervise(engine, tiles, idxs, run, policy, tracer, deliver, target=None):
             deliver(idx, t, None if in_place else block)
 
         try:
-            failures = _dispatch_once(eng, tiles, pending, run, target,
+            failures = _dispatch_once(eng, items, pending, run, target,
                                       policy.task_timeout, accept)
         except EngineFailure as exc:
             nxt = fallback_engine(eng)
@@ -980,7 +988,7 @@ def _supervise(engine, tiles, idxs, run, policy, tracer, deliver, target=None):
                 pass
             tracer.add("engine_fallbacks")
             eng = nxt
-            # Tiles delivered before the pool died are done; a fallback
+            # Items delivered before the pool died are done; a fallback
             # does not consume a retry.
             pending = [idx for idx in pending if idx not in delivered]
             continue
@@ -994,10 +1002,37 @@ def _supervise(engine, tiles, idxs, run, policy, tracer, deliver, target=None):
                 # Parent-side attempt ledger: fork engines re-fork per
                 # round, so children inherit the updated counts and a
                 # task that burned its failure budget retries clean.
-                faults.record_failure(tiles[idx])
+                faults.record_failure(items[idx])
         pending = [idx for idx in pending if idx in failures]
         errors = failures
     return {idx: errors[idx] for idx in pending}, eng
+
+
+def supervised_map(fn, items, engine=None, policy: "FaultPolicy | None" = None,
+                   tracer=None) -> list:
+    """``[fn(item) for item in items]`` through :func:`_supervise`.
+
+    The non-tile dispatch (the pooled null's rows): validation, retries
+    and engine fallback per ``policy`` (default: one attempt), but no
+    quarantine — an item whose budget runs out raises
+    :class:`~repro.faults.policy.FaultToleranceExceeded`, reported as
+    the one-cell block ``(idx, 0)``.
+    """
+    items = list(items)
+    results: list = [None] * len(items)
+
+    def deliver(idx: int, _item, value) -> None:
+        results[idx] = value
+
+    failures, _ = _supervise(
+        engine if engine is not None else SerialEngine(), items,
+        range(len(items)), fn, policy or FaultPolicy.from_options(),
+        tracer or NULL_TRACER, deliver)
+    if failures:
+        raise FaultToleranceExceeded(
+            [QuarantinedTile(index=idx, i0=idx, i1=idx + 1, j0=0, j1=1, error=err)
+             for idx, err in sorted(failures.items())])
+    return results
 
 
 def _quarantine_failures(sink, tiles, failures, policy, tracer, tick):

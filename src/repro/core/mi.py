@@ -11,7 +11,7 @@ marginal bin probabilities of ``x`` and ``y``.  Mutual information is then
 
     I(x; y) = H(x) + H(y) - H(x, y) = KL(P || p ⊗ q) >= 0.
 
-Four kernel tiers mirror the paper's optimization ladder:
+Five kernel tiers mirror the paper's optimization ladder:
 
 * :func:`mi_bspline_pair` — one pair, GEMM-formulated (vectorized).
 * :func:`mi_tile` — a whole tile of pairs in a single BLAS call
@@ -24,6 +24,8 @@ Four kernel tiers mirror the paper's optimization ladder:
   float64 entropy accumulation).  This is what
   :mod:`repro.core.mi_matrix` drives; the float64 path is bit-identical
   to :func:`mi_tile`.
+* :func:`mi_tile_fused` — the fused kernel plus ``q`` permuted replicas
+  per tile: observed MI and null-exceedance counts for exact testing.
 * the scalar per-sample loop lives in :mod:`repro.baselines.naive` and is
   the "unvectorized" baseline of experiment E2.
 
@@ -57,6 +59,7 @@ __all__ = [
     "mi_tile",
     "mi_tile_into",
     "mi_tile_block",
+    "mi_tile_fused",
     "mi_tile_sparse",
     "mi_tile_sparse_block",
     "mi_tile_sparse_packed",
@@ -526,6 +529,80 @@ def mi_tile_block(
         row_ops[i0:i1].reshape(ti * b, m), col_ops[:, j0 * b:j1 * b],
         ti, tj, b, m, h_i, h_j, base, ws, out, mixed,
     )
+
+
+def mi_tile_fused(
+    wi: np.ndarray,
+    wj: np.ndarray,
+    permutations: np.ndarray,
+    h_i: np.ndarray | None = None,
+    h_j: np.ndarray | None = None,
+    base: str = "nat",
+    workspace: TileWorkspace | None = None,
+) -> tuple:
+    """Observed MI and null-exceedance counts for one tile, fused.
+
+    For each shared permutation ``pi``, the *row* slab's samples are
+    permuted (``wi[:, pi]``) and the whole tile's permuted MIs are computed
+    with the same GEMM kernel; ``exceed[a, c]`` counts permutations whose
+    MI >= the observed one.  Marginal entropies are permutation-invariant,
+    so they are computed once and reused across all ``q`` replicas — the
+    same hoisting the paper's fused kernel performs.
+
+    Returns
+    -------
+    (observed, exceed):
+        ``(TI, TJ)`` float MI matrix and ``(TI, TJ)`` integer counts.
+    """
+    wi = np.asarray(wi)
+    wj = np.asarray(wj)
+    permutations = np.asarray(permutations, dtype=np.intp)
+    if permutations.ndim != 2 or permutations.shape[1] != wi.shape[1]:
+        raise ValueError(
+            f"expected (q, m) permutations with m={wi.shape[1]}, "
+            f"got shape {permutations.shape}"
+        )
+    if h_i is None:
+        h_i = marginal_entropies(wi, base=base)
+    if h_j is None:
+        h_j = marginal_entropies(wj, base=base)
+    h_i = np.asarray(h_i, dtype=np.float64)
+    h_j = np.asarray(h_j, dtype=np.float64)
+    m = wi.shape[1]
+    ti, b = wi.shape[0], wi.shape[2]
+    tj = wj.shape[0]
+    if ti == 1 and tj == 1:
+        # Degenerate tiles keep the reference kernel (see _degenerate_block
+        # on 1x1 GEMM summation order); cost is negligible at this size.
+        observed = mi_tile(wi, wj, h_i=h_i, h_j=h_j, base=base)
+        exceed = np.zeros(observed.shape, dtype=np.int64)
+        for perm in permutations:
+            exceed += mi_tile(wi[:, perm], wj, h_i=h_i, h_j=h_j, base=base) >= observed
+        return observed, exceed
+    # Fused path: operands are staged once per tile into the reused
+    # workspace; each permutation is one sample-axis gather of the
+    # already-transposed row operand plus one GEMM + fused reduction —
+    # the column operand and both marginal entropy vectors are reused
+    # across all q replicas.  Bit-identical to the reference loop.
+    ws = workspace if workspace is not None else TileWorkspace()
+    at = ws.array("at", (ti, b, m), wi.dtype)
+    np.copyto(at, wi.transpose(0, 2, 1), casting="same_kind")
+    bv = ws.array("bv", (m, tj, b), wj.dtype)
+    np.copyto(bv, wj.transpose(1, 0, 2), casting="same_kind")
+    bv2 = bv.reshape(m, tj * b)
+    observed = _fused_block(
+        at.reshape(ti * b, m), bv2, ti, tj, b, m, h_i, h_j, base, ws, None, False)
+    exceed = np.zeros(observed.shape, dtype=np.int64)
+    at_perm = ws.array("at_perm", (ti, b, m), wi.dtype)
+    mi_perm = ws.array("mi_perm", (ti, tj))
+    for perm in permutations:
+        # Permuting the row-slab's sample axis; marginals unchanged.
+        np.take(at, perm, axis=2, out=at_perm)
+        _fused_block(
+            at_perm.reshape(ti * b, m), bv2, ti, tj, b, m, h_i, h_j, base,
+            ws, mi_perm, False)
+        exceed += mi_perm >= observed
+    return observed, exceed
 
 
 # ---------------------------------------------------------------------------

@@ -215,7 +215,8 @@ def mi_pairs(
 ) -> np.ndarray:
     """MI of an explicit list of gene pairs (not the full matrix).
 
-    Used by the permutation-null builder, which samples a subset of pairs.
+    Used by the incremental updater's dirty-tile screen, which calibrates
+    its bound on a sample of pairs.
     Processes pairs in batches with the same GEMM trick: a batch of pairs is
     a ``(B, b, m) @ (B, m, b)`` stacked matmul.
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.exec import supervised_map
 from repro.core.mi import batched_pair_mi, mi_bspline_pair
 from repro.stats.pvalues import empirical_pvalues
 from repro.stats.quantile import upper_tail_threshold
@@ -101,25 +102,14 @@ class NullDistribution:
         return empirical_pvalues(observed, self.mis)
 
 
-def _pooled_null_row(wi: np.ndarray, wj: np.ndarray, perm: np.ndarray,
-                     m: int, base: str) -> np.ndarray:
-    """Null MI of every sampled pair under one shared permutation.
-
-    The unit of work :func:`pooled_null` dispatches — serial loop and
-    engine paths call exactly this function, so their results are
-    bit-identical by construction.
-    """
-    wi_perm = wi[:, perm]
+def _pooled_null_row(wi: np.ndarray, wj: np.ndarray, perms: np.ndarray,
+                     m: int, base: str, r: int) -> np.ndarray:
+    """Null MI of every sampled pair under shared permutation ``r``."""
+    wi_perm = wi[:, perms[r]]
     # Pairwise (not all-pairs): batched matmul via mi_tile on stacked
     # single-pair slabs would waste (P^2 - P) work; use einsum instead.
     joint = np.einsum("pmb,pmc->pbc", wi_perm, wj, optimize=True) / m
     return batched_pair_mi(joint, base=base)
-
-
-def _pooled_null_task(wi: np.ndarray, wj: np.ndarray, perms: np.ndarray,
-                      m: int, base: str, r: int) -> np.ndarray:
-    """Picklable engine task: one permutation's row of the pooled null."""
-    return _pooled_null_row(wi, wj, perms[r], m, base)
 
 
 def pooled_null(
@@ -129,6 +119,8 @@ def pooled_null(
     seed=None,
     base: str = "nat",
     engine=None,
+    policy=None,
+    tracer=None,
 ) -> NullDistribution:
     """Build the pooled permutation null from a random pair subsample.
 
@@ -143,14 +135,14 @@ def pooled_null(
         ``(n, m, b)`` weight tensor of *rank-transformed* genes — pooling is
         statistically valid only when marginals are identical, which the
         pipeline guarantees by rank-transforming first.
-    engine:
-        Optional execution engine (:mod:`repro.parallel.engine`).  The
-        per-permutation einsum batches are independent, so they dispatch
-        through ``engine.map`` — one task per shared permutation — which
-        removes the null phase as the serial (Amdahl) bottleneck once the
-        MI phase is parallel.  All randomness is drawn *before* dispatch,
-        and each task runs the same row function the serial loop runs, so
-        the pool is bit-identical with and without an engine.
+    engine, policy, tracer:
+        Optional engine (``None`` runs serially), fault policy and tracer.
+        Each shared permutation's einsum row is one task of
+        :func:`repro.core.exec.supervised_map`, so the null phase is no
+        serial (Amdahl) bottleneck once MI is parallel; a non-finite row is
+        retried, never pooled, and a row out of budget raises (a partial
+        pool would move the threshold).  All randomness is drawn *before*
+        dispatch, so the pool is bit-identical on every engine.
     """
     weights = np.asarray(weights)
     if weights.ndim != 3:
@@ -168,15 +160,11 @@ def pooled_null(
     # permutation and evaluate all sampled pairs in one stacked einsum.
     wi = weights[pairs[:, 0]]
     wj = weights[pairs[:, 1]]
-    if engine is None:
-        rows = [_pooled_null_row(wi, wj, perms[r], m, base) for r in range(n_permutations)]
-    else:
-        # functools.partial, not a lambda, so the task pickles and the
-        # null phase dispatches through remote (elastic) engines too.
-        rows = engine.map(
-            functools.partial(_pooled_null_task, wi, wj, perms, m, base),
-            list(range(n_permutations)),
-        )
+    # functools.partial, not a lambda, so the task pickles and the null
+    # phase dispatches through remote (elastic) engines too.
+    rows = supervised_map(
+        functools.partial(_pooled_null_row, wi, wj, perms, m, base),
+        range(n_permutations), engine=engine, policy=policy, tracer=tracer)
     null = np.stack(rows, axis=0)
     return NullDistribution(
         mis=null.ravel(),
@@ -221,9 +209,16 @@ def per_pair_pvalues(
     """
     weights = np.asarray(weights)
     pairs = np.asarray(pairs, dtype=np.intp)
+    if weights.ndim != 3:
+        raise ValueError(f"expected (n, m, b) weight tensor, got shape {weights.shape}")
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError(f"expected (P, 2) pair array, got shape {pairs.shape}")
     n, m, b = weights.shape
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+        raise ValueError(f"pair indices must lie in [0, {n}), got "
+                         f"[{pairs.min()}, {pairs.max()}]")
+    if n_permutations < 1:
+        raise ValueError(f"n_permutations must be >= 1, got {n_permutations}")
     rng = as_rng(seed)
     perms = permutation_matrix(n_permutations, m, rng)
     observed = np.empty(pairs.shape[0], dtype=np.float64)

@@ -91,22 +91,25 @@ class TingeConfig:
         resolution is ``1/(q+1)``, so Bonferroni correction demands
         ``q + 1 >= n_tests / alpha`` — the pipeline refuses under-resolved
         configurations instead of silently returning an empty network.
+        It has only the fused float64 permuted kernel: ``kernel`` must be
+        ``"fused"`` and ``kernel_dtype`` ``None``.
     schedule:
-        Tile scheduling policy for the MI phase
+        Tile scheduling policy for the MI (or exact) phase
         (:data:`repro.core.exec.SCHEDULE_NAMES`): ``"dynamic"`` is the
         paper's chunk-1 self-scheduling default; ``"static"`` /
         ``"cyclic"`` are the block and round-robin assignments;
         ``"cost"`` orders heavy tiles first (LPT on the tile cost model).
     max_retries, task_timeout, on_fault:
-        Fault tolerance for the MI phase (see
-        :class:`repro.faults.policy.FaultPolicy`): retry budget per tile
+        Fault tolerance for the MI (or exact) tiles and the null's rows
+        (see :class:`repro.faults.policy.FaultPolicy`): retry budget per
         task, per-task timeout in seconds (fork engines only; hung
         workers are killed and replaced), and what to do when the budget
         is exhausted (``"retry"``/``"quarantine"`` record the tile and
         keep going, ``"raise"`` aborts).  The defaults (0 / ``None`` /
         ``"raise"``) give every tile one attempt: a tile that fails or
         returns a non-finite block aborts the run with
-        :class:`~repro.faults.policy.FaultToleranceExceeded`.
+        :class:`~repro.faults.policy.FaultToleranceExceeded`.  Null rows
+        are never quarantined: one out of budget always aborts.
     kernel_dtype:
         GEMM precision of the fused MI tile kernel: ``None`` (default)
         keeps the weight tensor's own precision and is bit-identical to
@@ -186,6 +189,9 @@ class TingeConfig:
             raise ValueError(
                 f"kernel must be one of {sorted(KERNEL_NAMES)}, got {self.kernel!r}"
             )
+        if self.testing == "exact" and (self.kernel, self.kernel_dtype) != ("fused", None):
+            raise ValueError("testing='exact' runs only the fused float64 permuted kernel; "
+                             f"got kernel={self.kernel!r}, kernel_dtype={self.kernel_dtype!r}")
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ValueError(f"task_timeout must be > 0, got {self.task_timeout}")
         if self.on_fault not in ON_FAULT_MODES:
@@ -334,7 +340,8 @@ class TingePipeline:
         n_pairs = min(cfg.n_null_pairs, pair_count(np.shape(weights)[0]))
         with self._phase("null"):
             return pooled_null(weights, cfg.n_permutations, n_pairs, cfg.seed,
-                               cfg.base, self.engine)
+                               cfg.base, self.engine, policy=cfg.fault_policy(),
+                               tracer=self.tracer)
 
     def plan(self, source: WeightSource) -> "tuple[TilePlan, str | None]":
         """MI-phase kernel resolution: the config's tile plan and kernel
@@ -445,7 +452,8 @@ class TingePipeline:
         with self._phase("mi"):
             exact = exact_mi_pvalues(
                 source, cfg.n_permutations, cfg.tile, cfg.seed, cfg.base,
-                self.engine, self.progress, self.tracer,
+                self.engine, self.progress, self.tracer, schedule=cfg.schedule,
+                autotune=cfg.autotune, policy=cfg.fault_policy(),
             )
 
         with self._phase("threshold"):
@@ -469,6 +477,7 @@ class TingePipeline:
             timings=dict(self.timings),
             config=cfg,
             pvalues=exact.pvalues,
+            quarantined=exact.quarantined,
         )
 
     def _exact_retest(self, network: GeneNetwork, weights: np.ndarray) -> GeneNetwork:

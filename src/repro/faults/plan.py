@@ -100,11 +100,11 @@ class FaultPlan:
         failure (exercises the sharedmem → thread → serial fallback
         chain).  Consumed globally, not per key.
     scope:
-        ``"tiles"`` (default) faults only tile tasks — the MI stage, which
-        is what the resilient dispatch layer protects — so a plan injected
-        via :data:`REPRO_FAULTS_ENV` doesn't crash unguarded phases (the
-        null builder maps plain index batches through the same engine).
-        ``"all"`` faults every task key.
+        ``"tiles"`` (default) faults only tile tasks (the MI or exact
+        stage).  ``"all"`` also faults the null builder's per-permutation
+        rows: those are retried and fall back like tiles but can never be
+        quarantined, so a quarantine-mode chaos run under ``"all"``
+        would abort in the null phase.
     """
 
     def __init__(self, seed: int = 0, rate: float = 0.1,

@@ -49,7 +49,7 @@ class FaultToleranceExceeded(RuntimeError):
         tiles = ", ".join(f"({q.i0},{q.j0})" for q in self.quarantined)
         first = f"; first error: {self.quarantined[0].error}" if self.quarantined else ""
         super().__init__(
-            f"{len(self.quarantined)} tile task(s) exhausted the retry budget: "
+            f"{len(self.quarantined)} task(s) exhausted the retry budget: "
             f"{tiles}{first}"
         )
 

@@ -80,8 +80,8 @@ def validate_submission(payload: dict) -> Job:
         raise ValidationError(f"bad config: {exc}") from None
     if cfg.testing != "pooled":
         raise ValidationError(
-            "the serve path supports testing='pooled' only (exact per-pair "
-            "testing has no checkpointable tile decomposition yet)")
+            "the serve path supports testing='pooled' only (exact testing "
+            "runs as tiles but has no checkpoint sink yet)")
     if cfg.exact_retest:
         raise ValidationError("exact_retest is not supported by the serve path")
     engine = payload.get("engine", "serial")

@@ -83,6 +83,15 @@ class TestReconstructExtensions:
         assert rc == 2
         assert "resolves p-values" in capsys.readouterr().err
 
+    def test_exact_rejects_kernel_flags(self, workspace, tmp_path, capsys):
+        ds, _, tmp = workspace
+        for flags in (["--kernel", "sparse"], ["--kernel-dtype", "float32"]):
+            rc = main(["reconstruct", str(ds), "--out", str(tmp / "x.tsv"),
+                       "--testing", "exact", "--correction", "none",
+                       "--permutations", "10", *flags])
+            assert rc == 2
+            assert "testing='exact'" in capsys.readouterr().err
+
     def test_record_written_and_verifies(self, workspace, tmp_path):
         ds, _, tmp = workspace
         record_path = tmp / "run.json"

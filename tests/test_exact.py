@@ -7,10 +7,11 @@ from repro import TingeConfig, reconstruct_network
 from repro.core.bspline import weight_tensor
 from repro.core.discretize import rank_transform
 from repro.core.exact import exact_mi_pvalues, mi_tile_fused
+from repro.core.exec import SCHEDULE_NAMES
 from repro.core.mi import mi_bspline_pair, mi_tile
 from repro.core.mi_matrix import mi_matrix
 from repro.core.permutation import per_pair_pvalues
-from repro.parallel.engine import ThreadEngine
+from repro.parallel.engine import SharedMemoryEngine, ThreadEngine
 from repro.stats.random import as_rng, permutation_matrix
 
 
@@ -81,8 +82,11 @@ class TestExactMiPvalues:
             assert res.pvalues[i, j] == pytest.approx(p, rel=1e-12)
 
     def test_mi_matches_mi_matrix(self, ranked_weights):
-        res = exact_mi_pvalues(ranked_weights, n_permutations=5, seed=0)
-        assert np.allclose(res.mi, mi_matrix(ranked_weights).mi)
+        for dtype in (np.float64, np.float32):
+            w = ranked_weights.astype(dtype)
+            for tile in (None, 7, 16):
+                res = exact_mi_pvalues(w, n_permutations=5, seed=0, tile=tile)
+                assert np.array_equal(res.mi, mi_matrix(w, tile=tile).mi), (dtype, tile)
 
     def test_symmetric_with_unit_diagonal_pvalues(self, ranked_weights):
         res = exact_mi_pvalues(ranked_weights, n_permutations=5, seed=0)
@@ -98,9 +102,21 @@ class TestExactMiPvalues:
 
     def test_engine_parity(self, ranked_weights):
         a = exact_mi_pvalues(ranked_weights, n_permutations=6, seed=3)
-        b = exact_mi_pvalues(ranked_weights, n_permutations=6, seed=3,
-                             engine=ThreadEngine(n_workers=2))
-        assert np.allclose(a.pvalues, b.pvalues)
+        for engine in (ThreadEngine(n_workers=2), SharedMemoryEngine(n_workers=2)):
+            b = exact_mi_pvalues(ranked_weights, n_permutations=6, seed=3,
+                                 engine=engine)
+            assert np.array_equal(a.mi, b.mi), type(engine).__name__
+            assert np.array_equal(a.pvalues, b.pvalues), type(engine).__name__
+
+    @pytest.mark.parametrize("schedule", SCHEDULE_NAMES)
+    @pytest.mark.parametrize("engine_cls", [None, ThreadEngine, SharedMemoryEngine])
+    def test_schedule_engine_equivalence(self, ranked_weights, schedule, engine_cls):
+        clean = exact_mi_pvalues(ranked_weights, n_permutations=6, seed=3, tile=3)
+        engine = None if engine_cls is None else engine_cls(n_workers=2)
+        res = exact_mi_pvalues(ranked_weights, n_permutations=6, seed=3, tile=3,
+                               schedule=schedule, engine=engine)
+        assert np.array_equal(res.mi, clean.mi)
+        assert np.array_equal(res.pvalues, clean.pvalues)
 
     def test_validation(self, ranked_weights):
         with pytest.raises(ValueError):
@@ -130,6 +146,16 @@ class TestExactPipelineMode:
                           correction="none", alpha=0.05, n_permutations=20)
         res = reconstruct_network(data, config=cfg)
         assert res.network.n_genes == 5
+
+    @pytest.mark.parametrize("knobs", [
+        {"kernel": "sparse"}, {"kernel": "auto"},
+        {"kernel_dtype": "float32"}, {"kernel_dtype": "float64"},
+    ])
+    def test_rejects_kernel_knobs(self, knobs):
+        # Exact mode has only the fused float64 permuted kernel.
+        with pytest.raises(ValueError, match="testing='exact'"):
+            TingeConfig(testing="exact", correction="none", **knobs)
+        TingeConfig(**knobs)  # fine for pooled testing
 
     def test_underresolved_bonferroni_rejected(self, rng):
         data = rng.normal(size=(30, 60))

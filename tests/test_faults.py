@@ -557,3 +557,151 @@ class TestIncrementalChaos:
         # recorded) or they were screened clean (nothing to poison);
         # both are valid — the update itself must survive.
         assert delta is not None
+
+
+class TestExactUnderFaults:
+    """Exact testing runs on the same supervised tile loop as the MI
+    phase: faulted tiles retry to the clean result, sticky ones are
+    quarantined with MI 0 and p-value 1."""
+
+    Q = 6
+    EXACT_TILE = 3  # 15 tiles: the chaos seed crashes 3 and corrupts 1
+
+    @pytest.fixture(scope="class")
+    def clean(self, weights):
+        from repro.core.exact import exact_mi_pvalues
+
+        return exact_mi_pvalues(weights, self.Q, tile=self.EXACT_TILE, seed=1)
+
+    @pytest.mark.parametrize("kind", ENGINES)
+    def test_retries_recover_bit_identical(self, weights, clean, kind):
+        from repro.core.exact import exact_mi_pvalues
+        from repro.core.exec import TensorSource, plan_tiles
+
+        plan = FaultPlan(seed=3, rate=0.3, kinds=("crash", "corrupt"))
+        tiles = plan_tiles(TensorSource(weights), tile=self.EXACT_TILE).tiles
+        assert {s.kind for s in plan.faulted(tiles)} == {"crash", "corrupt"}
+        tracer = Tracer()
+        res = exact_mi_pvalues(weights, self.Q, tile=self.EXACT_TILE, seed=1,
+                               engine=_engine(kind, faults=plan), tracer=tracer,
+                               policy=FaultPolicy(max_retries=3, backoff=0.01))
+        assert np.array_equal(res.mi, clean.mi)
+        assert np.array_equal(res.pvalues, clean.pvalues)
+        assert res.quarantined == []
+        assert tracer.counters["task_retries"] >= 1
+        assert tracer.counters["task_corruptions"] >= 1
+
+    def test_default_policy_raises_on_crash(self, weights):
+        from repro.core.exact import exact_mi_pvalues
+
+        plan = FaultPlan(seed=3, rate=0.3, kinds=("crash",))
+        with pytest.raises(FaultToleranceExceeded, match=InjectedFault.__name__):
+            exact_mi_pvalues(weights, self.Q, tile=self.EXACT_TILE, seed=1,
+                             engine=_engine("thread", faults=plan))
+
+    def test_sticky_faults_quarantine_as_non_edges(self, weights, clean):
+        from repro.core.exact import exact_mi_pvalues
+
+        plan = FaultPlan(seed=3, rate=0.3, kinds=("crash",), max_failures=None)
+        res = exact_mi_pvalues(
+            weights, self.Q, tile=self.EXACT_TILE, seed=1,
+            engine=_engine("thread", faults=plan),
+            policy=FaultPolicy(max_retries=1, on_fault="quarantine"))
+        assert res.quarantined
+        untouched = np.ones(clean.mi.shape, dtype=bool)
+        for q in res.quarantined:
+            for rows, cols in ((slice(q.i0, q.i1), slice(q.j0, q.j1)),
+                               (slice(q.j0, q.j1), slice(q.i0, q.i1))):
+                untouched[rows, cols] = False
+                off_diagonal = ~np.eye(weights.shape[0], dtype=bool)[rows, cols]
+                assert np.all(res.mi[rows, cols] == 0.0)
+                assert np.all(res.pvalues[rows, cols][off_diagonal] == 1.0)
+        assert np.array_equal(res.mi[untouched], clean.mi[untouched])
+        assert np.array_equal(res.pvalues[untouched], clean.pvalues[untouched])
+
+    def test_pipeline_reports_quarantine_and_no_edge_in_it(self):
+        from repro.core.pipeline import TingeConfig, reconstruct_network
+
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(7, 60))
+        data = np.vstack([x, x + 0.05 * rng.normal(size=(7, 60))])
+        cfg = TingeConfig(testing="exact", n_permutations=20, correction="none",
+                          alpha=0.2, tile=self.EXACT_TILE, on_fault="quarantine")
+        clean = reconstruct_network(data, config=cfg)
+        plan = FaultPlan(seed=3, rate=0.3, kinds=("crash",), max_failures=None)
+        res = reconstruct_network(data, config=cfg,
+                                  engine=_engine("thread", faults=plan))
+        assert res.quarantined and clean.quarantined == []
+        # The poisoned blocks held clean edges, and none of them survive.
+        assert any(clean.network.adjacency[q.i0:q.i1, q.j0:q.j1].any()
+                   for q in res.quarantined)
+        untouched = np.ones(clean.mi.shape, dtype=bool)
+        for q in res.quarantined:
+            assert not res.network.adjacency[q.i0:q.i1, q.j0:q.j1].any()
+            assert not res.network.adjacency[q.j0:q.j1, q.i0:q.i1].any()
+            untouched[q.i0:q.i1, q.j0:q.j1] = False
+            untouched[q.j0:q.j1, q.i0:q.i1] = False
+        assert np.array_equal(res.mi[untouched], clean.mi[untouched])
+        assert np.array_equal(res.pvalues[untouched], clean.pvalues[untouched])
+
+
+class TestNullUnderFaults:
+    """The pooled null's rows run through the supervised loop: a corrupt
+    row is retried, never pooled, and an engine failure falls back."""
+
+    Q, PAIRS = 8, 30
+
+    @pytest.fixture(scope="class")
+    def clean(self, weights):
+        from repro.core.permutation import pooled_null
+
+        return pooled_null(weights, self.Q, self.PAIRS, 5)
+
+    @pytest.mark.parametrize("kind", ENGINES)
+    def test_corrupt_rows_retried_bit_identical(self, weights, clean, kind):
+        from repro.core.permutation import pooled_null
+
+        plan = FaultPlan(seed=3, rate=0.5, kinds=("corrupt",), scope="all")
+        assert plan.faulted(range(self.Q))
+        tracer = Tracer()
+        null = pooled_null(weights, self.Q, self.PAIRS, 5,
+                           engine=_engine(kind, faults=plan), tracer=tracer,
+                           policy=FaultPolicy(max_retries=3, backoff=0.01))
+        assert np.array_equal(null.mis, clean.mis)
+        assert tracer.counters["task_corruptions"] >= 1
+
+    def test_corrupt_row_never_pooled(self, weights):
+        from repro.core.permutation import pooled_null
+
+        plan = FaultPlan(seed=3, rate=0.5, kinds=("corrupt",), scope="all")
+        with pytest.raises(FaultToleranceExceeded, match="corrupt"):
+            pooled_null(weights, self.Q, self.PAIRS, 5,
+                        engine=_engine("thread", faults=plan))
+
+    def test_rows_cannot_be_quarantined(self, weights):
+        from repro.core.permutation import pooled_null
+
+        plan = FaultPlan(seed=3, rate=0.5, kinds=("crash",), scope="all",
+                         max_failures=None)
+        with pytest.raises(FaultToleranceExceeded) as exc:
+            pooled_null(weights, self.Q, self.PAIRS, 5,
+                        engine=_engine("thread", faults=plan),
+                        policy=FaultPolicy(max_retries=1, on_fault="quarantine"))
+        faulted = {int(s.key.split(":")[1]) for s in plan.faulted(range(self.Q))}
+        assert {q.index for q in exc.value.quarantined} == faulted
+
+    def test_pipeline_null_engine_failure_falls_back(self):
+        from repro.core.pipeline import TingeConfig, reconstruct_network
+
+        rng = np.random.default_rng(2)
+        data = rng.normal(size=(16, 30))
+        cfg = TingeConfig(n_permutations=8, n_null_pairs=40, tile=TILE)
+        clean = reconstruct_network(data, config=cfg)
+        plan = FaultPlan(seed=0, rate=0.0, engine_failures=1)
+        tracer = Tracer()
+        res = reconstruct_network(data, config=cfg, tracer=tracer,
+                                  engine=_engine("sharedmem", faults=plan))
+        assert tracer.counters["engine_fallbacks"] == 1  # in the null phase
+        assert np.array_equal(res.mi, clean.mi)
+        assert np.array_equal(res.null.mis, clean.null.mis)
+        assert res.network.threshold == clean.network.threshold

@@ -147,6 +147,20 @@ class TestPerPairPvalues:
         with pytest.raises(ValueError):
             per_pair_pvalues(ranked_weights, np.array([0, 1]))
 
+    def test_rejects_no_permutations(self, ranked_weights):
+        with pytest.raises(ValueError, match="n_permutations"):
+            per_pair_pvalues(ranked_weights, np.array([[0, 1]]), n_permutations=0)
+
+    def test_rejects_non_tensor_weights(self, ranked_weights):
+        with pytest.raises(ValueError, match="weight tensor"):
+            per_pair_pvalues(ranked_weights[0], np.array([[0, 1]]))
+
+    @pytest.mark.parametrize("bad", [-5, -1, 5])
+    def test_rejects_out_of_range_pairs(self, ranked_weights, bad):
+        w = ranked_weights[:5]
+        with pytest.raises(ValueError, match="pair indices"):
+            per_pair_pvalues(w, np.array([[0, 1], [bad, 2]]), n_permutations=3)
+
 
 class TestPooledNullEngineDispatch:
     def test_engine_paths_bit_identical(self, ranked_weights):
