@@ -1,9 +1,9 @@
 """E26 — result transport: pickle-return vs write-in-place on one fork pool.
 
 The paper's whole-genome runs work because all 240 Phi threads write
-disjoint blocks of the MI matrix in place.  `SharedMemoryEngine.map`
-ships every block back to the parent through a pipe (pickle, copy, and a
-parent-side reassembly loop); `SharedMemoryEngine.map_into` has workers
+disjoint blocks of the MI matrix in place.  `map_supervised` ships every
+block back to the parent through a pipe (pickle, copy, and a
+parent-side reassembly loop); `map_into_supervised` has workers
 attach the output matrix in shared memory and write their blocks
 directly, so only task indices cross the pipe.  This bench measures both
 transports on the same engine on a transport-dominated synthetic
@@ -58,14 +58,15 @@ def test_transport_synthetic(report):
         out_proc = np.zeros((N_BLOCKS * EDGE, EDGE))
 
         def via_pickle():
-            blocks = shm.map(_return_block, list(range(N_BLOCKS)))
+            blocks, failures = shm.map_supervised(_return_block, list(range(N_BLOCKS)))
+            assert failures == {}
             for k, blk in enumerate(blocks):  # the reassembly loop
                 out_proc[k * EDGE : (k + 1) * EDGE, :] = blk
 
         out_shm = np.zeros((N_BLOCKS * EDGE, EDGE))
 
         def in_place():
-            shm.map_into(_write_block, list(range(N_BLOCKS)), out_shm)
+            assert shm.map_into_supervised(_write_block, list(range(N_BLOCKS)), out_shm) == {}
 
         t_proc = _timed(via_pickle)
         t_shm = _timed(in_place)
@@ -86,6 +87,6 @@ def test_transport_cost_is_eliminated(benchmark):
     """The headline number: one write-in-place pass, measured."""
     shm = SharedMemoryEngine(n_workers=2)
     out = np.zeros((N_BLOCKS * EDGE, EDGE))
-    benchmark(lambda: shm.map_into(_write_block, list(range(N_BLOCKS)), out))
+    benchmark(lambda: shm.map_into_supervised(_write_block, list(range(N_BLOCKS)), out))
     assert np.array_equal(
         out, np.concatenate([_block(k) for k in range(N_BLOCKS)], axis=0))

@@ -5,7 +5,7 @@ on a socket; worker processes (``repro worker --connect HOST:PORT``) dial
 in at any time and are handed tile tasks from a
 :class:`~repro.cluster.taskgraph.TaskGraph`.  :class:`ElasticEngine`
 wraps the coordinator in the engine protocol
-(``map_supervised``, plus the strict ``map``), so :func:`repro.core.exec.run_tile_plan`
+(``map_supervised``), so :func:`repro.core.exec.run_tile_plan`
 — and with it every MI driver, the fault policies, and the tracer spans
 — gets multi-process distribution without knowing it happened.
 

@@ -18,12 +18,18 @@ to exactly 1, which in turn makes every weight-matrix column-sum a proper
 probability and makes joint distributions marginalize exactly.
 
 Performance notes (the paper's vector-level story, translated to numpy):
-the Cox–de Boor recursion is evaluated for *all samples at once* per order
+the Cox–de Boor recursion is evaluated for *all points at once* per order
 level — the numpy analog of the 512-bit SIMD evaluation in the paper — and
 the resulting ``(m, b)`` weight matrix is the operand of the GEMM-formulated
-MI kernel in :mod:`repro.core.mi`.  Each sample has at most ``k`` non-zero
-weights; :func:`packed_weights` exposes that sparse "struct of arrays"
-layout, which is what the paper lays out for aligned vector loads.
+MI kernel in :mod:`repro.core.mi`.  :func:`weight_tensor` evaluates it only
+once per *distinct* scaled value and gathers rows from that table: after
+the rank transform every gene without ties lands on the same ``m``-point
+grid (ties add a few values per gene), so the whole tensor costs one small
+evaluation plus a gather, and because the recursion works point by point
+the result is bitwise the direct evaluation.  Each sample has at most
+``k`` non-zero weights; :func:`packed_weights` exposes that sparse
+"struct of arrays" layout, which is what the paper lays out for aligned
+vector loads.
 """
 
 from __future__ import annotations
@@ -213,17 +219,22 @@ def weight_tensor(data: np.ndarray, bins: int = 10, order: int = 3, dtype=np.flo
         raise ValueError(f"expected (genes, samples) matrix, got shape {data.shape}")
     basis = BsplineBasis(bins, order)
     n, m = data.shape
-    # Scale each gene to the spline domain, then evaluate the basis for ALL
-    # genes in one flattened call: the recursion is per-point, so stacking
-    # the n*m points turns n small vector ops into one large one (the same
-    # batching the paper applies across the sample axis).
+    # Scale each gene to the spline domain, then evaluate the basis for the
+    # distinct points of ALL genes in one call (the same batching the paper
+    # applies across the sample axis).
     lo = data.min(axis=1, keepdims=True)
     hi = data.max(axis=1, keepdims=True)
     span = hi - lo
     scaled = np.where(span > 0, (data - lo) / np.where(span > 0, span, 1.0), 0.0)
     scaled *= basis.domain[1]
-    flat = basis_matrix(scaled.ravel(), bins, order)
-    return flat.reshape(n, m, bins).astype(dtype, copy=False)
+    # basis_matrix works point by point, so evaluating it once per distinct
+    # scaled value and gathering rows is bitwise the direct evaluation.
+    # After the rank transform every gene without ties lands on the same
+    # m-point grid, so the table is tiny and the tensor is one gather;
+    # other transforms pay only the sort.
+    values, index = np.unique(scaled, return_inverse=True)
+    table = basis_matrix(values, bins, order).astype(dtype, copy=False)
+    return table[index.reshape(n, m)]
 
 
 def packed_weights(w: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -86,6 +86,10 @@ class CheckpointSink(MatrixSink):
     be distinguishable from measured MI=0 non-edges.  The quarantine
     records themselves are in the ledger (:func:`checkpoint_status`) and
     on :attr:`~repro.core.exec.MatrixSink.quarantined`.
+
+    Each stored row's blocks are also copied into the dense result as the
+    row lands, so :meth:`finalize` reads from disk only the rows this run
+    skipped because an earlier run had committed them.
     """
 
     grain = "rows"
@@ -128,6 +132,8 @@ class CheckpointSink(MatrixSink):
         self.ledger = ledger
         self.done = set(ledger["done"])
         self.new_rows = 0
+        self._mi = np.zeros((self.n, self.n), dtype=np.float64)
+        self._stored: set = set()  # rows whose blocks are already in _mi
         # Quarantine records survive restarts: a resumed run reports the
         # poison tiles of every previous attempt, not just its own.
         self._quarantined = [QuarantinedTile.from_dict(d)
@@ -144,6 +150,12 @@ class CheckpointSink(MatrixSink):
     def store_row(self, i0: int, items: list) -> None:
         np.savez(self.directory / f"row_{i0:07d}.npz",
                  **{f"j{t.j0}": block for t, block in items})
+        for t, block in items:
+            self._place(i0, t.j0, block)
+        self._stored.add(i0)
+
+    def _place(self, i0: int, j0: int, block: np.ndarray) -> None:
+        self._mi[i0 : i0 + block.shape[0], j0 : j0 + block.shape[1]] = block
 
     def commit_row(self, i0: int) -> bool:
         self.done.add(i0)
@@ -161,14 +173,13 @@ class CheckpointSink(MatrixSink):
     def finalize(self, completed: bool = True) -> "np.ndarray | None":
         if not completed:
             return None
-        # Assemble from the row files.
-        mi = np.zeros((self.n, self.n), dtype=np.float64)
+        # Rows committed by an earlier run come from their row files.
         for i0 in self.rows:
-            with np.load(self.directory / f"row_{i0:07d}.npz") as z:
-                for key in z.files:
-                    j0 = int(key[1:])
-                    block = z[key]
-                    mi[i0 : i0 + block.shape[0], j0 : j0 + block.shape[1]] = block
+            if i0 not in self._stored:
+                with np.load(self.directory / f"row_{i0:07d}.npz") as z:
+                    for key in z.files:
+                        self._place(i0, int(key[1:]), z[key])
+        mi = self._mi
         # Quarantined tiles were never computed: their cells are *unknown*,
         # not MI=0.  Leaving them at the zero fill would let poison tiles
         # masquerade as confidently-tested non-edges, so mark them NaN
@@ -195,10 +206,11 @@ class DeltaCheckpointSink(CheckpointSink):
     check refuses to resume against a different grown tensor (e.g. a
     second batch of samples arriving before the first finished).
 
-    :meth:`finalize` starts from the symmetric ``base`` MI matrix (the
-    pre-update network's) instead of zeros: clean tiles keep their base
-    blocks, dirty tiles are overwritten with the recomputed ones, and
-    quarantined tiles are NaN-marked exactly like the parent sink.
+    The dense result starts from a copy of the symmetric ``base`` MI
+    matrix (the pre-update network's) instead of zeros: clean tiles keep
+    their base blocks, dirty tiles are overwritten with the recomputed
+    ones, and quarantined tiles are NaN-marked exactly like the parent
+    sink.
     """
 
     def __init__(
@@ -218,7 +230,7 @@ class DeltaCheckpointSink(CheckpointSink):
             )
         super().__init__(directory, plan, fingerprint,
                          interrupt_after_rows=interrupt_after_rows)
-        self._base = base
+        self._mi = np.array(base, dtype=np.float64)
         delta = {
             "kind": "sample-increment",
             "m_samples": m_samples,
@@ -237,22 +249,6 @@ class DeltaCheckpointSink(CheckpointSink):
                 f"checkpoint at {self.directory} records a different "
                 "dirty-tile set; remove it or rebuild the same update"
             )
-
-    def finalize(self, completed: bool = True) -> "np.ndarray | None":
-        if not completed:
-            return None
-        mi = np.array(self._base, dtype=np.float64)
-        for i0 in self.rows:
-            with np.load(self.directory / f"row_{i0:07d}.npz") as z:
-                for key in z.files:
-                    j0 = int(key[1:])
-                    block = z[key]
-                    mi[i0 : i0 + block.shape[0], j0 : j0 + block.shape[1]] = block
-        for q in self._quarantined or []:
-            mi[q.i0 : q.i1, q.j0 : q.j1] = np.nan
-        mirror_upper(mi)
-        np.fill_diagonal(mi, 0.0)
-        return mi
 
 
 def mi_matrix_checkpointed(

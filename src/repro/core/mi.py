@@ -35,7 +35,9 @@ discussion points to for continuous data.
 
 from __future__ import annotations
 
+import functools
 import threading
+import weakref
 
 import numpy as np
 from scipy.special import xlogy
@@ -254,8 +256,50 @@ def mi_tile(
 # reshape yields an F-order no-copy view and hence a TransA call) fall back
 # to the reference kernel.
 
-_OPERAND_LOCK = threading.Lock()
-_OPERAND_CACHE: list = []  # [(weights, dtype, (row_ops, col_ops))] — at most 2 entries
+class _TensorCache:
+    """Data derived from at most ``size`` live tensors, keyed by identity.
+
+    Entries are keyed by ``(id(tensor), dtype)`` and hold only a weak
+    reference to the tensor, so a cache entry never keeps a dead run's
+    weights alive: when the tensor is freed its entry (and the derived
+    copies) go with it.  The weakref callback takes no lock — a dict
+    ``pop`` is atomic, and the callback may fire inside ``build`` on the
+    thread that holds the lock.
+    """
+
+    def __init__(self, build, size: int = 2) -> None:
+        self._build = build
+        self._size = size
+        self._lock = threading.Lock()
+        self._entries: dict = {}  # (id, dtype) -> (weakref, value)
+
+    def get(self, tensor: np.ndarray, dtype: np.dtype):
+        key = (id(tensor), dtype)
+        with self._lock:
+            hit = self._entries.get(key)
+            if hit is not None and hit[0]() is tensor:
+                return hit[1]
+            value = self._build(tensor, dtype)
+            ref = weakref.ref(tensor, functools.partial(self._drop, key))
+            self._entries[key] = (ref, value)
+            while len(self._entries) > self._size:
+                self._entries.pop(next(iter(self._entries)), None)
+            return value
+
+    def _drop(self, key, ref) -> None:
+        hit = self._entries.get(key)
+        if hit is not None and hit[0] is ref:
+            self._entries.pop(key, None)
+
+
+def _operands(weights: np.ndarray, dt: np.dtype) -> "tuple[np.ndarray, np.ndarray]":
+    n, m, b = weights.shape
+    row_ops = np.ascontiguousarray(weights.transpose(0, 2, 1), dtype=dt)
+    col_ops = np.ascontiguousarray(weights.transpose(1, 0, 2), dtype=dt).reshape(m, n * b)
+    return row_ops, col_ops
+
+
+_OPERAND_CACHE = _TensorCache(_operands)
 
 
 def prepare_operands(weights: np.ndarray, dtype=None) -> "tuple[np.ndarray, np.ndarray]":
@@ -266,23 +310,14 @@ def prepare_operands(weights: np.ndarray, dtype=None) -> "tuple[np.ndarray, np.n
     ``(m, n*b)`` matrix whose column slices are the NoTrans column operands.
     Repacking once per process makes every tile's GEMM operands free views
     instead of the per-tile transpose copies :func:`numpy.tensordot` makes.
-    The cache is process-wide (keyed by tensor identity and dtype) so
-    thread workers share one copy, and fork engines inherit it
-    copy-on-write when the parent warms it before forking.
+    The cache is process-wide (keyed by tensor identity and dtype, at most
+    two live tensors, weakly referenced) so thread workers share one copy,
+    and fork engines inherit it copy-on-write when the parent warms it
+    before forking.
     """
     weights = np.asarray(weights)
     dt = np.dtype(dtype) if dtype is not None else weights.dtype
-    with _OPERAND_LOCK:
-        for src, d, ops in _OPERAND_CACHE:
-            if src is weights and d == dt:
-                return ops
-        n, m, b = weights.shape
-        row_ops = np.ascontiguousarray(weights.transpose(0, 2, 1), dtype=dt)
-        col_ops = np.ascontiguousarray(weights.transpose(1, 0, 2), dtype=dt).reshape(m, n * b)
-        ops = (row_ops, col_ops)
-        _OPERAND_CACHE.append((weights, dt, ops))
-        del _OPERAND_CACHE[:-2]
-        return ops
+    return _OPERAND_CACHE.get(weights, dt)
 
 
 class TileWorkspace:

@@ -7,10 +7,13 @@ edge only if its MI exceeds what chance produces: permute one gene's samples
 Two facts make this affordable at whole-genome scale:
 
 1. **Shared permutations.**  The same ``q`` permutations are applied to
-   every gene, so each gene's weight matrix is permuted once
-   (:func:`permuted_weights` just reindexes rows — the B-spline weights of a
-   permuted gene are the permuted weights), instead of re-deriving weights
-   per pair x permutation.
+   every gene, and the B-spline weights of a permuted gene are its
+   permuted weight rows (:func:`permuted_weights`), so no weight is ever
+   re-derived.  :func:`pooled_null` packs the sampled genes' ``<= k``
+   non-zero weights per sample once and reads the row gene *through* each
+   permutation index in the compiled sparse kernel
+   (:func:`repro.core.sparsekernel.accumulate_pairs`): no permuted copy of
+   any weight matrix is written.
 2. **A pooled null.**  After the rank transform every gene has the identical
    marginal distribution, so the null MI distribution is the *same for
    every pair*.  One pooled sample of null MIs — ``q`` permutations of a few
@@ -31,6 +34,7 @@ import numpy as np
 
 from repro.core.exec import supervised_map
 from repro.core.mi import batched_pair_mi, mi_bspline_pair
+from repro.core.sparsekernel import accumulate_pairs, joint_pad, pack_slab, sparse_backend
 from repro.stats.pvalues import empirical_pvalues
 from repro.stats.quantile import upper_tail_threshold
 from repro.stats.random import as_rng, permutation_matrix, sample_pairs
@@ -102,14 +106,13 @@ class NullDistribution:
         return empirical_pvalues(observed, self.mis)
 
 
-def _pooled_null_row(wi: np.ndarray, wj: np.ndarray, perms: np.ndarray,
-                     m: int, base: str, r: int) -> np.ndarray:
+def _pooled_null_row(values: np.ndarray, first: np.ndarray, span: int, bins: int,
+                     rows: np.ndarray, cols: np.ndarray, perms: np.ndarray,
+                     base: str, r: int) -> np.ndarray:
     """Null MI of every sampled pair under shared permutation ``r``."""
-    wi_perm = wi[:, perms[r]]
-    # Pairwise (not all-pairs): batched matmul via mi_tile on stacked
-    # single-pair slabs would waste (P^2 - P) work; use einsum instead.
-    joint = np.einsum("pmb,pmc->pbc", wi_perm, wj, optimize=True) / m
-    return batched_pair_mi(joint, base=base)
+    counts = np.empty((rows.shape[0], bins, joint_pad(bins)))
+    accumulate_pairs(values, first, span, bins, rows, cols, perms[r], counts)
+    return batched_pair_mi(counts[:, :, :bins] / values.shape[1], base=base)
 
 
 def pooled_null(
@@ -127,7 +130,10 @@ def pooled_null(
     For each sampled pair ``(x, y)`` and each shared permutation ``pi``,
     computes ``I(x_pi; y)``.  Pool size is ``n_permutations * n_pairs``;
     the effective resolution of the resulting threshold is ``1/size``, so
-    size it against the corrected alpha (the pipeline does this check).
+    size it against the corrected alpha.  Only the pipeline's exact-testing
+    branch checks that; the pooled branch does not, so a pool too small for
+    the corrected alpha makes the threshold the pool's maximum (an open
+    item in ROADMAP.md).
 
     Parameters
     ----------
@@ -137,12 +143,20 @@ def pooled_null(
         pipeline guarantees by rank-transforming first.
     engine, policy, tracer:
         Optional engine (``None`` runs serially), fault policy and tracer.
-        Each shared permutation's einsum row is one task of
+        Each shared permutation's row is one task of
         :func:`repro.core.exec.supervised_map`, so the null phase is no
         serial (Amdahl) bottleneck once MI is parallel; a non-finite row is
         retried, never pooled, and a row out of budget raises (a partial
         pool would move the threshold).  All randomness is drawn *before*
         dispatch, so the pool is bit-identical on every engine.
+
+    The sampled genes are packed once, at one shared span, in float64
+    whatever the weight dtype (the upcast is exact), and every row is one
+    :func:`~repro.core.sparsekernel.accumulate_pairs` call; its cc and
+    numpy backends are bitwise equal, so the pool does not depend on the
+    backend either.  Counts are summed in sample order, so the pool
+    agrees with a dense ``einsum`` of the permuted weights to ~1e-12
+    relative, not bitwise.
     """
     weights = np.asarray(weights)
     if weights.ndim != 3:
@@ -154,16 +168,21 @@ def pooled_null(
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     rng = as_rng(seed)
     pairs = sample_pairs(n, n_pairs, rng)
-    perms = permutation_matrix(n_permutations, m, rng)
+    perms = permutation_matrix(n_permutations, m, rng).astype(np.int32)
 
-    # Batch over permutations: permute the row-gene slab once per
-    # permutation and evaluate all sampled pairs in one stacked einsum.
-    wi = weights[pairs[:, 0]]
-    wj = weights[pairs[:, 1]]
+    genes, slots = np.unique(pairs, return_inverse=True)
+    slots = slots.reshape(pairs.shape).astype(np.int32)
+    sampled = weights if genes.size == n else weights[genes]
+    values, first, span = pack_slab(sampled, np.float64, lanes=None)
+    # Resolve (and on a cold cache, compile) the backend here, once, so
+    # fork workers inherit it instead of each building it.
+    sparse_backend()
     # functools.partial, not a lambda, so the task pickles and the null
     # phase dispatches through remote (elastic) engines too.
     rows = supervised_map(
-        functools.partial(_pooled_null_row, wi, wj, perms, m, base),
+        functools.partial(_pooled_null_row, values, first, span, b,
+                          np.ascontiguousarray(slots[:, 0]),
+                          np.ascontiguousarray(slots[:, 1]), perms, base),
         range(n_permutations), engine=engine, policy=policy, tracer=tracer)
     null = np.stack(rows, axis=0)
     return NullDistribution(
@@ -200,10 +219,9 @@ def per_pair_pvalues(
     for small candidate sets (e.g. re-testing the edges that survived the
     pooled threshold).
 
-    The permutation dimension is vectorized with the same stacked trick the
-    pooled null uses: all ``q`` permuted copies of ``Wx`` are stacked into a
-    ``(q, m, b)`` tensor and the ``q`` joint matrices come from one batched
-    matmul.  Each batch slice performs the identical GEMM and entropy
+    The permutation dimension is vectorized: all ``q`` permuted copies of
+    ``Wx`` are stacked into a ``(q, m, b)`` tensor and the ``q`` joint
+    matrices come from one batched matmul.  Each batch slice performs the identical GEMM and entropy
     reductions as the old one-permutation-at-a-time loop, so results are
     bit-identical (the regression test holds the old loop as reference).
     """

@@ -15,6 +15,11 @@ vector lanes:
   streams of each pair hide each other's store latency.
 * ``numpy`` — a vectorized ``np.bincount`` scatter, always available.
 
+Two entries share them: :func:`accumulate_tile` (every row gene against
+every column gene of a tile, the MI kernel) and :func:`accumulate_pairs`
+(listed gene pairs, the row gene read through a sample permutation — the
+pooled null's kernel, float64 only).
+
 **Bit-consistency contract.**  Both backends produce *bitwise identical*
 float64 joint counts: each sample adds exactly one product per touched
 cell, per-cell accumulation order is sample order in both, and neither
@@ -45,6 +50,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.mi import _TensorCache
+
 __all__ = [
     "PACK_LANES",
     "MAX_COMPILED_ORDER",
@@ -53,6 +60,7 @@ __all__ = [
     "prepare_packed",
     "sparse_backend",
     "accumulate_tile",
+    "accumulate_pairs",
 ]
 
 # Packed values are padded to a fixed lane count so the compiled kernels
@@ -84,12 +92,13 @@ def joint_pad(bins: int) -> int:
 
 
 def pack_slab(
-    weights: np.ndarray, dtype=None, *, span: "int | None" = None
+    weights: np.ndarray, dtype=None, *, span: "int | None" = None,
+    lanes: "int | None" = PACK_LANES,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Pack an ``(n, m, b)`` weight slab into the padded sparse layout.
 
     Returns ``(values, first, span)`` where ``values`` is a C-contiguous
-    ``(n, m, PACK_LANES)`` array (trailing lanes zero), ``first`` is
+    ``(n, m, lanes)`` array (trailing lanes zero), ``first`` is
     ``(n, m)`` int32, and ``span`` is the widest run of non-zeros observed
     in any row — the effective spline order ``k`` the kernels iterate.
     Inferring ``span`` from the data (instead of threading the basis order
@@ -104,6 +113,11 @@ def pack_slab(
     run past ``b - 1``.  Clamping ``first`` alone is not enough: the lane
     values are extracted at ``first``, so moving ``first`` without
     re-extracting would scatter weights into the wrong bins.
+
+    ``lanes`` is the padded width, :data:`PACK_LANES` for the tile
+    kernels; ``None`` widens it to the observed span when that is larger
+    (spline orders above :data:`MAX_COMPILED_ORDER`, which only the
+    lane-count-agnostic numpy route of :func:`accumulate_pairs` takes).
     """
     weights = np.asarray(weights)
     if weights.ndim != 3:
@@ -117,50 +131,45 @@ def pack_slab(
     last = np.where(any_nz, b - 1 - nz[:, ::-1].argmax(axis=1), 0)
     observed = int((last - first + 1).max()) if flat.size else 1
     observed = max(observed, 1)
-    if observed > PACK_LANES:
+    if lanes is None:
+        lanes = max(PACK_LANES, observed)
+    if observed > lanes:
         raise ValueError(
             f"weight rows span up to {observed} non-zero bins; the sparse kernel "
-            f"packs at most {PACK_LANES} lanes (spline order <= {MAX_COMPILED_ORDER})"
+            f"packs at most {lanes} lanes (spline order <= {MAX_COMPILED_ORDER})"
         )
     if span is None:
         span = observed
-    elif not observed <= span <= min(b, PACK_LANES):
+    elif not observed <= span <= min(b, lanes):
         raise ValueError(
-            f"requested span {span} outside [{observed}, {min(b, PACK_LANES)}] "
-            f"(observed span {observed}, {b} bins, {PACK_LANES} lanes)"
+            f"requested span {span} outside [{observed}, {min(b, lanes)}] "
+            f"(observed span {observed}, {b} bins, {lanes} lanes)"
         )
     first = np.minimum(first, b - span)
     cols = first[:, None] + np.arange(span)[None, :]
-    values = np.zeros((n * m, PACK_LANES), dtype=dt)
+    values = np.zeros((n * m, lanes), dtype=dt)
     values[:, :span] = np.take_along_axis(flat, cols, axis=1)
     return (
-        np.ascontiguousarray(values.reshape(n, m, PACK_LANES)),
+        np.ascontiguousarray(values.reshape(n, m, lanes)),
         np.ascontiguousarray(first.reshape(n, m).astype(np.int32)),
         span,
     )
 
 
-_PACKED_LOCK = threading.Lock()
-_PACKED_CACHE: list = []  # [(weights, dtype, packed)] — at most 2 entries
+_PACKED_CACHE = _TensorCache(pack_slab)
 
 
 def prepare_packed(weights: np.ndarray, dtype=None) -> tuple[np.ndarray, np.ndarray, int]:
     """Process-cached :func:`pack_slab` of a resident weight tensor.
 
     Mirrors :func:`repro.core.mi.prepare_operands`: keyed by tensor
-    identity and dtype, at most two entries, warmed by the executor before
-    forking so child workers inherit the packed copy copy-on-write.
+    identity and dtype, at most two live tensors (weakly referenced),
+    warmed by the executor before forking so child workers inherit the
+    packed copy copy-on-write.
     """
     weights = np.asarray(weights)
     dt = np.dtype(dtype) if dtype is not None else weights.dtype
-    with _PACKED_LOCK:
-        for src, d, packed in _PACKED_CACHE:
-            if src is weights and d == dt:
-                return packed
-        packed = pack_slab(weights, dt)
-        _PACKED_CACHE.append((weights, dt, packed))
-        del _PACKED_CACHE[:-2]
-        return packed
+    return _PACKED_CACHE.get(weights, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +243,41 @@ void NAME(const T* restrict vi, const int32_t* restrict fi, int ti,             
     }                                                                              \
 }
 
+/* The pooled null's pairwise entry: pair p adds, for every sample s,
+ * the outer product of row gene rows[p] at sample perm[s] and column gene
+ * cols[p] at sample s into its (b, bp) block — the permuted slab is never
+ * built.  float64 only (the null accumulates in float64 for every weight
+ * dtype); pairs are interleaved CB at a time like the tile kernel's
+ * column genes. */
+#define SPARSE_PAIRS(NAME, K, CB)                                                  \
+void NAME(const double* restrict v, const int32_t* restrict f, int m,             \
+          int b, int bp, int np, const int32_t* restrict rows,                     \
+          const int32_t* restrict cols, const int32_t* restrict perm,              \
+          double* restrict out)                                                    \
+{                                                                                  \
+    size_t cell = (size_t)b * bp;                                                  \
+    for (int p = 0; p < np; p += CB) {                                             \
+        int nq = np - p < CB ? np - p : CB;                                        \
+        const double* va[CB]; const int32_t* fa[CB];                               \
+        const double* vc[CB]; const int32_t* fc[CB]; double* J[CB];                \
+        for (int q = 0; q < nq; q++) {                                             \
+            va[q] = v + (size_t)rows[p + q] * m * 4;                               \
+            fa[q] = f + (size_t)rows[p + q] * m;                                   \
+            vc[q] = v + (size_t)cols[p + q] * m * 4;                               \
+            fc[q] = f + (size_t)cols[p + q] * m;                                   \
+            J[q]  = out + (size_t)(p + q) * cell;                                  \
+            memset(J[q], 0, cell * sizeof(double));                                \
+        }                                                                          \
+        for (int s = 0; s < m; s++) {                                              \
+            size_t ps = (size_t)perm[s];                                           \
+            for (int q = 0; q < nq; q++)                                           \
+                tile_sparse_f64_k##K##_acc(J[q] + fa[q][ps] * bp + fc[q][s],      \
+                                           va[q] + ps * 4,                         \
+                                           loadud(vc[q] + (size_t)s * 4), bp);     \
+        }                                                                          \
+    }                                                                              \
+}
+
 SPARSE_TILE(tile_sparse_f64_k1, double, v4df, loadud, storeud, 1, 8)
 SPARSE_TILE(tile_sparse_f64_k2, double, v4df, loadud, storeud, 2, 8)
 SPARSE_TILE(tile_sparse_f64_k3, double, v4df, loadud, storeud, 3, 8)
@@ -242,6 +286,10 @@ SPARSE_TILE(tile_sparse_f32_k1, float, v4sf, loaduf, storeuf, 1, 8)
 SPARSE_TILE(tile_sparse_f32_k2, float, v4sf, loaduf, storeuf, 2, 8)
 SPARSE_TILE(tile_sparse_f32_k3, float, v4sf, loaduf, storeuf, 3, 8)
 SPARSE_TILE(tile_sparse_f32_k4, float, v4sf, loaduf, storeuf, 4, 8)
+SPARSE_PAIRS(pairs_sparse_f64_k1, 1, 4)
+SPARSE_PAIRS(pairs_sparse_f64_k2, 2, 4)
+SPARSE_PAIRS(pairs_sparse_f64_k3, 3, 4)
+SPARSE_PAIRS(pairs_sparse_f64_k4, 4, 4)
 """
 
 
@@ -330,10 +378,17 @@ def _cc_library() -> "ctypes.CDLL | None":
                     ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int,
                     ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_void_p,
                 ]
-                for prec in ("f64", "f32"):
-                    for k in range(1, MAX_COMPILED_ORDER + 1):
-                        fn = getattr(lib, f"tile_sparse_{prec}_k{k}")
-                        fn.argtypes = argtypes
+                pair_argtypes = [
+                    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int, ctypes.c_int,
+                    ctypes.c_int, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p,
+                    ctypes.c_void_p, ctypes.c_void_p,
+                ]
+                for k in range(1, MAX_COMPILED_ORDER + 1):
+                    for name, types in ((f"tile_sparse_f64_k{k}", argtypes),
+                                        (f"tile_sparse_f32_k{k}", argtypes),
+                                        (f"pairs_sparse_f64_k{k}", pair_argtypes)):
+                        fn = getattr(lib, name)
+                        fn.argtypes = types
                         fn.restype = None
             _CC_LIB = [lib]
         return _CC_LIB[0]
@@ -346,6 +401,13 @@ def _cc_tile(vi, fi, vj, fj, span, bins, bp, out) -> None:
     fn(vi.ctypes.data, fi.ctypes.data, vi.shape[0],
        vj.ctypes.data, fj.ctypes.data, vj.shape[0],
        vi.shape[1], bins, bp, out.ctypes.data)
+
+
+def _cc_pairs(values, first, span, bins, bp, rows, cols, perm, out) -> None:
+    fn = getattr(_cc_library(), f"pairs_sparse_f64_k{span}")
+    fn(values.ctypes.data, first.ctypes.data, values.shape[1], bins, bp,
+       rows.shape[0], rows.ctypes.data, cols.ctypes.data, perm.ctypes.data,
+       out.ctypes.data)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +441,41 @@ def _numpy_tile(vi, fi, vj, fj, span, bins, bp, out) -> None:
         prod = vi64[a, :, :span][None, :, :, None] * vj64[:, :, None, :]
         counts = np.bincount(idx.ravel(), weights=prod.ravel(), minlength=tj * cell)
         out[a] = counts.reshape(tj, bins, bp)
+
+
+#: Pairs per ``np.bincount`` of the pairwise twin: bounds its index and
+#: product temporaries near ``_PAIR_CHUNK * m * span**2`` entries.
+_PAIR_CHUNK = 16
+
+
+def _numpy_pairs(values, first, span, bins, bp, rows, cols, perm, out) -> None:
+    """Pure-numpy twin of the pairwise cc entry, bitwise equal to it.
+
+    Per (pair, sample) the ``span x span`` cell targets are distinct, and
+    ``bincount`` adds in input order, i.e. sample order per cell — the
+    order of the compiled loop.  The compiled entry also writes the
+    column lanes past ``span``; their products are exact ``+0.0`` (every
+    weight is non-negative), so skipping them leaves every bit as is.
+    """
+    m = values.shape[1]
+    cell = bins * bp
+    lane_off = (np.arange(span, dtype=np.intp)[:, None] * bp
+                + np.arange(span, dtype=np.intp)[None, :])
+    perm = perm.astype(np.intp)
+    for p0 in range(0, rows.shape[0], _PAIR_CHUNK):
+        r = rows[p0:p0 + _PAIR_CHUNK].astype(np.intp)
+        c = cols[p0:p0 + _PAIR_CHUNK].astype(np.intp)
+        npairs = r.shape[0]
+        va = values[r[:, None], perm[None, :], :span]   # (P, m, span), permuted
+        fa = first[r[:, None], perm[None, :]]
+        vc = values[c, :, :span]
+        fc = first[c]
+        idx = ((np.arange(npairs, dtype=np.intp) * cell)[:, None]
+               + fa.astype(np.intp) * bp + fc)
+        idx = idx[:, :, None, None] + lane_off
+        prod = va[:, :, :, None] * vc[:, :, None, :]
+        counts = np.bincount(idx.ravel(), weights=prod.ravel(), minlength=npairs * cell)
+        out[p0:p0 + npairs] = counts.reshape(npairs, bins, bp)
 
 
 # ---------------------------------------------------------------------------
@@ -491,4 +588,76 @@ def accumulate_tile(
             and out.flags.c_contiguous):
         raise ValueError("cc backend requires C-contiguous operands")
     _cc_tile(vi, fi, vj, fj, span, bins, bp, out)
+    return out
+
+
+def accumulate_pairs(
+    values: np.ndarray,
+    first: np.ndarray,
+    span: int,
+    bins: int,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    perm: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Joint counts of listed gene pairs, the row gene read through ``perm``.
+
+    The pooled null's kernel: for pair ``p`` every sample ``s`` adds the
+    outer product of gene ``rows[p]`` at sample ``perm[s]`` and gene
+    ``cols[p]`` at sample ``s``, so a shared permutation costs one pass
+    over the packed operands and no permuted copy of them.
+
+    Parameters
+    ----------
+    values, first:
+        One packed float64 slab ``(G, m, L)`` / ``(G, m)`` int32 holding
+        both genes of every pair, packed at one shared ``span``
+        (:func:`pack_slab`); ``L`` is :data:`PACK_LANES` for the cc
+        backend, and wider slabs (orders above :data:`MAX_COMPILED_ORDER`)
+        take the numpy route on every backend.
+    rows, cols:
+        ``(P,)`` int32 gene positions in the slab.
+    perm:
+        ``(m,)`` int32 sample permutation applied to the row genes.
+    out:
+        ``(P, bins, joint_pad(bins))`` float64, overwritten: per pair the
+        unnormalized joint histogram in the ``bins`` leading columns.
+
+    Both backends give bitwise equal counts (see the module docstring).
+    """
+    if values.ndim != 3 or first.shape != values.shape[:2]:
+        raise ValueError("expected (G, m, L) packed values with (G, m) first indices")
+    n_genes, m, lanes = values.shape
+    if values.dtype != np.float64 or first.dtype != np.int32:
+        raise ValueError(f"expected float64 values and int32 first, got "
+                         f"{values.dtype}/{first.dtype}")
+    if not 1 <= span <= min(lanes, bins):
+        raise ValueError(f"span must be in [1, {min(lanes, bins)}], got {span}")
+    bp = joint_pad(bins)
+    if rows.shape != cols.shape or rows.ndim != 1 or not (
+            rows.dtype == cols.dtype == np.int32):
+        raise ValueError("rows and cols must be matching 1-D int32 index arrays")
+    if out.shape != (rows.shape[0], bins, bp) or out.dtype != np.float64:
+        raise ValueError(f"out must be float64 {(rows.shape[0], bins, bp)}, "
+                         f"got {out.dtype} {out.shape}")
+    if perm.shape != (m,) or perm.dtype != np.int32:
+        raise ValueError(f"perm must be an int32 vector of length {m}")
+    # Every index the cc entry dereferences is checked here, before it can
+    # turn into an out-of-bounds read or write.
+    if m and not 0 <= int(perm.min()) <= int(perm.max()) < m:
+        raise ValueError(f"perm entries must lie in [0, {m})")
+    if rows.size and not 0 <= min(int(rows.min()), int(cols.min())) <= max(
+            int(rows.max()), int(cols.max())) < n_genes:
+        raise ValueError(f"pair gene indices must lie in [0, {n_genes})")
+    if first.size and not 0 <= int(first.min()) <= int(first.max()) <= bins - span:
+        raise ValueError(
+            f"first indices must lie in [0, {bins - span}] for span {span}; "
+            "pack every gene at the shared span")
+    if sparse_backend() == "numpy" or lanes != PACK_LANES:
+        _numpy_pairs(values, first, span, bins, bp, rows, cols, perm, out)
+        return out
+    if not all(a.flags.c_contiguous for a in (values, first, rows, cols, perm, out)):
+        raise ValueError("cc backend requires C-contiguous operands")
+    _cc_pairs(values, first, span, bins, bp, rows, cols, perm, out)
     return out

@@ -20,10 +20,6 @@ can inspect the task's region as it lands.  ``timeout`` bounds each
 task's run time on engines that can kill a worker (the fork engine);
 in-process engines cannot kill a thread and ignore it.
 
-``map`` and ``map_into`` are the strict conveniences on top: they call
-the supervised form and raise :class:`RuntimeError` naming the first
-failed position.
-
 * :class:`SerialEngine` — in-process loop (the reference).
 * :class:`ThreadEngine` — ``ThreadPoolExecutor``; effective for the MI
   kernel because its time is spent inside BLAS/numpy calls that release the
@@ -165,13 +161,6 @@ def _format_error(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def raise_first_failure(engine, failures: dict) -> None:
-    """Raise :class:`RuntimeError` naming the first failed position, if any."""
-    if failures:
-        pos = min(failures)
-        raise RuntimeError(f"{engine_kind(engine)} task {pos} failed: {failures[pos]}")
-
-
 def _run_serial(task: Callable, n_items: int) -> list:
     """Run ``task(idx)`` for every index in this thread; one worker's stats."""
     busy = 0.0
@@ -187,8 +176,7 @@ class _EngineObsMixin:
 
     Subclasses implement ``_dispatch(fn, items, out, timeout, on_done,
     span) -> (results, failures, worker_stats)``; this mixin turns it into
-    ``map_supervised`` / ``map_into_supervised`` (and the strict ``map`` /
-    ``map_into``).  Every call times each task and aggregates the timings
+    ``map_supervised`` / ``map_into_supervised``.  Every call times each task and aggregates the timings
     per worker into a :class:`repro.obs.metrics.MapStats`, stored on
     ``last_map_stats`` and — when a tracer is attached (constructor
     argument or ``engine.tracer = ...``) — recorded as an ``engine_map``
@@ -216,20 +204,6 @@ class _EngineObsMixin:
         """
         _as_output_array(out)
         return self._supervised(fn, items, out, timeout, on_done)[1]
-
-    def map(self, fn: Callable, items: Sequence) -> list:
-        """Apply ``fn`` to every item, returning results in order.
-
-        A task that raises makes the call raise :class:`RuntimeError`
-        naming the first failed position.
-        """
-        results, failures = self.map_supervised(fn, items)
-        raise_first_failure(self, failures)
-        return results
-
-    def map_into(self, fn: Callable, items: Sequence, out) -> None:
-        """Run ``fn(out, item)`` for every item; strict like :meth:`map`."""
-        raise_first_failure(self, self.map_into_supervised(fn, items, out))
 
     def _supervised(self, fn, items, out, timeout, on_done):
         self._engine_fault_check()

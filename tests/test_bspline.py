@@ -262,3 +262,45 @@ class TestPackedWeightTensor:
                           dtype=np.float32)
         values, first = packed_weights(w.reshape(-1, 10), 3)
         assert values.dtype == np.float32
+
+
+def _per_point_weights(data, bins, order, dtype):
+    """Oracle: each gene scaled on its own, each point through
+    ``basis_matrix`` on its own."""
+    basis = BsplineBasis(bins, order)
+    n, m = data.shape
+    out = np.empty((n, m, bins), dtype=dtype)
+    for g in range(n):
+        z = basis.scale(data[g])
+        for s in range(m):
+            out[g, s] = basis_matrix(z[s:s + 1], bins, order)[0]
+    return out
+
+
+def _awkward_genes(m, seed=0):
+    """Smooth, tied, binary and constant genes side by side."""
+    gen = np.random.default_rng(seed)
+    return np.vstack([
+        gen.normal(size=(3, m)),
+        gen.integers(0, 4, size=(2, m)).astype(np.float64),  # average ties
+        gen.integers(0, 2, size=(2, m)).astype(np.float64),  # binary
+        np.full((1, m), 2.5),                                 # constant
+    ])
+
+
+class TestWeightTensorDistinctPoints:
+    """``weight_tensor`` evaluates the basis once per distinct scaled value
+    and gathers; it must stay bitwise the per-point evaluation."""
+
+    @pytest.mark.parametrize("transform", ["rank", "zscore", "none"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [40, 6])  # m = 6 < b = 10
+    def test_bitwise_equals_per_point_oracle(self, transform, dtype, order, m):
+        from repro.core.discretize import preprocess
+
+        data = preprocess(_awkward_genes(m), transform)
+        got = weight_tensor(data, bins=10, order=order, dtype=dtype)
+        want = _per_point_weights(data, 10, order, dtype)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()

@@ -70,6 +70,32 @@ class TestCheckpointedRun:
         mi = mi_matrix_checkpointed(weights, ck, tile=8)
         assert np.allclose(mi, mi_matrix(weights, tile=8).mi)
 
+    def test_fresh_finalize_opens_no_row_file(self, weights, tmp_path, monkeypatch):
+        # A fresh run keeps every stored row in memory; finalize reads
+        # from disk only rows an earlier run committed.
+        real_load = np.load
+        opened = []
+
+        def spy(path, *args, **kwargs):
+            opened.append(str(path))
+            return real_load(path, *args, **kwargs)
+
+        monkeypatch.setattr(np, "load", spy)
+        ck = tmp_path / "ck"
+        mi = mi_matrix_checkpointed(weights, ck, tile=8)
+        assert np.allclose(mi, mi_matrix(weights, tile=8).mi)
+        assert not [p for p in opened if "row_" in p]
+
+        # An interrupted run's committed rows are read back on resume,
+        # and only those.
+        resume = tmp_path / "resume"
+        mi_matrix_checkpointed(weights, resume, tile=8, interrupt_after_rows=2)
+        opened.clear()
+        resumed = mi_matrix_checkpointed(weights, resume, tile=8)
+        assert np.array_equal(resumed, mi)
+        assert sorted(p.rsplit("/", 1)[-1] for p in opened if "row_" in p) == [
+            "row_0000000.npz", "row_0000008.npz"]
+
     def test_validation(self, weights, tmp_path):
         with pytest.raises(ValueError):
             mi_matrix_checkpointed(weights[0], tmp_path / "x")

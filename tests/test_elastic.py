@@ -170,14 +170,15 @@ def thread_engine():
 
 class TestElasticEngine:
     def test_map_preserves_order(self, thread_engine):
-        out = thread_engine.map(functools.partial(operator.mul, 3),
-                                list(range(10)))
-        assert out == [3 * i for i in range(10)]
+        out, failures = thread_engine.map_supervised(
+            functools.partial(operator.mul, 3), list(range(10)))
+        assert out == [3 * i for i in range(10)] and failures == {}
 
     def test_map_strict_failure_raises(self, thread_engine):
-        with pytest.raises(RuntimeError, match="elastic task 2 failed"):
-            thread_engine.map(functools.partial(operator.truediv, 1.0),
-                              [1, 2, 0, 4])
+        results, failures = thread_engine.map_supervised(
+            functools.partial(operator.truediv, 1.0), [1, 2, 0, 4])
+        assert list(failures) == [2] and "ZeroDivisionError" in failures[2]
+        assert results[2] is None
 
     def test_map_supervised_isolates_failures(self, thread_engine):
         results, failures = thread_engine.map_supervised(
@@ -188,13 +189,14 @@ class TestElasticEngine:
 
     def test_unpicklable_task_rejected(self, thread_engine):
         with pytest.raises(TypeError, match="not picklable"):
-            thread_engine.map(lambda x: x, [1])
+            thread_engine.map_supervised(lambda x: x, [1])
 
     def test_empty_map(self, thread_engine):
-        assert thread_engine.map(functools.partial(operator.mul, 2), []) == []
+        assert thread_engine.map_supervised(
+            functools.partial(operator.mul, 2), []) == ([], {})
 
     def test_traffic_metered_per_worker(self, thread_engine):
-        thread_engine.map(functools.partial(operator.mul, 2), list(range(6)))
+        thread_engine.map_supervised(functools.partial(operator.mul, 2), list(range(6)))
         counters = thread_engine.meter.peer_counters()
         sent = [k for k in counters if k.startswith("comm.bytes_sent{peer=w")]
         assert len(sent) >= 2  # both workers were fed
@@ -230,7 +232,8 @@ class TestSpawnedWorkerBlasBudget:
             monkeypatch.delenv(var, raising=False)
         eng = ElasticEngine(n_workers=2, heartbeat=1.0)
         try:
-            seen = eng.map(os.getenv, list(self.BLAS_VARS) * 2)
+            seen, failures = eng.map_supervised(os.getenv, list(self.BLAS_VARS) * 2)
+            assert failures == {}
         finally:
             eng.close()
         assert seen == [str(self.budget(2))] * 4

@@ -31,33 +31,45 @@ def write_slot(out, i):
     out[i] = i * 10.0
 
 
+def run_map(engine, fn, items):
+    """``map_supervised`` results, asserting that no task failed."""
+    results, failures = engine.map_supervised(fn, items)
+    assert failures == {}
+    return results
+
+
+def run_map_into(engine, fn, items, out):
+    """``map_into_supervised``, asserting that no task failed."""
+    assert engine.map_into_supervised(fn, items, out) == {}
+
+
 class TestSerialEngine:
     def test_map_order(self):
-        assert SerialEngine().map(square, [1, 2, 3]) == [1, 4, 9]
+        assert run_map(SerialEngine(), square, [1, 2, 3]) == [1, 4, 9]
 
     def test_empty(self):
-        assert SerialEngine().map(square, []) == []
+        assert run_map(SerialEngine(), square, []) == []
 
 
 class TestThreadEngine:
     def test_map_order_preserved(self):
         eng = ThreadEngine(n_workers=4)
-        assert eng.map(square, list(range(50))) == [i * i for i in range(50)]
+        assert run_map(eng, square, list(range(50))) == [i * i for i in range(50)]
 
     def test_static_policy(self):
         eng = ThreadEngine(n_workers=3, policy=StaticScheduler())
-        assert eng.map(square, list(range(20))) == [i * i for i in range(20)]
+        assert run_map(eng, square, list(range(20))) == [i * i for i in range(20)]
 
     def test_closures_allowed(self):
         offset = 10
         eng = ThreadEngine(n_workers=2)
-        assert eng.map(lambda x: x + offset, [1, 2]) == [11, 12]
+        assert run_map(eng, lambda x: x + offset, [1, 2]) == [11, 12]
 
     def test_single_worker(self):
-        assert ThreadEngine(n_workers=1).map(square, [3]) == [9]
+        assert run_map(ThreadEngine(n_workers=1), square, [3]) == [9]
 
     def test_empty(self):
-        assert ThreadEngine(n_workers=2).map(square, []) == []
+        assert run_map(ThreadEngine(n_workers=2), square, []) == []
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
@@ -67,8 +79,9 @@ class TestThreadEngine:
         def boom(x):
             raise RuntimeError("kernel failed")
 
-        with pytest.raises(RuntimeError, match="kernel failed"):
-            ThreadEngine(n_workers=2).map(boom, [1])
+        results, failures = ThreadEngine(n_workers=2).map_supervised(boom, [1])
+        assert results == [None]
+        assert failures == {0: "RuntimeError: kernel failed"}
 
 
 #: Thread-count getters of numpy's and scipy's OpenBLAS builds and of a
@@ -106,7 +119,7 @@ class TestWorkerBlasBudget:
         budget = max(1, len(os.sched_getaffinity(0)) // 2)
         # Never above the parent's count: a user's OPENBLAS_NUM_THREADS=1 holds.
         capped = {path: min(n, budget) for path, n in parent.items()}
-        seen = cls(n_workers=2).map(lambda _: (blas_thread_counts(), os_threads()), range(4))
+        seen = run_map(cls(n_workers=2), lambda _: (blas_thread_counts(), os_threads()), range(4))
         assert [counts for counts, _ in seen] == [capped] * 4
         if all(hasattr(ctypes.CDLL(path), "blas_thread_shutdown_") for path in parent):
             # Capping must not leave BLAS pool threads spinning in a worker
@@ -115,14 +128,14 @@ class TestWorkerBlasBudget:
         assert blas_thread_counts() == parent
 
         # Inline paths run in the calling process and change nothing.
-        assert cls(n_workers=1).map(lambda _: blas_thread_counts(), [0, 1]) == [parent] * 2
+        assert run_map(cls(n_workers=1), lambda _: blas_thread_counts(), [0, 1]) == [parent] * 2
 
         def nested(_):
             before = blas_thread_counts()
-            inner = cls(n_workers=2).map(lambda _: blas_thread_counts(), [0, 1])
+            inner = run_map(cls(n_workers=2), lambda _: blas_thread_counts(), [0, 1])
             return before, inner, blas_thread_counts()
 
-        for before, inner, after in cls(n_workers=2).map(nested, [0, 1]):
+        for before, inner, after in run_map(cls(n_workers=2), nested, [0, 1]):
             assert before == capped and inner == [capped] * 2 and after == capped
         assert blas_thread_counts() == parent
 
@@ -135,7 +148,7 @@ class TestSharedMemoryEngine:
         results = {}
 
         def run(key, fn, items):
-            results[key] = eng.map(fn, items)
+            results[key] = run_map(eng, fn, items)
 
         threads = [
             threading.Thread(target=run, args=("double", lambda x: x * 2, list(range(100)))),
@@ -153,14 +166,14 @@ class TestSharedMemoryEngine:
         # it must degrade to in-process execution, not crash or hang.
         def outer(x):
             inner = SharedMemoryEngine(n_workers=2)
-            return sum(inner.map(lambda y: y * x, [1, 2, 3]))
+            return sum(run_map(inner, lambda y: y * x, [1, 2, 3]))
 
         eng = SharedMemoryEngine(n_workers=2)
-        assert eng.map(outer, [1, 2, 3]) == [6, 12, 18]
+        assert run_map(eng, outer, [1, 2, 3]) == [6, 12, 18]
 
     def test_registry_left_clean(self):
         before = dict(_FORK_TASKS)
-        SharedMemoryEngine(n_workers=2).map(square, list(range(8)))
+        run_map(SharedMemoryEngine(n_workers=2), square, list(range(8)))
         assert _FORK_TASKS == before
 
     def test_map_with_closure_over_array(self):
@@ -170,17 +183,17 @@ class TestSharedMemoryEngine:
             return int(big[i]) + 1
 
         eng = SharedMemoryEngine(n_workers=2)
-        assert eng.map(task, [0, 5, 99]) == [1, 6, 100]
+        assert run_map(eng, task, [0, 5, 99]) == [1, 6, 100]
 
     def test_single_worker_inline(self):
-        assert SharedMemoryEngine(n_workers=1).map(square, [4]) == [16]
+        assert run_map(SharedMemoryEngine(n_workers=1), square, [4]) == [16]
 
     def test_empty(self):
-        assert SharedMemoryEngine(n_workers=2).map(square, []) == []
+        assert run_map(SharedMemoryEngine(n_workers=2), square, []) == []
 
     def test_map_into_writes_in_place(self):
         out = np.full(8, -1.0)
-        SharedMemoryEngine(n_workers=2).map_into(write_slot, list(range(8)), out)
+        run_map_into(SharedMemoryEngine(n_workers=2), write_slot, list(range(8)), out)
         assert np.array_equal(out, np.arange(8) * 10.0)
 
     def test_map_into_sharedarray_sink(self):
@@ -188,7 +201,7 @@ class TestSharedMemoryEngine:
         sa = SharedArray.create((6,), "float64")
         try:
             sa.array[:] = 0.0
-            SharedMemoryEngine(n_workers=2).map_into(write_slot, list(range(6)), sa)
+            run_map_into(SharedMemoryEngine(n_workers=2), write_slot, list(range(6)), sa)
             assert np.array_equal(sa.array, np.arange(6) * 10.0)
         finally:
             sa.close()
@@ -202,7 +215,7 @@ class TestSharedMemoryEngine:
             out[i] = big[i] + 0.5
 
         out = np.zeros(10)
-        SharedMemoryEngine(n_workers=3).map_into(task, list(range(10)), out)
+        run_map_into(SharedMemoryEngine(n_workers=3), task, list(range(10)), out)
         assert np.array_equal(out, np.arange(10) + 0.5)
 
     def test_map_into_2d_blocks(self):
@@ -211,29 +224,31 @@ class TestSharedMemoryEngine:
         def block(o, r):
             o[r, :] = r + 1.0
 
-        SharedMemoryEngine(n_workers=2).map_into(block, list(range(4)), out)
+        run_map_into(SharedMemoryEngine(n_workers=2), block, list(range(4)), out)
         assert np.array_equal(out, np.repeat(np.arange(1.0, 5.0)[:, None], 4, axis=1))
 
     def test_map_into_empty(self):
         out = np.full(3, 7.0)
-        SharedMemoryEngine(n_workers=2).map_into(write_slot, [], out)
+        run_map_into(SharedMemoryEngine(n_workers=2), write_slot, [], out)
         assert np.array_equal(out, np.full(3, 7.0))
 
     def test_map_into_single_worker_inline(self):
         out = np.zeros(4)
-        SharedMemoryEngine(n_workers=1).map_into(write_slot, list(range(4)), out)
+        run_map_into(SharedMemoryEngine(n_workers=1), write_slot, list(range(4)), out)
         assert np.array_equal(out, np.arange(4) * 10.0)
 
     def test_map_into_bad_sink_rejected(self):
         with pytest.raises(TypeError):
-            SharedMemoryEngine(n_workers=2).map_into(write_slot, [0], [0.0, 0.0])
+            run_map_into(SharedMemoryEngine(n_workers=2), write_slot, [0], [0.0, 0.0])
 
     def test_worker_error_propagates(self):
         def boom(out, i):
             raise ValueError("tile kernel failed")
 
-        with pytest.raises(RuntimeError, match="tile kernel failed"):
-            SharedMemoryEngine(n_workers=2).map_into(boom, [0, 1, 2], np.zeros(3))
+        failures = SharedMemoryEngine(n_workers=2).map_into_supervised(
+            boom, [0, 1, 2], np.zeros(3))
+        assert sorted(failures) == [0, 1, 2]
+        assert all("tile kernel failed" in err for err in failures.values())
 
     def test_registry_left_clean_after_error(self):
         before = dict(_FORK_TASKS)
@@ -241,8 +256,9 @@ class TestSharedMemoryEngine:
         def boom(out, i):
             raise ValueError("nope")
 
-        with pytest.raises(RuntimeError):
-            SharedMemoryEngine(n_workers=2).map_into(boom, [0, 1], np.zeros(2))
+        failures = SharedMemoryEngine(n_workers=2).map_into_supervised(
+            boom, [0, 1], np.zeros(2))
+        assert sorted(failures) == [0, 1]
         assert _FORK_TASKS == before
 
     def test_map_into_copies_back_when_the_call_raises(self):
@@ -268,13 +284,13 @@ class TestSharedMemoryEngine:
 
     def test_plain_map_inherited(self):
         eng = SharedMemoryEngine(n_workers=2)
-        assert eng.map(square, list(range(10))) == [i * i for i in range(10)]
+        assert run_map(eng, square, list(range(10))) == [i * i for i in range(10)]
 
     def test_reusable_across_calls(self):
         eng = SharedMemoryEngine(n_workers=2)
         a, b = np.zeros(5), np.zeros(5)
-        eng.map_into(write_slot, list(range(5)), a)
-        eng.map_into(lambda o, i: o.__setitem__(i, -float(i)), list(range(5)), b)
+        run_map_into(eng, write_slot, list(range(5)), a)
+        run_map_into(eng, lambda o, i: o.__setitem__(i, -float(i)), list(range(5)), b)
         assert np.array_equal(a, np.arange(5) * 10.0)
         assert np.array_equal(b, -np.arange(5, dtype=float))
 
@@ -283,7 +299,7 @@ class TestMapIntoInProcessEngines:
     @pytest.mark.parametrize("engine", [SerialEngine(), ThreadEngine(n_workers=3)])
     def test_map_into(self, engine):
         out = np.zeros(12)
-        engine.map_into(write_slot, list(range(12)), out)
+        run_map_into(engine, write_slot, list(range(12)), out)
         assert np.array_equal(out, np.arange(12) * 10.0)
 
 
@@ -364,7 +380,7 @@ class TestSharedArray:
                 return i
 
             eng = SharedMemoryEngine(n_workers=2)
-            eng.map(worker, list(range(8)))
+            run_map(eng, worker, list(range(8)))
             assert np.array_equal(sa.array, np.arange(8) * 10.0)
         finally:
             sa.close()

@@ -272,8 +272,8 @@ class TestDispatchOrder:
         tracer = Tracer()
         engine = ThreadEngine(n_workers=n_workers, policy=StaticScheduler(),
                               tracer=tracer)
-        results = engine.map(task, list(range(n_items)))
-        assert results == [i * i for i in range(n_items)]
+        results, failures = engine.map_supervised(task, list(range(n_items)))
+        assert results == [i * i for i in range(n_items)] and failures == {}
 
         expected = sorted(len(c) for c in block_partition(n_items, n_workers))
         assert sorted(engine.last_map_stats.task_counts().values()) == expected
@@ -284,7 +284,7 @@ class TestDispatchOrder:
     def test_engine_map_span_annotates_policy(self):
         tracer = Tracer()
         engine = SharedMemoryEngine(n_workers=2, policy=CyclicScheduler(), tracer=tracer)
-        assert engine.map(_square, list(range(5))) == [0, 1, 4, 9, 16]
+        assert engine.map_supervised(_square, list(range(5))) == ([0, 1, 4, 9, 16], {})
         (span,) = tracer.find_spans("engine_map")
         assert span.metadata["policy"] == "cyclic"
 

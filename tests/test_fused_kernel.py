@@ -176,6 +176,22 @@ class TestPrepareOperands:
         assert row_ops.shape == (n, b, m) and row_ops.flags.c_contiguous
         assert col_ops.shape == (m, n * b) and col_ops.flags.c_contiguous
 
+    def test_dead_tensor_leaves_no_entry(self):
+        # Entries hold the tensor weakly: a finished run's weights and
+        # their hoisted copies must not outlive it in the cache.
+        import gc
+
+        from repro.core.mi import _OPERAND_CACHE
+
+        w = weight_tensor(np.random.default_rng(4).normal(size=(6, 30)))
+        ops = prepare_operands(w)
+        assert prepare_operands(w) is ops
+        key = (id(w), w.dtype)
+        assert key in _OPERAND_CACHE._entries
+        del w
+        gc.collect()
+        assert key not in _OPERAND_CACHE._entries
+
 
 class TestTileWorkspace:
     def test_buffers_reused(self):

@@ -316,6 +316,31 @@ class TestDeltaCheckpointSink:
         assert (np.diag(out) == 0.0).all()
 
 
+    def test_fresh_finalize_opens_no_row_file(self, plan_and_source, tmp_path,
+                                              monkeypatch):
+        from repro.core.exec import run_tile_plan
+
+        plan, source = plan_and_source
+        base = np.full((12, 12), 7.0)
+        np.fill_diagonal(base, 0.0)
+        sub = filter_plan(plan, plan.tiles[:3])
+        ref = run_tile_plan(sub, source, DeltaCheckpointSink(
+            tmp_path / "ref", sub, source.fingerprint(), base=base))
+        real_load = np.load
+        opened = []
+
+        def spy(path, *args, **kwargs):
+            opened.append(str(path))
+            return real_load(path, *args, **kwargs)
+
+        monkeypatch.setattr(np, "load", spy)
+        out = run_tile_plan(sub, source, DeltaCheckpointSink(
+            tmp_path / "ck", sub, source.fingerprint(), base=base))
+        assert np.array_equal(out, ref)
+        assert not [p for p in opened if "row_" in p]
+        assert (base[~np.eye(12, dtype=bool)] == 7.0).all()  # base not modified
+
+
 class TestExtendColumnsAndDrift:
     def test_extend_columns_appends(self):
         data = np.arange(12.0).reshape(3, 4)

@@ -46,8 +46,8 @@ class TestEngineWorkerMetrics:
     def test_map_stats_account_for_every_task(self, engine):
         tracer = Tracer()
         engine.tracer = tracer
-        results = engine.map(lambda x: x * x, list(range(7)))
-        assert results == [x * x for x in range(7)]
+        results, failures = engine.map_supervised(lambda x: x * x, list(range(7)))
+        assert results == [x * x for x in range(7)] and failures == {}
         stats = engine.last_map_stats
         assert stats.n_tasks == 7
         assert sum(stats.task_counts().values()) == 7
@@ -60,13 +60,14 @@ class TestEngineWorkerMetrics:
 
     @pytest.mark.parametrize(
         "engine",
-        [e for e in _engines() if hasattr(e, "map_into")],
+        _engines(),
         ids=lambda e: type(e).__name__,
     )
     def test_map_into_stats(self, engine):
         out = np.zeros(5, dtype=np.float64)
         engine.tracer = Tracer()
-        engine.map_into(lambda arr, i: arr.__setitem__(i, float(i)), range(5), out)
+        assert engine.map_into_supervised(
+            lambda arr, i: arr.__setitem__(i, float(i)), range(5), out) == {}
         assert np.array_equal(out, np.arange(5.0))
         assert engine.last_map_stats.n_tasks == 5
         assert sum(engine.last_map_stats.task_counts().values()) == 5
@@ -76,8 +77,8 @@ class TestEngineWorkerMetrics:
         engine = SharedMemoryEngine(n_workers=2)
         tracer = Tracer()
         engine.tracer = tracer
-        blocks = engine.map(lambda i: np.zeros((4, 4)), range(3))
-        assert len(blocks) == 3
+        blocks, failures = engine.map_supervised(lambda i: np.zeros((4, 4)), range(3))
+        assert len(blocks) == 3 and failures == {}
         assert tracer.counters["bytes_transported"] == 3 * 4 * 4 * 8
 
 

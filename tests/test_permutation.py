@@ -13,6 +13,7 @@ from repro.core.permutation import (
     permuted_weights,
     pooled_null,
 )
+from repro.core.sparsekernel import _reset_backend_cache
 
 
 @pytest.fixture(scope="module")
@@ -199,3 +200,93 @@ class TestPerPairVectorization:
             ref_p[idx] = (1.0 + exceed) / (1.0 + q)
         assert np.array_equal(observed, ref_obs)
         assert np.array_equal(pvals, ref_p)
+
+
+def _einsum_null(weights, n_permutations, n_pairs, seed, base="nat"):
+    """Oracle: the dense permuted-slab einsum the pooled null used to run,
+    in float64."""
+    from repro.core.mi import batched_pair_mi
+    from repro.stats.random import as_rng, permutation_matrix, sample_pairs
+
+    w = np.asarray(weights, dtype=np.float64)
+    n, m, _ = w.shape
+    rng = as_rng(seed)
+    pairs = sample_pairs(n, n_pairs, rng)
+    perms = permutation_matrix(n_permutations, m, rng)
+    wi, wj = w[pairs[:, 0]], w[pairs[:, 1]]
+    rows = [batched_pair_mi(np.einsum("pmb,pmc->pbc", wi[:, perm], wj, optimize=True) / m,
+                            base=base)
+            for perm in perms]
+    return np.stack(rows).ravel()
+
+
+def _ranked(order, dtype, n=16, m=90, seed=11):
+    rng = np.random.default_rng(seed)
+    data = rank_transform(rng.normal(size=(n, m)))
+    return weight_tensor(data, bins=10, order=order, dtype=dtype)
+
+
+def _force_backend(monkeypatch, name):
+    monkeypatch.setenv("REPRO_SPARSE_BACKEND", name)
+    _reset_backend_cache()
+
+
+class TestPackedPooledNull:
+    """The null runs on packed operands read through each permutation."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_backend(self):
+        yield
+        _reset_backend_cache()  # resolved again from the restored env
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_backends_bitwise_equal(self, monkeypatch, order, dtype):
+        w = _ranked(order, dtype)
+        native = pooled_null(w, 6, 25, seed=4)
+        _force_backend(monkeypatch, "numpy")
+        fallback = pooled_null(w, 6, 25, seed=4)
+        assert native.mis.tobytes() == fallback.mis.tobytes()
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_within_1e12_of_einsum_oracle(self, monkeypatch, order):
+        w = _ranked(order, np.float64)
+        want = _einsum_null(w, 6, 25, seed=4)
+        if order > 4:  # packed wider than the compiled lanes: numpy only
+            _force_backend(monkeypatch, "numpy")
+        got = pooled_null(w, 6, 25, seed=4)
+        assert (got.mis > 0).all()
+        np.testing.assert_allclose(got.mis, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_float32_weights_accumulate_in_float64(self, order):
+        # The upcast is exact, so a float32 tensor's null is the null of
+        # its float64 copy, bit for bit.
+        w32 = _ranked(order, np.float32)
+        a = pooled_null(w32, 5, 20, seed=9)
+        b = pooled_null(w32.astype(np.float64), 5, 20, seed=9)
+        assert a.mis.tobytes() == b.mis.tobytes()
+
+    def test_base_bits(self):
+        w = _ranked(3, np.float64)
+        nat = pooled_null(w, 4, 10, seed=1)
+        bits = pooled_null(w, 4, 10, seed=1, base="bit")
+        np.testing.assert_allclose(bits.mis, nat.mis / np.log(2), rtol=1e-12)
+        np.testing.assert_allclose(bits.mis, _einsum_null(w, 4, 10, seed=1, base="bit"),
+                                   rtol=1e-12)
+
+    def test_few_genes_all_packed(self):
+        # Every gene sampled (n = 2): the tensor is packed without a copy.
+        w = _ranked(3, np.float64, n=2, m=40)
+        got = pooled_null(w, 8, 1, seed=2)
+        np.testing.assert_allclose(got.mis, _einsum_null(w, 8, 1, seed=2), rtol=1e-12)
+
+    def test_backend_resolved_in_parent_before_fork(self):
+        from repro.core import sparsekernel
+        from repro.parallel.engine import SharedMemoryEngine
+
+        _reset_backend_cache()
+        w = _ranked(3, np.float64)
+        forked = pooled_null(w, 4, 10, seed=3, engine=SharedMemoryEngine(n_workers=2))
+        assert sparsekernel._BACKEND is not None
+        assert forked.mis.tobytes() == pooled_null(w, 4, 10, seed=3).mis.tobytes()

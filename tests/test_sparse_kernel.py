@@ -31,7 +31,9 @@ from repro.core.mi import (
 from repro.core.mi_matrix import mi_matrix
 from repro.core.sparsekernel import (
     PACK_LANES,
+    _PACKED_CACHE,
     _reset_backend_cache,
+    accumulate_pairs,
     accumulate_tile,
     joint_pad,
     pack_slab,
@@ -550,3 +552,91 @@ class TestPackedWeightTensor:
                                     lanes[6:12], first[6:12].astype(np.int32),
                                     3, 10, 90, h_i=h[:6], h_j=h[6:12])
         assert np.array_equal(got, ref)
+
+
+# ---------------------------------------------------------------------------
+# Pairwise entry (the pooled null's kernel)
+# ---------------------------------------------------------------------------
+
+
+def _pair_operands(order, n=10, m=70, seed=3):
+    rng = np.random.default_rng(seed)
+    w = weight_tensor(rng.normal(size=(n, m)), bins=10, order=order)
+    values, first, span = pack_slab(w, np.float64, lanes=None)
+    rows = rng.integers(0, n, size=13).astype(np.int32)
+    cols = rng.integers(0, n, size=13).astype(np.int32)
+    perm = rng.permutation(m).astype(np.int32)
+    return w, values, first, span, rows, cols, perm
+
+
+def _pairs(values, first, span, rows, cols, perm, bins=10):
+    out = np.full((rows.shape[0], bins, joint_pad(bins)), np.nan)
+    return accumulate_pairs(values, first, span, bins, rows, cols, perm, out)
+
+
+class TestAccumulatePairs:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_counts_match_dense_oracle(self, order):
+        w, values, first, span, rows, cols, perm = _pair_operands(order)
+        got = _pairs(values, first, span, rows, cols, perm)
+        want = np.einsum("pmb,pmc->pbc", w[rows][:, perm], w[cols])
+        np.testing.assert_allclose(got[:, :, :10], want, rtol=1e-13, atol=1e-13)
+        assert (got[:, :, 10:] == 0.0).all()
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_numpy_twin_bitwise_equal(self, order, monkeypatch):
+        _, values, first, span, rows, cols, perm = _pair_operands(order)
+        native = _pairs(values, first, span, rows, cols, perm)
+        _forced_backend(monkeypatch, "numpy")
+        fallback = _pairs(values, first, span, rows, cols, perm)
+        assert native.tobytes() == fallback.tobytes()
+
+    def test_wide_lanes_take_the_numpy_route(self):
+        # Order 5 packs 5 lanes; no compiled entry exists for it.
+        _, values, *_ = _pair_operands(5)
+        assert values.shape[2] == 5
+        with pytest.raises(ValueError, match="span"):
+            pack_slab(weight_tensor(np.random.default_rng(0).normal(size=(2, 30)),
+                                    bins=10, order=5))
+
+    def test_out_of_range_indices_rejected(self):
+        _, values, first, span, rows, cols, perm = _pair_operands(3)
+        bad_perm = perm.copy()
+        bad_perm[0] = perm.shape[0]
+        with pytest.raises(ValueError, match="perm"):
+            _pairs(values, first, span, rows, cols, bad_perm)
+        bad_rows = rows.copy()
+        bad_rows[-1] = values.shape[0]
+        with pytest.raises(ValueError, match="gene indices"):
+            _pairs(values, first, span, bad_rows, cols, perm)
+        bad_first = first.copy()
+        bad_first[0, 0] = 10 - span + 1
+        with pytest.raises(ValueError, match="first"):
+            _pairs(values, bad_first, span, rows, cols, perm)
+
+    def test_operand_types_checked(self):
+        _, values, first, span, rows, cols, perm = _pair_operands(3)
+        with pytest.raises(ValueError, match="float64"):
+            _pairs(values.astype(np.float32), first, span, rows, cols, perm)
+        with pytest.raises(ValueError, match="perm"):
+            _pairs(values, first, span, rows, cols, perm.astype(np.int64))
+        with pytest.raises(ValueError, match="int32 index"):
+            _pairs(values, first, span, rows.astype(np.int64), cols, perm)
+        with pytest.raises(ValueError, match="out"):
+            accumulate_pairs(values, first, span, 10, rows, cols, perm,
+                             np.zeros((rows.shape[0], 10, 10)))
+
+
+class TestPackedCacheLifetime:
+    def test_live_tensor_hits_dead_tensor_dropped(self):
+        import gc
+
+        w = weight_tensor(np.random.default_rng(8).normal(size=(6, 30)))
+        packed = prepare_packed(w)
+        assert prepare_packed(w) is packed
+        key = (id(w), w.dtype)
+        assert key in _PACKED_CACHE._entries
+        del w
+        gc.collect()
+        assert key not in _PACKED_CACHE._entries
+
