@@ -257,7 +257,7 @@ def mi_tile(
 # to the reference kernel.
 
 class _TensorCache:
-    """Data derived from at most ``size`` live tensors, keyed by identity.
+    """Data derived from at most two live tensors, keyed by identity.
 
     Entries are keyed by ``(id(tensor), dtype)`` and hold only a weak
     reference to the tensor, so a cache entry never keeps a dead run's
@@ -267,9 +267,8 @@ class _TensorCache:
     thread that holds the lock.
     """
 
-    def __init__(self, build, size: int = 2) -> None:
+    def __init__(self, build) -> None:
         self._build = build
-        self._size = size
         self._lock = threading.Lock()
         self._entries: dict = {}  # (id, dtype) -> (weakref, value)
 
@@ -282,7 +281,7 @@ class _TensorCache:
             value = self._build(tensor, dtype)
             ref = weakref.ref(tensor, functools.partial(self._drop, key))
             self._entries[key] = (ref, value)
-            while len(self._entries) > self._size:
+            while len(self._entries) > 2:
                 self._entries.pop(next(iter(self._entries)), None)
             return value
 

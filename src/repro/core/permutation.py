@@ -171,7 +171,7 @@ def pooled_null(
     perms = permutation_matrix(n_permutations, m, rng).astype(np.int32)
 
     genes, slots = np.unique(pairs, return_inverse=True)
-    slots = slots.reshape(pairs.shape).astype(np.int32)
+    rows, cols = np.ascontiguousarray(slots.reshape(pairs.shape).T, dtype=np.int32)
     sampled = weights if genes.size == n else weights[genes]
     values, first, span = pack_slab(sampled, np.float64, lanes=None)
     # Resolve (and on a cold cache, compile) the backend here, once, so
@@ -179,12 +179,10 @@ def pooled_null(
     sparse_backend()
     # functools.partial, not a lambda, so the task pickles and the null
     # phase dispatches through remote (elastic) engines too.
-    rows = supervised_map(
+    null = np.stack(supervised_map(
         functools.partial(_pooled_null_row, values, first, span, b,
-                          np.ascontiguousarray(slots[:, 0]),
-                          np.ascontiguousarray(slots[:, 1]), perms, base),
-        range(n_permutations), engine=engine, policy=policy, tracer=tracer)
-    null = np.stack(rows, axis=0)
+                          rows, cols, perms, base),
+        range(n_permutations), engine=engine, policy=policy, tracer=tracer))
     return NullDistribution(
         mis=null.ravel(),
         n_permutations=n_permutations,
