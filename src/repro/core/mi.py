@@ -264,7 +264,8 @@ class _TensorCache:
     weights alive: when the tensor is freed its entry (and the derived
     copies) go with it.  The weakref callback takes no lock — a dict
     ``pop`` is atomic, and the callback may fire inside ``build`` on the
-    thread that holds the lock.
+    thread that holds the lock — so code under the lock never iterates
+    the live dict, which the callback may shrink at any time.
     """
 
     def __init__(self, build) -> None:
@@ -282,7 +283,7 @@ class _TensorCache:
             ref = weakref.ref(tensor, functools.partial(self._drop, key))
             self._entries[key] = (ref, value)
             while len(self._entries) > 2:
-                self._entries.pop(next(iter(self._entries)), None)
+                self._entries.pop(next(iter(self._entries.copy())), None)
             return value
 
     def _drop(self, key, ref) -> None:

@@ -192,6 +192,44 @@ class TestPrepareOperands:
         gc.collect()
         assert key not in _OPERAND_CACHE._entries
 
+    def test_concurrent_threads_get_their_own_operands(self):
+        # Threads create, look up and drop tensors while weakref callbacks
+        # shrink the shared cache under them: every lookup must return the
+        # operands of the tensor it was given, and nothing may raise.
+        import sys
+        import threading
+
+        from repro.core.mi import _OPERAND_CACHE
+
+        errors = []
+
+        def worker(seed):
+            gen = np.random.default_rng(seed)
+            try:
+                for _ in range(150):
+                    w = gen.random((3, 5, 4))
+                    # Six threads share two slots, so a second lookup may
+                    # miss; the operands must still be w's own.
+                    row_ops, col_ops = prepare_operands(w)
+                    assert np.array_equal(row_ops, w.transpose(0, 2, 1))
+                    assert np.array_equal(col_ops, w.transpose(1, 0, 2).reshape(5, 12))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(_OPERAND_CACHE._entries) <= 2
+
 
 class TestTileWorkspace:
     def test_buffers_reused(self):
