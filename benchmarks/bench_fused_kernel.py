@@ -29,7 +29,8 @@ import pytest
 from repro.core.bspline import weight_tensor
 from repro.core.discretize import rank_transform
 from repro.core.entropy import marginal_entropies
-from repro.core.mi import TileWorkspace, mi_tile, mi_tile_block, prepare_operands
+from repro.core.exec import TensorSource, compute_tile
+from repro.core.mi import mi_tile, prepare_operands
 from repro.core.tiling import (
     autotune_tile_size,
     default_tile_size,
@@ -52,22 +53,19 @@ def fused_weights():
 
 
 def _legacy_blocks(weights, h, tile):
-    grid = tile_grid(weights.shape[0], tile)
-    return [
-        mi_tile(weights[t.i0:t.i1], weights[t.j0:t.j1],
-                h_i=h[t.i0:t.i1], h_j=h[t.j0:t.j1])
-        for t in grid
-    ]
+    blocks = []
+    for t in tile_grid(weights.shape[0], tile):
+        block = mi_tile(weights[t.i0:t.i1], weights[t.j0:t.j1],
+                        h_i=h[t.i0:t.i1], h_j=h[t.j0:t.j1])
+        if t.is_diagonal:  # the mask compute_tile applies
+            block[~t.pair_mask()] = 0.0
+        blocks.append(block)
+    return blocks
 
 
-def _fused_blocks(weights, h, tile, ws, dtype=None):
-    grid = tile_grid(weights.shape[0], tile)
-    return [
-        mi_tile_block(weights, t.i0, t.i1, t.j0, t.j1,
-                      h_i=h[t.i0:t.i1], h_j=h[t.j0:t.j1],
-                      workspace=ws, dtype=dtype)
-        for t in grid
-    ]
+def _fused_grid(source, h, tile, dtype=None):
+    return [compute_tile(source, h, t, kernel_dtype=dtype)
+            for t in tile_grid(source.n_genes, tile)]
 
 
 def _time_interleaved(fns, repeats=REPEATS):
@@ -106,7 +104,7 @@ def test_fused_kernel_speedups(fused_weights, report):
     weights = fused_weights
     m, b = weights.shape[1], weights.shape[2]
     h = marginal_entropies(weights)
-    ws = TileWorkspace()
+    source = TensorSource(weights)
 
     legacy_tile = default_tile_size(m, b)
     fused_tile = fused_tile_size(m, b)
@@ -116,7 +114,7 @@ def test_fused_kernel_speedups(fused_weights, report):
     # Bit-identity guard (runs in smoke mode too): at the same tile size the
     # fused float64 kernel must reproduce the legacy bits exactly.
     for ref, got in zip(_legacy_blocks(weights, h, legacy_tile),
-                        _fused_blocks(weights, h, legacy_tile, ws)):
+                        _fused_grid(source, h, legacy_tile)):
         assert np.array_equal(got, ref), "fused kernel diverged from mi_tile"
 
     # Hoist once before timing (run_tile_plan warms the operand cache the
@@ -126,11 +124,10 @@ def test_fused_kernel_speedups(fused_weights, report):
 
     rounds = _time_interleaved({
         "legacy": lambda: _legacy_blocks(weights, h, legacy_tile),
-        "fused": lambda: _fused_blocks(weights, h, legacy_tile, ws),
-        "fused_ft": lambda: _fused_blocks(weights, h, fused_tile, ws),
-        "auto": lambda: _fused_blocks(weights, h, auto_tile, ws),
-        "f32": lambda: _fused_blocks(weights, h, fused_tile, ws,
-                                     dtype="float32"),
+        "fused": lambda: _fused_grid(source, h, legacy_tile),
+        "fused_ft": lambda: _fused_grid(source, h, fused_tile),
+        "auto": lambda: _fused_grid(source, h, auto_tile),
+        "f32": lambda: _fused_grid(source, h, fused_tile, dtype="float32"),
     })
 
     def row(kernel, tile, name):
@@ -166,8 +163,8 @@ def test_float32_mode_tolerance(fused_weights):
     """Mixed-precision results stay within the documented tolerance."""
     weights = fused_weights
     h = marginal_entropies(weights)
-    ws = TileWorkspace()
+    source = TensorSource(weights)
     tile = fused_tile_size(weights.shape[1], weights.shape[2])
-    for ref, got in zip(_fused_blocks(weights, h, tile, ws),
-                        _fused_blocks(weights, h, tile, ws, dtype="float32")):
+    for ref, got in zip(_fused_grid(source, h, tile),
+                        _fused_grid(source, h, tile, dtype="float32")):
         assert np.allclose(got, ref, rtol=1e-5, atol=1e-5)

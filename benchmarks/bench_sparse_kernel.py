@@ -33,15 +33,10 @@ import pytest
 from repro.core.bspline import weight_tensor
 from repro.core.discretize import rank_transform
 from repro.core.entropy import marginal_entropies
-from repro.core.mi import (
-    TileWorkspace,
-    mi_tile,
-    mi_tile_block,
-    mi_tile_sparse_block,
-    prepare_operands,
-)
+from repro.core.exec import TensorSource, compute_tile
+from repro.core.mi import mi_tile, prepare_operands
 from repro.core.sparsekernel import prepare_packed, sparse_backend
-from repro.core.tiling import fused_tile_size, tile_grid
+from repro.core.tiling import Tile, fused_tile_size, tile_grid
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 N_GENES = 48 if SMOKE else 1024
@@ -58,24 +53,9 @@ def sparse_weights():
     return weight_tensor(data, bins=BINS, order=ORDER)
 
 
-def _fused_blocks(weights, h, tile, ws, dtype=None):
-    grid = tile_grid(weights.shape[0], tile)
-    return [
-        mi_tile_block(weights, t.i0, t.i1, t.j0, t.j1,
-                      h_i=h[t.i0:t.i1], h_j=h[t.j0:t.j1],
-                      workspace=ws, dtype=dtype)
-        for t in grid
-    ]
-
-
-def _sparse_blocks(weights, h, tile, ws, dtype=None):
-    grid = tile_grid(weights.shape[0], tile)
-    return [
-        mi_tile_sparse_block(weights, t.i0, t.i1, t.j0, t.j1,
-                             h_i=h[t.i0:t.i1], h_j=h[t.j0:t.j1],
-                             workspace=ws, dtype=dtype)
-        for t in grid
-    ]
+def _blocks(source, h, tile, kernel=None, dtype=None):
+    return [compute_tile(source, h, t, kernel=kernel, kernel_dtype=dtype)
+            for t in tile_grid(source.n_genes, tile)]
 
 
 def _time_interleaved(fns, repeats=REPEATS):
@@ -106,7 +86,7 @@ def test_sparse_kernel_speedups(sparse_weights, report):
     weights = sparse_weights
     n, m, b = weights.shape
     h = marginal_entropies(weights)
-    ws = TileWorkspace()
+    source = TensorSource(weights)
     tile = fused_tile_size(m, b)
     backend = sparse_backend()
 
@@ -115,9 +95,9 @@ def test_sparse_kernel_speedups(sparse_weights, report):
     for t in list(grid)[:4]:
         ref = mi_tile(weights[t.i0:t.i1], weights[t.j0:t.j1],
                       h_i=h[t.i0:t.i1], h_j=h[t.j0:t.j1])
-        got = mi_tile_sparse_block(weights, t.i0, t.i1, t.j0, t.j1,
-                                   h_i=h[t.i0:t.i1], h_j=h[t.j0:t.j1],
-                                   workspace=ws)
+        if t.is_diagonal:  # the mask compute_tile applies
+            ref[~t.pair_mask()] = 0.0
+        got = compute_tile(source, h, t, kernel="sparse")
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13)
 
     # Steady state: operands hoisted once, as run_tile_plan warms them.
@@ -127,12 +107,10 @@ def test_sparse_kernel_speedups(sparse_weights, report):
     prepare_packed(weights, np.float32)
 
     rounds = _time_interleaved({
-        "fused64": lambda: _fused_blocks(weights, h, tile, ws),
-        "fused32": lambda: _fused_blocks(weights, h, tile, ws,
-                                         dtype="float32"),
-        "sparse64": lambda: _sparse_blocks(weights, h, tile, ws),
-        "sparse32": lambda: _sparse_blocks(weights, h, tile, ws,
-                                           dtype="float32"),
+        "fused64": lambda: _blocks(source, h, tile),
+        "fused32": lambda: _blocks(source, h, tile, dtype="float32"),
+        "sparse64": lambda: _blocks(source, h, tile, "sparse"),
+        "sparse32": lambda: _blocks(source, h, tile, "sparse", "float32"),
     })
 
     # The b=30 scaling point: same genes, re-binned.  The sparse tier's
@@ -144,19 +122,19 @@ def test_sparse_kernel_speedups(sparse_weights, report):
     w30 = weight_tensor(data, bins=b30, order=ORDER)
     h30 = marginal_entropies(w30)
     t30 = fused_tile_size(m, b30)
-    ws30 = TileWorkspace()
+    src30 = TensorSource(w30)
     prepare_operands(w30)
     prepare_packed(w30)
     rounds30 = _time_interleaved({
-        "fused64": lambda: _fused_blocks(w30, h30, t30, ws30),
-        "sparse64": lambda: _sparse_blocks(w30, h30, t30, ws30),
+        "fused64": lambda: _blocks(src30, h30, t30),
+        "sparse64": lambda: _blocks(src30, h30, t30, "sparse"),
     })
 
     # Packed transport bytes: what an elastic worker receives when the
     # driver ships PackedWeightSource instead of the dense tensor.
-    from repro.core.exec import PackedWeightSource, TensorSource
+    from repro.core.exec import PackedWeightSource
 
-    packed_src = PackedWeightSource.from_source(TensorSource(weights))
+    packed_src = PackedWeightSource.from_source(source)
     dense_bytes = len(pickle.dumps(weights, protocol=5))
     packed_bytes = len(pickle.dumps(packed_src, protocol=5))
     transport_reduction = dense_bytes / packed_bytes
@@ -209,13 +187,11 @@ def test_sparse_numpy_fallback_bit_identity(sparse_weights):
 
     weights = sparse_weights[:16]
     h = marginal_entropies(weights)
-    native = mi_tile_sparse_block(weights, 0, 8, 8, 16,
-                                  h_i=h[:8], h_j=h[8:16])
+    native = compute_tile(weights, h, Tile(0, 8, 8, 16), kernel="sparse")
     os.environ["REPRO_SPARSE_BACKEND"] = "numpy"
     _reset_backend_cache()
     try:
-        fallback = mi_tile_sparse_block(weights, 0, 8, 8, 16,
-                                        h_i=h[:8], h_j=h[8:16])
+        fallback = compute_tile(weights, h, Tile(0, 8, 8, 16), kernel="sparse")
     finally:
         os.environ.pop("REPRO_SPARSE_BACKEND", None)
         _reset_backend_cache()
@@ -226,8 +202,7 @@ def test_sparse_float32_tolerance(sparse_weights):
     """Sparse mixed precision stays within the fused kernel's tolerance."""
     weights = sparse_weights[:24]
     h = marginal_entropies(weights)
-    ws = TileWorkspace()
     ref = mi_tile(weights[:12], weights[12:24], h_i=h[:12], h_j=h[12:24])
-    got = mi_tile_sparse_block(weights, 0, 12, 12, 24, h_i=h[:12],
-                               h_j=h[12:24], workspace=ws, dtype="float32")
+    got = compute_tile(weights, h, Tile(0, 12, 12, 24), kernel="sparse",
+                       kernel_dtype="float32")
     assert np.allclose(got, ref, rtol=1e-5, atol=1e-5)

@@ -160,18 +160,6 @@ class TaskGraph:
             self.reassigned += len(released)
         return released
 
-    def cancel_pending(self) -> list:
-        """Abandon all pending tasks (strict-map abort after a task error).
-
-        Cancelled tasks are marked done so :meth:`done` terminates the
-        dispatch loop; the caller already knows the batch failed.
-        """
-        cancelled = list(self._pending)
-        for t in cancelled:
-            t.state = DONE
-        self._pending.clear()
-        return cancelled
-
     def tasks_by_index(self) -> dict:
         return {t.index: t for t in self.tasks}
 

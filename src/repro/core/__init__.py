@@ -21,7 +21,7 @@ from repro.core.checkpoint import CheckpointSink, checkpoint_status, mi_matrix_c
 from repro.core.consensus import ConsensusResult, bootstrap_networks, consensus_network
 from repro.core.discretize import preprocess, rank_transform, zscore
 from repro.core.driver import AutoRunResult, auto_reconstruct
-from repro.core.exact import ExactTestResult, exact_mi_pvalues, mi_tile_fused
+from repro.core.exact import ExactTestResult, exact_mi_pvalues
 from repro.core.exec import (
     SCHEDULE_NAMES,
     DenseSink,
@@ -115,7 +115,6 @@ __all__ = [
     "mi_shrinkage_pair",
     "mi_pairs",
     "mi_row",
-    "mi_tile_fused",
     "mi_tile",
     "open_weight_store",
     "pair_count",

@@ -5,7 +5,9 @@ for every tile of gene pairs, the observed MI *and* its ``q`` permuted
 replicas are computed in one pass while the weight slabs are hot in cache
 — the permutation loop is the innermost reuse level, which is why the cost
 model charges ``(1 + q)`` MI evaluations per pair with no extra memory
-traffic (:class:`repro.machine.costmodel.KernelProfile`).
+traffic (:class:`repro.machine.costmodel.KernelProfile`).  Each tile runs
+through :func:`repro.core.exec.compute_tile`, which reruns the MI pass's
+fused block on permuted row operands.
 
 The pooled-null pipeline (:mod:`repro.core.permutation`) is the cheap
 statistical shortcut; this module is the exact counterpart: a per-pair
@@ -28,10 +30,9 @@ from repro.core.exec import (
     plan_run,
     run_tile_plan,
 )
-from repro.core.mi import mi_tile_fused
 from repro.stats.random import as_rng, permutation_matrix
 
-__all__ = ["ExactSink", "ExactTestResult", "mi_tile_fused", "exact_mi_pvalues"]
+__all__ = ["ExactSink", "ExactTestResult", "exact_mi_pvalues"]
 
 
 @dataclass

@@ -45,16 +45,13 @@ from repro.core.entropy import marginal_entropies
 from repro.core.mi import (
     KERNEL_NAMES,
     TileWorkspace,
+    _fused_block,
     _resolve_kernel_dtype,
-    mi_tile_block,
-    mi_tile_fused,
-    mi_tile_into,
-    mi_tile_sparse,
-    mi_tile_sparse_block,
-    mi_tile_sparse_packed,
+    _sparse_block,
+    mi_tile,
     prepare_operands,
 )
-from repro.core.sparsekernel import PACK_LANES, prepare_packed
+from repro.core.sparsekernel import PACK_LANES, pack_slab, prepare_packed
 from repro.core.tiling import (
     Tile,
     autotune_tile_size,
@@ -181,6 +178,7 @@ class WeightSource:
     the tensor fingerprint are computed once here and cached, so every
     consumer — the MI pass, the exact tester, the checkpoint ledger —
     reuses the same arrays instead of recomputing them per driver.
+    :meth:`operands` is where a tile's kernel operands come from.
     """
 
     n_genes: int
@@ -199,6 +197,41 @@ class WeightSource:
     def slab(self, a: int, b: int) -> np.ndarray:
         """The ``weights[a:b]`` block-row, in the dtype the kernel expects."""
         raise NotImplementedError
+
+    def operands(self, t: Tile, kernel, dtype, ws: TileWorkspace) -> tuple:
+        """Tile ``t``'s kernel operands at the kernel ``dtype`` knob.
+
+        ``kernel="sparse"`` gives the packed scatter operands
+        ``(vi, fi, vj, fj, span)``; any other variant the fused GEMM
+        operands ``(at, bv)``, shaped ``(rows*b, m)`` and ``(m, cols*b)``.
+        This default stages the tile's two slabs per call — into the
+        worker workspace ``ws`` for the GEMM — so any source that can
+        produce slabs runs every kernel; resident and packed sources
+        override it with views of hoisted arrays.
+        """
+        wi, wj = self.slab(t.i0, t.i1), self.slab(t.j0, t.j1)
+        dt, _ = _resolve_kernel_dtype(dtype, wi.dtype)
+        if kernel == "sparse":
+            vi, fi, span_i = pack_slab(wi, dt)
+            vj, fj, span_j = pack_slab(wj, dt)
+            # The kernels iterate the shared (max) span of row lanes from
+            # each slab's clamped `first`; a slab packed at a narrower span
+            # has `first` clamped only to b - span_own, which would let row
+            # indices run past b - 1.  Repack the narrower slab at the
+            # shared span: the extra lanes hold exact +0.0, so the MI bits
+            # are unchanged (see pack_slab).
+            span = max(span_i, span_j)
+            if span_i < span:
+                vi, fi, _ = pack_slab(wi, dt, span=span)
+            if span_j < span:
+                vj, fj, _ = pack_slab(wj, dt, span=span)
+            return vi, fi, vj, fj, span
+        (ti, m, b), tj = wi.shape, wj.shape[0]
+        at = ws.array("at", (ti, b, m), dt)
+        np.copyto(at, wi.transpose(0, 2, 1), casting="same_kind")
+        bv = ws.array("bv", (m, tj, b), dt)
+        np.copyto(bv, wj.transpose(1, 0, 2), casting="same_kind")
+        return at.reshape(ti * b, m), bv.reshape(m, tj * b)
 
     def entropies(self, base: str = "nat") -> np.ndarray:
         """Per-gene marginal entropies, computed once per base and cached."""
@@ -222,11 +255,20 @@ class WeightSource:
         """Release any file handles (no-op for in-memory sources)."""
 
 
+def _packed_tile(packed: tuple, t: Tile) -> tuple:
+    """Tile ``t``'s rows of whole-tensor packed operands ``(values, first, span)``."""
+    values, first, span = packed
+    return (values[t.i0 : t.i1], first[t.i0 : t.i1],
+            values[t.j0 : t.j1], first[t.j0 : t.j1], span)
+
+
 def _check_tensor_shape(weights: np.ndarray) -> None:
     if weights.ndim != 3:
         raise ValueError(f"expected (n, m, b) weight tensor, got shape {weights.shape}")
     if weights.shape[0] < 2:
         raise ValueError(f"need at least 2 genes, got {weights.shape[0]}")
+    if weights.shape[1] == 0:
+        raise ValueError("no samples")
 
 
 class TensorSource(WeightSource):
@@ -242,6 +284,21 @@ class TensorSource(WeightSource):
 
     def slab(self, a: int, b: int) -> np.ndarray:
         return self.weights[a:b]
+
+    def operands(self, t: Tile, kernel, dtype, ws: TileWorkspace) -> tuple:
+        """Views of the process-cached hoisted operands: no per-tile copy.
+
+        The GEMM operands come from :func:`repro.core.mi.prepare_operands`,
+        the packed ones from :func:`repro.core.sparsekernel.prepare_packed`;
+        both caches are warmed before dispatch so fork workers inherit them.
+        """
+        dt, _ = _resolve_kernel_dtype(dtype, self.dtype)
+        if kernel == "sparse":
+            return _packed_tile(prepare_packed(self.weights, dt), t)
+        row_ops, col_ops = prepare_operands(self.weights, dt)
+        b = self.bins
+        return (row_ops[t.i0 : t.i1].reshape(t.rows * b, self.m_samples),
+                col_ops[:, t.j0 * b : t.j1 * b])
 
     def _compute_entropies(self, base: str) -> np.ndarray:
         return marginal_entropies(self.weights, base=base)
@@ -349,9 +406,8 @@ class PackedWeightSource(WeightSource):
     @classmethod
     def from_source(cls, source: WeightSource, base: str = "nat", dtype=None):
         """Pack a dense source, carrying its entropies and fingerprint."""
-        weights = getattr(source, "weights", None)
-        if weights is None:
-            weights = source.slab(0, source.n_genes)
+        weights = (source.weights if isinstance(source, TensorSource)
+                   else source.slab(0, source.n_genes))
         dt, _ = _resolve_kernel_dtype(dtype, weights.dtype)
         values, first, span = prepare_packed(weights, dt)
         return cls(values, first, span, source.bins,
@@ -374,6 +430,22 @@ class PackedWeightSource(WeightSource):
                 padded[:, :, : self.span] = self._values
                 self._padded = padded
         return self._padded, self._first, self.span
+
+    def operands(self, t: Tile, kernel, dtype, ws: TileWorkspace) -> tuple:
+        """The packed arrays' tile rows; other variants stage dense slabs.
+
+        The operands are already packed, so ``dtype`` must resolve to the
+        dtype the source was packed at (:meth:`from_source` packs at the
+        kernel dtype).
+        """
+        if kernel != "sparse":
+            return super().operands(t, kernel, dtype, ws)
+        dt, _ = _resolve_kernel_dtype(dtype, self.dtype)
+        if dt != self.dtype:
+            raise ValueError(
+                f"packed operands are {self.dtype}, kernel dtype resolves to {dt}; "
+                "pack the source at the kernel dtype")
+        return _packed_tile(self.packed(), t)
 
     def slab(self, a: int, b: int) -> np.ndarray:
         """Dense reconstruction of rows ``[a, b)`` (fallback paths only)."""
@@ -720,46 +792,64 @@ def compute_tile(
 ) -> np.ndarray:
     """One tile's ``(rows, cols)`` MI block, diagonal masked.
 
-    The only place a kernel-variant name maps to an ``mi_tile*`` call;
-    every driver's tiles run through here.  ``source`` is a
-    :class:`WeightSource` or a bare ``(n, m, b)`` weight tensor.
-    ``kernel`` picks the variant: ``None``/``"fused"`` runs the fused
-    workspace kernel (bit-identical to :func:`repro.core.mi.mi_tile` unless
-    ``kernel_dtype`` selects mixed precision) and ``"sparse"`` the packed
-    scatter kernel (~1 ulp from ``mi_tile`` in float64).  Resident tensors
-    use the process-cached hoisted operands; a packed source
-    (:class:`PackedWeightSource`) feeds its packed slabs straight to the
-    scatter kernel; other sources (mmap stores) stage per-tile slabs.
-    ``permutations`` (``(q, m)``) runs the exact tester's
-    :func:`repro.core.mi.mi_tile_fused` instead: a ``(rows, cols, 2)``
-    block of observed MI and null-exceedance counts.
+    The one entry to the tile kernels; every driver's tiles run through
+    here.  ``source`` is a :class:`WeightSource` (a bare ``(n, m, b)``
+    tensor is wrapped in a :class:`TensorSource`) and supplies the
+    operands through :meth:`WeightSource.operands`; ``h`` holds the
+    per-gene marginal entropies.  ``kernel`` picks the variant:
+    ``None``/``"fused"`` runs the fused GEMM block (bit-identical to
+    :func:`repro.core.mi.mi_tile` unless ``kernel_dtype="float32"`` selects
+    mixed precision; 1x1 tiles run ``mi_tile`` itself) and ``"sparse"``
+    the packed scatter block (~1 ulp from ``mi_tile`` in float64).
+    ``permutations`` (``(q, m)``) makes the tile an exact test on the
+    fused kernel at the slab's own precision (``kernel`` and
+    ``kernel_dtype`` are ignored): a ``(rows, cols, 2)`` block of observed
+    MI and null-exceedance counts.
     """
-    weights = source if isinstance(source, np.ndarray) else getattr(source, "weights", None)
-    args = dict(h_i=h[t.i0 : t.i1], h_j=h[t.j0 : t.j1], base=base,
-                workspace=worker_workspace(), dtype=kernel_dtype)
+    if isinstance(source, np.ndarray):
+        source = TensorSource(source)
+    h_i, h_j = h[t.i0 : t.i1], h[t.j0 : t.j1]
+    ti, tj, b, m = t.rows, t.cols, source.bins, source.m_samples
+    ws = worker_workspace()
     if permutations is not None:
-        slab = source.slab if weights is None else (lambda a, b: weights[a:b])
-        block = np.stack(mi_tile_fused(
-            slab(t.i0, t.i1), slab(t.j0, t.j1), permutations, h_i=args["h_i"],
-            h_j=args["h_j"], base=base, workspace=args["workspace"]), axis=-1)
-    elif kernel == "sparse":
-        packed = getattr(source, "packed", None)
-        if weights is not None:
-            block = mi_tile_sparse_block(weights, t.i0, t.i1, t.j0, t.j1, **args)
-        elif callable(packed):
-            values, first, span = packed()
-            block = mi_tile_sparse_packed(
-                values[t.i0 : t.i1], first[t.i0 : t.i1],
-                values[t.j0 : t.j1], first[t.j0 : t.j1],
-                span, source.bins, source.m_samples, **args)
+        # Each permutation permutes the row genes' samples: one gather of
+        # the row operand's sample axis into the workspace, then the same
+        # fused block.  The column operand and the marginal entropies are
+        # permutation-invariant, so all q replicas reuse them.
+        perms = np.asarray(permutations, dtype=np.intp)
+        if perms.ndim != 2 or perms.shape[1] != m:
+            raise ValueError(f"expected (q, {m}) permutations, got shape {perms.shape}")
+        if ti == 1 and tj == 1:
+            wi, wj = source.slab(t.i0, t.i1), source.slab(t.j0, t.j1)
+            observed = mi_tile(wi, wj, h_i, h_j, base=base)
+            replicas = (mi_tile(wi[:, p], wj, h_i, h_j, base=base) for p in perms)
         else:
-            block = mi_tile_sparse(source.slab(t.i0, t.i1), source.slab(t.j0, t.j1),
-                                   **args)
-    elif weights is not None:
-        block = mi_tile_block(weights, t.i0, t.i1, t.j0, t.j1, **args)
+            at, bv = source.operands(t, None, None, ws)
+            observed = _fused_block(at, bv, ti, tj, b, m, h_i, h_j, base, ws, None, False)
+            rows = at.reshape(ti, b, m)
+            at_perm = ws.array("at_perm", (ti, b, m), at.dtype)
+            mi_perm = ws.array("mi_perm", (ti, tj))
+            replicas = (
+                _fused_block(np.take(rows, p, axis=2, out=at_perm).reshape(ti * b, m),
+                             bv, ti, tj, b, m, h_i, h_j, base, ws, mi_perm, False)
+                for p in perms)
+        exceed = np.zeros(observed.shape, dtype=np.int64)
+        for replica in replicas:
+            exceed += replica >= observed
+        block = np.stack((observed, exceed), axis=-1)
+    elif kernel == "sparse":
+        vi, fi, vj, fj, span = source.operands(t, kernel, kernel_dtype, ws)
+        block = _sparse_block(vi, fi, vj, fj, span, b, m, h_i, h_j, base, ws, None,
+                              _resolve_kernel_dtype(kernel_dtype, vi.dtype)[1])
+    elif ti == 1 and tj == 1:
+        # See the fused-kernel notes in repro.core.mi: only the reference
+        # kernel reproduces its own 1x1 bits.
+        block = mi_tile(source.slab(t.i0, t.i1), source.slab(t.j0, t.j1),
+                        h_i, h_j, base=base)
     else:
-        block = mi_tile_into(source.slab(t.i0, t.i1), source.slab(t.j0, t.j1),
-                             **args)
+        at, bv = source.operands(t, kernel, kernel_dtype, ws)
+        block = _fused_block(at, bv, ti, tj, b, m, h_i, h_j, base, ws, None,
+                             _resolve_kernel_dtype(kernel_dtype, at.dtype)[1])
     if t.is_diagonal:
         block[~t.pair_mask()] = 0.0
     return block
@@ -815,10 +905,13 @@ def run_tile_plan(
     is one supervised engine dispatch.  ``kernel`` names the tile variant
     (``None``/``"fused"`` or ``"sparse"``; ``"auto"`` must be resolved by
     :func:`resolve_kernel` first) and ``kernel_dtype`` its GEMM precision
-    (``"float32"`` = mixed precision).  Both also pick which operand cache
-    is warmed in the parent before dispatch, so fork workers inherit the
-    repacked tensor copy-on-write instead of each rebuilding it.
-    ``permutations`` makes every tile an exact test (:func:`compute_tile`).
+    (``"float32"`` = mixed precision).  ``permutations`` makes every tile
+    an exact test on the fused kernel at the slab's precision, whatever
+    ``kernel`` says.  For a :class:`TensorSource` these settings also pick
+    which hoisted operands are built in the parent before dispatch, so
+    fork workers inherit them copy-on-write instead of each rebuilding
+    them; other sources' tiles stage their operands
+    (:meth:`WeightSource.operands`).
 
     ``progress(done, total)`` and the tracer's ``tiles_done`` /
     ``pairs_done`` counters tick per tile as each task finishes, on every
@@ -852,17 +945,18 @@ def run_tile_plan(
                                                 dtype=kernel_dtype)
     h = source.entropies(plan.base)
 
-    # Warm the per-variant operand caches in the parent: thread workers
-    # share the one repacking, fork workers inherit it copy-on-write (the
-    # permuted kernel stages its own operands).
-    weights = None if permutations is not None else getattr(source, "weights", None)
-    if weights is not None and weights.ndim == 3 and weights.shape[0] >= 2:
-        if kernel == "sparse":
-            prepare_packed(weights, _resolve_kernel_dtype(kernel_dtype,
-                                                          weights.dtype)[0])
+    # Warm the operand caches compute_tile will read in the parent: thread
+    # workers share the one repacking, fork workers inherit it copy-on-write.
+    # Exact testing reads the fused operands at the slab's own precision.
+    if isinstance(source, TensorSource):
+        if permutations is not None:
+            prepare_operands(source.weights)
+        elif kernel == "sparse":
+            prepare_packed(source.weights,
+                           _resolve_kernel_dtype(kernel_dtype, source.dtype)[0])
         else:
-            prepare_operands(weights, kernel_dtype)
-    elif kernel == "sparse" and callable(getattr(source, "packed", None)):
+            prepare_operands(source.weights, kernel_dtype)
+    elif kernel == "sparse" and isinstance(source, PackedWeightSource):
         source.packed()  # materialize the padded lanes pre-fork (COW)
 
     # A partial of a module-level function, not a closure, so the task

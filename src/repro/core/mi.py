@@ -11,23 +11,27 @@ marginal bin probabilities of ``x`` and ``y``.  Mutual information is then
 
     I(x; y) = H(x) + H(y) - H(x, y) = KL(P || p ⊗ q) >= 0.
 
-Five kernel tiers mirror the paper's optimization ladder:
+The kernel tiers mirror the paper's optimization ladder:
 
 * :func:`mi_bspline_pair` — one pair, GEMM-formulated (vectorized).
 * :func:`mi_tile` — a whole tile of pairs in a single BLAS call
   (``(TI*b, m) @ (m, TJ*b)``), the analog of the paper's blocked,
-  VPU-saturating kernel.
-* :func:`mi_tile_into` / :func:`mi_tile_block` — the *fused* tile kernel:
-  the same contraction driven through a reusable :class:`TileWorkspace`
-  (no per-tile allocations, no validation scans, hoisted operand
-  transposes) with an optional mixed-precision mode (float32 GEMM with
-  float64 entropy accumulation).  This is what
-  :mod:`repro.core.mi_matrix` drives; the float64 path is bit-identical
-  to :func:`mi_tile`.
-* :func:`mi_tile_fused` — the fused kernel plus ``q`` permuted replicas
-  per tile: observed MI and null-exceedance counts for exact testing.
+  VPU-saturating kernel, and the bitwise reference for the two below.
+* ``_fused_block`` — the *fused* tile kernel: the same contraction on
+  GEMM-native operands through a reusable :class:`TileWorkspace` (no
+  per-tile allocations, no validation scans) with an optional
+  mixed-precision mode (float32 GEMM with float64 entropy accumulation).
+  Its float64 path is bit-identical to :func:`mi_tile`.
+* ``_sparse_block`` — the packed scatter kernel (``--kernel sparse``),
+  ~1 ulp from :func:`mi_tile` in float64.
 * the scalar per-sample loop lives in :mod:`repro.baselines.naive` and is
   the "unvectorized" baseline of experiment E2.
+
+The two block kernels take ready operands and have one caller,
+:func:`repro.core.exec.compute_tile`: the weight source decides where the
+operands come from (hoisted views of a resident tensor, a packed source's
+arrays, or slabs staged per tile), and exact testing reruns the fused
+block on permuted row operands.
 
 A Kraskov k-NN estimator is included as the estimator-extension the paper's
 discussion points to for continuous data.
@@ -59,12 +63,6 @@ __all__ = [
     "mi_histogram_pair",
     "mi_shrinkage_pair",
     "mi_tile",
-    "mi_tile_into",
-    "mi_tile_block",
-    "mi_tile_fused",
-    "mi_tile_sparse",
-    "mi_tile_sparse_block",
-    "mi_tile_sparse_packed",
     "KERNEL_NAMES",
     "TileWorkspace",
     "prepare_operands",
@@ -254,7 +252,7 @@ def mi_tile(
 # form with the column operand laid out exactly as tensordot lays it out
 # reproduces the reference bits; degenerate 1x1 tiles (where tensordot's
 # reshape yields an F-order no-copy view and hence a TransA call) fall back
-# to the reference kernel.
+# to the reference kernel (repro.core.exec.compute_tile).
 
 class _TensorCache:
     """Data derived from at most two live tensors, keyed by identity.
@@ -350,21 +348,6 @@ class TileWorkspace:
             view = buf[:size].reshape(shape)
             self._views[key] = view
         return view
-
-
-def _degenerate_block(block: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """Deliver a reference-kernel fallback block through the ``out`` contract.
-
-    1x1 tiles take this path: tensordot's no-copy reshape there issues a
-    TransA GEMM whose summation order the fused NoTrans call cannot
-    reproduce, so bit-identity requires the reference kernel itself.
-    """
-    if out is None:
-        return block
-    if out.shape != block.shape:
-        raise ValueError(f"out has shape {out.shape}, expected {block.shape}")
-    np.copyto(out, block)
-    return out
 
 
 def _fused_block(
@@ -464,182 +447,6 @@ def _resolve_kernel_dtype(dtype, slab_dtype) -> tuple:
     raise ValueError(f"kernel dtype must be float32 or float64, got {dtype!r}")
 
 
-def mi_tile_into(
-    wi: np.ndarray,
-    wj: np.ndarray,
-    out: np.ndarray | None = None,
-    *,
-    h_i: np.ndarray | None = None,
-    h_j: np.ndarray | None = None,
-    base: str = "nat",
-    workspace: TileWorkspace | None = None,
-    dtype=None,
-) -> np.ndarray:
-    """Fused-workspace MI of every pair in a tile, from raw weight slabs.
-
-    Drop-in replacement for :func:`mi_tile` that stages both slabs into
-    reused workspace buffers and runs the fused reduction — no per-tile
-    allocations beyond the returned block.  With ``dtype=None`` the result
-    is bit-identical to :func:`mi_tile`.  When the slabs are views of one
-    resident tensor, prefer :func:`mi_tile_block`, which skips the per-tile
-    staging copies entirely via :func:`prepare_operands`.
-
-    ``out``, if given, must be a float64 ``(TI, TJ)`` array; it is returned
-    filled.  It must not alias workspace buffers of concurrent workers.
-    """
-    wi = np.asarray(wi)
-    wj = np.asarray(wj)
-    if wi.ndim != 3 or wj.ndim != 3 or wi.shape[1] != wj.shape[1] or wi.shape[2] != wj.shape[2]:
-        raise ValueError(
-            f"expected (T, m, b) slabs sharing m and b, got {wi.shape} and {wj.shape}"
-        )
-    ti, m, b = wi.shape
-    tj = wj.shape[0]
-    if m == 0:
-        raise ValueError("no samples")
-    if h_i is None:
-        h_i = marginal_entropies(wi, base=base)
-    if h_j is None:
-        h_j = marginal_entropies(wj, base=base)
-    h_i = np.asarray(h_i, dtype=np.float64)
-    h_j = np.asarray(h_j, dtype=np.float64)
-    if h_i.shape != (ti,) or h_j.shape != (tj,):
-        raise ValueError("marginal entropy vectors do not match slab sizes")
-    if ti == 1 and tj == 1:
-        return _degenerate_block(mi_tile(wi, wj, h_i, h_j, base=base), out)
-    ws = workspace if workspace is not None else TileWorkspace()
-    dt, mixed = _resolve_kernel_dtype(dtype, wi.dtype)
-    at = ws.array("at", (ti, b, m), dt)
-    np.copyto(at, wi.transpose(0, 2, 1), casting="same_kind")
-    bv = ws.array("bv", (m, tj, b), dt)
-    np.copyto(bv, wj.transpose(1, 0, 2), casting="same_kind")
-    return _fused_block(
-        at.reshape(ti * b, m), bv.reshape(m, tj * b),
-        ti, tj, b, m, h_i, h_j, base, ws, out, mixed,
-    )
-
-
-def mi_tile_block(
-    weights: np.ndarray,
-    i0: int,
-    i1: int,
-    j0: int,
-    j1: int,
-    *,
-    h_i: np.ndarray | None = None,
-    h_j: np.ndarray | None = None,
-    base: str = "nat",
-    workspace: TileWorkspace | None = None,
-    dtype=None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Fused MI block of ``weights[i0:i1] x weights[j0:j1]``.
-
-    The all-pairs driver hot path: tile operands are free contiguous views
-    of the process-cached hoisted tensor (:func:`prepare_operands`), so the
-    per-tile cost is one GEMM plus the fused entropy reduction.  Bit-
-    identical to the reference ``mi_tile`` path when ``dtype`` is ``None``.
-    """
-    weights = np.asarray(weights)
-    if weights.ndim != 3:
-        raise ValueError(f"expected an (n, m, b) weight tensor, got shape {weights.shape}")
-    n, m, b = weights.shape
-    if m == 0:
-        raise ValueError("no samples")
-    dt, mixed = _resolve_kernel_dtype(dtype, weights.dtype)
-    ti, tj = i1 - i0, j1 - j0
-    if h_i is None:
-        h_i = marginal_entropies(weights[i0:i1], base=base)
-    if h_j is None:
-        h_j = marginal_entropies(weights[j0:j1], base=base)
-    h_i = np.asarray(h_i, dtype=np.float64)
-    h_j = np.asarray(h_j, dtype=np.float64)
-    if ti == 1 and tj == 1:
-        return _degenerate_block(
-            mi_tile(weights[i0:i1], weights[j0:j1], h_i, h_j, base=base), out
-        )
-    row_ops, col_ops = prepare_operands(weights, dt)
-    ws = workspace if workspace is not None else TileWorkspace()
-    return _fused_block(
-        row_ops[i0:i1].reshape(ti * b, m), col_ops[:, j0 * b:j1 * b],
-        ti, tj, b, m, h_i, h_j, base, ws, out, mixed,
-    )
-
-
-def mi_tile_fused(
-    wi: np.ndarray,
-    wj: np.ndarray,
-    permutations: np.ndarray,
-    h_i: np.ndarray | None = None,
-    h_j: np.ndarray | None = None,
-    base: str = "nat",
-    workspace: TileWorkspace | None = None,
-) -> tuple:
-    """Observed MI and null-exceedance counts for one tile, fused.
-
-    For each shared permutation ``pi``, the *row* slab's samples are
-    permuted (``wi[:, pi]``) and the whole tile's permuted MIs are computed
-    with the same GEMM kernel; ``exceed[a, c]`` counts permutations whose
-    MI >= the observed one.  Marginal entropies are permutation-invariant,
-    so they are computed once and reused across all ``q`` replicas — the
-    same hoisting the paper's fused kernel performs.
-
-    Returns
-    -------
-    (observed, exceed):
-        ``(TI, TJ)`` float MI matrix and ``(TI, TJ)`` integer counts.
-    """
-    wi = np.asarray(wi)
-    wj = np.asarray(wj)
-    permutations = np.asarray(permutations, dtype=np.intp)
-    if permutations.ndim != 2 or permutations.shape[1] != wi.shape[1]:
-        raise ValueError(
-            f"expected (q, m) permutations with m={wi.shape[1]}, "
-            f"got shape {permutations.shape}"
-        )
-    if h_i is None:
-        h_i = marginal_entropies(wi, base=base)
-    if h_j is None:
-        h_j = marginal_entropies(wj, base=base)
-    h_i = np.asarray(h_i, dtype=np.float64)
-    h_j = np.asarray(h_j, dtype=np.float64)
-    m = wi.shape[1]
-    ti, b = wi.shape[0], wi.shape[2]
-    tj = wj.shape[0]
-    if ti == 1 and tj == 1:
-        # Degenerate tiles keep the reference kernel (see _degenerate_block
-        # on 1x1 GEMM summation order); cost is negligible at this size.
-        observed = mi_tile(wi, wj, h_i=h_i, h_j=h_j, base=base)
-        exceed = np.zeros(observed.shape, dtype=np.int64)
-        for perm in permutations:
-            exceed += mi_tile(wi[:, perm], wj, h_i=h_i, h_j=h_j, base=base) >= observed
-        return observed, exceed
-    # Fused path: operands are staged once per tile into the reused
-    # workspace; each permutation is one sample-axis gather of the
-    # already-transposed row operand plus one GEMM + fused reduction —
-    # the column operand and both marginal entropy vectors are reused
-    # across all q replicas.  Bit-identical to the reference loop.
-    ws = workspace if workspace is not None else TileWorkspace()
-    at = ws.array("at", (ti, b, m), wi.dtype)
-    np.copyto(at, wi.transpose(0, 2, 1), casting="same_kind")
-    bv = ws.array("bv", (m, tj, b), wj.dtype)
-    np.copyto(bv, wj.transpose(1, 0, 2), casting="same_kind")
-    bv2 = bv.reshape(m, tj * b)
-    observed = _fused_block(
-        at.reshape(ti * b, m), bv2, ti, tj, b, m, h_i, h_j, base, ws, None, False)
-    exceed = np.zeros(observed.shape, dtype=np.int64)
-    at_perm = ws.array("at_perm", (ti, b, m), wi.dtype)
-    mi_perm = ws.array("mi_perm", (ti, tj))
-    for perm in permutations:
-        # Permuting the row-slab's sample axis; marginals unchanged.
-        np.take(at, perm, axis=2, out=at_perm)
-        _fused_block(
-            at_perm.reshape(ti * b, m), bv2, ti, tj, b, m, h_i, h_j, base,
-            ws, mi_perm, False)
-        exceed += mi_perm >= observed
-    return observed, exceed
-
-
 # ---------------------------------------------------------------------------
 # Sparse scatter kernel
 # ---------------------------------------------------------------------------
@@ -703,156 +510,6 @@ def _sparse_block(
         xlogy(joint, joint, out=joint)
         np.sum(joint, axis=(-2, -1), out=hj)
     return _finish_block(hj, h_i, h_j, ti, tj, base, out)
-
-
-def mi_tile_sparse(
-    wi: np.ndarray,
-    wj: np.ndarray,
-    out: np.ndarray | None = None,
-    *,
-    h_i: np.ndarray | None = None,
-    h_j: np.ndarray | None = None,
-    base: str = "nat",
-    workspace: TileWorkspace | None = None,
-    dtype=None,
-) -> np.ndarray:
-    """Sparse-scatter MI of every pair in a tile, from dense weight slabs.
-
-    Packs both slabs into the ``(values, first)`` layout per call (callers
-    holding a resident tensor should use :func:`mi_tile_sparse_block`,
-    which packs once per process) and drives the compiled scatter
-    backends.  Float64 results are bitwise identical across backends and
-    engines, and agree with :func:`mi_tile` to ~1 ulp (the dense GEMM's
-    FMA contraction is the only difference; see the module comment).
-    ``dtype="float32"`` accumulates counts in float32 with a float64
-    entropy sum (~1e-6, same contract as the fused kernel).
-    """
-    from repro.core.sparsekernel import pack_slab
-
-    wi = np.asarray(wi)
-    wj = np.asarray(wj)
-    if wi.ndim != 3 or wj.ndim != 3 or wi.shape[1] != wj.shape[1] or wi.shape[2] != wj.shape[2]:
-        raise ValueError(
-            f"expected (T, m, b) slabs sharing m and b, got {wi.shape} and {wj.shape}"
-        )
-    ti, m, b = wi.shape
-    tj = wj.shape[0]
-    if m == 0:
-        raise ValueError("no samples")
-    if h_i is None:
-        h_i = marginal_entropies(wi, base=base)
-    if h_j is None:
-        h_j = marginal_entropies(wj, base=base)
-    h_i = np.asarray(h_i, dtype=np.float64)
-    h_j = np.asarray(h_j, dtype=np.float64)
-    if h_i.shape != (ti,) or h_j.shape != (tj,):
-        raise ValueError("marginal entropy vectors do not match slab sizes")
-    dt, mixed = _resolve_kernel_dtype(dtype, wi.dtype)
-    vi, fi, span_i = pack_slab(wi, dt)
-    vj, fj, span_j = pack_slab(wj, dt)
-    # The kernels iterate the shared (max) span of row lanes from each
-    # slab's clamped `first`; a slab packed at a narrower span has `first`
-    # clamped only to b - span_own, which would let row indices run past
-    # b - 1 (numpy: bincount shape error; compiled: out-of-bounds writes).
-    # Repack the narrower slab at the shared span — the extra lanes hold
-    # exact +0.0, so the MI bits are unchanged (see pack_slab).
-    span = max(span_i, span_j)
-    if span_i < span:
-        vi, fi, _ = pack_slab(wi, dt, span=span)
-    if span_j < span:
-        vj, fj, _ = pack_slab(wj, dt, span=span)
-    ws = workspace if workspace is not None else TileWorkspace()
-    return _sparse_block(vi, fi, vj, fj, span, b, m,
-                         h_i, h_j, base, ws, out, mixed)
-
-
-def mi_tile_sparse_block(
-    weights: np.ndarray,
-    i0: int,
-    i1: int,
-    j0: int,
-    j1: int,
-    *,
-    h_i: np.ndarray | None = None,
-    h_j: np.ndarray | None = None,
-    base: str = "nat",
-    workspace: TileWorkspace | None = None,
-    dtype=None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Sparse-scatter MI block of ``weights[i0:i1] x weights[j0:j1]``.
-
-    The all-pairs driver hot path for ``--kernel sparse``: the packed
-    operands are process-cached views
-    (:func:`repro.core.sparsekernel.prepare_packed`, warmed pre-fork for
-    copy-on-write sharing), so the per-tile cost is one scatter pass over
-    ``m * span * PACK_LANES`` cells per pair plus the fused entropy
-    reduction.  Same precision contract as :func:`mi_tile_sparse`.
-    """
-    from repro.core.sparsekernel import prepare_packed
-
-    weights = np.asarray(weights)
-    if weights.ndim != 3:
-        raise ValueError(f"expected an (n, m, b) weight tensor, got shape {weights.shape}")
-    n, m, b = weights.shape
-    if m == 0:
-        raise ValueError("no samples")
-    dt, mixed = _resolve_kernel_dtype(dtype, weights.dtype)
-    ti, tj = i1 - i0, j1 - j0
-    if h_i is None:
-        h_i = marginal_entropies(weights[i0:i1], base=base)
-    if h_j is None:
-        h_j = marginal_entropies(weights[j0:j1], base=base)
-    h_i = np.asarray(h_i, dtype=np.float64)
-    h_j = np.asarray(h_j, dtype=np.float64)
-    values, first, span = prepare_packed(weights, dt)
-    ws = workspace if workspace is not None else TileWorkspace()
-    return _sparse_block(values[i0:i1], first[i0:i1], values[j0:j1], first[j0:j1],
-                         span, b, m, h_i, h_j, base, ws, out, mixed)
-
-
-def mi_tile_sparse_packed(
-    vi: np.ndarray,
-    fi: np.ndarray,
-    vj: np.ndarray,
-    fj: np.ndarray,
-    span: int,
-    bins: int,
-    m: int,
-    *,
-    h_i: np.ndarray,
-    h_j: np.ndarray,
-    base: str = "nat",
-    workspace: TileWorkspace | None = None,
-    dtype=None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """MI block directly from padded packed operands.
-
-    The :class:`repro.core.exec.PackedWeightSource` route: remote/elastic
-    workers receive the ~``span/b``-sized packed slabs instead of dense
-    ones and feed them straight to the scatter backends — no dense
-    reconstruction.  The operand dtype must already match what ``dtype``
-    resolves to (the source packs at wrap time).
-    """
-    from repro.core.sparsekernel import PACK_LANES
-
-    vi = np.asarray(vi)
-    vj = np.asarray(vj)
-    if vi.ndim != 3 or vi.shape[2] != PACK_LANES or vj.ndim != 3 or vj.shape[2] != PACK_LANES:
-        raise ValueError("expected (T, m, PACK_LANES) padded packed values")
-    if m <= 0:
-        raise ValueError("no samples")
-    h_i = np.asarray(h_i, dtype=np.float64)
-    h_j = np.asarray(h_j, dtype=np.float64)
-    dt, mixed = _resolve_kernel_dtype(dtype, vi.dtype)
-    if dt != vi.dtype:
-        raise ValueError(
-            f"packed operands are {vi.dtype}, kernel dtype resolves to {dt}; "
-            "pack the source at the kernel dtype")
-    ws = workspace if workspace is not None else TileWorkspace()
-    return _sparse_block(vi, fi, vj, fj, span, bins, m,
-                         h_i, h_j, base, ws, out, mixed)
 
 
 def batched_pair_mi(joint: np.ndarray, base: str = "nat") -> np.ndarray:

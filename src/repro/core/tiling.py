@@ -305,43 +305,28 @@ def _merge_autotune_entry(path: Path, key: str, value: int) -> None:
         _store_autotune_cache(path, cache)
 
 
-def _kernel_block_timer(kernel: str):
-    """The ``(sample, t, base, ws, dtype) -> block`` call timed per variant."""
-    from repro.core.mi import mi_tile_block, mi_tile_sparse_block
-
-    if kernel == "sparse":
-        def run(sample, t, base, ws, dtype):
-            return mi_tile_sparse_block(sample, 0, t, t, 2 * t, base=base,
-                                        workspace=ws, dtype=dtype)
-    elif kernel in (None, "fused"):
-        def run(sample, t, base, ws, dtype):
-            return mi_tile_block(sample, 0, t, t, 2 * t, base=base,
-                                 workspace=ws, dtype=dtype)
-    else:
-        raise ValueError(f"unknown kernel variant {kernel!r}")
-    return run
-
-
 def _time_candidates(sample, usable, base, dtype, kernel, repeats):
-    """Best-of-``repeats`` per-cell timings of one kernel variant."""
-    from repro.core.mi import TileWorkspace, prepare_operands
-    from repro.core.sparsekernel import prepare_packed
+    """Best-of-``repeats`` per-cell timings of one kernel variant.
 
-    ws = TileWorkspace()
-    run = _kernel_block_timer(kernel)
-    if kernel == "sparse":
-        dt = np.dtype(dtype) if dtype is not None else sample.dtype
-        prepare_packed(sample, dt)
-    else:
-        prepare_operands(sample, np.dtype(dtype) if dtype is not None else None)
+    Each candidate ``t`` times one off-diagonal ``t x t`` tile through
+    :func:`repro.core.exec.compute_tile`, the call every driver makes.
+    """
+    from repro.core.exec import TensorSource, compute_tile
+
+    if kernel not in (None, "fused", "sparse"):
+        raise ValueError(f"unknown kernel variant {kernel!r}")
+    source = TensorSource(sample)
+    h = source.entropies(base)
     timings: dict[int, float] = {}
     for t in usable:
-        # One warm-up call sizes the workspace buffers outside the timing.
-        run(sample, t, base, ws, dtype)
+        tile = Tile(0, t, t, 2 * t)
+        # One warm-up call builds the hoisted operands and sizes the
+        # workspace buffers outside the timing.
+        compute_tile(source, h, tile, base, kernel, dtype)
         best = float("inf")
         for _ in range(max(repeats, 1)):
             start = time.perf_counter()
-            run(sample, t, base, ws, dtype)
+            compute_tile(source, h, tile, base, kernel, dtype)
             best = min(best, time.perf_counter() - start)
         timings[t] = best / (t * t)  # per matrix cell
     return timings

@@ -40,3 +40,30 @@ def small_weights(small_dataset):
     from repro.core.discretize import rank_transform
 
     return weight_tensor(rank_transform(small_dataset.expression), bins=10, order=3)
+
+
+@pytest.fixture(scope="session")
+def slab_source():
+    """Factory of weight sources that only produce slabs.
+
+    ``compute_tile`` stages such a source's operands per tile — packing
+    each tile's two slabs separately for the sparse kernel — which is the
+    path of every source without hoisted arrays.
+    """
+    from repro.core.entropy import marginal_entropies
+    from repro.core.exec import WeightSource
+
+    class SlabSource(WeightSource):
+        def __init__(self, weights):
+            super().__init__()
+            self._weights = np.asarray(weights)
+            self.n_genes, self.m_samples, self.bins = self._weights.shape
+            self.dtype = self._weights.dtype
+
+        def slab(self, a, b):
+            return self._weights[a:b]
+
+        def _compute_entropies(self, base):
+            return marginal_entropies(self._weights, base=base)
+
+    return SlabSource

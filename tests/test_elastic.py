@@ -118,15 +118,6 @@ class TestTaskGraph:
         g.complete(0)                # w1's result commits
         assert g.complete(0).state == "done"  # late w0 duplicate: no-op
 
-    def test_cancel_pending_terminates_dispatch(self):
-        g = self._graph([(), (), ()])
-        g.next_for("w0")
-        g.cancel_pending()
-        assert g.idle()
-        assert not g.done()          # the running task is still out
-        g.complete(0)
-        assert g.done()
-
     def test_compile_plan_carries_locality_hints(self):
         ds = yeast_subset(n_genes=16, m_samples=40, seed=0)
         w = weight_tensor(rank_transform(ds.expression))

@@ -1,4 +1,5 @@
-"""Tests for repro.core.exact: the fused per-pair permutation kernel."""
+"""Tests for repro.core.exact and the permuted tile kernel it runs through
+``compute_tile(..., permutations=...)``."""
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ import pytest
 from repro import TingeConfig, reconstruct_network
 from repro.core.bspline import weight_tensor
 from repro.core.discretize import rank_transform
-from repro.core.exact import exact_mi_pvalues, mi_tile_fused
-from repro.core.exec import SCHEDULE_NAMES
+from repro.core.entropy import marginal_entropies
+from repro.core.exact import exact_mi_pvalues
+from repro.core.exec import SCHEDULE_NAMES, MmapSource, compute_tile
 from repro.core.mi import mi_bspline_pair, mi_tile
 from repro.core.mi_matrix import mi_matrix
 from repro.core.permutation import per_pair_pvalues
+from repro.core.tiling import Tile
 from repro.parallel.engine import SharedMemoryEngine, ThreadEngine
 from repro.stats.random import as_rng, permutation_matrix
 
@@ -27,46 +30,55 @@ def ranked_weights():
     return weight_tensor(rank_transform(data))
 
 
+def mi_tile_permuted(weights, t, perms):
+    """``(observed, exceed)`` of tile ``t`` through the exact-testing kernel."""
+    block = compute_tile(weights, marginal_entropies(weights), t, permutations=perms)
+    return block[..., 0], block[..., 1].astype(np.int64)
+
+
 class TestMiTileFused:
     def test_observed_matches_plain_tile(self, ranked_weights):
         perms = permutation_matrix(5, 100, seed=0)
-        wi, wj = ranked_weights[:4], ranked_weights[4:]
-        observed, _ = mi_tile_fused(wi, wj, perms)
-        assert np.allclose(observed, mi_tile(wi, wj))
+        observed, _ = mi_tile_permuted(ranked_weights, Tile(0, 4, 4, 10), perms)
+        assert np.allclose(observed, mi_tile(ranked_weights[:4], ranked_weights[4:]))
 
     def test_exceed_counts_bounds(self, ranked_weights):
         perms = permutation_matrix(7, 100, seed=1)
-        _, exceed = mi_tile_fused(ranked_weights[:3], ranked_weights[3:], perms)
+        _, exceed = mi_tile_permuted(ranked_weights, Tile(0, 3, 3, 10), perms)
         assert exceed.min() >= 0 and exceed.max() <= 7
 
     def test_dependent_pair_never_exceeded(self, ranked_weights):
         # Genes 0 and 1 are strongly coupled: no permutation should beat
-        # the observed MI.
+        # the observed MI.  (A 1x1 tile: the reference-kernel loop.)
         perms = permutation_matrix(20, 100, seed=2)
-        _, exceed = mi_tile_fused(ranked_weights[:1], ranked_weights[1:2], perms)
+        _, exceed = mi_tile_permuted(ranked_weights, Tile(0, 1, 1, 2), perms)
         assert exceed[0, 0] == 0
 
     def test_independent_pair_often_exceeded(self, ranked_weights):
         perms = permutation_matrix(40, 100, seed=3)
-        _, exceed = mi_tile_fused(ranked_weights[4:5], ranked_weights[7:8], perms)
+        _, exceed = mi_tile_permuted(ranked_weights, Tile(4, 5, 7, 8), perms)
         assert exceed[0, 0] > 4
 
-    def test_matches_manual_permuted_mi(self, ranked_weights):
+    def test_matches_manual_permuted_mi(self, ranked_weights, slab_source):
         perms = permutation_matrix(3, 100, seed=4)
         wi, wj = ranked_weights[2:4], ranked_weights[5:7]
-        observed, exceed = mi_tile_fused(wi, wj, perms)
         manual = np.zeros((2, 2), dtype=np.int64)
+        observed, _ = mi_tile_permuted(ranked_weights, Tile(2, 4, 5, 7), perms)
         for r in range(3):
             for a in range(2):
                 for c in range(2):
                     mi_perm = mi_bspline_pair(wi[a][perms[r]], wj[c])
                     manual[a, c] += mi_perm >= observed[a, c]
-        assert np.array_equal(exceed, manual)
+        # Hoisted and staged operands count the same exceedances.
+        for weights in (ranked_weights, slab_source(ranked_weights)):
+            block = compute_tile(weights, marginal_entropies(ranked_weights),
+                                 Tile(2, 4, 5, 7), permutations=perms)
+            assert np.array_equal(block[..., 1], manual)
 
     def test_rejects_wrong_perm_shape(self, ranked_weights):
         with pytest.raises(ValueError):
-            mi_tile_fused(ranked_weights[:2], ranked_weights[2:4],
-                          permutation_matrix(3, 99, seed=0))
+            mi_tile_permuted(ranked_weights, Tile(0, 2, 2, 4),
+                             permutation_matrix(3, 99, seed=0))
 
 
 class TestExactMiPvalues:
@@ -87,6 +99,22 @@ class TestExactMiPvalues:
             for tile in (None, 7, 16):
                 res = exact_mi_pvalues(w, n_permutations=5, seed=0, tile=tile)
                 assert np.array_equal(res.mi, mi_matrix(w, tile=tile).mi), (dtype, tile)
+
+    @pytest.mark.parametrize("tile", [3, None])
+    def test_mmap_store_matches_tensor(self, ranked_weights, tmp_path, tile):
+        # The staged permuted path (slabs copied per tile) against the
+        # hoisted one, bit for bit.
+        path = tmp_path / "weights.npy"
+        np.save(path, ranked_weights)
+        source = MmapSource(path)
+        try:
+            got = exact_mi_pvalues(source, n_permutations=9, seed=5, tile=tile,
+                                   engine=ThreadEngine(n_workers=2))
+        finally:
+            source.close()
+        ref = exact_mi_pvalues(ranked_weights, n_permutations=9, seed=5, tile=tile)
+        assert got.mi.tobytes() == ref.mi.tobytes()
+        assert got.pvalues.tobytes() == ref.pvalues.tobytes()
 
     def test_symmetric_with_unit_diagonal_pvalues(self, ranked_weights):
         res = exact_mi_pvalues(ranked_weights, n_permutations=5, seed=0)

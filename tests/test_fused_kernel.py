@@ -1,30 +1,31 @@
-"""Tests for the fused workspace tile kernel and the tile-size autotuner.
+"""Tests for the tile-kernel entry ``compute_tile`` and the tile autotuner.
 
-The fused kernel (:func:`repro.core.mi.mi_tile_into` /
-:func:`repro.core.mi.mi_tile_block`) must be *bit-identical* to the legacy
-:func:`repro.core.mi.mi_tile` path at the slab's native precision — it is
-the default kernel under every driver, so any last-bit drift would silently
-change released results.  Mixed float32 mode trades those guarantees for
-speed within a documented tolerance.  The autotuner persists its empirical
-tile-size choice in a sidecar JSON cache.
+Every tile of every driver runs through
+:func:`repro.core.exec.compute_tile`, whatever the variant (fused GEMM,
+sparse scatter, exact permutation testing) and wherever the operands come
+from (hoisted views of a resident tensor, a packed source, an mmap store,
+or slabs staged per tile).  The fused float64 kernel must be
+*bit-identical* to the reference :func:`repro.core.mi.mi_tile` at the
+slab's native precision — it is the default kernel under every driver, so
+any last-bit drift would silently change released results.  Mixed float32
+mode trades those guarantees for speed within a documented tolerance.  The
+autotuner persists its empirical tile-size choice in a sidecar JSON cache.
 """
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.core.bspline import weight_tensor
 from repro.core.entropy import marginal_entropies
-from repro.core.mi import (
-    TileWorkspace,
-    mi_tile,
-    mi_tile_block,
-    mi_tile_into,
-    prepare_operands,
-)
+from repro.core.exec import MmapSource, PackedWeightSource, TensorSource, compute_tile
+from repro.core.mi import TileWorkspace, _finish_block, mi_tile, prepare_operands
 from repro.core.mi_matrix import mi_matrix
+from repro.core.sparsekernel import _reset_backend_cache
 from repro.core.tiling import (
+    Tile,
     autotune_cache_path,
     autotune_tile_size,
     fused_tile_size,
@@ -34,6 +35,7 @@ from repro.parallel.engine import (
     SharedMemoryEngine,
     ThreadEngine,
 )
+from repro.stats.random import permutation_matrix
 
 # Tile shapes chosen to hit the degenerate 1x1 fallback, odd sizes (which
 # historically exposed BLAS transpose-dispatch differences), and edge tiles.
@@ -56,73 +58,103 @@ def dense_weights():
     return np.ascontiguousarray(w)
 
 
+def _reference(weights, t, base="nat"):
+    """``mi_tile`` of tile ``t`` with compute_tile's diagonal mask applied."""
+    ref = mi_tile(weights[t.i0 : t.i1], weights[t.j0 : t.j1], base=base)
+    if t.is_diagonal:
+        ref[~t.pair_mask()] = 0.0
+    return ref
+
+
+def _tile(source, t, base="nat", **kw):
+    return compute_tile(source, source.entropies(base), t, base, **kw)
+
+
+def _fresh_worker(fn):
+    """``fn()`` on a new thread, hence with a fresh worker workspace."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn).result()
+
+
 class TestFusedBitIdentity:
     @pytest.mark.parametrize("fixture", ["spline_weights", "dense_weights"])
     @pytest.mark.parametrize("base", ["nat", "bit"])
     @pytest.mark.parametrize("i0,i1,j0,j1", TILE_SHAPES)
     def test_into_matches_legacy_float64(self, fixture, base, i0, i1, j0, j1,
-                                         request):
+                                         request, slab_source):
+        # Staged operands: slabs copied into the worker workspace per tile.
         weights = request.getfixturevalue(fixture)
-        wi, wj = weights[i0:i1], weights[j0:j1]
-        ref = mi_tile(wi, wj, base=base)
-        ws = TileWorkspace()
-        got = mi_tile_into(wi, wj, base=base, workspace=ws)
-        assert np.array_equal(got, ref)
+        t = Tile(i0, i1, j0, j1)
+        got = _tile(slab_source(weights), t, base)
+        assert np.array_equal(got, _reference(weights, t, base))
 
     @pytest.mark.parametrize("fixture", ["spline_weights", "dense_weights"])
     @pytest.mark.parametrize("i0,i1,j0,j1", TILE_SHAPES)
     def test_block_matches_legacy_float64(self, fixture, i0, i1, j0, j1,
                                           request):
+        # Hoisted operands: views of the process-cached repacked tensor.
         weights = request.getfixturevalue(fixture)
-        ref = mi_tile(weights[i0:i1], weights[j0:j1])
-        ws = TileWorkspace()
-        got = mi_tile_block(weights, i0, i1, j0, j1, workspace=ws)
-        assert np.array_equal(got, ref)
+        t = Tile(i0, i1, j0, j1)
+        got = _tile(TensorSource(weights), t)
+        assert np.array_equal(got, _reference(weights, t))
 
-    def test_float32_slab_native_precision(self, dense_weights):
+    def test_float32_slab_native_precision(self, dense_weights, slab_source):
         # dtype=None keeps the slab's own precision: a float32 tensor runs a
-        # float32 GEMM bit-identical to the legacy float32 mi_tile path.
+        # float32 GEMM bit-identical to the legacy float32 mi_tile path,
+        # from hoisted and from staged operands alike.
         w32 = dense_weights.astype(np.float32)
-        ws = TileWorkspace()
         for i0, i1, j0, j1 in TILE_SHAPES:
-            ref = mi_tile(w32[i0:i1], w32[j0:j1])
-            got = mi_tile_block(w32, i0, i1, j0, j1, workspace=ws)
-            assert np.array_equal(got, ref)
+            t = Tile(i0, i1, j0, j1)
+            ref = _reference(w32, t)
+            assert np.array_equal(_tile(TensorSource(w32), t), ref)
+            assert np.array_equal(_tile(slab_source(w32), t), ref)
 
-    def test_workspace_reuse_across_tiles(self, spline_weights):
-        # One workspace carried across every tile of a grid must give the
-        # same answers as fresh allocations per call.
-        ws = TileWorkspace()
-        for i0, i1, j0, j1 in TILE_SHAPES:
-            ref = mi_tile_into(spline_weights[i0:i1], spline_weights[j0:j1])
-            got = mi_tile_into(spline_weights[i0:i1], spline_weights[j0:j1],
-                               workspace=ws)
-            assert np.array_equal(got, ref)
+    def test_workspace_reuse_across_tiles(self, spline_weights, slab_source):
+        # One worker workspace carried across every tile shape of a grid
+        # must give the same answers as a fresh workspace per call, and no
+        # later tile may overwrite a block already returned.
+        source = slab_source(spline_weights)
+        tiles = [Tile(*shape) for shape in TILE_SHAPES]
+        blocks = [_tile(source, t) for t in tiles]
+        kept = [b.copy() for b in blocks]
+        for t, block, copy in zip(tiles, blocks, kept):
+            assert np.array_equal(block, copy)
+            assert np.array_equal(block, _fresh_worker(lambda t=t: _tile(source, t)))
 
     def test_out_parameter(self, spline_weights):
+        # The exact tester writes every permuted replica into one reused
+        # block: its counts must match fresh per-replica blocks, and the
+        # block returned to the caller must not alias that buffer.
+        perms = permutation_matrix(4, 96, seed=7)
+        h = marginal_entropies(spline_weights)
+        t = Tile(0, 4, 4, 9)
+        got = compute_tile(spline_weights, h, t, permutations=perms)
+        kept = got.copy()
+        compute_tile(spline_weights, h, Tile(4, 8, 9, 14), permutations=perms)
+        assert np.array_equal(got, kept)
         wi, wj = spline_weights[0:4], spline_weights[4:9]
-        out = np.empty((4, 5))
-        got = mi_tile_into(wi, wj, out)
-        assert got is out
-        assert np.array_equal(out, mi_tile(wi, wj))
+        observed = mi_tile(wi, wj)
+        exceed = sum(mi_tile(wi[:, p], wj) >= observed for p in perms)
+        assert np.array_equal(got[..., 0], observed)
+        assert np.array_equal(got[..., 1], exceed)
 
-    def test_out_shape_validated(self, spline_weights):
+    def test_out_shape_validated(self):
+        # The shared MI finish of both block kernels checks the reused block.
+        hj = np.zeros((4, 5))
         with pytest.raises(ValueError):
-            mi_tile_into(spline_weights[0:4], spline_weights[4:9],
-                         np.empty((3, 5)))
+            _finish_block(hj, np.zeros(4), np.zeros(5), 4, 5, "nat", np.empty((3, 5)))
 
     def test_entropies_accepted(self, dense_weights):
         h = marginal_entropies(dense_weights)
-        ref = mi_tile(dense_weights[0:7], dense_weights[7:18])
-        got = mi_tile_into(dense_weights[0:7], dense_weights[7:18],
-                           h_i=h[0:7], h_j=h[7:18])
-        assert np.array_equal(got, ref)
+        got = compute_tile(dense_weights, h, Tile(0, 7, 7, 18))
+        assert np.array_equal(got, mi_tile(dense_weights[0:7], dense_weights[7:18]))
 
 
 class TestKernelDtype:
     def test_float32_mixed_within_tolerance(self, dense_weights):
         ref = mi_tile(dense_weights[0:9], dense_weights[9:18])
-        got = mi_tile_block(dense_weights, 0, 9, 9, 18, dtype="float32")
+        got = _tile(TensorSource(dense_weights), Tile(0, 9, 9, 18),
+                    kernel_dtype="float32")
         # Documented tolerance of the mixed-precision mode: float32 GEMM,
         # float64 entropy accumulation.
         assert np.allclose(got, ref, rtol=1e-5, atol=1e-5)
@@ -130,12 +162,14 @@ class TestKernelDtype:
 
     def test_float64_forced_is_exact(self, dense_weights):
         ref = mi_tile(dense_weights[0:9], dense_weights[9:18])
-        got = mi_tile_block(dense_weights, 0, 9, 9, 18, dtype="float64")
+        got = _tile(TensorSource(dense_weights), Tile(0, 9, 9, 18),
+                    kernel_dtype="float64")
         assert np.array_equal(got, ref)
 
     def test_unknown_dtype_rejected(self, dense_weights):
         with pytest.raises(ValueError):
-            mi_tile_block(dense_weights, 0, 4, 4, 8, dtype="float16")
+            _tile(TensorSource(dense_weights), Tile(0, 4, 4, 8),
+                  kernel_dtype="float16")
 
     def test_mi_matrix_kernel_dtype_float32(self, small_weights):
         ref = mi_matrix(small_weights, tile=8).mi
@@ -146,6 +180,111 @@ class TestKernelDtype:
         ref = mi_matrix(small_weights, tile=8).mi
         got = mi_matrix(small_weights, tile=8, kernel_dtype="float64").mi
         assert np.array_equal(got, ref)
+
+
+# ---------------------------------------------------------------------------
+# The compute_tile contract table: variant x kernel dtype x source x tile
+# ---------------------------------------------------------------------------
+
+TABLE_TILES = {"offdiag": Tile(0, 7, 7, 18), "diagonal": Tile(4, 12, 4, 12),
+               "1x1": Tile(3, 4, 9, 10), "ragged": Tile(8, 16, 16, 18)}
+TABLE_SOURCES = ("tensor", "ndarray", "mmap", "slabs", "packed")
+TABLE_CASES = [
+    (variant, dtype, source, tile)
+    for variant in ("fused", "sparse", "sparse-numpy", "exact")
+    for dtype in ((None,) if variant == "exact" else (None, "float32"))
+    for source in TABLE_SOURCES
+    for tile in TABLE_TILES
+]
+
+
+@pytest.fixture(scope="module")
+def weight_store(spline_weights, tmp_path_factory):
+    path = tmp_path_factory.mktemp("store") / "weights.npy"
+    np.save(path, spline_weights)
+    return path
+
+
+@pytest.fixture(scope="module")
+def sparse_reference(spline_weights):
+    """Sparse float64 blocks from hoisted operands on the default backend."""
+    _reset_backend_cache()
+    source = TensorSource(spline_weights)
+    return {name: _tile(source, t, kernel="sparse")
+            for name, t in TABLE_TILES.items()}
+
+
+@pytest.fixture()
+def make_source(spline_weights, weight_store, slab_source):
+    opened = []
+
+    def make(name, dtype):
+        if name == "tensor":
+            return TensorSource(spline_weights)
+        if name == "ndarray":
+            return spline_weights
+        if name == "mmap":
+            opened.append(MmapSource(weight_store))
+            return opened[-1]
+        if name == "slabs":
+            return slab_source(spline_weights)
+        return PackedWeightSource.from_source(TensorSource(spline_weights),
+                                              dtype=dtype)
+
+    yield make
+    for source in opened:
+        source.close()
+
+
+class TestComputeTileTable:
+    """One contract per row, whatever the operands' origin:
+
+    * fused float64 and exact: bitwise ``mi_tile`` (exceedance counts
+      bitwise those of ``mi_tile`` on permuted row slabs);
+    * sparse float64: bitwise equal across sources and backends, and
+      within 1e-13 of ``mi_tile``;
+    * float32 kernel dtype: fused within 1e-5, sparse within 5e-6.
+    """
+
+    @pytest.mark.parametrize("variant,dtype,source,tile", TABLE_CASES)
+    def test_contract(self, variant, dtype, source, tile, spline_weights,
+                      make_source, sparse_reference, monkeypatch):
+        w = spline_weights
+        t = TABLE_TILES[tile]
+        h = marginal_entropies(w)
+        if variant == "sparse-numpy":
+            monkeypatch.setenv("REPRO_SPARSE_BACKEND", "numpy")
+            _reset_backend_cache()
+        kernel = "sparse" if variant.startswith("sparse") else None
+        perms = permutation_matrix(6, w.shape[1], seed=0) if variant == "exact" else None
+        try:
+            got = compute_tile(make_source(source, dtype), h, t, kernel=kernel,
+                               kernel_dtype=dtype, permutations=perms)
+        finally:
+            _reset_backend_cache()
+        ref = _reference(w, t)
+        if variant == "exact":
+            observed = mi_tile(w[t.i0 : t.i1], w[t.j0 : t.j1])
+            exceed = np.zeros(ref.shape)
+            for p in perms:
+                exceed += mi_tile(w[t.i0 : t.i1][:, p], w[t.j0 : t.j1]) >= observed
+            if t.is_diagonal:
+                exceed[~t.pair_mask()] = 0.0
+            assert np.array_equal(got[..., 0], ref)
+            assert np.array_equal(got[..., 1], exceed)
+        elif kernel is None and dtype is None:
+            assert np.array_equal(got, ref)
+        elif kernel is None:
+            assert np.allclose(got, ref, rtol=1e-5, atol=1e-5)
+        elif dtype is None:
+            assert got.tobytes() == sparse_reference[tile].tobytes()
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13)
+        else:
+            np.testing.assert_allclose(got, ref, rtol=0, atol=5e-6)
+
+    def test_no_samples_rejected(self):
+        with pytest.raises(ValueError, match="no samples"):
+            compute_tile(np.zeros((4, 0, 10)), np.zeros(4), Tile(0, 2, 2, 4))
 
 
 class TestEngineEquivalence:

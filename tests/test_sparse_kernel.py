@@ -1,8 +1,7 @@
 """Tests for the compiled sparse-kernel tier.
 
-The sparse tile kernel (:func:`repro.core.mi.mi_tile_sparse` /
-``mi_tile_sparse_block``) consumes the packed ``(values, first)`` layout
-and scatters per-sample weight products into the joint histogram instead
+The sparse tile kernel (``compute_tile(..., kernel="sparse")``) consumes
+the packed ``(values, first)`` layout and scatters per-sample weight products into the joint histogram instead
 of running the dense GEMM.  Two backend tiers exist — a cc-compiled
 shared library and a pure-numpy scatter — and they must be *bitwise
 identical* to each other at float64 (one product per touched cell per
@@ -20,14 +19,8 @@ import pytest
 
 from repro.core.bspline import weight_tensor
 from repro.core.entropy import marginal_entropies
-from repro.core.mi import (
-    KERNEL_NAMES,
-    TileWorkspace,
-    mi_tile,
-    mi_tile_sparse,
-    mi_tile_sparse_block,
-    mi_tile_sparse_packed,
-)
+from repro.core.exec import PackedWeightSource, TensorSource, compute_tile
+from repro.core.mi import KERNEL_NAMES, mi_tile
 from repro.core.mi_matrix import mi_matrix
 from repro.core.sparsekernel import (
     PACK_LANES,
@@ -40,6 +33,7 @@ from repro.core.sparsekernel import (
     prepare_packed,
     sparse_backend,
 )
+from repro.core.tiling import Tile
 
 # One ulp of the entropy sums at these magnitudes, with headroom: the
 # sparse scatter and the dense GEMM reduce in different orders.
@@ -55,6 +49,18 @@ def weights():
 @pytest.fixture(scope="module")
 def entropies(weights):
     return marginal_entropies(weights, base="nat")
+
+
+def _sparse(source, h, t, **kw):
+    """compute_tile's sparse block of tile ``t``."""
+    return compute_tile(source, h, t, kernel="sparse", **kw)
+
+
+def _slab_pair(slab_source, wi, wj, h_i, h_j):
+    """A slab-only source over ``wi`` then ``wj``, its entropies, and the
+    off-diagonal tile pairing them: staged packing packs each slab alone."""
+    source = slab_source(np.concatenate([wi, wj]))
+    return source, np.concatenate([h_i, h_j]), Tile(0, len(wi), len(wi), len(wi) + len(wj))
 
 
 def _forced_backend(monkeypatch, name):
@@ -131,13 +137,12 @@ class TestBackendEquivalence:
             sparse_backend()
 
     def test_numpy_fallback_bitwise_identical_f64(self, weights, entropies,
-                                                  monkeypatch):
-        native = mi_tile_sparse(weights[:8], weights[8:20],
-                                h_i=entropies[:8], h_j=entropies[8:20])
+                                                  monkeypatch, slab_source):
+        source = slab_source(weights)
+        native = _sparse(source, entropies, Tile(0, 8, 8, 20))
         _forced_backend(monkeypatch, "numpy")
         assert sparse_backend() == "numpy"
-        fallback = mi_tile_sparse(weights[:8], weights[8:20],
-                                  h_i=entropies[:8], h_j=entropies[8:20])
+        fallback = _sparse(source, entropies, Tile(0, 8, 8, 20))
         assert np.array_equal(native, fallback)
 
     def test_host_tag_stable_hex(self):
@@ -184,7 +189,8 @@ class TestMixedSpanTiles:
     with support at the last bin (binary / low-cardinality genes) paired
     with a span-3 slab used to produce row indices up to ``b + 1`` — a
     deterministic crash in the numpy backend and unchecked out-of-bounds
-    writes in the compiled ones.  ``mi_tile_sparse`` now repacks the
+    writes in the compiled ones.  Staged sparse operands
+    (:meth:`repro.core.exec.WeightSource.operands`) now repack the
     narrower slab at the shared span, and ``accumulate_tile`` rejects
     under-clamped operands outright.
     """
@@ -204,24 +210,24 @@ class TestMixedSpanTiles:
         assert s1 == 1 and s3 == 3
         assert int(f1.max()) == narrow.shape[2] - 1  # the hazardous clamp
 
-    def test_narrow_rows_match_dense(self, slabs):
+    def test_narrow_rows_match_dense(self, slabs, slab_source):
         narrow, wide = slabs
         h_n = marginal_entropies(narrow)
         h_w = marginal_entropies(wide)
         ref = mi_tile(narrow, wide, h_i=h_n, h_j=h_w)
-        got = mi_tile_sparse(narrow, wide, h_i=h_n, h_j=h_w)
+        got = _sparse(*_slab_pair(slab_source, narrow, wide, h_n, h_w))
         np.testing.assert_allclose(got, ref, rtol=0, atol=SPARSE_VS_DENSE_ATOL)
 
-    def test_wide_rows_match_dense(self, slabs):
+    def test_wide_rows_match_dense(self, slabs, slab_source):
         narrow, wide = slabs
         h_n = marginal_entropies(narrow)
         h_w = marginal_entropies(wide)
         ref = mi_tile(wide, narrow, h_i=h_w, h_j=h_n)
-        got = mi_tile_sparse(wide, narrow, h_i=h_w, h_j=h_n)
+        got = _sparse(*_slab_pair(slab_source, wide, narrow, h_w, h_n))
         np.testing.assert_allclose(got, ref, rtol=0, atol=SPARSE_VS_DENSE_ATOL)
 
     @pytest.mark.parametrize("backend", ["numpy", "cc"])
-    def test_each_backend_mixed_span(self, slabs, monkeypatch, backend):
+    def test_each_backend_mixed_span(self, slabs, monkeypatch, backend, slab_source):
         import repro.core.sparsekernel as sk
 
         if backend == "cc" and sk._cc_library() is None:
@@ -231,15 +237,16 @@ class TestMixedSpanTiles:
         h_n = marginal_entropies(narrow)
         h_w = marginal_entropies(wide)
         ref = mi_tile(narrow, wide, h_i=h_n, h_j=h_w)
-        got = mi_tile_sparse(narrow, wide, h_i=h_n, h_j=h_w)
+        got = _sparse(*_slab_pair(slab_source, narrow, wide, h_n, h_w))
         np.testing.assert_allclose(got, ref, rtol=0, atol=SPARSE_VS_DENSE_ATOL)
 
-    def test_mixed_span_float32(self, slabs):
+    def test_mixed_span_float32(self, slabs, slab_source):
         narrow, wide = slabs
         h_n = marginal_entropies(narrow)
         h_w = marginal_entropies(wide)
         ref = mi_tile(narrow, wide, h_i=h_n, h_j=h_w)
-        got = mi_tile_sparse(narrow, wide, h_i=h_n, h_j=h_w, dtype="float32")
+        got = _sparse(*_slab_pair(slab_source, narrow, wide, h_n, h_w),
+                      kernel_dtype="float32")
         np.testing.assert_allclose(got, ref, rtol=0, atol=5e-6)
 
     def test_accumulate_tile_rejects_underclamped_first(self, slabs):
@@ -280,91 +287,79 @@ class TestMixedSpanTiles:
 # ---------------------------------------------------------------------------
 
 class TestSparseKernel:
-    def test_matches_mi_tile_f64(self, weights, entropies):
+    def test_matches_mi_tile_f64(self, weights, entropies, slab_source):
         ref = mi_tile(weights[:10], weights[10:24],
                       h_i=entropies[:10], h_j=entropies[10:24])
-        got = mi_tile_sparse(weights[:10], weights[10:24],
-                             h_i=entropies[:10], h_j=entropies[10:24])
+        got = _sparse(slab_source(weights), entropies, Tile(0, 10, 10, 24))
         np.testing.assert_allclose(got, ref, rtol=0, atol=SPARSE_VS_DENSE_ATOL)
 
-    def test_slab_and_block_forms_bitwise_equal(self, weights, entropies):
-        slab = mi_tile_sparse(weights[:6], weights[6:18],
-                              h_i=entropies[:6], h_j=entropies[6:18])
-        block = mi_tile_sparse_block(weights, 0, 6, 6, 18,
-                                     h_i=entropies[:6], h_j=entropies[6:18])
+    def test_slab_and_block_forms_bitwise_equal(self, weights, entropies, slab_source):
+        # Staged per-tile packing vs the hoisted whole-tensor packing.
+        slab = _sparse(slab_source(weights), entropies, Tile(0, 6, 6, 18))
+        block = _sparse(TensorSource(weights), entropies, Tile(0, 6, 6, 18))
         assert np.array_equal(slab, block)
 
     def test_packed_form_bitwise_equal(self, weights, entropies):
         values, first, span = pack_slab(weights)
-        b = weights.shape[2]
-        m = weights.shape[1]
-        block = mi_tile_sparse_block(weights, 0, 6, 6, 18,
-                                     h_i=entropies[:6], h_j=entropies[6:18])
-        packed = mi_tile_sparse_packed(values[0:6], first[0:6],
-                                       values[6:18], first[6:18],
-                                       span, b, m,
-                                       h_i=entropies[:6], h_j=entropies[6:18])
-        assert np.array_equal(block, packed)
+        packed = PackedWeightSource(values, first, span, weights.shape[2])
+        block = _sparse(TensorSource(weights), entropies, Tile(0, 6, 6, 18))
+        assert np.array_equal(block, _sparse(packed, entropies, Tile(0, 6, 6, 18)))
 
     def test_packed_dtype_mismatch_raises(self, weights, entropies):
         values, first, span = pack_slab(weights)
+        packed = PackedWeightSource(values, first, span, weights.shape[2])
         with pytest.raises(ValueError, match="dtype"):
-            mi_tile_sparse_packed(values[:4], first[:4], values[4:8],
-                                  first[4:8], span, weights.shape[2],
-                                  weights.shape[1],
-                                  h_i=entropies[:4], h_j=entropies[4:8],
-                                  dtype="float32")
+            _sparse(packed, entropies, Tile(0, 4, 4, 8), kernel_dtype="float32")
 
-    def test_float32_within_tolerance(self, weights, entropies):
+    def test_float32_within_tolerance(self, weights, entropies, slab_source):
         ref = mi_tile(weights[:10], weights[10:24],
                       h_i=entropies[:10], h_j=entropies[10:24])
-        got = mi_tile_sparse(weights[:10], weights[10:24],
-                             h_i=entropies[:10], h_j=entropies[10:24],
-                             dtype="float32")
+        got = _sparse(slab_source(weights), entropies, Tile(0, 10, 10, 24),
+                      kernel_dtype="float32")
         np.testing.assert_allclose(got, ref, rtol=0, atol=5e-6)
 
-    def test_1x1_tile(self, weights, entropies):
+    def test_1x1_tile(self, weights, entropies, slab_source):
+        # The sparse kernel runs 1x1 tiles itself (only fused falls back).
         ref = mi_tile(weights[:1], weights[1:2],
                       h_i=entropies[:1], h_j=entropies[1:2])
-        got = mi_tile_sparse(weights[:1], weights[1:2],
-                             h_i=entropies[:1], h_j=entropies[1:2])
+        got = _sparse(slab_source(weights), entropies, Tile(0, 1, 1, 2))
         np.testing.assert_allclose(got, ref, rtol=0, atol=SPARSE_VS_DENSE_ATOL)
 
-    def test_base_bit(self, weights, entropies):
+    def test_base_bit(self, weights, slab_source):
         h = marginal_entropies(weights, base="bit")
         ref = mi_tile(weights[:6], weights[6:12], h_i=h[:6], h_j=h[6:12],
                       base="bit")
-        got = mi_tile_sparse(weights[:6], weights[6:12], h_i=h[:6],
-                             h_j=h[6:12], base="bit")
+        got = _sparse(slab_source(weights), h, Tile(0, 6, 6, 12), base="bit")
         np.testing.assert_allclose(got, ref, rtol=0, atol=SPARSE_VS_DENSE_ATOL)
 
-    def test_constant_gene_zero_mi(self):
+    def test_constant_gene_zero_mi(self, slab_source):
         rng = np.random.default_rng(5)
         data = rng.normal(size=(4, 60))
         data[1] = 2.5  # constant gene: all weight mass in the first bins
         w = weight_tensor(data, bins=10, order=3)
         h = marginal_entropies(w)
-        got = mi_tile_sparse(w[:2], w[2:4], h_i=h[:2], h_j=h[2:4])
+        got = _sparse(slab_source(w), h, Tile(0, 2, 2, 4))
         ref = mi_tile(w[:2], w[2:4], h_i=h[:2], h_j=h[2:4])
         np.testing.assert_allclose(got, ref, rtol=0, atol=SPARSE_VS_DENSE_ATOL)
         assert got[1].max() < 1e-12  # MI against a constant is 0
 
-    def test_fewer_samples_than_bins(self):
+    def test_fewer_samples_than_bins(self, slab_source):
         rng = np.random.default_rng(6)
         w = weight_tensor(rng.normal(size=(6, 7)), bins=10, order=3)
         h = marginal_entropies(w)
         ref = mi_tile(w[:3], w[3:6], h_i=h[:3], h_j=h[3:6])
-        got = mi_tile_sparse(w[:3], w[3:6], h_i=h[:3], h_j=h[3:6])
+        got = _sparse(slab_source(w), h, Tile(0, 3, 3, 6))
         np.testing.assert_allclose(got, ref, rtol=0, atol=SPARSE_VS_DENSE_ATOL)
 
-    def test_workspace_reuse_across_tile_shapes(self, weights, entropies):
-        ws = TileWorkspace()
-        a = mi_tile_sparse(weights[:8], weights[8:16], h_i=entropies[:8],
-                           h_j=entropies[8:16], workspace=ws)
-        b = mi_tile_sparse(weights[:3], weights[3:8], h_i=entropies[:3],
-                           h_j=entropies[3:8], workspace=ws)
-        fresh = mi_tile_sparse(weights[:3], weights[3:8], h_i=entropies[:3],
-                               h_j=entropies[3:8])
+    def test_workspace_reuse_across_tile_shapes(self, weights, entropies, slab_source):
+        from concurrent.futures import ThreadPoolExecutor
+
+        source = slab_source(weights)
+        a = _sparse(source, entropies, Tile(0, 8, 8, 16))
+        b = _sparse(source, entropies, Tile(0, 3, 3, 8))
+        # A new thread gets a fresh worker workspace.
+        with ThreadPoolExecutor(1) as pool:
+            fresh = pool.submit(_sparse, source, entropies, Tile(0, 3, 3, 8)).result()
         assert np.array_equal(b, fresh)
         assert a.shape == (8, 8)
 
@@ -536,21 +531,17 @@ class TestAutotuneSidecarV2:
 # ---------------------------------------------------------------------------
 
 class TestPackedWeightTensor:
-    def test_feeds_sparse_mi_bitwise(self):
+    def test_feeds_sparse_mi_bitwise(self, slab_source):
         from repro.core.bspline import packed_weights
 
         rng = np.random.default_rng(12)
         data = rng.normal(size=(12, 90))
         w = weight_tensor(data, bins=10, order=3)
         h = marginal_entropies(w)
-        ref = mi_tile_sparse(w[:6], w[6:12], h_i=h[:6], h_j=h[6:12])
+        ref = _sparse(slab_source(w), h, Tile(0, 6, 6, 12))
         values, first = packed_weights(w.reshape(-1, 10), 3)
         values, first = values.reshape(12, 90, 3), first.reshape(12, 90)
-        lanes = np.zeros((12, 90, PACK_LANES), dtype=np.float64)
-        lanes[:, :, :3] = values
-        got = mi_tile_sparse_packed(lanes[:6], first[:6].astype(np.int32),
-                                    lanes[6:12], first[6:12].astype(np.int32),
-                                    3, 10, 90, h_i=h[:6], h_j=h[6:12])
+        got = _sparse(PackedWeightSource(values, first, 3, 10), h, Tile(0, 6, 6, 12))
         assert np.array_equal(got, ref)
 
 
