@@ -46,18 +46,29 @@ def baseline_loop(weights):
     return mi
 
 
-def best_of(fn, repeats=REPEATS):
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return result, best
+def best_of_interleaved(fns, repeats=REPEATS):
+    """Best time and last result of each of ``fns``, run round by round.
+
+    Each round runs every function once, in reversed order every other
+    round, so a slow spell of the host lands on both sides instead of on
+    one back-to-back block, and neither side always runs first.
+    """
+    best = [float("inf")] * len(fns)
+    results = [None] * len(fns)
+    for r in range(repeats):
+        ks = range(len(fns)) if r % 2 == 0 else reversed(range(len(fns)))
+        for k in ks:
+            t0 = time.perf_counter()
+            results[k] = fns[k]()
+            best[k] = min(best[k], time.perf_counter() - t0)
+    return results, best
 
 
 def test_executor_overhead(benchmark, report, weights):
-    mi_base, t_base = best_of(lambda: baseline_loop(weights))
-    mi_exec, t_exec = best_of(lambda: mi_matrix(weights, tile=TILE).mi)
+    (mi_base, mi_exec), (t_base, t_exec) = best_of_interleaved([
+        lambda: baseline_loop(weights),
+        lambda: mi_matrix(weights, tile=TILE).mi,
+    ])
     benchmark(lambda: mi_matrix(weights, tile=TILE))
 
     overhead = t_exec / t_base - 1.0
@@ -70,7 +81,7 @@ def test_executor_overhead(benchmark, report, weights):
     ]
     report("E28",
            f"executor overhead, n={N_GENES}, m={M_SAMPLES}, "
-           f"tile={TILE} ({n_tiles} tiles), best of {REPEATS}",
+           f"tile={TILE} ({n_tiles} tiles), best of {REPEATS} alternating rounds",
            rows, metrics={"overhead_fraction": overhead})
 
     assert np.array_equal(mi_base, mi_exec)

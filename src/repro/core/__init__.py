@@ -16,7 +16,7 @@ Module map (bottom-up):
 """
 
 from repro.core.adaptive import mi_adaptive
-from repro.core.bspline import BsplineBasis, weight_matrix, weight_tensor
+from repro.core.bspline import BsplineBasis, weight_codebook, weight_matrix, weight_tensor
 from repro.core.checkpoint import CheckpointSink, checkpoint_status, mi_matrix_checkpointed
 from repro.core.consensus import ConsensusResult, bootstrap_networks, consensus_network
 from repro.core.discretize import preprocess, rank_transform, zscore
@@ -24,9 +24,9 @@ from repro.core.driver import AutoRunResult, auto_reconstruct
 from repro.core.exact import ExactTestResult, exact_mi_pvalues
 from repro.core.exec import (
     SCHEDULE_NAMES,
+    CodebookSource,
     DenseSink,
     MatrixSink,
-    MmapSource,
     TensorSource,
     TilePlan,
     WeightSource,
@@ -48,13 +48,6 @@ from repro.core.mi import (
 )
 from repro.core.mi_matrix import MiMatrixResult, mi_matrix, mi_pairs, mi_row
 from repro.core.network import GeneNetwork
-from repro.core.outofcore import (
-    MmapMatrixSink,
-    build_weight_store,
-    mi_matrix_outofcore,
-    open_weight_store,
-    weight_store_fingerprint,
-)
 from repro.core.permutation import NullDistribution, pooled_null, per_pair_pvalues
 from repro.core.provenance import (
     data_fingerprint,
@@ -70,6 +63,7 @@ from repro.core.tiling import Tile, default_tile_size, pair_count, tile_grid
 __all__ = [
     "BsplineBasis",
     "CheckpointSink",
+    "CodebookSource",
     "ConsensusResult",
     "DenseSink",
     "ExactTestResult",
@@ -77,8 +71,6 @@ __all__ = [
     "GeneNetwork",
     "MatrixSink",
     "MiMatrixResult",
-    "MmapMatrixSink",
-    "MmapSource",
     "NetworkUpdater",
     "NullDistribution",
     "AutoRunResult",
@@ -94,7 +86,6 @@ __all__ = [
     "entropy_from_probs",
     "auto_reconstruct",
     "bootstrap_networks",
-    "build_weight_store",
     "checkpoint_status",
     "consensus_network",
     "data_fingerprint",
@@ -111,12 +102,10 @@ __all__ = [
     "mi_kraskov",
     "mi_matrix",
     "mi_matrix_checkpointed",
-    "mi_matrix_outofcore",
     "mi_shrinkage_pair",
     "mi_pairs",
     "mi_row",
     "mi_tile",
-    "open_weight_store",
     "pair_count",
     "per_pair_pvalues",
     "plan_tiles",
@@ -128,12 +117,12 @@ __all__ = [
     "run_tile_plan",
     "save_run_record",
     "schedule_policy",
-    "weight_store_fingerprint",
     "weights_fingerprint",
     "threshold_adjacency",
     "tile_grid",
     "verify_run_record",
     "top_k_adjacency",
+    "weight_codebook",
     "weight_matrix",
     "weight_tensor",
     "zscore",

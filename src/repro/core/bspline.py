@@ -43,6 +43,7 @@ __all__ = [
     "knot_vector",
     "basis_matrix",
     "weight_matrix",
+    "weight_codebook",
     "weight_tensor",
     "packed_weights",
     "unpack_weights",
@@ -193,6 +194,37 @@ def weight_matrix(x: np.ndarray, bins: int = 10, order: int = 3) -> np.ndarray:
     return BsplineBasis(bins, order).weights(x)
 
 
+def weight_codebook(data: np.ndarray, bins: int = 10, order: int = 3,
+                    dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    """The weight tensor of ``data`` as a table plus an index.
+
+    Returns ``(table, index)``: ``table`` is the ``(u, bins)`` basis matrix
+    of the ``u`` distinct scaled sample values and ``index`` the
+    ``(n_genes, m_samples)`` intp row of each sample, so
+    ``table[index]`` is :func:`weight_tensor`'s output, bit for bit.
+    After the rank transform every gene lands on one grid of at most
+    ``2m - 1`` values, so the table is tiny against the dense tensor.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 2:
+        raise ValueError(f"expected (genes, samples) matrix, got shape {data.shape}")
+    basis = BsplineBasis(bins, order)
+    n, m = data.shape
+    # Scale each gene to the spline domain, then evaluate the basis for the
+    # distinct points of ALL genes in one call (the same batching the paper
+    # applies across the sample axis).
+    lo = data.min(axis=1, keepdims=True)
+    hi = data.max(axis=1, keepdims=True)
+    span = hi - lo
+    scaled = np.where(span > 0, (data - lo) / np.where(span > 0, span, 1.0), 0.0)
+    scaled *= basis.domain[1]
+    # basis_matrix works point by point, so evaluating it once per distinct
+    # scaled value and gathering rows is bitwise the direct evaluation.
+    values, index = np.unique(scaled, return_inverse=True)
+    table = basis_matrix(values, bins, order).astype(dtype, copy=False)
+    return table, index.reshape(n, m)
+
+
 def weight_tensor(data: np.ndarray, bins: int = 10, order: int = 3, dtype=np.float64) -> np.ndarray:
     """Weight matrices for a whole expression matrix.
 
@@ -212,29 +244,11 @@ def weight_tensor(data: np.ndarray, bins: int = 10, order: int = 3, dtype=np.flo
     numpy.ndarray
         ``(n_genes, m_samples, bins)`` C-contiguous tensor, the package's
         canonical "SoA" layout: gene-major so a tile of genes is a
-        contiguous slab (the layout the paper aligns for the VPU).
+        contiguous slab (the layout the paper aligns for the VPU).  It is
+        one gather of :func:`weight_codebook`'s table.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2:
-        raise ValueError(f"expected (genes, samples) matrix, got shape {data.shape}")
-    basis = BsplineBasis(bins, order)
-    n, m = data.shape
-    # Scale each gene to the spline domain, then evaluate the basis for the
-    # distinct points of ALL genes in one call (the same batching the paper
-    # applies across the sample axis).
-    lo = data.min(axis=1, keepdims=True)
-    hi = data.max(axis=1, keepdims=True)
-    span = hi - lo
-    scaled = np.where(span > 0, (data - lo) / np.where(span > 0, span, 1.0), 0.0)
-    scaled *= basis.domain[1]
-    # basis_matrix works point by point, so evaluating it once per distinct
-    # scaled value and gathering rows is bitwise the direct evaluation.
-    # After the rank transform every gene without ties lands on the same
-    # m-point grid, so the table is tiny and the tensor is one gather;
-    # other transforms pay only the sort.
-    values, index = np.unique(scaled, return_inverse=True)
-    table = basis_matrix(values, bins, order).astype(dtype, copy=False)
-    return table[index.reshape(n, m)]
+    table, index = weight_codebook(data, bins, order, dtype)
+    return table[index]
 
 
 def packed_weights(w: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,6 @@ from repro.core.exec import (
     mirror_upper,
     plan_tiles,
     run_tile_plan,
-    weights_fingerprint,
 )
 from repro.faults.policy import QuarantinedTile
 
@@ -35,10 +34,6 @@ __all__ = [
 ]
 
 _LEDGER = "ledger.json"
-
-# Backwards-compatible alias: the fingerprint moved to repro.core.exec so
-# the out-of-core store header can share it.
-_weights_fingerprint = weights_fingerprint
 
 
 def _load_ledger(directory: Path) -> dict:
@@ -95,7 +90,6 @@ class CheckpointSink(MatrixSink):
     grain = "rows"
     span_name = None  # historical contract: only per-row spans
     row_span_name = "checkpoint_row"
-    progress_units = "rows"
 
     def __init__(
         self,

@@ -2,7 +2,7 @@
 
 The integration layer a production user actually calls: given the data, a
 memory budget and a working directory, it picks the execution strategy
-(in-memory / checkpointed / out-of-core) the way an operator would, runs
+(in-memory / checkpointed / codebook) the way an operator would, runs
 the reconstruction, and leaves behind the artifacts a reproducible run
 needs (network, edge list, provenance record, checkpoint ledger).
 
@@ -11,13 +11,22 @@ Strategy selection mirrors :func:`repro.machine.memory.memory_plan`:
 * everything fits comfortably        → the plain in-memory pipeline;
 * weights fit but the run is long    → block-row checkpointing
   (``checkpoint=True`` or a gene count above ``checkpoint_threshold``);
-* weights exceed the budget          → the out-of-core path (weights and
-  MI matrix on disk, streamed block-rows).
+* weights exceed the budget          → the codebook path: the weights stay
+  a ``(u, b)`` table plus an ``(n, m)`` index
+  (:class:`~repro.core.exec.CodebookSource`), each tile stages its slabs,
+  and block-rows are checkpointed.
+
+The budget is compared with what the resident path holds: the dense
+tensor plus the whole-tensor operands the executor hoists for the
+configured kernel (two GEMM repackings for the fused kernel, the packed
+lanes for the sparse one), about three times the tensor by default.
 
 Every strategy runs :class:`repro.core.pipeline.TingePipeline`'s phases
 (input checks, weights, null, MI, threshold and exact re-test) and differs
-only in where the weights and the MI matrix live, so every path yields the
-pipeline's network for the same seed — asserted by the test suite.
+only in how the weights are held and where the MI blocks go; the codebook
+gathers bitwise the dense tensor's rows, so every path yields the
+pipeline's MI, null, threshold and network for the same seed — asserted
+by the test suite.
 """
 
 from __future__ import annotations
@@ -30,10 +39,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.checkpoint import CheckpointSink
-from repro.core.exec import DenseSink, MmapSource, TensorSource
+from repro.core.exec import DenseSink, TensorSource
 from repro.core.network import GeneNetwork
-from repro.core.outofcore import MmapMatrixSink, build_weight_store, open_weight_store
 from repro.core.pipeline import TingeConfig, TingePipeline
+from repro.core.sparsekernel import PACK_LANES
 
 __all__ = ["AutoRunResult", "auto_reconstruct"]
 
@@ -41,11 +50,6 @@ __all__ = ["AutoRunResult", "auto_reconstruct"]
 # corrections expressible as a single adjusted alpha are supported here.
 # ``"bh"`` needs per-edge p-values — use reconstruct_network for that path.
 _SUPPORTED_CORRECTIONS = ("bonferroni", "none")
-
-# Genes whose weights seed the out-of-core pooled null; beyond this the
-# driver samples a random subset (with the run's seed) instead of loading
-# every gene's weights into RAM.
-_NULL_GENE_CAP = 2048
 
 
 @dataclass
@@ -57,11 +61,11 @@ class AutoRunResult:
     network:
         The reconstructed network.
     strategy:
-        ``"in-memory"``, ``"checkpointed"``, or ``"out-of-core"``.
+        ``"in-memory"``, ``"checkpointed"``, or ``"codebook"``.
     seconds:
         Wall-clock for the whole run.
     artifacts:
-        Paths written (network, edge list, provenance, stores), by name.
+        Paths written (network, edge list, checkpoint directory), by name.
     quarantined:
         Tiles abandoned under a fault policy
         (:class:`repro.faults.policy.QuarantinedTile` records); empty in
@@ -75,24 +79,18 @@ class AutoRunResult:
     quarantined: list = dataclasses_field(default_factory=list)
 
 
-def _weights_bytes(n: int, m: int, bins: int, dtype: str) -> float:
-    return float(n) * m * bins * np.dtype(dtype).itemsize
-
-
-def _null_gene_subset(n: int, cap: int, seed) -> np.ndarray:
-    """Sorted gene indices whose weights seed the out-of-core pooled null.
-
-    All genes when ``n <= cap`` (matching the in-memory path exactly);
-    otherwise a uniform random subset drawn with the run's seed — a
-    contiguous prefix would be biased for genome-ordered inputs, where
-    neighbouring genes are correlated.  Sorted for memmap read locality.
-    """
-    if cap < 2:
-        raise ValueError(f"cap must be >= 2, got {cap}")
-    if n <= cap:
-        return np.arange(n)
-    rng = np.random.default_rng(seed)
-    return np.sort(rng.choice(n, size=cap, replace=False))
+def _resident_bytes(n: int, m: int, config: TingeConfig) -> float:
+    """Bytes the resident path holds: the dense weight tensor plus the
+    whole-tensor operands :func:`repro.core.exec.run_tile_plan` hoists for
+    the configured kernel at its ``kernel_dtype``."""
+    cells = float(n) * m
+    tensor = cells * config.bins * np.dtype(config.dtype).itemsize
+    itemsize = np.dtype(config.kernel_dtype or config.dtype).itemsize
+    if config.kernel == "sparse":
+        hoisted = cells * (PACK_LANES * itemsize + 4)  # values + int32 first
+    else:  # fused (and "auto", which may pick it): two GEMM repackings
+        hoisted = 2 * cells * config.bins * itemsize
+    return tensor + hoisted
 
 
 def auto_reconstruct(
@@ -125,9 +123,11 @@ def auto_reconstruct(
         :func:`repro.core.pipeline.reconstruct_network` for the FDR path.
     workdir:
         Directory for artifacts; required for the checkpointed and
-        out-of-core strategies (a ValueError names the reason otherwise).
+        codebook strategies (a ValueError names the reason otherwise).
     mem_budget_gb:
-        Memory the weight tensor may occupy in RAM.
+        Memory the resident weights may occupy in RAM: the dense tensor
+        plus the kernel operands hoisted from it.  A run over budget keeps
+        its weights as a rank codebook instead.
     checkpoint:
         Force checkpointing on/off; default: on for runs with more than
         ``checkpoint_threshold`` genes.
@@ -140,8 +140,8 @@ def auto_reconstruct(
         regardless of strategy.
     progress:
         Optional ``progress(done, total)`` callback — tile-granular for
-        the in-memory and out-of-core strategies, row-granular for the
-        checkpointed one.
+        the in-memory strategy, row-granular for the checkpointed and
+        codebook ones.
     policy:
         Optional :class:`repro.faults.policy.FaultPolicy` for the MI
         stage; defaults to the policy implied by the config's
@@ -167,7 +167,7 @@ def auto_reconstruct(
     n, m = data.shape
     workdir = Path(workdir) if workdir is not None else None
 
-    fits = _weights_bytes(n, m, config.bins, config.dtype) <= mem_budget_gb * 1e9
+    fits = _resident_bytes(n, m, config) <= mem_budget_gb * 1e9
     if checkpoint is None:
         checkpoint = n > checkpoint_threshold
     if fits and not checkpoint:
@@ -175,7 +175,7 @@ def auto_reconstruct(
     elif fits:
         strategy = "checkpointed"
     else:
-        strategy = "out-of-core"
+        strategy = "codebook"
     if strategy != "in-memory" and workdir is None:
         raise ValueError(f"strategy {strategy!r} needs a workdir for its artifacts")
     if workdir is not None:
@@ -186,43 +186,22 @@ def auto_reconstruct(
 
     # Every strategy runs the pipeline's phases over a different
     # (source, sink) pair; only weight residency and output storage differ.
-    if strategy == "out-of-core":
-        wpath = build_weight_store(
-            pipe.transform(data), workdir / "weights", bins=config.bins,
-            order=config.order, dtype=config.dtype,
-        )
-        artifacts["weight_store"] = wpath
-        source = MmapSource(wpath)
-        weights = open_weight_store(wpath)
-        # The null needs the weights in RAM: every gene when small enough,
-        # otherwise a seeded random sample (a contiguous prefix would bias
-        # the null for genome-ordered data).
-        subset = _null_gene_subset(n, _NULL_GENE_CAP, config.seed)
-        null_weights = np.asarray(weights[subset], dtype=np.float64)
+    transformed = pipe.transform(data)
+    if strategy == "codebook":
+        source = pipe.codebook(transformed)
     else:
-        weights = null_weights = pipe.weights(pipe.transform(data))
-        source = TensorSource(weights)
-    try:
-        null = pipe.null(null_weights)
-        del null_weights
-        plan = pipe.plan(source)
-        if strategy == "out-of-core":
-            sink = MmapMatrixSink(workdir / "mi", n)
-            artifacts["mi_store"] = sink.out_path
-        elif strategy == "checkpointed":
-            ck = workdir / "checkpoint"
-            sink = CheckpointSink(ck, plan[0], source.fingerprint())
-            artifacts["checkpoint_dir"] = ck
-        else:
-            sink = DenseSink(n)
-        result = pipe.mi(source, sink, plan, policy=policy)
-    finally:
-        source.close()
-    if strategy == "out-of-core":
-        mi = np.asarray(np.load(result, mmap_mode="r"))
+        source = TensorSource(pipe.weights(transformed))
+    del transformed
+    null = pipe.null(source)
+    plan = pipe.plan(source)
+    if strategy == "in-memory":
+        sink = DenseSink(n)
     else:
-        mi = result
-    network = pipe.network(mi, null, genes, weights)
+        ck = workdir / "checkpoint"
+        sink = CheckpointSink(ck, plan[0], source.fingerprint())
+        artifacts["checkpoint_dir"] = ck
+    mi = pipe.mi(source, sink, plan, policy=policy)
+    network = pipe.network(mi, null, genes, source)
     seconds = time.perf_counter() - t0
 
     if workdir is not None:

@@ -24,8 +24,7 @@ import numpy as np
 
 from repro.core.exec import (
     MatrixSink,
-    TensorSource,
-    WeightSource,
+    as_source,
     mirror_upper,
     plan_run,
     run_tile_plan,
@@ -127,7 +126,7 @@ def exact_mi_pvalues(
         with the MI phase's schedules, retries, fallback, quarantine,
         progress and ``tiles_done`` / ``pairs_done`` counters.
     """
-    source = weights if isinstance(weights, WeightSource) else TensorSource(weights)
+    source = as_source(weights)
     if n_permutations < 1:
         raise ValueError(f"n_permutations must be >= 1, got {n_permutations}")
     perms = permutation_matrix(n_permutations, source.m_samples, as_rng(seed))

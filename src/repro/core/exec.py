@@ -2,16 +2,17 @@
 
 The paper's central decomposition — independent upper-triangle tiles of
 the MI matrix, scheduled across many workers — used to be re-implemented
-by each driver (in-memory, checkpointed, out-of-core, distributed), each
+by each driver (in-memory, checkpointed, distributed), each
 with its own weight access, entropy hoisting and output writing.  This
 module factors that loop into three small protocols plus one executor:
 
 * :class:`WeightSource` — where the ``(n, m, b)`` weight tensor lives and
-  how a block-row slab of it is produced (in-memory tensor, mmap store).
+  how a block-row slab of it is produced (in-memory tensor, rank
+  codebook, packed sparse layout).
   The source also owns the hoisted per-gene marginal entropies and the
   tensor fingerprint, so neither is recomputed per driver.
-* :class:`MatrixSink` — where tile blocks go: a dense ``(n, n)`` array,
-  a checkpointed block ledger, or a memory-mapped matrix.  Sinks declare
+* :class:`MatrixSink` — where tile blocks go: a dense ``(n, n)`` array
+  or a checkpointed block ledger.  Sinks declare
   their *grain* (whole-matrix or block-row) and the executor adapts its
   dispatch to it.
 * :class:`TilePlan` — the tile grid plus the schedule: a
@@ -78,13 +79,14 @@ from repro.parallel.scheduler import (
 
 __all__ = [
     "SCHEDULE_NAMES",
+    "CodebookSource",
     "DenseSink",
     "MatrixSink",
-    "MmapSource",
     "PackedWeightSource",
     "TensorSource",
     "TilePlan",
     "WeightSource",
+    "as_source",
     "compute_tile",
     "filter_plan",
     "mirror_upper",
@@ -110,14 +112,22 @@ def weights_fingerprint(weights: np.ndarray) -> str:
     Hashes shape/dtype and a strided subsample (hashing 2 GB fully would
     cost more than a tile); collisions across *different experiments* are
     what matter, and shape+samples make those practically impossible.
-    Shared by the checkpoint ledger and the out-of-core store header.
+    Shared by the checkpoint ledger and the serve result cache.
     """
-    h = hashlib.sha256()
-    h.update(str(weights.shape).encode())
-    h.update(str(weights.dtype).encode())
     flat = weights.reshape(-1)
-    stride = max(flat.size // 65536, 1)
-    h.update(np.ascontiguousarray(flat[::stride]).tobytes())
+    return _hash_subsample(weights.shape, weights.dtype,
+                           flat[:: _subsample_stride(flat.size)])
+
+
+def _subsample_stride(size: int) -> int:
+    return max(size // 65536, 1)
+
+
+def _hash_subsample(shape, dtype, sample: np.ndarray) -> str:
+    h = hashlib.sha256()
+    h.update(str(tuple(shape)).encode())
+    h.update(str(dtype).encode())
+    h.update(np.ascontiguousarray(sample).tobytes())
     return h.hexdigest()[:32]
 
 
@@ -240,7 +250,13 @@ class WeightSource:
         return self._entropies[base]
 
     def _compute_entropies(self, base: str) -> np.ndarray:
-        raise NotImplementedError
+        # Block-wise over slabs: entropies are per gene, so this is bitwise
+        # the whole-tensor marginal_entropies without materializing it.
+        h = np.empty(self.n_genes, dtype=np.float64)
+        for s in range(0, self.n_genes, 256):
+            e = min(s + 256, self.n_genes)
+            h[s:e] = marginal_entropies(self.slab(s, e), base=base)
+        return h
 
     def fingerprint(self) -> str:
         """Cached :func:`weights_fingerprint` of the underlying tensor."""
@@ -253,6 +269,12 @@ class WeightSource:
 
     def close(self) -> None:  # pragma: no cover - trivial default
         """Release any file handles (no-op for in-memory sources)."""
+
+
+def as_source(weights) -> WeightSource:
+    """``weights`` itself if it is a :class:`WeightSource`, else a bare
+    ``(n, m, b)`` tensor wrapped in a :class:`TensorSource`."""
+    return weights if isinstance(weights, WeightSource) else TensorSource(weights)
 
 
 def _packed_tile(packed: tuple, t: Tile) -> tuple:
@@ -307,49 +329,50 @@ class TensorSource(WeightSource):
         return weights_fingerprint(self.weights)
 
 
-class MmapSource(WeightSource):
-    """Memory-mapped weight store written by
-    :func:`repro.core.outofcore.build_weight_store`.
+class CodebookSource(WeightSource):
+    """Weight tensor kept as :func:`repro.core.bspline.weight_codebook`'s
+    ``(u, b)`` table plus an ``(n, m)`` index into it.
 
-    Slabs are materialized block-row by block-row as float64 (the kernel
-    precision), never the whole tensor; marginal entropies stream through
-    the same block granularity.  Entropies are per-gene, so the streaming
-    pass is bit-identical to a whole-tensor one.
+    After the rank transform ``u <= 2m - 1``, so the index (narrowed to
+    the smallest unsigned type that holds ``u - 1``; uint16 up to 65,536
+    rows) is the whole footprint: 98 MB at 15,575 x 3,137 against a
+    3.9 GB float64 tensor.  :meth:`slab` gathers rows in the table's own
+    dtype, bitwise the dense tensor's; tiles stage their operands from
+    slabs (:meth:`WeightSource.operands`).  The fingerprint is the dense
+    tensor's, so checkpoint ledgers and cache keys match a dense run's,
+    and the object pickles as the table plus the index.
     """
 
-    def __init__(self, path, entropy_block: int = 256):
+    def __init__(self, table: np.ndarray, index: np.ndarray):
         super().__init__()
-        self.path = path
-        self._weights = np.load(path, mmap_mode="r")
-        if self._weights.ndim != 3:
-            raise ValueError(
-                f"weight store has shape {self._weights.shape}, expected 3-D"
-            )
-        self.n_genes, self.m_samples, self.bins = self._weights.shape
-        if self.n_genes < 2:
-            raise ValueError(f"need at least 2 genes, got {self.n_genes}")
-        self.dtype = self._weights.dtype
-        self._entropy_block = max(int(entropy_block), 1)
+        table, index = np.asarray(table), np.asarray(index)
+        if table.ndim != 2 or index.ndim != 2:
+            raise ValueError(f"expected a (u, b) table and an (n, m) index, got "
+                             f"shapes {table.shape} and {index.shape}")
+        if index.shape[0] < 2:
+            raise ValueError(f"need at least 2 genes, got {index.shape[0]}")
+        if index.shape[1] == 0:
+            raise ValueError("no samples")
+        u = table.shape[0]
+        if index.min() < 0 or index.max() >= u:
+            raise ValueError(f"index out of range for a {u}-row table")
+        self.table = table
+        self.index = index.astype(np.min_scalar_type(u - 1), copy=False)
+        self.n_genes, self.m_samples = index.shape
+        self.bins = table.shape[1]
+        self.dtype = table.dtype
 
     def slab(self, a: int, b: int) -> np.ndarray:
-        return np.asarray(self._weights[a:b], dtype=np.float64)
-
-    def _compute_entropies(self, base: str) -> np.ndarray:
-        h = np.empty(self.n_genes, dtype=np.float64)
-        for s in range(0, self.n_genes, self._entropy_block):
-            e = min(s + self._entropy_block, self.n_genes)
-            h[s:e] = marginal_entropies(self.slab(s, e), base=base)
-        return h
+        return self.table[self.index[a:b]]
 
     def _compute_fingerprint(self) -> str:
-        return weights_fingerprint(self._weights)
-
-    def close(self) -> None:
-        """Release the mmap handle (important before deleting the file)."""
-        handle = getattr(self._weights, "_mmap", None)
-        self._weights = None
-        if handle is not None:
-            handle.close()
+        # weights_fingerprint's strided subsample of the dense tensor, read
+        # through the index: flat position p is (gene-sample p // b, bin p % b).
+        b = self.bins
+        size = self.n_genes * self.m_samples * b
+        pos = np.arange(0, size, _subsample_stride(size))
+        sample = self.table[self.index.reshape(-1)[pos // b], pos % b]
+        return _hash_subsample((self.n_genes, self.m_samples, b), self.dtype, sample)
 
 
 class PackedWeightSource(WeightSource):
@@ -455,14 +478,6 @@ class PackedWeightSource(WeightSource):
                 + np.arange(self.span, dtype=np.int32)[None, None, :])
         np.put_along_axis(w, cols.astype(np.intp), self._values[a:b], axis=2)
         return w
-
-    def _compute_entropies(self, base: str) -> np.ndarray:
-        h = np.empty(self.n_genes, dtype=np.float64)
-        step = 256
-        for s in range(0, self.n_genes, step):
-            e = min(s + step, self.n_genes)
-            h[s:e] = marginal_entropies(self.slab(s, e), base=base)
-        return h
 
     def _compute_fingerprint(self) -> str:
         # Normally carried from the dense source at wrap time; a source
@@ -682,19 +697,18 @@ class MatrixSink:
       sink's :meth:`buffer` (in place on every local engine, from
       returned blocks on the elastic one).
     * ``"rows"`` — tiles are processed one block-row at a time (the
-      checkpoint and out-of-core layouts); the executor hands each
-      completed row to :meth:`store_row`, then :meth:`commit_row` decides
-      whether the run continues (the checkpoint interrupt hook).
+      checkpoint ledger's layout); the executor hands each completed row
+      to :meth:`store_row`, then :meth:`commit_row` decides whether the
+      run continues (the checkpoint interrupt hook).  Progress is then
+      reported per committed row, not per tile.
 
-    ``span_name`` (outer span), ``row_span_name`` (per-row span) and
-    ``progress_units`` (``"tiles"`` or ``"rows"``) preserve each
-    driver's historical observability contract.
+    ``span_name`` (outer span) and ``row_span_name`` (per-row span)
+    preserve each driver's historical observability contract.
     """
 
     grain: str = "matrix"
     span_name: "str | None" = None
     row_span_name: "str | None" = None
-    progress_units: str = "tiles"
     _quarantined: "list | None" = None
 
     def span_meta(self, plan: TilePlan) -> dict:
@@ -806,8 +820,7 @@ def compute_tile(
     ``kernel_dtype`` are ignored): a ``(rows, cols, 2)`` block of observed
     MI and null-exceedance counts.
     """
-    if isinstance(source, np.ndarray):
-        source = TensorSource(source)
+    source = as_source(source)
     h_i, h_j = h[t.i0 : t.i1], h[t.j0 : t.j1]
     ti, tj, b, m = t.rows, t.cols, source.bins, source.m_samples
     ws = worker_workspace()
@@ -913,10 +926,10 @@ def run_tile_plan(
     them; other sources' tiles stage their operands
     (:meth:`WeightSource.operands`).
 
-    ``progress(done, total)`` and the tracer's ``tiles_done`` /
-    ``pairs_done`` counters tick per tile as each task finishes, on every
-    engine; row-unit sinks (``progress_units="rows"``) report progress
-    and ``rows_done`` per committed block-row instead.
+    The tracer's ``tiles_done`` / ``pairs_done`` counters tick per tile as
+    each task finishes, on every engine; ``progress(done, total)`` does
+    too for matrix-grain sinks, while row-grain sinks report it (and
+    ``rows_done``) per committed block-row instead.
 
     ``policy`` (a :class:`repro.faults.policy.FaultPolicy`) sets the fault
     handling: failed or invalid (non-finite) blocks are retried with
@@ -1177,7 +1190,7 @@ def _execute_matrix(plan, sink, run, engine, tracer, progress, policy) -> None:
 
 
 def _execute_rows(plan, sink, run, engine, tracer, progress, policy) -> bool:
-    """Block-row dispatch (checkpoint and out-of-core sinks).
+    """Block-row dispatch (the checkpoint sink).
 
     Each pending row is one supervised dispatch; blocks return to the
     parent (pickle for fork engines) so ``store_row`` receives only the
@@ -1188,13 +1201,12 @@ def _execute_rows(plan, sink, run, engine, tracer, progress, policy) -> bool:
     True on completion.
     """
     rows = plan.rows
-    row_progress = sink.progress_units == "rows"
-    total = len(rows) if row_progress else len(plan.tiles)
+    total = len(rows)
     pending = [i0 for i0 in rows if not sink.skip_row(i0)]
-    done = len(rows) - len(pending) if row_progress else 0
+    done = total - len(pending)
     if progress is not None and done:
         progress(done, total)  # resumed rows are already complete
-    tick = _ticker(tracer, None if row_progress else progress, total)
+    tick = _ticker(tracer, None, total)
     tiles = plan.tiles
     row_idx: dict = {}
     for idx, t in enumerate(tiles):
@@ -1216,11 +1228,10 @@ def _execute_rows(plan, sink, run, engine, tracer, progress, policy) -> bool:
                 sink.store_row(i0, [collected[i] for i in idxs if i in collected])
                 _quarantine_failures(sink, tiles, failures, policy, tracer, tick)
             keep_going = sink.commit_row(i0)
-            if row_progress:
-                done += 1
-                tracer.add("rows_done")
-                if progress is not None:
-                    progress(done, total)
+            done += 1
+            tracer.add("rows_done")
+            if progress is not None:
+                progress(done, total)
             if not keep_going:
                 return False
     return True

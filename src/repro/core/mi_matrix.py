@@ -24,8 +24,8 @@ import numpy as np
 from repro.core.entropy import joint_entropy_from_probs, marginal_entropies
 from repro.core.exec import (
     DenseSink,
-    TensorSource,
     WeightSource,
+    as_source,
     compute_tile,
     plan_run,
     run_tile_plan,
@@ -153,7 +153,7 @@ def mi_matrix(
     -------
     MiMatrixResult
     """
-    source = weights if isinstance(weights, WeightSource) else TensorSource(weights)
+    source = as_source(weights)
     plan, kernel = plan_run(source, tile=tile, base=base, schedule=schedule,
                             kernel=kernel, kernel_dtype=kernel_dtype,
                             autotune=autotune, engine=engine)

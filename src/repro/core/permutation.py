@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.exec import supervised_map
+from repro.core.exec import WeightSource, as_source, supervised_map
 from repro.core.mi import batched_pair_mi, mi_bspline_pair
 from repro.core.sparsekernel import accumulate_pairs, joint_pad, pack_slab, sparse_backend
 from repro.stats.pvalues import empirical_pvalues
@@ -116,7 +116,7 @@ def _pooled_null_row(values: np.ndarray, first: np.ndarray, span: int, bins: int
 
 
 def pooled_null(
-    weights: np.ndarray,
+    weights: "np.ndarray | WeightSource",
     n_permutations: int = 30,
     n_pairs: int = 200,
     seed=None,
@@ -138,7 +138,9 @@ def pooled_null(
     Parameters
     ----------
     weights:
-        ``(n, m, b)`` weight tensor of *rank-transformed* genes — pooling is
+        ``(n, m, b)`` weight tensor, or a
+        :class:`~repro.core.exec.WeightSource` whose slabs supply the
+        sampled genes' rows, of *rank-transformed* genes — pooling is
         statistically valid only when marginals are identical, which the
         pipeline guarantees by rank-transforming first.
     engine, policy, tracer:
@@ -158,10 +160,8 @@ def pooled_null(
     agrees with a dense ``einsum`` of the permuted weights to ~1e-12
     relative, not bitwise.
     """
-    weights = np.asarray(weights)
-    if weights.ndim != 3:
-        raise ValueError(f"expected (n, m, b) weight tensor, got shape {weights.shape}")
-    n, m, b = weights.shape
+    source = as_source(weights)
+    n, m, b = source.n_genes, source.m_samples, source.bins
     if n_permutations < 1:
         raise ValueError(f"n_permutations must be >= 1, got {n_permutations}")
     if n_pairs < 1:
@@ -172,7 +172,8 @@ def pooled_null(
 
     genes, slots = np.unique(pairs, return_inverse=True)
     rows, cols = np.ascontiguousarray(slots.reshape(pairs.shape).T, dtype=np.int32)
-    sampled = weights if genes.size == n else weights[genes]
+    sampled = (source.slab(0, n) if genes.size == n else
+               np.concatenate([source.slab(g, g + 1) for g in genes]))
     values, first, span = pack_slab(sampled, np.float64, lanes=None)
     # Resolve (and on a cold cache, compile) the backend here, once, so
     # fork workers inherit it instead of each building it.
@@ -203,7 +204,7 @@ def null_threshold(
 
 
 def per_pair_pvalues(
-    weights: np.ndarray,
+    weights: "np.ndarray | WeightSource",
     pairs: np.ndarray,
     n_permutations: int = 100,
     seed=None,
@@ -222,14 +223,14 @@ def per_pair_pvalues(
     matrices come from one batched matmul.  Each batch slice performs the identical GEMM and entropy
     reductions as the old one-permutation-at-a-time loop, so results are
     bit-identical (the regression test holds the old loop as reference).
+    ``weights`` may be a :class:`~repro.core.exec.WeightSource`; each pair
+    reads its two genes' rows through :meth:`~WeightSource.slab`.
     """
-    weights = np.asarray(weights)
+    source = as_source(weights)
     pairs = np.asarray(pairs, dtype=np.intp)
-    if weights.ndim != 3:
-        raise ValueError(f"expected (n, m, b) weight tensor, got shape {weights.shape}")
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError(f"expected (P, 2) pair array, got shape {pairs.shape}")
-    n, m, b = weights.shape
+    n, m = source.n_genes, source.m_samples
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
         raise ValueError(f"pair indices must lie in [0, {n}), got "
                          f"[{pairs.min()}, {pairs.max()}]")
@@ -240,8 +241,8 @@ def per_pair_pvalues(
     observed = np.empty(pairs.shape[0], dtype=np.float64)
     pvals = np.empty(pairs.shape[0], dtype=np.float64)
     for idx, (i, j) in enumerate(pairs):
-        wx = weights[i]
-        wy = weights[j]
+        wx = source.slab(i, i + 1)[0]
+        wy = source.slab(j, j + 1)[0]
         observed[idx] = mi_bspline_pair(wx, wy, base=base)
         wx_perms = wx[perms]  # (q, m, b)
         joint = np.matmul(wx_perms.transpose(0, 2, 1), wy).astype(np.float64, copy=False) / m

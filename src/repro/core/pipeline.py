@@ -21,16 +21,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.bspline import weight_tensor
+from repro.core.bspline import weight_codebook, weight_tensor
 from repro.core.discretize import preprocess
 from repro.core.exact import exact_mi_pvalues
 from repro.core.exec import (
     SCHEDULE_NAMES,
+    CodebookSource,
     DenseSink,
     MatrixSink,
     TensorSource,
     TilePlan,
     WeightSource,
+    as_source,
     plan_run,
     run_tile_plan,
 )
@@ -251,7 +253,8 @@ class TingePipeline:
 
     * :meth:`check_inputs` — shape, finiteness and gene-name checks;
     * :meth:`transform` then :meth:`weights` — the rank transform
-      (``preprocess``) and its B-spline weight tensor (``weights``);
+      (``preprocess``) and its B-spline weight tensor (``weights``), or
+      :meth:`codebook` for the same weights as a table plus an index;
     * :meth:`null` — the pooled permutation null (``null``);
     * :meth:`plan` / :meth:`mi` — the MI phase into any
       :class:`~repro.core.exec.MatrixSink` (``mi``);
@@ -333,13 +336,23 @@ class TingePipeline:
             return weight_tensor(transformed, cfg.bins, cfg.order,
                                  np.dtype(cfg.dtype))
 
-    def null(self, weights: np.ndarray) -> NullDistribution:
-        """The ``null`` phase: the pooled permutation null of ``weights``,
-        sampling ``min(n_null_pairs, n(n-1)/2)`` pairs with the run's seed."""
+    def codebook(self, transformed: np.ndarray) -> CodebookSource:
+        """The ``weights`` phase without the dense tensor: :meth:`weights`'
+        rows as a :class:`~repro.core.exec.CodebookSource`."""
         cfg = self.config
-        n_pairs = min(cfg.n_null_pairs, pair_count(np.shape(weights)[0]))
+        with self._phase("weights"):
+            return CodebookSource(*weight_codebook(transformed, cfg.bins, cfg.order,
+                                                   np.dtype(cfg.dtype)))
+
+    def null(self, weights: "np.ndarray | WeightSource") -> NullDistribution:
+        """The ``null`` phase: the pooled permutation null of ``weights``
+        (a tensor or a :class:`~repro.core.exec.WeightSource`), sampling
+        ``min(n_null_pairs, n(n-1)/2)`` pairs with the run's seed."""
+        cfg = self.config
+        source = as_source(weights)
+        n_pairs = min(cfg.n_null_pairs, pair_count(source.n_genes))
         with self._phase("null"):
-            return pooled_null(weights, cfg.n_permutations, n_pairs, cfg.seed,
+            return pooled_null(source, cfg.n_permutations, n_pairs, cfg.seed,
                                cfg.base, self.engine, policy=cfg.fault_policy(),
                                tracer=self.tracer)
 
@@ -382,13 +395,14 @@ class TingePipeline:
                               correction=cfg.correction)
 
     def network(self, mi: np.ndarray, null: NullDistribution, genes: list,
-                weights: np.ndarray) -> GeneNetwork:
+                weights: "np.ndarray | WeightSource") -> GeneNetwork:
         """``threshold`` (then ``retest``): the network of an MI matrix.
 
         ``correction="bh"`` keeps the edges whose pooled-null p-values pass
         Benjamini–Hochberg (threshold NaN); the other corrections keep MI
         above :meth:`threshold`.  With ``exact_retest`` the candidate edges
-        are then re-tested pair by pair on ``weights``.
+        are then re-tested pair by pair on ``weights`` (a tensor or a
+        :class:`~repro.core.exec.WeightSource`).
         """
         cfg = self.config
         with self._phase("threshold"):
@@ -480,7 +494,7 @@ class TingePipeline:
             quarantined=exact.quarantined,
         )
 
-    def _exact_retest(self, network: GeneNetwork, weights: np.ndarray) -> GeneNetwork:
+    def _exact_retest(self, network: GeneNetwork, weights) -> GeneNetwork:
         """Stage-two exact per-pair permutation test of the candidate edges."""
         from repro.core.permutation import per_pair_pvalues
         from repro.stats.fdr import benjamini_hochberg

@@ -23,7 +23,6 @@ from repro.parallel.partition import (
     cyclic_partition,
     imbalance,
 )
-from repro.parallel.reductions import linear_reduce, merge_histograms, tree_depth, tree_reduce
 from repro.parallel.scheduler import (
     Assignment,
     CyclicScheduler,
@@ -58,10 +57,6 @@ __all__ = [
     "cyclic_partition",
     "fallback_engine",
     "imbalance",
-    "linear_reduce",
     "make_engine",
     "make_scheduler",
-    "merge_histograms",
-    "tree_depth",
-    "tree_reduce",
 ]

@@ -1,4 +1,4 @@
-"""Tests for the adaptive MI estimator and the out-of-core driver."""
+"""Tests for the adaptive MI estimator."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.adaptive import mi_adaptive
-from repro.core.bspline import weight_tensor
 from repro.core.mi import mi_bspline
-from repro.core.mi_matrix import mi_matrix
-from repro.core.outofcore import (
-    build_weight_store,
-    mi_matrix_outofcore,
-    open_weight_store,
-)
 
 
 class TestMiAdaptive:
@@ -81,50 +74,3 @@ class TestMiAdaptive:
     def test_nonnegative_property(self, seed, m):
         g = np.random.default_rng(seed)
         assert mi_adaptive(g.normal(size=m), g.normal(size=m)) >= 0.0
-
-
-class TestOutOfCore:
-    @pytest.fixture(scope="class")
-    def data(self):
-        gen = np.random.default_rng(77)
-        return gen.normal(size=(50, 120))
-
-    def test_store_roundtrip(self, data, tmp_path):
-        path = build_weight_store(data, tmp_path / "w", gene_block=16)
-        store = open_weight_store(path)
-        ref = weight_tensor(data, dtype=np.float32)
-        assert store.shape == ref.shape
-        assert np.allclose(np.asarray(store), ref)
-
-    def test_block_size_invariance(self, data, tmp_path):
-        a = open_weight_store(build_weight_store(data, tmp_path / "a", gene_block=7))
-        b = open_weight_store(build_weight_store(data, tmp_path / "b", gene_block=512))
-        assert np.array_equal(np.asarray(a), np.asarray(b))
-
-    def test_matches_in_memory_matrix(self, data, tmp_path):
-        wpath = build_weight_store(data, tmp_path / "w", dtype="float64")
-        out = mi_matrix_outofcore(wpath, tmp_path / "mi", tile=8)
-        ooc = np.load(out)
-        ref = mi_matrix(weight_tensor(data, dtype=np.float64), tile=8).mi
-        assert np.allclose(ooc, ref, atol=1e-12)
-
-    def test_output_symmetric_zero_diagonal(self, data, tmp_path):
-        wpath = build_weight_store(data, tmp_path / "w2")
-        out = mi_matrix_outofcore(wpath, tmp_path / "mi2", tile=16)
-        mi = np.load(out, mmap_mode="r")
-        mi = np.asarray(mi)
-        assert np.array_equal(mi, mi.T)
-        assert np.all(np.diag(mi) == 0.0)
-
-    def test_npy_suffix_enforced(self, data, tmp_path):
-        path = build_weight_store(data, tmp_path / "weights.bin")
-        assert path.suffix == ".npy"
-
-    def test_validation(self, tmp_path, rng):
-        with pytest.raises(ValueError):
-            build_weight_store(rng.normal(size=10), tmp_path / "w")
-        with pytest.raises(ValueError):
-            build_weight_store(rng.normal(size=(3, 10)), tmp_path / "w", gene_block=0)
-        one_gene = build_weight_store(rng.normal(size=(1, 20)), tmp_path / "one")
-        with pytest.raises(ValueError):
-            mi_matrix_outofcore(one_gene, tmp_path / "mi")

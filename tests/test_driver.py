@@ -5,6 +5,7 @@ import pytest
 
 from repro import TingeConfig, reconstruct_network
 from repro.core.driver import auto_reconstruct
+from repro.core.pipeline import TingePipeline
 from repro.data import yeast_subset
 
 
@@ -49,12 +50,27 @@ class TestStrategySelection:
         assert out.strategy == "checkpointed"
         assert (tmp_path / "checkpoint").exists()
 
-    def test_tiny_budget_goes_out_of_core(self, dataset, tmp_path):
+    def test_tiny_budget_goes_codebook(self, dataset, tmp_path):
         out = auto_reconstruct(dataset.expression, dataset.genes, CFG,
                                workdir=tmp_path, mem_budget_gb=1e-6)
-        assert out.strategy == "out-of-core"
-        assert out.artifacts["mi_store"].exists()
-        assert out.artifacts["weight_store"].exists()
+        assert out.strategy == "codebook"
+        assert out.artifacts["checkpoint_dir"].exists()
+        assert not list(tmp_path.rglob("*.npy"))  # no on-disk weight store
+
+    @pytest.mark.parametrize("kernel,resident", [("fused", 3.0), ("sparse", 1.45)])
+    def test_budget_counts_hoisted_operands(self, dataset, tmp_path, kernel,
+                                            resident):
+        # Regression: the budget used to count one dense tensor, while the
+        # resident path also holds the kernel operands hoisted from it (two
+        # same-size GEMM repackings for the fused kernel).
+        n, m = dataset.expression.shape
+        dense_gb = n * m * CFG.bins * 8 / 1e9
+        cfg = TingeConfig(n_permutations=12, seed=3, kernel=kernel)
+        tight = auto_reconstruct(dataset.expression, dataset.genes, cfg,
+                                 workdir=tmp_path, mem_budget_gb=0.99 * resident * dense_gb)
+        roomy = auto_reconstruct(dataset.expression, dataset.genes, cfg,
+                                 mem_budget_gb=1.01 * resident * dense_gb)
+        assert (tight.strategy, roomy.strategy) == ("codebook", "in-memory")
 
     def test_non_memory_strategy_needs_workdir(self, dataset):
         with pytest.raises(ValueError, match="workdir"):
@@ -64,18 +80,35 @@ class TestStrategySelection:
 
 class TestStrategyEquivalence:
     def test_all_strategies_same_network(self, dataset, tmp_path):
-        ref = auto_reconstruct(dataset.expression, dataset.genes, CFG)
-        ck = auto_reconstruct(dataset.expression, dataset.genes, CFG,
-                              workdir=tmp_path / "ck", checkpoint=True)
-        # Out-of-core computes in float32 weights by default config; force
-        # float64 for bit-equality.
-        cfg64 = TingeConfig(n_permutations=12, seed=3, dtype="float64")
-        ref64 = auto_reconstruct(dataset.expression, dataset.genes, cfg64)
-        ooc = auto_reconstruct(dataset.expression, dataset.genes, cfg64,
-                               workdir=tmp_path / "ooc", mem_budget_gb=1e-6)
-        assert np.array_equal(ck.network.adjacency, ref.network.adjacency)
-        assert np.allclose(ooc.network.weights, ref64.network.weights, atol=1e-12)
-        assert np.array_equal(ooc.network.adjacency, ref64.network.adjacency)
+        for dtype in ("float64", "float32"):
+            cfg = TingeConfig(n_permutations=12, seed=3, dtype=dtype)
+            ref = auto_reconstruct(dataset.expression, dataset.genes, cfg)
+            ck = auto_reconstruct(dataset.expression, dataset.genes, cfg,
+                                  workdir=tmp_path / dtype / "ck", checkpoint=True)
+            cb = auto_reconstruct(dataset.expression, dataset.genes, cfg,
+                                  workdir=tmp_path / dtype / "cb", mem_budget_gb=1e-6)
+            assert (ck.strategy, cb.strategy) == ("checkpointed", "codebook")
+            for out in (ck, cb):
+                assert np.array_equal(out.network.weights, ref.network.weights), dtype
+                assert np.array_equal(out.network.adjacency, ref.network.adjacency)
+                assert out.network.threshold == ref.network.threshold
+
+    def test_codebook_null_matches_above_2048_genes(self, tmp_path):
+        # Regression: above 2,048 genes the over-budget path drew its null
+        # from a random 2,048-gene subset, so its null, and hence its
+        # threshold, differed from the in-memory run's at the same seed.
+        data = np.random.default_rng(4).normal(size=(2100, 12))
+        cfg = TingeConfig(n_permutations=5, seed=3)
+        ref = reconstruct_network(data, config=cfg)
+        pipe = TingePipeline(cfg)
+        null = pipe.null(pipe.codebook(pipe.transform(data)))
+        assert null.mis.tobytes() == ref.null.mis.tobytes()
+        out = auto_reconstruct(data, config=cfg, workdir=tmp_path,
+                               mem_budget_gb=1e-6)
+        assert out.strategy == "codebook"
+        assert out.network.threshold == ref.network.threshold
+        assert np.array_equal(out.network.weights, ref.mi)
+        assert np.array_equal(out.network.adjacency, ref.network.adjacency)
 
     def test_matches_pipeline(self, dataset):
         auto = auto_reconstruct(dataset.expression, dataset.genes, CFG)
@@ -99,7 +132,7 @@ class TestExactRetest:
         {},
         {"checkpoint": True},
         {"mem_budget_gb": 1e-6},
-    ], ids=["in-memory", "checkpointed", "out-of-core"])
+    ], ids=["in-memory", "checkpointed", "codebook"])
     def test_matches_pipeline(self, data, tmp_path, strategy_kwargs):
         ref = reconstruct_network(data, config=self.CFG)
         plain = reconstruct_network(
@@ -153,65 +186,27 @@ class TestCorrectionSupport:
             assert out.strategy == "in-memory"
 
 
-class TestNullGeneSubset:
-    def test_small_n_uses_every_gene(self):
-        from repro.core.driver import _null_gene_subset
-
-        assert np.array_equal(_null_gene_subset(30, 2048, seed=3), np.arange(30))
-        assert np.array_equal(_null_gene_subset(2048, 2048, seed=3), np.arange(2048))
-
-    def test_large_n_samples_randomly(self):
-        # Regression: the null used to be built from the *first* 2048
-        # genes — a contiguous, potentially biased slice.
-        from repro.core.driver import _null_gene_subset
-
-        subset = _null_gene_subset(10000, 2048, seed=3)
-        assert subset.size == 2048
-        assert np.unique(subset).size == 2048
-        assert np.array_equal(subset, np.sort(subset))
-        assert not np.array_equal(subset, np.arange(2048)), \
-            "subset must not be the contiguous prefix"
-        # Deterministic in the run's seed, different across seeds.
-        assert np.array_equal(subset, _null_gene_subset(10000, 2048, seed=3))
-        assert not np.array_equal(subset, _null_gene_subset(10000, 2048, seed=4))
-
-    def test_degenerate_cap_rejected(self):
-        from repro.core.driver import _null_gene_subset
-
-        with pytest.raises(ValueError):
-            _null_gene_subset(10, 1, seed=0)
-
-    def test_out_of_core_runs_deterministic(self, dataset, tmp_path):
-        cfg = TingeConfig(n_permutations=12, seed=3, dtype="float64")
-        a = auto_reconstruct(dataset.expression, dataset.genes, cfg,
-                             workdir=tmp_path / "a", mem_budget_gb=1e-6)
-        b = auto_reconstruct(dataset.expression, dataset.genes, cfg,
-                             workdir=tmp_path / "b", mem_budget_gb=1e-6)
-        assert a.strategy == b.strategy == "out-of-core"
-        assert np.array_equal(a.network.adjacency, b.network.adjacency)
-        assert a.network.threshold == b.network.threshold
-
-
 class TestEngineWiring:
     @pytest.mark.parametrize("strategy_kwargs", [
         {},
         {"checkpoint": True},
         {"mem_budget_gb": 1e-6},
-    ], ids=["in-memory", "checkpointed", "out-of-core"])
+    ], ids=["in-memory", "checkpointed", "codebook"])
     def test_sharedmem_engine_matches_serial(self, dataset, tmp_path, strategy_kwargs):
-        from repro.parallel import SharedMemoryEngine
+        from repro.parallel import SharedMemoryEngine, ThreadEngine
 
+        # Every strategy on every engine is the serial in-memory run, bitwise.
         cfg = TingeConfig(n_permutations=12, seed=3, dtype="float64")
-        kwargs = dict(strategy_kwargs)
-        if kwargs:
-            kwargs["workdir"] = tmp_path / "eng"
-        ref_kwargs = {k: (tmp_path / "ref" if k == "workdir" else v)
-                      for k, v in kwargs.items()}
-        ref = auto_reconstruct(dataset.expression, dataset.genes, cfg, **ref_kwargs)
-        out = auto_reconstruct(dataset.expression, dataset.genes, cfg,
-                               engine=SharedMemoryEngine(n_workers=2), **kwargs)
-        assert np.array_equal(out.network.adjacency, ref.network.adjacency)
-        assert out.network.threshold == ref.network.threshold
+        ref = auto_reconstruct(dataset.expression, dataset.genes, cfg)
+        for engine in (ThreadEngine(n_workers=2), SharedMemoryEngine(n_workers=2)):
+            kwargs = dict(strategy_kwargs)
+            if kwargs:
+                kwargs["workdir"] = tmp_path / type(engine).__name__
+            out = auto_reconstruct(dataset.expression, dataset.genes, cfg,
+                                   engine=engine, **kwargs)
+            assert np.array_equal(out.network.weights, ref.network.weights)
+            assert np.array_equal(out.network.adjacency, ref.network.adjacency)
+            assert out.network.threshold == ref.network.threshold
 
 
 class TestValidation:

@@ -18,7 +18,6 @@ from repro.machine.simulator import MachineSimulator, simulate_workload, speedup
 from repro.machine.spec import XEON_PHI_5110P
 from repro.machine.trace import render_gantt
 from repro.parallel.engine import SerialEngine
-from repro.parallel.reductions import linear_reduce, tree_reduce
 from repro import TingeConfig
 
 
@@ -78,18 +77,6 @@ class TestPackedWeightsEdges:
         values, first = packed_weights(w, 3)
         back = unpack_weights(values, first, 6)
         assert np.allclose(back, w)
-
-
-class TestReductionsEdges:
-    def test_non_commutative_op_linear_order(self):
-        # Linear reduce must respect left-to-right order.
-        out = linear_reduce(["a", "b", "c"], lambda x, y: x + y)
-        assert out == "abc"
-
-    def test_tree_reduce_associative_string(self):
-        # String concat is associative (not commutative): tree == linear.
-        parts = list("abcdefg")
-        assert tree_reduce(parts, lambda x, y: x + y) == "abcdefg"
 
 
 class TestSimulatorEdges:

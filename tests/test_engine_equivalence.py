@@ -3,18 +3,18 @@
 Tiles are pure functions of the weight tensor, so serial, thread and
 shared-memory fork-pool (write-in-place) execution must produce *exactly*
 the same MI matrix — not merely close.  The same holds for the
-checkpointed and out-of-core drivers, which reuse the engines per
-block-row.
+checkpointed driver, which reuses the engines per block-row, and for a
+rank-codebook source, whose tiles stage their slabs.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.bspline import weight_tensor
+from repro.core.bspline import weight_codebook, weight_tensor
 from repro.core.checkpoint import mi_matrix_checkpointed
 from repro.core.discretize import rank_transform
 from repro.core.mi_matrix import mi_matrix
-from repro.core.outofcore import build_weight_store, mi_matrix_outofcore
+from repro.core.exec import CodebookSource
 from repro.parallel.engine import (
     SerialEngine,
     SharedMemoryEngine,
@@ -143,24 +143,13 @@ class TestCheckpointedEquivalence:
         assert np.array_equal(out, reference)
 
 
-class TestOutOfCoreEquivalence:
-    @pytest.fixture(scope="class")
-    def store(self, small_dataset, tmp_path_factory):
-        from repro.core.discretize import rank_transform
-
-        path = tmp_path_factory.mktemp("ooc") / "weights"
-        return build_weight_store(rank_transform(small_dataset.expression), path,
-                                  bins=10, order=3, dtype="float64")
-
-    @pytest.fixture(scope="class")
-    def ooc_reference(self, store, tmp_path_factory):
-        out = mi_matrix_outofcore(store, tmp_path_factory.mktemp("ref") / "mi", tile=8)
-        return np.load(out)
-
+class TestCodebookEquivalence:
     @pytest.mark.parametrize("kind,engine", engines(), ids=[k for k, _ in engines()])
-    def test_bit_identical(self, kind, engine, store, ooc_reference, tmp_path):
-        out = mi_matrix_outofcore(store, tmp_path / "mi", tile=8, engine=engine)
-        assert np.array_equal(np.load(out), ooc_reference), f"{kind} diverged"
+    def test_bit_identical(self, kind, engine, small_dataset, reference):
+        source = CodebookSource(*weight_codebook(
+            rank_transform(small_dataset.expression), bins=10, order=3))
+        out = mi_matrix(source, tile=8, engine=engine).mi
+        assert np.array_equal(out, reference), f"{kind} diverged"
 
 
 class TestIncrementalDeltaEquivalence:

@@ -1,4 +1,4 @@
-"""Tests for repro.parallel.engine, sharedmem and reductions."""
+"""Tests for repro.parallel.engine and sharedmem."""
 
 import ctypes
 import os
@@ -18,7 +18,6 @@ from repro.parallel.engine import (
     engine_kind,
     make_engine,
 )
-from repro.parallel.reductions import linear_reduce, merge_histograms, tree_depth, tree_reduce
 from repro.parallel.scheduler import StaticScheduler
 from repro.parallel.sharedmem import SharedArray
 
@@ -385,39 +384,3 @@ class TestSharedArray:
         finally:
             sa.close()
             sa.unlink()
-
-
-class TestReductions:
-    def test_linear_and_tree_agree(self, rng):
-        parts = [rng.normal(size=4) for _ in range(9)]
-        a = linear_reduce(parts, np.add)
-        b = tree_reduce(parts, np.add)
-        assert np.allclose(a, b)
-
-    def test_single_part(self):
-        assert tree_reduce([5], lambda a, b: a + b) == 5
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            tree_reduce([], np.add)
-        with pytest.raises(ValueError):
-            linear_reduce([], np.add)
-
-    def test_tree_depth(self):
-        assert tree_depth(1) == 0
-        assert tree_depth(2) == 1
-        assert tree_depth(8) == 3
-        assert tree_depth(9) == 4
-
-    def test_tree_depth_invalid(self):
-        with pytest.raises(ValueError):
-            tree_depth(0)
-
-    def test_merge_histograms(self, rng):
-        parts = [rng.integers(0, 5, size=(3, 3)).astype(float) for _ in range(4)]
-        merged = merge_histograms(parts)
-        assert np.allclose(merged, sum(parts))
-
-    def test_merge_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            merge_histograms([np.zeros(3), np.zeros(4)])

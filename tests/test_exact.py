@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from repro import TingeConfig, reconstruct_network
-from repro.core.bspline import weight_tensor
+from repro.core.bspline import weight_codebook, weight_tensor
 from repro.core.discretize import rank_transform
 from repro.core.entropy import marginal_entropies
 from repro.core.exact import exact_mi_pvalues
-from repro.core.exec import SCHEDULE_NAMES, MmapSource, compute_tile
+from repro.core.exec import SCHEDULE_NAMES, CodebookSource, compute_tile
 from repro.core.mi import mi_bspline_pair, mi_tile
 from repro.core.mi_matrix import mi_matrix
 from repro.core.permutation import per_pair_pvalues
@@ -19,15 +19,19 @@ from repro.stats.random import as_rng, permutation_matrix
 
 
 @pytest.fixture(scope="module")
-def ranked_weights():
+def ranked_data():
     rng = np.random.default_rng(31)
     x = rng.normal(size=100)
-    data = np.vstack([
+    return rank_transform(np.vstack([
         x,
         x + 0.1 * rng.normal(size=100),
         rng.normal(size=(8, 100)),
-    ])
-    return weight_tensor(rank_transform(data))
+    ]))
+
+
+@pytest.fixture(scope="module")
+def ranked_weights(ranked_data):
+    return weight_tensor(ranked_data)
 
 
 def mi_tile_permuted(weights, t, perms):
@@ -101,17 +105,12 @@ class TestExactMiPvalues:
                 assert np.array_equal(res.mi, mi_matrix(w, tile=tile).mi), (dtype, tile)
 
     @pytest.mark.parametrize("tile", [3, None])
-    def test_mmap_store_matches_tensor(self, ranked_weights, tmp_path, tile):
-        # The staged permuted path (slabs copied per tile) against the
+    def test_codebook_matches_tensor(self, ranked_data, ranked_weights, tile):
+        # The staged permuted path (slabs gathered per tile) against the
         # hoisted one, bit for bit.
-        path = tmp_path / "weights.npy"
-        np.save(path, ranked_weights)
-        source = MmapSource(path)
-        try:
-            got = exact_mi_pvalues(source, n_permutations=9, seed=5, tile=tile,
-                                   engine=ThreadEngine(n_workers=2))
-        finally:
-            source.close()
+        source = CodebookSource(*weight_codebook(ranked_data))
+        got = exact_mi_pvalues(source, n_permutations=9, seed=5, tile=tile,
+                               engine=ThreadEngine(n_workers=2))
         ref = exact_mi_pvalues(ranked_weights, n_permutations=9, seed=5, tile=tile)
         assert got.mi.tobytes() == ref.mi.tobytes()
         assert got.pvalues.tobytes() == ref.pvalues.tobytes()

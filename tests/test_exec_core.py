@@ -8,18 +8,20 @@ schedule plumbing changes *real dispatch order*, observable through the
 tracer's counters and the engines' per-worker task counts.
 """
 
+import pickle
 import threading
 
 import numpy as np
 import pytest
 
-from repro.core.bspline import weight_tensor
+from repro.core.bspline import weight_codebook, weight_tensor
 from repro.core.checkpoint import mi_matrix_checkpointed
-from repro.core.discretize import rank_transform
+from repro.core.discretize import preprocess, rank_transform
+from repro.core.entropy import marginal_entropies
 from repro.core.exec import (
     SCHEDULE_NAMES,
+    CodebookSource,
     DenseSink,
-    MmapSource,
     TensorSource,
     mirror_upper,
     plan_tiles,
@@ -28,11 +30,6 @@ from repro.core.exec import (
     weights_fingerprint,
 )
 from repro.core.mi_matrix import mi_matrix
-from repro.core.outofcore import (
-    build_weight_store,
-    mi_matrix_outofcore,
-    weight_store_fingerprint,
-)
 from repro.core.pipeline import TingeConfig, reconstruct_network
 from repro.obs.tracer import Tracer
 from repro.parallel.engine import (
@@ -178,26 +175,38 @@ def test_engine_schedule_equivalence(engine_kind, schedule, weights, reference):
 
 
 def test_mmap_source_equivalence(tmp_path, data, weights, reference):
-    """The out-of-core weight store feeds the same executor bit-identically."""
-    store = build_weight_store(rank_transform(data), tmp_path / "w",
-                               bins=8, order=3, dtype="float64")
-    source = MmapSource(store)
-    try:
-        fingerprint = source.fingerprint()
-        plan = plan_tiles(source, tile=TILE, schedule="cost")
-        mi = run_tile_plan(plan, source, DenseSink(source.n_genes))
-    finally:
-        source.close()
+    """A codebook memory-mapped from disk feeds the executor bit-identically."""
+    table, index = weight_codebook(rank_transform(data), bins=8, order=3)
+    np.save(tmp_path / "table.npy", table)
+    np.save(tmp_path / "index.npy", index)
+    source = CodebookSource(np.load(tmp_path / "table.npy", mmap_mode="r"),
+                            np.load(tmp_path / "index.npy", mmap_mode="r"))
+    plan = plan_tiles(source, tile=TILE, schedule="cost")
+    mi = run_tile_plan(plan, source, DenseSink(source.n_genes))
     assert np.array_equal(mi, reference)
-    assert fingerprint == weights_fingerprint(weights)
+    assert source.fingerprint() == weights_fingerprint(weights)
 
 
 @pytest.mark.parametrize("schedule", ["dynamic", "cost"])
 def test_outofcore_driver_equivalence(tmp_path, data, reference, schedule):
-    store = build_weight_store(rank_transform(data), tmp_path / "w",
-                               bins=8, order=3, dtype="float64")
-    out = mi_matrix_outofcore(store, tmp_path / "mi", tile=TILE, schedule=schedule)
-    assert np.array_equal(np.load(out), reference)
+    """mi_matrix over a codebook fills a disk-backed output matrix."""
+    source = CodebookSource(*weight_codebook(rank_transform(data), bins=8, order=3))
+    n = source.n_genes
+    out = np.lib.format.open_memmap(tmp_path / "mi.npy", mode="w+",
+                                    dtype=np.float64, shape=(n, n))
+    mi_matrix(source, tile=TILE, schedule=schedule, out=out)
+    out.flush()
+    del out
+    assert np.array_equal(np.load(tmp_path / "mi.npy"), reference)
+
+
+@pytest.mark.parametrize("schedule", ["dynamic", "cost"])
+def test_codebook_source_equivalence(data, weights, reference, schedule):
+    """A rank codebook feeds the same executor bit-identically."""
+    source = CodebookSource(*weight_codebook(rank_transform(data), bins=8, order=3))
+    assert np.array_equal(mi_matrix(source, tile=TILE, schedule=schedule).mi,
+                          reference)
+    assert source.fingerprint() == weights_fingerprint(weights)
 
 
 def test_checkpoint_driver_equivalence(tmp_path, weights, reference):
@@ -363,34 +372,59 @@ class TestMirrorUpper:
 
 
 # ---------------------------------------------------------------------------
-# Weight-store fingerprint header (out-of-core integrity)
+# The rank-codebook weight source
 # ---------------------------------------------------------------------------
 
 
-class TestWeightStoreFingerprint:
-    def build(self, tmp_path, data):
-        return build_weight_store(rank_transform(data), tmp_path / "w",
-                                  bins=8, order=3, dtype="float64")
+class TestCodebookSource:
+    @pytest.fixture(scope="class")
+    def expression(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(9, 40))
+        x[2] = 1.5  # constant gene
+        x[3, ::2] = x[3, 1::2]  # every value tied
+        x[4] = np.round(x[4])  # a few distinct levels
+        return x
 
-    def test_sidecar_records_tensor_fingerprint(self, tmp_path, data, weights):
-        store = self.build(tmp_path, data)
-        assert weight_store_fingerprint(store) == weights_fingerprint(weights)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("transform", ["rank", "zscore", "none"])
+    def test_slabs_are_the_dense_rows(self, expression, transform, dtype):
+        z = preprocess(expression, transform)
+        dense = weight_tensor(z, 7, 3, dtype)
+        source = CodebookSource(*weight_codebook(z, 7, 3, dtype))
+        assert source.index.dtype.itemsize <= 2  # at most 9 x 40 table rows
+        assert source.dtype == dense.dtype
+        for a, b in [(0, 9), (2, 5), (8, 9)]:
+            got = source.slab(a, b)
+            assert got.dtype == dense.dtype
+            assert got.tobytes() == dense[a:b].tobytes()
+        assert source.fingerprint() == weights_fingerprint(dense)
+        assert source.entropies().tobytes() == marginal_entropies(dense).tobytes()
 
-    def test_tampered_store_rejected(self, tmp_path, data):
-        store = self.build(tmp_path, data)
-        arr = np.load(store, mmap_mode="r+")
-        arr[0, 0, 0] += 0.125
-        arr.flush()
-        del arr
-        with pytest.raises(ValueError, match="fingerprint"):
-            mi_matrix_outofcore(store, tmp_path / "mi", tile=TILE)
+    def test_fingerprint_matches_large_tensor(self):
+        # More cells than the fingerprint's 65,536-sample cap: the stride
+        # is > 1 and the subsample crosses gene-sample boundaries.
+        z = rank_transform(np.random.default_rng(8).normal(size=(40, 300)))
+        source = CodebookSource(*weight_codebook(z))
+        assert source.fingerprint() == weights_fingerprint(weight_tensor(z))
 
-    def test_missing_sidecar_tolerated(self, tmp_path, data, reference):
-        store = self.build(tmp_path, data)
-        store.with_name(store.name + ".meta.json").unlink()
-        assert weight_store_fingerprint(store) is None
-        out = mi_matrix_outofcore(store, tmp_path / "mi", tile=TILE)
-        assert np.array_equal(np.load(out), reference)
+    def test_pickle_carries_no_dense_tensor(self, expression):
+        z = rank_transform(expression)
+        source = CodebookSource(*weight_codebook(z))
+        state = pickle.loads(pickle.dumps(source)).__dict__
+        assert all(np.ndim(v) <= 2 for v in state.values())
+        assert len(pickle.dumps(source)) < weight_tensor(z).nbytes
+        clone = pickle.loads(pickle.dumps(source))
+        assert clone.slab(0, 9).tobytes() == source.slab(0, 9).tobytes()
+
+    def test_validation(self):
+        table = np.eye(4)
+        with pytest.raises(ValueError, match="table"):
+            CodebookSource(table[0], np.zeros((3, 5), dtype=int))
+        with pytest.raises(ValueError, match="at least 2 genes"):
+            CodebookSource(table, np.zeros((1, 5), dtype=int))
+        with pytest.raises(ValueError, match="out of range"):
+            CodebookSource(table, np.full((3, 5), 4))
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,13 @@ retry budget is exhausted — enumerates exactly which tiles it gave up on
 instead of aborting.
 """
 
-import json
-
 import numpy as np
 import pytest
 
-from repro.core.bspline import weight_tensor
+from repro.core.bspline import weight_codebook, weight_tensor
 from repro.core.checkpoint import checkpoint_status, mi_matrix_checkpointed
 from repro.core.mi_matrix import mi_matrix
-from repro.core.outofcore import build_weight_store, mi_matrix_outofcore
+from repro.core.exec import CodebookSource
 from repro.faults import (
     FAULT_KINDS,
     REPRO_FAULTS_ENV,
@@ -410,35 +408,32 @@ class TestCheckpointUnderFaults:
             assert np.all(np.isnan(mirrored[j.T != i.T]))
 
 
-class TestOutOfCoreUnderFaults:
-    def test_chaos_identical_and_no_sidecar(self, weights, baseline, tmp_path):
-        rng = np.random.default_rng(7)
-        data = rng.normal(size=(N_GENES, 24))
-        store = build_weight_store(data, tmp_path / "w")
-        clean = np.load(mi_matrix_outofcore(store, tmp_path / "clean", tile=TILE))
-        out = mi_matrix_outofcore(
-            store, tmp_path / "mi", tile=TILE,
+class TestCodebookUnderFaults:
+    """A rank-codebook source (tiles stage their slabs) under faults."""
+
+    @pytest.fixture(scope="class")
+    def codebook(self):
+        # The same expression as the module's ``weights`` fixture.
+        data = np.random.default_rng(7).normal(size=(N_GENES, 24))
+        return CodebookSource(*weight_codebook(data))
+
+    def test_chaos_identical(self, codebook, baseline):
+        res = mi_matrix(
+            codebook, tile=TILE,
             engine=_engine("thread", _chaos_plan("crash", fork=False)),
             policy=FaultPolicy(max_retries=3, backoff=0.01))
-        assert np.array_equal(np.load(out), clean)
-        assert not out.with_name(out.name + ".quarantine.json").exists()
+        assert np.array_equal(res.mi, baseline)
+        assert res.quarantined == []
 
-    def test_sticky_faults_write_sidecar(self, weights, tmp_path):
-        rng = np.random.default_rng(7)
-        data = rng.normal(size=(N_GENES, 24))
-        store = build_weight_store(data, tmp_path / "w")
+    def test_sticky_faults_quarantine(self, codebook):
         plan = FaultPlan(seed=CHAOS_SEED, rate=CHAOS_RATE, kinds=("crash",),
                          max_failures=None)
-        out = mi_matrix_outofcore(
-            store, tmp_path / "mi", tile=TILE, engine=_engine("thread", plan),
+        res = mi_matrix(
+            codebook, tile=TILE, engine=_engine("thread", plan),
             policy=FaultPolicy(max_retries=0, on_fault="quarantine"))
-        sidecar = out.with_name(out.name + ".quarantine.json")
-        assert sidecar.exists()
-        records = json.loads(sidecar.read_text())
-        assert records and all("i0" in r and "error" in r for r in records)
-        mi = np.load(out)
-        for r in records:
-            assert np.all(mi[r["i0"]:r["i1"], r["j0"]:r["j1"]] == 0.0)
+        assert res.quarantined
+        for q in res.quarantined:
+            assert np.all(res.mi[q.i0:q.i1, q.j0:q.j1] == 0.0)
 
 
 class TestDriverPaths:

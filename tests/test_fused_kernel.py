@@ -3,7 +3,7 @@
 Every tile of every driver runs through
 :func:`repro.core.exec.compute_tile`, whatever the variant (fused GEMM,
 sparse scatter, exact permutation testing) and wherever the operands come
-from (hoisted views of a resident tensor, a packed source, an mmap store,
+from (hoisted views of a resident tensor, a packed source, a rank codebook,
 or slabs staged per tile).  The fused float64 kernel must be
 *bit-identical* to the reference :func:`repro.core.mi.mi_tile` at the
 slab's native precision — it is the default kernel under every driver, so
@@ -18,9 +18,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.core.bspline import weight_tensor
+from repro.core.bspline import weight_codebook, weight_tensor
 from repro.core.entropy import marginal_entropies
-from repro.core.exec import MmapSource, PackedWeightSource, TensorSource, compute_tile
+from repro.core.exec import (
+    CodebookSource,
+    PackedWeightSource,
+    TensorSource,
+    compute_tile,
+)
 from repro.core.mi import TileWorkspace, _finish_block, mi_tile, prepare_operands
 from repro.core.mi_matrix import mi_matrix
 from repro.core.sparsekernel import _reset_backend_cache
@@ -44,9 +49,13 @@ TILE_SHAPES = [(0, 1, 1, 2), (0, 4, 4, 8), (0, 7, 7, 18), (3, 9, 9, 18),
 
 
 @pytest.fixture(scope="module")
-def spline_weights():
-    rng = np.random.default_rng(11)
-    return weight_tensor(rng.normal(size=(18, 96)))
+def spline_data():
+    return np.random.default_rng(11).normal(size=(18, 96))
+
+
+@pytest.fixture(scope="module")
+def spline_weights(spline_data):
+    return weight_tensor(spline_data)
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +197,7 @@ class TestKernelDtype:
 
 TABLE_TILES = {"offdiag": Tile(0, 7, 7, 18), "diagonal": Tile(4, 12, 4, 12),
                "1x1": Tile(3, 4, 9, 10), "ragged": Tile(8, 16, 16, 18)}
-TABLE_SOURCES = ("tensor", "ndarray", "mmap", "slabs", "packed")
+TABLE_SOURCES = ("tensor", "ndarray", "codebook", "slabs", "packed")
 TABLE_CASES = [
     (variant, dtype, source, tile)
     for variant in ("fused", "sparse", "sparse-numpy", "exact")
@@ -196,13 +205,6 @@ TABLE_CASES = [
     for source in TABLE_SOURCES
     for tile in TABLE_TILES
 ]
-
-
-@pytest.fixture(scope="module")
-def weight_store(spline_weights, tmp_path_factory):
-    path = tmp_path_factory.mktemp("store") / "weights.npy"
-    np.save(path, spline_weights)
-    return path
 
 
 @pytest.fixture(scope="module")
@@ -215,25 +217,20 @@ def sparse_reference(spline_weights):
 
 
 @pytest.fixture()
-def make_source(spline_weights, weight_store, slab_source):
-    opened = []
-
+def make_source(spline_data, spline_weights, slab_source):
     def make(name, dtype):
         if name == "tensor":
             return TensorSource(spline_weights)
         if name == "ndarray":
             return spline_weights
-        if name == "mmap":
-            opened.append(MmapSource(weight_store))
-            return opened[-1]
+        if name == "codebook":
+            return CodebookSource(*weight_codebook(spline_data))
         if name == "slabs":
             return slab_source(spline_weights)
         return PackedWeightSource.from_source(TensorSource(spline_weights),
                                               dtype=dtype)
 
-    yield make
-    for source in opened:
-        source.close()
+    return make
 
 
 class TestComputeTileTable:

@@ -8,7 +8,6 @@ from repro.core.bspline import weight_tensor
 from repro.core.checkpoint import mi_matrix_checkpointed
 from repro.core.exact import exact_mi_pvalues
 from repro.core.mi_matrix import mi_matrix
-from repro.core.outofcore import build_weight_store, mi_matrix_outofcore
 from repro.core.pipeline import TingeConfig, TingePipeline
 from repro.obs import (
     Tracer,
@@ -138,20 +137,6 @@ class TestDriverObservability:
                                     progress=lambda d, t: calls.append((d, t)))
         assert mi is not None
         assert calls[0][0] == 1  # the resumed row counts as already done
-
-    def test_outofcore_counters(self, weights, tmp_path):
-        rng = np.random.default_rng(5)
-        data = rng.normal(size=(16, 60))
-        wpath = build_weight_store(data, tmp_path / "w", bins=7)
-        tracer = Tracer()
-        calls = []
-        out = mi_matrix_outofcore(wpath, tmp_path / "mi", tile=5, tracer=tracer,
-                                  progress=lambda d, t: calls.append((d, t)))
-        mi = np.load(out)
-        assert mi.shape == (16, 16)
-        assert tracer.counters["tiles_done"] == calls[-1][1]
-        assert calls[-1][0] == calls[-1][1]
-        assert len(tracer.find_spans("mi_outofcore")) == 1
 
 
 class TestPipelineTracing:
