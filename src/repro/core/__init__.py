@@ -35,7 +35,6 @@ from repro.core.exec import (
     schedule_policy,
     weights_fingerprint,
 )
-from repro.core.filtering import FilterReport, filter_genes
 from repro.core.incremental import NetworkUpdater
 from repro.core.entropy import entropy_from_probs, james_stein_shrinkage, marginal_entropies
 from repro.core.mi import (
@@ -46,7 +45,7 @@ from repro.core.mi import (
     mi_shrinkage_pair,
     mi_tile,
 )
-from repro.core.mi_matrix import MiMatrixResult, mi_matrix, mi_pairs, mi_row
+from repro.core.mi_matrix import MiMatrixResult, mi_matrix
 from repro.core.network import GeneNetwork
 from repro.core.permutation import NullDistribution, pooled_null, per_pair_pvalues
 from repro.core.provenance import (
@@ -67,7 +66,6 @@ __all__ = [
     "ConsensusResult",
     "DenseSink",
     "ExactTestResult",
-    "FilterReport",
     "GeneNetwork",
     "MatrixSink",
     "MiMatrixResult",
@@ -91,7 +89,6 @@ __all__ = [
     "data_fingerprint",
     "exact_mi_pvalues",
     "fdr_adjacency",
-    "filter_genes",
     "james_stein_shrinkage",
     "load_run_record",
     "marginal_entropies",
@@ -103,8 +100,6 @@ __all__ = [
     "mi_matrix",
     "mi_matrix_checkpointed",
     "mi_shrinkage_pair",
-    "mi_pairs",
-    "mi_row",
     "mi_tile",
     "pair_count",
     "per_pair_pvalues",

@@ -961,14 +961,15 @@ def run_tile_plan(
     # Warm the operand caches compute_tile will read in the parent: thread
     # workers share the one repacking, fork workers inherit it copy-on-write.
     # Exact testing reads the fused operands at the slab's own precision.
+    # Fused and exact 1x1 tiles read slabs instead, so a plan of only those
+    # (or of no tiles) warms nothing.
     if isinstance(source, TensorSource):
-        if permutations is not None:
-            prepare_operands(source.weights)
-        elif kernel == "sparse":
+        if kernel == "sparse" and permutations is None:
             prepare_packed(source.weights,
                            _resolve_kernel_dtype(kernel_dtype, source.dtype)[0])
-        else:
-            prepare_operands(source.weights, kernel_dtype)
+        elif any(t.rows > 1 or t.cols > 1 for t in plan.tiles):
+            prepare_operands(source.weights,
+                             kernel_dtype if permutations is None else None)
     elif kernel == "sparse" and isinstance(source, PackedWeightSource):
         source.packed()  # materialize the padded lanes pre-fork (COW)
 

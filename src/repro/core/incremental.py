@@ -1,32 +1,23 @@
-"""Incremental network maintenance: grow a network gene by gene or
-sample by sample.
+"""Incremental network maintenance: grow a network sample by sample.
 
-Real compendia grow along both axes.  A new probe set adds a *gene*:
-recomputing 1.2e8 pairs for one new gene wastes ``(n-1)/1`` of the work,
-so :class:`NetworkUpdater` updates the weight tensor, MI matrix and
-thresholded network in ``O(n)`` per added/removed gene using the row
-kernel (:func:`repro.core.mi_matrix.mi_row`).  A new microarray adds a
-*sample column*: every pair's MI drifts (the rank transform re-scales
-all columns), but by a bounded amount, so :meth:`NetworkUpdater.
-add_samples` recomputes only the tiles whose MI could have crossed the
-significance threshold and replays them through the shared tile executor
-(:func:`repro.core.exec.run_tile_plan`).
+A new microarray adds a *sample column*: every pair's MI drifts (the rank
+transform re-scales all columns), but by a bounded amount, so
+:meth:`NetworkUpdater.add_samples` recomputes only the tiles whose MI
+could have crossed the significance threshold and replays them through
+the shared tile executor (:func:`repro.core.exec.run_tile_plan`).  The
+gene set is fixed for the updater's lifetime: a changed gene universe is
+a new reconstruction.
 
-Statistical note (gene axis): the significance threshold was derived for
-the original gene universe.  Adding genes increases the number of
-hypotheses, so the updater re-tightens the Bonferroni threshold from the
-stored null at every change — edges can therefore *disappear* when genes
-are added, which is correct behaviour, not a bug (tests pin it).
-
-The dirty-tile screen (sample axis)
------------------------------------
+The dirty-tile screen
+---------------------
 For pair ``(i, j)``, ``MI' = MI + dH_i + dH_j - dH_ij`` where ``dH_i``
 are the *exact* per-gene marginal-entropy deltas (one cheap pass over the
 grown weight tensor) and ``dH_ij`` is the joint-entropy drift.  The
 marginal terms are computed exactly; the joint term is bounded by a
 probe-calibrated ``gamma``: a deterministic sample of pairs (random plus
-the genes with the largest marginal drift) is recomputed exactly, and
-``gamma = safety * max |dH_ij|`` over the probes.  A pair is *clean* when
+the genes with the largest marginal drift) is recomputed exactly through
+:func:`repro.core.exec.compute_tile`, and ``gamma = safety * max |dH_ij|``
+over the probes.  A pair is *clean* when
 ``MI + dH_i + dH_j + gamma <= threshold'`` — its new MI provably (up to
 the calibrated bound) cannot exceed the new threshold, so it cannot
 become an edge and its tile need not run.  Existing edges are always
@@ -42,6 +33,11 @@ from-scratch pipeline run on the grown dataset; MI entries of clean
 non-edge pairs keep their pre-update values (stale by at most the drift
 bound, and provably below threshold).  The property suite pins both the
 identity and the screen's conservativeness.
+
+The updater holds only what the next increment reads: the raw data, the
+MI matrix, the per-gene entropies, the null, the gene names and the
+config.  Each increment rebuilds the weight tensor from the raw data (the
+rank transform re-scales every column anyway) and drops it afterwards.
 """
 
 from __future__ import annotations
@@ -51,11 +47,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.bspline import BsplineBasis
-from repro.core.discretize import extend_columns, rank_transform
+from repro.core.discretize import extend_columns
 from repro.core.entropy import marginal_entropies
-from repro.core.exec import DenseSink, TensorSource, TilePlan, filter_plan
-from repro.core.mi_matrix import mi_pairs, mi_row
+from repro.core.exec import DenseSink, TensorSource, TilePlan, compute_tile, filter_plan
 from repro.core.network import GeneNetwork
 from repro.core.permutation import NullDistribution
 from repro.core.pipeline import TingeConfig, TingePipeline
@@ -128,87 +122,62 @@ class UpdateDelta:
 
 
 class NetworkUpdater:
-    """Mutable wrapper around (weights, MI matrix, network).
+    """Mutable wrapper around a finished run's MI matrix and network.
 
-    Build one from a finished pipeline run and then :meth:`add_gene` /
-    :meth:`remove_gene` / :meth:`add_samples`; :attr:`network` is always
-    current.
+    Build one from a finished pipeline run (:meth:`from_result`) and then
+    :meth:`add_samples`; :attr:`network` is always current.
 
     Parameters
     ----------
     weights:
-        ``(n, m, b)`` weight tensor of the *rank-transformed* genes.
+        ``(n, m, b)`` weight tensor of the *rank-transformed* genes.  Only
+        its per-gene marginal entropies are kept.
     mi:
         The matching ``(n, n)`` MI matrix.
     genes:
         Gene names.
     null:
         The pooled null the run produced (thresholds re-derive from it).
-    alpha, correction:
-        Significance settings (as in the pipeline).  Ignored when
-        ``config`` is given (the config's values win — one source of
-        truth for the streaming path).
     data:
-        Optional raw ``(n, m)`` expression matrix the weights came from.
-        Required for :meth:`add_samples`: appending a column re-ranks
-        every existing one, so the raw values must be retained.
+        The raw ``(n, m)`` expression matrix the weights came from:
+        appending a column re-ranks every existing one, so each increment
+        rebuilds the weights from the raw values.
     config:
-        Optional :class:`repro.core.pipeline.TingeConfig` (or dict of its
-        fields).  Required for :meth:`add_samples`: the update rebuilds
-        the permutation null and replays tiles with exactly the
-        pipeline's parameters, which is what makes the result
-        bit-identical to a from-scratch run on the grown dataset.
+        The run's :class:`repro.core.pipeline.TingeConfig` (or a dict of
+        its fields).  Increments rebuild the permutation null and replay
+        tiles with exactly the pipeline's parameters, which is what makes
+        the result bit-identical to a from-scratch run on the grown
+        dataset.  ``exact_retest`` configs are rejected: their re-test
+        reads a weight tensor the updater does not keep, and they cannot
+        stream.
     """
 
-    def __init__(
-        self,
-        weights: np.ndarray,
-        mi: np.ndarray,
-        genes: list,
-        null: NullDistribution,
-        alpha: float = 0.01,
-        correction: str = "bonferroni",
-        data: "np.ndarray | None" = None,
-        config=None,
-    ):
+    def __init__(self, weights: np.ndarray, mi: np.ndarray, genes: list,
+                 null: NullDistribution, *, data: np.ndarray, config):
         weights = np.asarray(weights)
-        mi = np.asarray(mi, dtype=np.float64)
         if weights.ndim != 3:
             raise ValueError(f"expected (n, m, b) weights, got {weights.shape}")
         n = weights.shape[0]
+        mi = np.array(mi, dtype=np.float64)
         if mi.shape != (n, n) or len(genes) != n:
             raise ValueError("weights / mi / genes sizes disagree")
-        if config is not None and not hasattr(config, "alpha"):
+        data = np.array(data, dtype=np.float64)
+        if data.shape != (n, weights.shape[1]):
+            raise ValueError(
+                f"data shape {data.shape} does not match weights "
+                f"{weights.shape[:2]}"
+            )
+        if not hasattr(config, "alpha"):
             config = TingeConfig(**dict(config))
-        if data is not None:
-            data = np.array(data, dtype=np.float64)
-            if data.shape != (n, weights.shape[1]):
-                raise ValueError(
-                    f"data shape {data.shape} does not match weights "
-                    f"{weights.shape[:2]}"
-                )
-        # Backing buffers are over-allocated (geometric growth with
-        # capacity slack): n consecutive add_gene calls cost O(log n)
-        # reallocations instead of n full (n, m, b) + (n, n) copies.
-        # Consumers only ever see the [:n] prefix views, whose values and
-        # memory layout (C-contiguous leading slice) match exact-sized
-        # arrays, so outputs stay bit-identical.
-        self._n = n
-        self._wbuf = np.array(weights, dtype=np.float64, copy=True)
-        self._mibuf = mi.copy()
-        # Cached per-gene marginal entropies: each update touches only the
-        # changed gene's entry instead of recomputing all n of them.
-        self._hbuf = marginal_entropies(self._wbuf)
+        if config.exact_retest:
+            raise ValueError("NetworkUpdater: exact_retest runs cannot stream "
+                             "(the re-test needs the full weight tensor)")
+        self._mi = mi
+        self._h = marginal_entropies(weights)
         self._genes = list(genes)
         self._null = null
-        self._alpha = alpha
-        self._correction = correction
         self._data = data
         self._config = config
-        if config is not None:
-            self._basis = BsplineBasis(bins=config.bins, order=config.order)
-        else:
-            self._basis = BsplineBasis(bins=weights.shape[2])
 
     @classmethod
     def from_result(cls, result, data: np.ndarray) -> "NetworkUpdater":
@@ -225,58 +194,18 @@ class NetworkUpdater:
                    result.null, data=data, config=result.config)
 
     def _pipeline(self, engine=None, tracer=None, progress=None) -> TingePipeline:
-        """A pipeline over this updater's config (or, for an updater built
-        without one, its ``alpha`` / ``correction``): the one place its
+        """A pipeline over this updater's config: the one place its
         weights, null and threshold rule come from."""
-        cfg = self._config or TingeConfig(alpha=self._alpha,
-                                          correction=self._correction)
-        return TingePipeline(cfg, engine=engine, tracer=tracer or NULL_TRACER,
-                             progress=progress)
+        return TingePipeline(self._config, engine=engine,
+                             tracer=tracer or NULL_TRACER, progress=progress)
 
-    # -- backing storage ------------------------------------------------
-    @property
-    def _weights(self) -> np.ndarray:
-        """Live ``(n, m, b)`` prefix view of the weight buffer."""
-        return self._wbuf[: self._n]
-
-    @property
-    def _mi(self) -> np.ndarray:
-        """Live ``(n, n)`` prefix view of the MI buffer."""
-        return self._mibuf[: self._n, : self._n]
-
-    @property
-    def _h(self) -> np.ndarray:
-        """Live ``(n,)`` prefix view of the entropy cache."""
-        return self._hbuf[: self._n]
-
-    @property
-    def capacity(self) -> int:
-        """Gene slots allocated in the backing buffers (``>= n_genes``)."""
-        return self._wbuf.shape[0]
-
-    def _ensure_capacity(self, n_needed: int) -> None:
-        """Grow the backing buffers geometrically to hold ``n_needed`` genes."""
-        cap = self.capacity
-        if n_needed <= cap:
-            return
-        new_cap = max(2 * cap, n_needed)
-        _, m, b = self._wbuf.shape
-        wbuf = np.zeros((new_cap, m, b), dtype=np.float64)
-        wbuf[: self._n] = self._wbuf[: self._n]
-        mibuf = np.zeros((new_cap, new_cap), dtype=np.float64)
-        mibuf[: self._n, : self._n] = self._mibuf[: self._n, : self._n]
-        hbuf = np.zeros(new_cap, dtype=np.float64)
-        hbuf[: self._n] = self._hbuf[: self._n]
-        self._wbuf, self._mibuf, self._hbuf = wbuf, mibuf, hbuf
-
-    # ------------------------------------------------------------------
     @property
     def n_genes(self) -> int:
         return len(self._genes)
 
     @property
     def n_samples(self) -> int:
-        return self._wbuf.shape[1]
+        return self._data.shape[1]
 
     @property
     def mi(self) -> np.ndarray:
@@ -289,77 +218,11 @@ class NetworkUpdater:
 
     @property
     def network(self) -> GeneNetwork:
-        """The current network under the pipeline's threshold rule
-        (re-tightened to the current gene count)."""
+        """The current network under the pipeline's threshold rule.  No
+        weights are passed: only the exact re-test reads them, and the
+        constructor rejects it."""
         return self._pipeline().network(self._mi.copy(), self._null,
-                                        self._genes, self._weights)
-
-    # ------------------------------------------------------------------
-    def add_gene(self, name: str, samples: np.ndarray) -> None:
-        """Append a gene: O(n) MI evaluations instead of O(n^2).
-
-        ``samples`` is the gene's raw expression vector (rank-transformed
-        internally, matching the pipeline's preprocessing).
-        """
-        assert self._n == len(self._genes), "gene bookkeeping desynced"
-        if name in self._genes:
-            raise ValueError(f"gene {name!r} already present")
-        samples = np.asarray(samples, dtype=np.float64).ravel()
-        if samples.size != self._weights.shape[1]:
-            raise ValueError(
-                f"expected {self._weights.shape[1]} samples, got {samples.size}"
-            )
-        if not np.isfinite(samples).all():
-            raise ValueError(
-                f"samples for gene {name!r} contain NaN/inf; impute first "
-                "(rank-transforming non-finite values would corrupt the "
-                "weight tensor silently)"
-            )
-        n = self._n
-        self._ensure_capacity(n + 1)
-        # Stage into the (invisible) slot past the live prefix and compute
-        # the MI row against a widened view; the visible state — _genes,
-        # _n, the MI prefix — only mutates once everything has succeeded,
-        # so a failed add leaves the updater exactly as it was.
-        self._wbuf[n] = self._basis.weights(rank_transform(samples))
-        self._hbuf[n] = marginal_entropies(self._wbuf[n : n + 1])[0]
-        row = mi_row(self._wbuf[: n + 1], n, h=self._hbuf[: n + 1])
-        self._mibuf[n, : n + 1] = row
-        self._mibuf[: n + 1, n] = row
-        self._genes.append(name)
-        if self._data is not None:
-            self._data = np.concatenate([self._data, samples[None, :]], axis=0)
-        self._n = n + 1
-
-    def remove_gene(self, name: str) -> None:
-        """Drop a gene (in-place compaction of the backing buffers)."""
-        assert self._n == len(self._genes), "gene bookkeeping desynced"
-        try:
-            idx = self._genes.index(name)
-        except ValueError:
-            raise ValueError(f"gene {name!r} not present") from None
-        if self.n_genes <= 2:
-            raise ValueError("cannot shrink below 2 genes")
-        n = self._n
-        # Shift the tail up by one slot.  The .copy() on each source slice
-        # keeps the overlapping same-buffer assignment well-defined.
-        self._wbuf[idx : n - 1] = self._wbuf[idx + 1 : n].copy()
-        self._hbuf[idx : n - 1] = self._hbuf[idx + 1 : n].copy()
-        self._mibuf[idx : n - 1, :n] = self._mibuf[idx + 1 : n, :n].copy()
-        self._mibuf[: n - 1, idx : n - 1] = self._mibuf[: n - 1, idx + 1 : n].copy()
-        # Clear the vacated slot: the entropy cache must describe exactly
-        # the weight rows of the live prefix and nothing else, so a later
-        # add_gene can never alias stale weights/entropies — removing the
-        # last-added gene repeatedly (remove g, add g', remove g', ...)
-        # stays consistent by construction instead of by overwrite order.
-        self._wbuf[n - 1] = 0.0
-        self._hbuf[n - 1] = 0.0
-        self._mibuf[n - 1, :n] = 0.0
-        self._mibuf[:n, n - 1] = 0.0
-        if self._data is not None:
-            self._data = np.delete(self._data, idx, axis=0)
-        del self._genes[idx]
-        self._n = n - 1
+                                        self._genes, None)
 
     # -- sample increment ----------------------------------------------
     @staticmethod
@@ -383,17 +246,13 @@ class NetworkUpdater:
 
     def _streaming_config(self, what: str):
         """The validated config for the sample-increment path (or raise)."""
-        if self._data is None or self._config is None:
-            raise ValueError(
-                f"{what} needs the raw data and pipeline config; construct "
-                "the updater with data=/config= (or NetworkUpdater.from_result)"
-            )
         self.check_streaming_config(self._config, what)
         return self._config
 
     def _screen_gamma(
         self,
-        weights_new: np.ndarray,
+        source: TensorSource,
+        h_new: np.ndarray,
         dh: np.ndarray,
         n_probes: int,
         safety: float,
@@ -403,11 +262,13 @@ class NetworkUpdater:
         Exactly recomputes a deterministic probe set — uniform random
         pairs plus every pair among the genes with the largest marginal
         drift (the likeliest joint-drift extremes) — and returns
-        ``safety * max |dH_ij|`` observed.  Deterministic in (seed, n, m')
+        ``safety * max |dH_ij|`` observed.  Each probe is one 1x1
+        :func:`~repro.core.exec.compute_tile` call on the grown tensor's
+        ``source`` (entropies ``h_new``).  Deterministic in (seed, n, m')
         so an interrupted update rebuilds the identical dirty set on
         resume.
         """
-        n, m_new = weights_new.shape[0], weights_new.shape[1]
+        n, m_new = source.n_genes, source.m_samples
         cfg = self._config
         rng = np.random.default_rng([int(cfg.seed or 0), n, m_new])
         pairs = rng.integers(0, n, size=(max(int(n_probes), 1), 2))
@@ -415,9 +276,12 @@ class NetworkUpdater:
         ti, tj = np.meshgrid(top, top, indexing="ij")
         pairs = np.concatenate([pairs, np.stack([ti.ravel(), tj.ravel()], axis=1)])
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-        if pairs.size == 0:  # n == 1 cannot happen (updater floor is 2 genes)
+        if pairs.size == 0:
             return 0.0
-        mi_new = mi_pairs(weights_new, pairs, base=cfg.base)
+        # Tiles may not lie below the diagonal: probe (min, max).
+        mi_new = np.array([
+            compute_tile(source, h_new, Tile(i, i + 1, j, j + 1), base=cfg.base)[0, 0]
+            for i, j in np.sort(pairs, axis=1).tolist()])
         mi_old = self._mi[pairs[:, 0], pairs[:, 1]]
         dh_joint = dh[pairs[:, 0]] + dh[pairs[:, 1]] - (mi_new - mi_old)
         return float(safety * np.abs(dh_joint).max())
@@ -475,7 +339,7 @@ class NetworkUpdater:
         cfg = self._streaming_config("add_samples")
         pipe = self._pipeline(engine, tracer, progress)
         tracer = pipe.tracer
-        n = self._n
+        n = self.n_genes
         data_new = extend_columns(self._data, new_data)
 
         # The pipeline's own phases on the grown dataset: every array
@@ -484,12 +348,12 @@ class NetworkUpdater:
         source = TensorSource(weights_new)
         h_new = source.entropies(cfg.base)
         null_new = pipe.null(weights_new)
-        old = pipe.network(self._mi, self._null, self._genes, self._weights)
+        old = pipe.network(self._mi, self._null, self._genes, None)
         thr_new = pipe.threshold(null_new, n)
 
         # The screen: exact marginal deltas + calibrated joint bound.
         dh = h_new - self._h
-        gamma = self._screen_gamma(weights_new, dh, n_probes, safety)
+        gamma = self._screen_gamma(source, h_new, dh, n_probes, safety)
         upper = self._mi + dh[:, None] + dh[None, :] + gamma
         dirty = (upper > thr_new) | old.adjacency
         np.fill_diagonal(dirty, False)
@@ -535,7 +399,7 @@ class NetworkUpdater:
             # visible state is untouched.
             return None
         return self._commit(
-            pipe, old, data_new, weights_new, h_new, null_new, mi_new,
+            pipe, old, data_new, h_new, null_new, mi_new,
             tiles_total=plan.n_tiles,
             tiles_dirty=len(dirty_tiles),
             tiles_skipped=plan.n_tiles - len(dirty_tiles),
@@ -557,41 +421,33 @@ class NetworkUpdater:
         """
         cfg = self._streaming_config("adopt_samples")
         pipe = self._pipeline(tracer=tracer)
-        n = self._n
+        n = self.n_genes
         data_new = extend_columns(self._data, new_data)
-        mi = np.asarray(mi, dtype=np.float64)
+        mi = np.array(mi, dtype=np.float64)
         if mi.shape != (n, n):
             raise ValueError(f"expected ({n}, {n}) MI matrix, got {mi.shape}")
 
         weights_new = pipe.weights(pipe.transform(data_new))
-        old = pipe.network(self._mi, self._null, self._genes, self._weights)
+        old = pipe.network(self._mi, self._null, self._genes, None)
         return self._commit(
-            pipe, old, data_new, weights_new,
+            pipe, old, data_new,
             marginal_entropies(weights_new, base=cfg.base),
             pipe.null(weights_new), mi,
             tiles_total=0, tiles_dirty=0, tiles_skipped=0,
             pairs_screened_dirty=0, pairs_recomputed=0, gamma=0.0, cached=True,
         )
 
-    def _commit(self, pipe, old, data_new, weights_new, h_new, null_new,
-                mi_new, **counters) -> UpdateDelta:
+    def _commit(self, pipe, old, data_new, h_new, null_new, mi_new,
+                **counters) -> UpdateDelta:
         """Threshold the grown state, then swap it in (the only state
         mutation of a sample increment); returns the :class:`UpdateDelta`."""
-        n = self._n
-        new = pipe.network(mi_new, null_new, self._genes, weights_new)
+        new = pipe.network(mi_new, null_new, self._genes, None)
         added, removed = self._edge_delta(old.adjacency, new.adjacency,
                                           self._mi, mi_new)
         pipe.tracer.add("delta_edges", len(added) + len(removed))
 
         m_old, m_new = self._data.shape[1], data_new.shape[1]
-        wbuf = np.zeros((self.capacity, m_new, self._wbuf.shape[2]),
-                        dtype=np.float64)
-        wbuf[:n] = weights_new
-        self._wbuf = wbuf
-        self._hbuf[:n] = h_new
-        self._mibuf[:n, :n] = mi_new
-        self._null = null_new
-        self._data = data_new
+        self._mi, self._h, self._null, self._data = mi_new, h_new, null_new, data_new
         return UpdateDelta(
             n_samples_before=m_old,
             n_samples_after=m_new,
@@ -599,14 +455,14 @@ class NetworkUpdater:
             threshold_after=float(new.threshold),
             edges_added=added,
             edges_removed=removed,
-            pairs_total=pair_count(n),
+            pairs_total=pair_count(self.n_genes),
             **counters,
         )
 
     def _edge_delta(self, adj_old, adj_new, mi_old, mi_new):
         """(added, removed) edge lists between two adjacency snapshots."""
         genes = self._genes
-        iu = np.triu_indices(self._n, k=1)
+        iu = np.triu_indices(self.n_genes, k=1)
         gained = adj_new[iu] & ~adj_old[iu]
         lost = adj_old[iu] & ~adj_new[iu]
         added = [(genes[i], genes[j], float(mi_new[i, j]))

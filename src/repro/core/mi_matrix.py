@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.entropy import joint_entropy_from_probs, marginal_entropies
 from repro.core.exec import (
     DenseSink,
     WeightSource,
@@ -30,9 +29,8 @@ from repro.core.exec import (
     plan_run,
     run_tile_plan,
 )
-from repro.core.mi import mi_tile
 
-__all__ = ["MiMatrixResult", "compute_tile", "mi_matrix", "mi_pairs", "mi_row"]
+__all__ = ["MiMatrixResult", "compute_tile", "mi_matrix"]
 
 
 @dataclass
@@ -169,79 +167,3 @@ def mi_matrix(
         quarantined=sink.quarantined,
     )
 
-
-def mi_row(
-    weights: np.ndarray,
-    gene: int,
-    base: str = "nat",
-    block: int = 256,
-    h: "np.ndarray | None" = None,
-) -> np.ndarray:
-    """MI of one gene against every other gene (one matrix row).
-
-    The incremental-update primitive: adding or re-annotating a single gene
-    costs ``O(n * m * b^2)`` instead of recomputing the full ``O(n^2)``
-    matrix.  ``out[gene]`` is 0 by the no-self-edge convention.
-
-    ``h`` (optional) supplies precomputed per-gene marginal entropies in
-    ``base``; callers maintaining a network incrementally cache them so
-    each added gene costs one new entropy, not ``n`` recomputed ones.
-    """
-    weights = np.asarray(weights)
-    if weights.ndim != 3:
-        raise ValueError(f"expected (n, m, b) weight tensor, got shape {weights.shape}")
-    n = weights.shape[0]
-    if not 0 <= gene < n:
-        raise ValueError(f"gene index {gene} out of range for {n} genes")
-    if h is None:
-        h = marginal_entropies(weights, base=base)
-    elif np.asarray(h).shape != (n,):
-        raise ValueError(f"expected ({n},) entropies, got shape {np.asarray(h).shape}")
-    wg = weights[gene : gene + 1]
-    out = np.empty(n, dtype=np.float64)
-    for s in range(0, n, block):
-        e = min(s + block, n)
-        tile = mi_tile(wg, weights[s:e], h_i=h[gene : gene + 1], h_j=h[s:e], base=base)
-        out[s:e] = tile[0]
-    out[gene] = 0.0
-    return out
-
-
-def mi_pairs(
-    weights: np.ndarray,
-    pairs: np.ndarray,
-    base: str = "nat",
-    batch: int = 4096,
-) -> np.ndarray:
-    """MI of an explicit list of gene pairs (not the full matrix).
-
-    Used by the incremental updater's dirty-tile screen, which calibrates
-    its bound on a sample of pairs.
-    Processes pairs in batches with the same GEMM trick: a batch of pairs is
-    a ``(B, b, m) @ (B, m, b)`` stacked matmul.
-
-    Parameters
-    ----------
-    pairs:
-        ``(P, 2)`` integer array of ``(i, j)`` gene indices.
-    """
-    weights = np.asarray(weights)
-    pairs = np.asarray(pairs, dtype=np.intp)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError(f"expected (P, 2) pair array, got shape {pairs.shape}")
-    n, m, b = weights.shape
-    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
-        raise ValueError("pair indices out of range")
-    h = marginal_entropies(weights, base=base)
-    out = np.empty(pairs.shape[0], dtype=np.float64)
-    for s in range(0, pairs.shape[0], batch):
-        chunk = pairs[s : s + batch]
-        wi = weights[chunk[:, 0]].astype(np.float64, copy=False)
-        wj = weights[chunk[:, 1]].astype(np.float64, copy=False)
-        # (B, b, b) joint matrices via batched matmul over the sample axis.
-        joint = np.matmul(wi.transpose(0, 2, 1), wj) / m
-        h_joint = joint_entropy_from_probs(joint, base=base)
-        out[s : s + chunk.shape[0]] = np.maximum(
-            h[chunk[:, 0]] + h[chunk[:, 1]] - h_joint, 0.0
-        )
-    return out

@@ -1,5 +1,4 @@
-"""Tests for repro.analysis.compare, repro.baselines.partialcorr and
-repro.core.mi_matrix.mi_row."""
+"""Tests for repro.analysis.compare and repro.baselines.partialcorr."""
 
 import numpy as np
 import pytest
@@ -10,8 +9,6 @@ from repro.baselines.partialcorr import (
     partial_correlation_matrix,
     shrinkage_covariance,
 )
-from repro.core.bspline import weight_tensor
-from repro.core.mi_matrix import mi_matrix, mi_row
 from repro.core.network import GeneNetwork
 from repro.core.threshold import top_k_adjacency
 
@@ -120,43 +117,3 @@ class TestPartialCorrelation:
         x = rng.normal(size=(8, 60))
         net = ggm_network(x, [f"g{i}" for i in range(8)], n_edges=5)
         assert net.n_edges == 5
-
-
-class TestMiRow:
-    @pytest.fixture(scope="class")
-    def weights(self):
-        gen = np.random.default_rng(55)
-        return weight_tensor(gen.normal(size=(20, 80)))
-
-    def test_matches_full_matrix(self, weights):
-        full = mi_matrix(weights).mi
-        for g in (0, 7, 19):
-            assert np.allclose(mi_row(weights, g), full[g])
-
-    def test_self_entry_zero(self, weights):
-        assert mi_row(weights, 5)[5] == 0.0
-
-    def test_block_size_invariance(self, weights):
-        a = mi_row(weights, 3, block=4)
-        b = mi_row(weights, 3, block=1000)
-        assert np.allclose(a, b)
-
-    def test_validation(self, weights):
-        with pytest.raises(ValueError):
-            mi_row(weights, 99)
-        with pytest.raises(ValueError):
-            mi_row(weights[0], 0)
-
-    def test_incremental_network_update_flow(self, weights):
-        """The intended use: grow a network by one gene without a full
-        recompute."""
-        full = mi_matrix(weights).mi
-        partial = mi_matrix(weights[:19]).mi
-        row = mi_row(weights, 19)
-        grown = np.zeros((20, 20))
-        grown[:19, :19] = partial
-        grown[19, :] = row
-        grown[:, 19] = row
-        assert np.allclose(grown, full)
-        # And thresholding the grown matrix equals thresholding the full one.
-        assert np.array_equal(top_k_adjacency(grown, 30), top_k_adjacency(full, 30))

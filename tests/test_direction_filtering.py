@@ -1,4 +1,4 @@
-"""Tests for edge orientation (perturbation evidence) and gene filtering."""
+"""Tests for edge orientation (perturbation evidence)."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.analysis.direction import (
     knockout_response_zscores,
     orient_edges,
 )
-from repro.core.filtering import filter_genes
 from repro.core.network import GeneNetwork
 from repro.data.grn import scale_free_grn
 from repro.data.perturbation import simulate_perturbations
@@ -81,53 +80,3 @@ class TestOrientEdges:
         e = DirectedEdge("a", "b", z_forward=5.0, z_reverse=float("nan"))
         assert e.confidence == 5.0
 
-
-class TestFilterGenes:
-    def test_constant_gene_dropped(self, rng):
-        data = np.vstack([np.full(50, 3.0), rng.normal(size=(3, 50))])
-        filtered, report = filter_genes(data, list("abcd"))
-        assert report.dropped == {"a": "constant"}
-        assert filtered.shape == (3, 50)
-        assert report.kept_genes == ["b", "c", "d"]
-
-    def test_low_coverage_dropped(self, rng):
-        data = rng.normal(size=(3, 20))
-        data[1, :15] = np.nan
-        _, report = filter_genes(data, list("xyz"), min_finite_fraction=0.5)
-        assert report.dropped == {"y": "low-coverage"}
-
-    def test_variance_quantile(self, rng):
-        scales = np.array([0.01, 0.1, 1.0, 10.0])
-        data = rng.normal(size=(4, 200)) * scales[:, None]
-        filtered, report = filter_genes(data, list("abcd"),
-                                        variance_quantile=0.5)
-        assert report.n_kept == 2
-        assert set(report.kept_genes) == {"c", "d"}
-
-    def test_clean_data_untouched(self, rng):
-        data = rng.normal(size=(5, 30))
-        filtered, report = filter_genes(data)
-        assert report.n_dropped == 0
-        assert np.array_equal(filtered, data)
-
-    def test_pipeline_integration(self, rng):
-        """Filtered data feeds straight into reconstruction."""
-        from repro import TingeConfig, reconstruct_network
-
-        data = np.vstack([rng.normal(size=(6, 80)), np.full((2, 80), 1.0)])
-        genes = [f"g{i}" for i in range(8)]
-        filtered, report = filter_genes(data, genes)
-        assert report.n_kept == 6
-        res = reconstruct_network(filtered, report.kept_genes,
-                                  TingeConfig(n_permutations=5))
-        assert res.network.n_genes == 6
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            filter_genes(rng.normal(size=10))
-        with pytest.raises(ValueError):
-            filter_genes(rng.normal(size=(2, 5)), ["a"])
-        with pytest.raises(ValueError):
-            filter_genes(rng.normal(size=(2, 5)), min_finite_fraction=0.0)
-        with pytest.raises(ValueError):
-            filter_genes(rng.normal(size=(2, 5)), variance_quantile=1.0)

@@ -1,4 +1,4 @@
-"""Tests for module enrichment and incremental network maintenance."""
+"""Tests for module enrichment and the incremental updater's inputs."""
 
 import numpy as np
 import pytest
@@ -82,216 +82,16 @@ class TestEnrichModules:
 
 
 class TestNetworkUpdater:
-    @pytest.fixture
-    def state(self):
+    def test_validation(self):
         rng = np.random.default_rng(81)
         data = rng.normal(size=(20, 100))
         w = weight_tensor(rank_transform(data))
         mi = mi_matrix(w).mi
         null = pooled_null(w, 15, 50, seed=0)
         genes = [f"g{i}" for i in range(20)]
-        return data, w, mi, genes, null
-
-    def test_add_gene_matches_full_recompute(self, state):
-        data, w, mi, genes, null = state
-        rng = np.random.default_rng(5)
-        new = data[3] + 0.2 * rng.normal(size=100)  # coupled to g3
-        updater = NetworkUpdater(w, mi, genes, null, alpha=0.05)
-        updater.add_gene("g_new", new)
-
-        full = mi_matrix(weight_tensor(rank_transform(
-            np.vstack([data, new])))).mi
-        assert np.allclose(updater.mi, full, atol=1e-10)
-
-    def test_added_coupled_gene_gets_edge(self, state):
-        data, w, mi, genes, null = state
-        rng = np.random.default_rng(6)
-        new = data[0] + 0.1 * rng.normal(size=100)
-        updater = NetworkUpdater(w, mi, genes, null, alpha=0.05)
-        updater.add_gene("twin", new)
-        assert ("g0", "twin") in updater.network.edge_set()
-
-    def test_threshold_tightens_with_more_genes(self, state):
-        data, w, mi, genes, null = state
-        updater = NetworkUpdater(w, mi, genes, null, alpha=0.05)
-        before = updater.threshold
-        updater.add_gene("extra", np.random.default_rng(7).normal(size=100))
-        assert updater.threshold >= before
-
-    def test_remove_gene(self, state):
-        data, w, mi, genes, null = state
-        updater = NetworkUpdater(w, mi, genes, null)
-        updater.remove_gene("g7")
-        assert updater.n_genes == 19
-        assert "g7" not in updater.network.genes
-        ref = mi_matrix(weight_tensor(rank_transform(
-            np.delete(data, 7, axis=0)))).mi
-        assert np.allclose(updater.mi, ref, atol=1e-10)
-
-    def test_add_remove_roundtrip(self, state):
-        data, w, mi, genes, null = state
-        updater = NetworkUpdater(w, mi, genes, null)
-        new = np.random.default_rng(8).normal(size=100)
-        updater.add_gene("temp", new)
-        updater.remove_gene("temp")
-        assert np.allclose(updater.mi, mi, atol=1e-12)
-        assert updater.network.genes == genes
-
-    def test_validation(self, state):
-        data, w, mi, genes, null = state
-        updater = NetworkUpdater(w, mi, genes, null)
-        with pytest.raises(ValueError):
-            updater.add_gene("g0", data[0])  # duplicate
-        with pytest.raises(ValueError):
-            updater.add_gene("x", np.zeros(5))  # wrong length
-        with pytest.raises(ValueError):
-            updater.remove_gene("nope")
-        with pytest.raises(ValueError):
-            NetworkUpdater(w, mi[:5, :5], genes, null)
-
-
-class TestNetworkUpdaterGrowth:
-    """Geometric buffer growth: same outputs, no per-add full reallocation."""
-
-    @pytest.fixture
-    def state(self):
-        rng = np.random.default_rng(91)
-        data = rng.normal(size=(8, 60))
-        w = weight_tensor(rank_transform(data))
-        mi = mi_matrix(w).mi
-        null = pooled_null(w, 10, 20, seed=0)
-        return data, w, mi, [f"g{i}" for i in range(8)], null
-
-    def test_many_adds_bit_identical_to_naive(self, state):
-        data, w, mi, genes, null = state
-        rng = np.random.default_rng(17)
-        updater = NetworkUpdater(w, mi, genes, null)
-        snapshots = []
-        for k in range(10):
-            updater.add_gene(f"new{k}", rng.normal(size=60))
-            snapshots.append(updater.mi)
-        # Re-play with a fresh updater (fresh buffers, different capacity
-        # history) and compare bit-exactly at every step.
-        rng = np.random.default_rng(17)
-        replay = NetworkUpdater(w, mi, genes, null)
-        for k in range(10):
-            replay.add_gene(f"new{k}", rng.normal(size=60))
-            assert np.array_equal(replay.mi, snapshots[k])
-        assert replay.n_genes == 18
-
-    def test_capacity_grows_geometrically(self, state):
-        data, w, mi, genes, null = state
-        rng = np.random.default_rng(23)
-        updater = NetworkUpdater(w, mi, genes, null)
-        reallocations = 0
-        last_cap = updater.capacity
-        for k in range(24):
-            updater.add_gene(f"n{k}", rng.normal(size=60))
-            if updater.capacity != last_cap:
-                reallocations += 1
-                assert updater.capacity >= 2 * last_cap
-                last_cap = updater.capacity
-        assert updater.n_genes == 32
-        # 8 -> 32 genes needs O(log) growth steps, not one per add.
-        assert reallocations <= 2
-
-    def test_add_after_remove_reuses_slack(self, state):
-        data, w, mi, genes, null = state
-        rng = np.random.default_rng(29)
-        updater = NetworkUpdater(w, mi, genes, null)
-        updater.add_gene("a", rng.normal(size=60))
-        cap = updater.capacity
-        updater.remove_gene("a")
-        updater.add_gene("b", rng.normal(size=60))
-        assert updater.capacity == cap  # no reallocation needed
-        assert "b" in updater.network.genes
-
-    def test_rejects_nonfinite_samples(self, state):
-        data, w, mi, genes, null = state
-        updater = NetworkUpdater(w, mi, genes, null)
-        bad = np.ones(60)
-        bad[3] = np.nan
-        with pytest.raises(ValueError, match="NaN"):
-            updater.add_gene("bad", bad)
-        bad[3] = np.inf
-        with pytest.raises(ValueError, match="NaN"):
-            updater.add_gene("bad", bad)
-        assert updater.n_genes == 8  # rejected adds leave state untouched
-
-
-class TestRepeatedAddRemove:
-    """Regression: repeated add/remove of the *same* gene name must leave
-    the weight/entropy/MI bookkeeping exactly consistent — in particular
-    removing the last-added gene twice in a row (remove, re-add, remove
-    again), where a stale vacated slot could alias the next add."""
-
-    @pytest.fixture
-    def state(self):
-        rng = np.random.default_rng(91)
-        data = rng.normal(size=(8, 60))
-        w = weight_tensor(rank_transform(data))
-        mi = mi_matrix(w).mi
-        null = pooled_null(w, 10, 20, seed=0)
-        return data, w, mi, [f"g{i}" for i in range(8)], null
-
-    def test_remove_last_added_twice_in_a_row(self, state):
-        data, w, mi, genes, null = state
-        rng = np.random.default_rng(3)
-        u = NetworkUpdater(w, mi, genes, null)
-        samples = rng.normal(size=60)
-        for _ in range(3):  # add -> remove, thrice, same name each time
-            u.add_gene("churn", samples)
-            assert u.n_genes == 9
-            u.remove_gene("churn")
-            assert u.n_genes == 8
-        assert np.array_equal(u.mi, mi)
-        assert u.network.genes == genes
-        # The vacated slot holds no stale weights/entropies: a different
-        # gene added now must see exactly a fresh 8-gene state.
-        other = rng.normal(size=60)
-        u.add_gene("fresh", other)
-        ref = mi_matrix(weight_tensor(rank_transform(
-            np.vstack([data, other])))).mi
-        assert np.allclose(u.mi, ref, atol=1e-12)
-
-    def test_same_name_different_samples_reuses_name_cleanly(self, state):
-        data, w, mi, genes, null = state
-        rng = np.random.default_rng(5)
-        u = NetworkUpdater(w, mi, genes, null)
-        a, b = rng.normal(size=60), rng.normal(size=60)
-        u.add_gene("x", a)
-        u.remove_gene("x")
-        u.add_gene("x", b)  # same name, new data: must use b, not stale a
-        ref = mi_matrix(weight_tensor(rank_transform(np.vstack([data, b])))).mi
-        assert np.allclose(u.mi, ref, atol=1e-12)
-
-    def test_interleaved_churn_matches_scratch(self, state):
-        data, w, mi, genes, null = state
-        rng = np.random.default_rng(7)
-        u = NetworkUpdater(w, mi, genes, null)
-        v1, v2 = rng.normal(size=60), rng.normal(size=60)
-        u.add_gene("a", v1)
-        u.add_gene("b", v2)
-        u.remove_gene("b")  # last-added
-        u.remove_gene("a")  # new last slot, removed back-to-back
-        assert u.n_genes == 8
-        assert np.array_equal(u.mi, mi)
-        u.add_gene("a", v2)
-        ref = mi_matrix(weight_tensor(rank_transform(np.vstack([data, v2])))).mi
-        assert np.allclose(u.mi, ref, atol=1e-12)
-
-    def test_entropy_cache_tracks_live_prefix(self, state):
-        """The `_n == len(_genes)` invariant plus a cleared vacated slot:
-        internal caches describe exactly the live genes after churn."""
-        from repro.core.entropy import marginal_entropies
-
-        data, w, mi, genes, null = state
-        rng = np.random.default_rng(11)
-        u = NetworkUpdater(w, mi, genes, null)
-        u.add_gene("t", rng.normal(size=60))
-        u.remove_gene("t")
-        u.remove_gene("g7")
-        assert u._n == len(u._genes) == 7
-        assert np.array_equal(u._h, marginal_entropies(u._weights))
-        assert np.all(u._hbuf[u._n:] == 0.0)
-        assert np.all(u._wbuf[u._n:] == 0.0)
+        with pytest.raises(ValueError, match="sizes disagree"):
+            NetworkUpdater(w, mi[:5, :5], genes, null, data=data,
+                           config=TingeConfig())
+        with pytest.raises(ValueError, match="data shape"):
+            NetworkUpdater(w, mi, genes, null, data=data[:, :50],
+                           config=TingeConfig())

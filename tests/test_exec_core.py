@@ -23,6 +23,8 @@ from repro.core.exec import (
     CodebookSource,
     DenseSink,
     TensorSource,
+    TilePlan,
+    filter_plan,
     mirror_upper,
     plan_tiles,
     run_tile_plan,
@@ -31,6 +33,7 @@ from repro.core.exec import (
 )
 from repro.core.mi_matrix import mi_matrix
 from repro.core.pipeline import TingeConfig, reconstruct_network
+from repro.core.tiling import Tile
 from repro.obs.tracer import Tracer
 from repro.parallel.engine import (
     SharedMemoryEngine,
@@ -311,6 +314,32 @@ class TestDispatchOrder:
 
 def _square(x):
     return x * x
+
+
+class TestOperandWarmup:
+    """run_tile_plan hoists the GEMM operands only when a tile reads them:
+    fused 1x1 tiles read slabs, and an empty plan reads nothing."""
+
+    @staticmethod
+    def _hoisted(w):
+        from repro.core.mi import _OPERAND_CACHE
+
+        return [key for key in list(_OPERAND_CACHE._entries) if key[0] == id(w)]
+
+    def test_slab_only_plans_hoist_nothing(self, weights, reference):
+        w = weights.copy()
+        source = TensorSource(w)
+        plan = plan_tiles(source, tile=TILE)
+        pairs = [(0, 1), (2, 9), (5, 13)]
+        ones = TilePlan(n_genes=N_GENES, tile=1, base=plan.base,
+                        tiles=[Tile(i, i + 1, j, j + 1) for i, j in pairs])
+        mi = run_tile_plan(ones, source, DenseSink(N_GENES))
+        assert self._hoisted(w) == []
+        assert all(mi[i, j] == reference[i, j] for i, j in pairs)
+        run_tile_plan(filter_plan(plan, []), source, DenseSink(N_GENES))
+        assert self._hoisted(w) == []
+        run_tile_plan(plan, source, DenseSink(N_GENES))
+        assert self._hoisted(w) != []
 
 
 class TestSingleDispatch:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.bspline import weight_tensor
 from repro.core.mi import mi_bspline_pair
-from repro.core.mi_matrix import compute_tile, mi_matrix, mi_pairs
+from repro.core.mi_matrix import compute_tile, mi_matrix
 from repro.core.tiling import Tile
 from repro.parallel.engine import SerialEngine, ThreadEngine
 
@@ -84,32 +84,6 @@ class TestComputeTile:
         block = compute_tile(weights12, h, Tile(0, 3, 6, 9))
         assert (block > 0).any() or (block >= 0).all()
         assert block.shape == (3, 3)
-
-
-class TestMiPairs:
-    def test_matches_matrix(self, weights12):
-        full = mi_matrix(weights12, tile=4).mi
-        pairs = np.array([[0, 1], [2, 7], [10, 11], [0, 11]])
-        vals = mi_pairs(weights12, pairs)
-        for (i, j), v in zip(pairs, vals):
-            assert v == pytest.approx(full[i, j], rel=1e-10, abs=1e-12)
-
-    def test_batching_invariance(self, weights12):
-        pairs = np.array([[i, j] for i in range(12) for j in range(i + 1, 12)])
-        a = mi_pairs(weights12, pairs, batch=5)
-        b = mi_pairs(weights12, pairs, batch=1000)
-        assert np.allclose(a, b)
-
-    def test_empty_pairs(self, weights12):
-        assert mi_pairs(weights12, np.empty((0, 2), dtype=int)).size == 0
-
-    def test_rejects_out_of_range(self, weights12):
-        with pytest.raises(ValueError):
-            mi_pairs(weights12, np.array([[0, 99]]))
-
-    def test_rejects_bad_shape(self, weights12):
-        with pytest.raises(ValueError):
-            mi_pairs(weights12, np.array([0, 1, 2]))
 
 
 class TestProgressCallback:
