@@ -13,7 +13,8 @@ Measured here against fused float64 at the paper configuration
 better and the sparse tier's advantage compounds), plus the packed
 transport-byte reduction the elastic engine sees when it ships
 :class:`repro.core.exec.PackedWeightSource` slabs instead of the dense
-tensor.
+tensor.  Each kernel runs at the planning rule's tile for it
+(:func:`repro.core.tiling.rule_tile`: fused 32, sparse 16).
 
 Correctness is asserted in the same run: the float64 sparse matrix must
 match ``mi_tile`` to ~1 ulp (the documented summation-order bound — the
@@ -36,7 +37,7 @@ from repro.core.entropy import marginal_entropies
 from repro.core.exec import TensorSource, compute_tile
 from repro.core.mi import mi_tile, prepare_operands
 from repro.core.sparsekernel import prepare_packed, sparse_backend
-from repro.core.tiling import Tile, fused_tile_size, tile_grid
+from repro.core.tiling import Tile, rule_tile, tile_grid
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 N_GENES = 48 if SMOKE else 1024
@@ -87,11 +88,12 @@ def test_sparse_kernel_speedups(sparse_weights, report):
     n, m, b = weights.shape
     h = marginal_entropies(weights)
     source = TensorSource(weights)
-    tile = fused_tile_size(m, b)
+    # Each kernel at the planning rule's tile for it (E14).
+    tile, stile = rule_tile("fused"), rule_tile("sparse")
     backend = sparse_backend()
 
     # Correctness guards (run in smoke mode too).
-    grid = tile_grid(n, tile)
+    grid = tile_grid(n, stile)
     for t in list(grid)[:4]:
         ref = mi_tile(weights[t.i0:t.i1], weights[t.j0:t.j1],
                       h_i=h[t.i0:t.i1], h_j=h[t.j0:t.j1])
@@ -109,8 +111,8 @@ def test_sparse_kernel_speedups(sparse_weights, report):
     rounds = _time_interleaved({
         "fused64": lambda: _blocks(source, h, tile),
         "fused32": lambda: _blocks(source, h, tile, dtype="float32"),
-        "sparse64": lambda: _blocks(source, h, tile, "sparse"),
-        "sparse32": lambda: _blocks(source, h, tile, "sparse", "float32"),
+        "sparse64": lambda: _blocks(source, h, stile, "sparse"),
+        "sparse32": lambda: _blocks(source, h, stile, "sparse", "float32"),
     })
 
     # The b=30 scaling point: same genes, re-binned.  The sparse tier's
@@ -121,13 +123,12 @@ def test_sparse_kernel_speedups(sparse_weights, report):
     data = rank_transform(gen.normal(size=(min(n, 256), m)))
     w30 = weight_tensor(data, bins=b30, order=ORDER)
     h30 = marginal_entropies(w30)
-    t30 = fused_tile_size(m, b30)
     src30 = TensorSource(w30)
     prepare_operands(w30)
     prepare_packed(w30)
     rounds30 = _time_interleaved({
-        "fused64": lambda: _blocks(src30, h30, t30),
-        "sparse64": lambda: _blocks(src30, h30, t30, "sparse"),
+        "fused64": lambda: _blocks(src30, h30, tile),
+        "sparse64": lambda: _blocks(src30, h30, stile, "sparse"),
     })
 
     # Packed transport bytes: what an elastic worker receives when the
@@ -141,6 +142,7 @@ def test_sparse_kernel_speedups(sparse_weights, report):
 
     def row(kernel, name, rnds=rounds, bins=b):
         return {"kernel": kernel, "bins": str(bins),
+                "tile": str(stile if name.startswith("sparse") else tile),
                 "time": f"{_median_time(rnds, name) * 1e3:.1f} ms",
                 "speedup": f"{_median_speedup(rnds, name):.2f}x"}
 
@@ -151,7 +153,7 @@ def test_sparse_kernel_speedups(sparse_weights, report):
         row(f"sparse float32 [{backend}]", "sparse32"),
         row("fused float64", "fused64", rounds30, b30),
         row(f"sparse float64 [{backend}]", "sparse64", rounds30, b30),
-        {"kernel": "packed transport (elastic)", "bins": str(b),
+        {"kernel": "packed transport (elastic)", "bins": str(b), "tile": "-",
          "time": f"{packed_bytes / 1e6:.2f} MB vs {dense_bytes / 1e6:.2f} MB",
          "speedup": f"{transport_reduction:.2f}x fewer bytes"},
     ]

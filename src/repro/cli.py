@@ -75,14 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
                           "workspace kernel, bit-identical to mi_tile), "
                           "sparse (compiled packed-weight kernel exploiting "
                           "B-spline sparsity; float64 within ~1 ulp of "
-                          "mi_tile), or auto (measure all variants on a "
-                          "slab sample and cache the per-host winner). "
+                          "mi_tile), or auto (sparse from 20 bins up when "
+                          "its compiled backend is available, else fused). "
                           "Composes with --kernel-dtype")
     rec.add_argument("--autotune", action="store_true",
-                     help="measure candidate MI tile sizes on a slab sample "
-                          "and use the empirically fastest; the winner is "
-                          "cached per (samples, bins, dtype, engine, host). "
-                          "Ignored when --tile is given")
+                     help="deprecated and ignored: the MI tile comes from "
+                          "the measured rule (fused 32, sparse 16) unless "
+                          "--tile is given")
     rec.add_argument("--dpi", type=float, default=None, metavar="TOLERANCE",
                      help="apply ARACNE DPI pruning with this tolerance")
     rec.add_argument("--engine", choices=ENGINE_KINDS, default="serial",
@@ -248,6 +247,9 @@ def _cmd_reconstruct(args) -> int:
     from repro.faults.policy import FaultToleranceExceeded
     from repro.parallel import make_engine
 
+    if args.autotune:
+        print("warning: --autotune is deprecated and ignored; the MI tile "
+              "comes from the measured rule", file=sys.stderr)
     try:
         ds = _load_expression(args.input)
     except (ValueError, OSError) as exc:
@@ -262,7 +264,7 @@ def _cmd_reconstruct(args) -> int:
             testing=args.testing, schedule=args.schedule,
             max_retries=args.max_retries, task_timeout=args.task_timeout,
             on_fault=args.on_fault, kernel_dtype=args.kernel_dtype,
-            autotune=args.autotune, kernel=args.kernel,
+            kernel=args.kernel,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -57,7 +57,7 @@ from repro.core.provenance import (
 )
 from repro.core.pipeline import TingeConfig, TingePipeline, TingeResult, reconstruct_network
 from repro.core.threshold import fdr_adjacency, threshold_adjacency, top_k_adjacency
-from repro.core.tiling import Tile, default_tile_size, pair_count, tile_grid
+from repro.core.tiling import Tile, pair_count, tile_grid
 
 __all__ = [
     "BsplineBasis",
@@ -80,7 +80,6 @@ __all__ = [
     "TingePipeline",
     "TingeResult",
     "WeightSource",
-    "default_tile_size",
     "entropy_from_probs",
     "auto_reconstruct",
     "bootstrap_networks",

@@ -50,9 +50,12 @@ def _store_ledger(directory: Path, ledger: dict) -> None:
 
 
 def checkpoint_status(checkpoint_dir: "str | Path") -> dict:
-    """Inspect a checkpoint directory: ``{done_rows, total_rows, ...}``.
+    """Inspect a checkpoint directory: ``{done_rows, total_rows, tile, ...}``.
 
-    Returns an empty dict for a directory with no checkpoint.
+    Returns an empty dict for a directory with no checkpoint.  ``tile`` is
+    what a resume must plan at (:meth:`TingePipeline.plan
+    <repro.core.pipeline.TingePipeline.plan>`'s ``resume_tile``): the sink
+    refuses a ledger written at another tile.
     """
     directory = Path(checkpoint_dir)
     ledger = _load_ledger(directory) if directory.exists() else {}
@@ -61,6 +64,7 @@ def checkpoint_status(checkpoint_dir: "str | Path") -> dict:
     return {
         "done_rows": len(ledger.get("done", [])),
         "total_rows": ledger.get("total_rows"),
+        "tile": ledger.get("tile"),
         "n_genes": ledger.get("n_genes"),
         "fingerprint": ledger.get("fingerprint"),
         "quarantined": ledger.get("quarantined", []),

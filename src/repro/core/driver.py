@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.checkpoint import CheckpointSink
+from repro.core.checkpoint import CheckpointSink, checkpoint_status
 from repro.core.exec import DenseSink, TensorSource
 from repro.core.network import GeneNetwork
 from repro.core.pipeline import TingeConfig, TingePipeline
@@ -193,11 +193,12 @@ def auto_reconstruct(
         source = TensorSource(pipe.weights(transformed))
     del transformed
     null = pipe.null(source)
-    plan = pipe.plan(source)
     if strategy == "in-memory":
+        plan = pipe.plan(source)
         sink = DenseSink(n)
     else:
         ck = workdir / "checkpoint"
+        plan = pipe.plan(source, checkpoint_status(ck).get("tile"))
         sink = CheckpointSink(ck, plan[0], source.fingerprint())
         artifacts["checkpoint_dir"] = ck
     mi = pipe.mi(source, sink, plan, policy=policy)

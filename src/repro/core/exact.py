@@ -100,7 +100,6 @@ def exact_mi_pvalues(
     progress=None,
     tracer=None,
     schedule=None,
-    autotune: bool = False,
     policy=None,
 ) -> ExactTestResult:
     """All-pairs observed MI + exact per-pair permutation p-values.
@@ -120,7 +119,7 @@ def exact_mi_pvalues(
         (the pipeline shares one source across the MI and exact phases).
     n_permutations:
         ``q``; the add-one p-value resolution is ``1/(q+1)``.
-    tile, engine, base, progress, tracer, schedule, autotune, policy:
+    tile, engine, base, progress, tracer, schedule, policy:
         As in :func:`repro.core.mi_matrix.mi_matrix`: the grid runs through
         :func:`repro.core.exec.run_tile_plan` into an :class:`ExactSink`,
         with the MI phase's schedules, retries, fallback, quarantine,
@@ -130,8 +129,7 @@ def exact_mi_pvalues(
     if n_permutations < 1:
         raise ValueError(f"n_permutations must be >= 1, got {n_permutations}")
     perms = permutation_matrix(n_permutations, source.m_samples, as_rng(seed))
-    plan, _ = plan_run(source, tile=tile, base=base, schedule=schedule,
-                       autotune=autotune, engine=engine)
+    plan, _ = plan_run(source, tile=tile, base=base, schedule=schedule)
     return run_tile_plan(plan, source, ExactSink(source.n_genes, n_permutations),
                          engine=engine, tracer=tracer, progress=progress,
                          policy=policy, permutations=perms)

@@ -53,14 +53,7 @@ from repro.core.mi import (
     prepare_operands,
 )
 from repro.core.sparsekernel import PACK_LANES, pack_slab, prepare_packed
-from repro.core.tiling import (
-    Tile,
-    autotune_tile_size,
-    default_tile_size,
-    fused_tile_size,
-    pair_count,
-    tile_grid,
-)
+from repro.core.tiling import Tile, pair_count, rule_kernel, rule_tile, tile_grid
 from repro.faults.policy import FaultPolicy, FaultToleranceExceeded, QuarantinedTile
 from repro.obs.tracer import NULL_TRACER
 from repro.parallel.engine import (
@@ -554,40 +547,21 @@ def plan_tiles(
     base: str = "nat",
     schedule=None,
     kernel_dtype=None,
-    autotune: bool = False,
-    engine_name: str = "serial",
     kernel=None,
 ) -> TilePlan:
     """Build the :class:`TilePlan` for ``source``.
 
-    When ``tile`` is ``None`` it is chosen in this order: ``autotune=True``
-    measures candidate sizes on a real slab sample
-    (:func:`repro.core.tiling.autotune_tile_size`, persisted per
-    ``(m, b, dtype, engine, kernel, host)``); an explicit ``kernel_dtype``
-    or the sparse kernel selects the fused cache model
-    (:func:`repro.core.tiling.fused_tile_size` — the sparse count buffer
-    has the same footprint shape as the fused joint buffer); otherwise the
-    original :func:`repro.core.tiling.default_tile_size` applies, keeping
-    default runs tile-for-tile identical to previous releases.
-    ``schedule`` is a name from :data:`SCHEDULE_NAMES`, a policy instance,
-    or ``None`` (grid order).  ``kernel`` is a variant name from
-    :data:`repro.core.mi.KERNEL_NAMES` (``"auto"`` must be resolved by
-    :func:`resolve_kernel` before planning).
+    ``tile=None`` takes the measured rule's edge for ``kernel``
+    (:func:`repro.core.tiling.rule_tile`).  ``kernel_dtype`` is accepted
+    so callers can plan with the arguments they run with; the rule gives
+    float32 and float64 GEMMs the same tile.  ``schedule`` is a name from
+    :data:`SCHEDULE_NAMES`, a policy instance, or ``None`` (grid order).
+    ``kernel`` is a variant name from :data:`repro.core.mi.KERNEL_NAMES`
+    (``"auto"`` must be resolved by :func:`resolve_kernel` before
+    planning).
     """
     if tile is None:
-        if autotune:
-            sample = source.slab(0, min(source.n_genes, 256))
-            tile = autotune_tile_size(
-                np.ascontiguousarray(sample), dtype=kernel_dtype,
-                engine=engine_name, base=base, kernel=kernel or "fused")
-        elif kernel == "sparse" or kernel_dtype is not None:
-            itemsize = (np.dtype(kernel_dtype).itemsize
-                        if kernel_dtype is not None else source.itemsize)
-            tile = fused_tile_size(
-                source.m_samples, source.bins, itemsize=itemsize)
-        else:
-            tile = default_tile_size(
-                source.m_samples, source.bins, itemsize=source.itemsize)
+        tile = rule_tile(kernel)
     return TilePlan(
         n_genes=source.n_genes,
         tile=tile,
@@ -597,31 +571,26 @@ def plan_tiles(
     )
 
 
-def resolve_kernel(
-    source: WeightSource,
-    kernel,
-    kernel_dtype=None,
-    engine_name: str = "serial",
-    base: str = "nat",
-) -> "tuple[str | None, int | None]":
-    """Resolve the kernel-variant knob to ``(variant, tile_override)``.
+def resolve_kernel(source: WeightSource, kernel) -> "str | None":
+    """Resolve the kernel-variant knob to the variant that runs.
 
-    Explicit variants pass through with no tile override.  ``"auto"`` runs
-    the cross-variant autotuner
-    (:func:`repro.core.tiling.autotune_kernel`) on a real slab sample,
-    returning the per-host winning ``(variant, tile)`` — persisted in the
-    sidecar so later runs skip the measurement.
+    Explicit variants pass through.  ``"auto"`` is a lookup in the
+    measured rule (:func:`repro.core.tiling.rule_kernel`) on the source's
+    bin count and whether the sparse kernel runs compiled here: no
+    timing, nothing written.
     """
     if kernel in (None, "fused", "sparse"):
-        return kernel, None
+        return kernel
     if kernel != "auto":
         raise ValueError(
             f"kernel must be one of {sorted(KERNEL_NAMES)} or None, got {kernel!r}")
-    from repro.core.tiling import autotune_kernel
+    from repro.core.sparsekernel import sparse_backend
 
-    sample = np.ascontiguousarray(source.slab(0, min(source.n_genes, 256)))
-    return autotune_kernel(sample, dtype=kernel_dtype, engine=engine_name,
-                           base=base)
+    # The compiled kernel packs at most PACK_LANES bins per sample; one
+    # gene shows the spline order.
+    compiled = (sparse_backend() == "cc"
+                and pack_slab(source.slab(0, 1), lanes=None)[2] <= PACK_LANES)
+    return rule_kernel(source.bins, compiled)
 
 
 def plan_run(
@@ -630,25 +599,15 @@ def plan_run(
     base: str = "nat",
     schedule=None,
     kernel=None,
-    kernel_dtype=None,
-    autotune: bool = False,
-    engine=None,
 ) -> "tuple[TilePlan, str | None]":
     """Resolve the kernel knob and plan the tiles: ``(plan, variant)``.
 
     The shared front half of every MI driver — :func:`resolve_kernel`
-    (which may autotune ``"auto"`` into a variant and tile size) followed
-    by :func:`plan_tiles` with the same kernel settings — so the plan and
-    the ``kernel`` / ``kernel_dtype`` later handed to
-    :func:`run_tile_plan` can never disagree.  An explicit ``tile`` wins
-    over the autotuned one.
+    followed by :func:`plan_tiles` for that variant — so the plan and the
+    ``kernel`` later handed to :func:`run_tile_plan` can never disagree.
     """
-    engine_name = engine_kind(engine)
-    kernel, tile_override = resolve_kernel(source, kernel, kernel_dtype=kernel_dtype,
-                                           engine_name=engine_name, base=base)
-    plan = plan_tiles(source, tile=tile if tile is not None else tile_override,
-                      base=base, schedule=schedule, kernel_dtype=kernel_dtype,
-                      autotune=autotune, engine_name=engine_name, kernel=kernel)
+    kernel = resolve_kernel(source, kernel)
+    plan = plan_tiles(source, tile=tile, base=base, schedule=schedule, kernel=kernel)
     return plan, kernel
 
 

@@ -360,7 +360,14 @@ class NetworkUpdater:
 
         # The same kernel and grid the pipeline's MI phase resolves, so
         # every replayed tile is the kernel call a full pass would make.
-        plan, kernel = pipe.plan(source)
+        # A ledger being resumed keeps its own grid; one at tile 1 holds a
+        # 1x1 replay, which the screen rebuilds on any grid.
+        resume = None
+        if checkpoint_dir is not None:
+            from repro.core.checkpoint import checkpoint_status
+
+            resume = checkpoint_status(checkpoint_dir).get("tile")
+        plan, kernel = pipe.plan(source, resume if resume != 1 else None)
         dirty_tiles = [t for t in plan.tiles
                        if dirty[t.i0 : t.i1, t.j0 : t.j1].any()]
         dirty_upper = np.triu(dirty, k=1)

@@ -463,8 +463,8 @@ def _resolve_kernel_dtype(dtype, slab_dtype) -> tuple:
 # backends, but ~1 ulp from mi_tile (whose BLAS GEMM uses FMA contraction
 # the no-FMA sparse contract cannot reproduce).
 
-# Kernel-variant names accepted by config/CLI ("auto" lets the autotuner
-# pick the per-host winner across variants x tile sizes).
+# Kernel-variant names accepted by config/CLI ("auto" picks a variant from
+# the measured rule, repro.core.tiling.rule_kernel).
 KERNEL_NAMES = ("fused", "sparse", "auto")
 
 

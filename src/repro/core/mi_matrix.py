@@ -29,6 +29,7 @@ from repro.core.exec import (
     plan_run,
     run_tile_plan,
 )
+from repro.core.tiling import warn_autotune
 
 __all__ = ["MiMatrixResult", "compute_tile", "mi_matrix"]
 
@@ -88,8 +89,8 @@ def mi_matrix(
         :class:`repro.core.exec.WeightSource` (which carries cached
         marginal entropies across phases).
     tile:
-        Tile edge; defaults to :func:`repro.core.tiling.default_tile_size`
-        for the given ``(m, b)``.
+        Tile edge; defaults to the measured rule's edge for the kernel
+        variant (:func:`repro.core.tiling.rule_tile`).
     base:
         Entropy log base (``"nat"`` or ``"bit"``).
     engine:
@@ -129,32 +130,27 @@ def mi_matrix(
         the weight tensor's own precision and stays bit-identical to
         previous releases; ``"float32"`` runs the mixed-precision kernel
         (float32 GEMM, float64 entropy accumulation; MI error ~1e-6);
-        ``"float64"`` forces a float64 GEMM.  An explicit setting also
-        switches the default tile size to the fused kernel's calibrated
-        cache model (:func:`repro.core.tiling.fused_tile_size`).
+        ``"float64"`` forces a float64 GEMM.
     autotune:
-        Measure candidate tile sizes on a slab sample before the run and
-        use the empirically fastest
-        (:func:`repro.core.tiling.autotune_tile_size`); the winner is
-        persisted per ``(m, b, dtype, engine, kernel, host)`` so later
-        runs skip the measurement.  Ignored when ``tile`` is given
-        explicitly.
+        Deprecated and ignored: tiles come from the measured rule.
+        ``True`` emits a :class:`DeprecationWarning`.
     kernel:
         Tile kernel variant: ``None``/``"fused"`` (default, the GEMM
         workspace kernel, bit-identical to ``mi_tile``), ``"sparse"``
         (the compiled packed-weight kernel exploiting B-spline sparsity;
         float64 results within ~1 ulp of ``mi_tile``), or ``"auto"``
-        (autotune the per-host winner across variants and tile sizes,
-        persisted in the same sidecar).  Composes with ``kernel_dtype``.
+        (the measured rule's variant for the bin count:
+        :func:`repro.core.exec.resolve_kernel`).  Composes with
+        ``kernel_dtype``.
 
     Returns
     -------
     MiMatrixResult
     """
     source = as_source(weights)
+    warn_autotune(autotune)
     plan, kernel = plan_run(source, tile=tile, base=base, schedule=schedule,
-                            kernel=kernel, kernel_dtype=kernel_dtype,
-                            autotune=autotune, engine=engine)
+                            kernel=kernel)
     sink = DenseSink(source.n_genes, out=out)
     mi = run_tile_plan(plan, source, sink, engine=engine, tracer=tracer,
                        progress=progress, kernel=kernel, policy=policy,

@@ -40,7 +40,7 @@ from repro.core.mi import KERNEL_NAMES
 from repro.core.network import GeneNetwork
 from repro.core.permutation import NullDistribution, pooled_null
 from repro.core.threshold import fdr_adjacency, threshold_adjacency
-from repro.core.tiling import pair_count
+from repro.core.tiling import pair_count, warn_autotune
 from repro.faults.policy import ON_FAULT_MODES, FaultPolicy
 from repro.obs.tracer import NULL_TRACER, Tracer
 
@@ -119,17 +119,17 @@ class TingeConfig:
         (float32 GEMM, float64 entropy accumulation; MI error ~1e-6);
         ``"float64"`` forces a float64 GEMM.
     autotune:
-        Measure candidate MI tile sizes on a slab sample before the run
-        and use the empirically fastest
-        (:func:`repro.core.tiling.autotune_tile_size`); ignored when
-        ``tile`` is set explicitly.
+        Deprecated and ignored: the MI tile comes from the measured rule
+        (:func:`repro.core.tiling.rule_tile`).  Kept so stored configs
+        still load; ``True`` emits a :class:`DeprecationWarning`.
     kernel:
         MI tile kernel variant: ``"fused"`` (default, the GEMM workspace
         kernel, bit-identical to ``mi_tile``), ``"sparse"`` (the
         compiled packed-weight kernel exploiting B-spline sparsity —
         float64 results within ~1 ulp of ``mi_tile``), or ``"auto"``
-        (measure all variants on a slab sample and use the per-host
-        winner).  Composes with ``kernel_dtype``.
+        (the measured rule's variant for ``bins``:
+        :func:`repro.core.exec.resolve_kernel`).  Composes with
+        ``kernel_dtype``.
     """
 
     bins: int = 10
@@ -200,6 +200,7 @@ class TingeConfig:
             raise ValueError(
                 f"on_fault must be one of {ON_FAULT_MODES}, got {self.on_fault!r}"
             )
+        warn_autotune(self.autotune)
 
     def fault_policy(self) -> FaultPolicy:
         """The :class:`repro.faults.policy.FaultPolicy` these fields imply."""
@@ -356,14 +357,21 @@ class TingePipeline:
                                cfg.base, self.engine, policy=cfg.fault_policy(),
                                tracer=self.tracer)
 
-    def plan(self, source: WeightSource) -> "tuple[TilePlan, str | None]":
+    def plan(self, source: WeightSource,
+             resume_tile: "int | None" = None) -> "tuple[TilePlan, str | None]":
         """MI-phase kernel resolution: the config's tile plan and kernel
-        variant for ``source`` (:func:`repro.core.exec.plan_run`)."""
+        variant for ``source`` (:func:`repro.core.exec.plan_run`).
+
+        ``resume_tile`` is the tile of a checkpoint ledger about to be
+        resumed (:func:`repro.core.checkpoint.checkpoint_status`).  It
+        replaces the rule's tile, never an explicit ``config.tile``, so a
+        ledger written under an earlier default tile still resumes, and
+        finishes bitwise as it would have uninterrupted.
+        """
         cfg = self.config
-        return plan_run(source, tile=cfg.tile, base=cfg.base,
-                        schedule=cfg.schedule, kernel=cfg.kernel,
-                        kernel_dtype=cfg.kernel_dtype, autotune=cfg.autotune,
-                        engine=self.engine)
+        tile = cfg.tile if cfg.tile is not None else resume_tile
+        return plan_run(source, tile=tile, base=cfg.base,
+                        schedule=cfg.schedule, kernel=cfg.kernel)
 
     def mi(self, source: WeightSource, sink: "MatrixSink | None" = None,
            plan: "tuple[TilePlan, str | None] | None" = None, policy=None):
@@ -467,7 +475,7 @@ class TingePipeline:
             exact = exact_mi_pvalues(
                 source, cfg.n_permutations, cfg.tile, cfg.seed, cfg.base,
                 self.engine, self.progress, self.tracer, schedule=cfg.schedule,
-                autotune=cfg.autotune, policy=cfg.fault_policy(),
+                policy=cfg.fault_policy(),
             )
 
         with self._phase("threshold"):

@@ -30,13 +30,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.tiling import Tile, default_tile_size, tile_grid
+from repro.core.tiling import Tile, tile_grid
 from repro.machine.costmodel import KernelProfile, TileCostModel
 from repro.machine.spec import MachineSpec
 from repro.parallel.partition import imbalance
 from repro.parallel.scheduler import DynamicScheduler, SchedulerPolicy
 
 __all__ = ["SimResult", "MachineSimulator", "simulate_workload", "speedup_curve"]
+
+
+def _phi_tile_size(m_samples: int, bins: int) -> int:
+    """The simulated machine's tile edge: a cache model, not a measurement.
+
+    One tile's two weight slabs plus its joint tensor, ``2*T*m*b +
+    T^2*b^2`` float64 words, must fit 2 MiB (the Phi's 512 KiB L2 plus
+    shared reuse); the largest power of two in [8, 256] that fits wins.
+    Host runs size tiles with :func:`repro.core.tiling.rule_tile` instead.
+    """
+    if m_samples <= 0 or bins <= 0:
+        raise ValueError("m_samples and bins must be positive")
+    fits = [t for t in (8, 16, 32, 64, 128, 256)
+            if 8 * (2 * t * m_samples * bins + t * t * bins * bins) <= 1 << 21]
+    return fits[-1] if fits else 8
 
 
 @dataclass
@@ -149,7 +164,7 @@ class MachineSimulator:
         if policy is None:
             policy = DynamicScheduler(chunk=1)
         if tile is None:
-            tile = default_tile_size(self.model.profile.m_samples, self.model.profile.bins)
+            tile = _phi_tile_size(self.model.profile.m_samples, self.model.profile.bins)
         tiles = tile_grid(n_genes, tile)
         costs = self.tile_costs(tiles, n_threads, placement)
         scale = self._thread_scale(n_threads, placement)
@@ -238,7 +253,7 @@ class MachineSimulator:
             rate /= self.machine.vector_lanes_sp
         t_compute = flops / rate
         # Memory floor: every gene's weights stream per block-row of tiles.
-        tile = default_tile_size(profile.m_samples, profile.bins)
+        tile = _phi_tile_size(profile.m_samples, profile.bins)
         n_block_rows = int(np.ceil(n_genes / tile))
         bytes_total = n_genes * profile.weight_bytes_per_gene() * n_block_rows
         if not profile.tiled:

@@ -110,11 +110,7 @@ class WorkerLocal:
 
 
 def engine_kind(engine) -> str:
-    """The :data:`ENGINE_KINDS` name of an engine instance (``None`` → serial).
-
-    Used as part of the autotuner's cache key, so a tile size measured
-    under one worker topology is not silently reused under another.
-    """
+    """The :data:`ENGINE_KINDS` name of an engine instance (``None`` → serial)."""
     if engine is None or isinstance(engine, SerialEngine):
         return "serial"
     if isinstance(engine, SharedMemoryEngine):

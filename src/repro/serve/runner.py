@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.checkpoint import CheckpointSink
+from repro.core.checkpoint import CheckpointSink, checkpoint_status
 from repro.core.exec import TensorSource, result_cache_key
 from repro.core.network import GeneNetwork
 from repro.core.pipeline import TingeConfig, TingePipeline
@@ -238,7 +238,7 @@ def _checkpointed_mi(job, pipe, source, ck_dir: Path):
     interrupted (the ledger in ``ck_dir`` then resumes it).
     """
     job.phase = "mi"
-    plan = pipe.plan(source)
+    plan = pipe.plan(source, checkpoint_status(ck_dir).get("tile"))
     sink = CheckpointSink(ck_dir, plan[0], source.fingerprint(),
                           interrupt_after_rows=job.interrupt_after_rows)
     return pipe.mi(source, sink, plan), sink

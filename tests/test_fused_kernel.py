@@ -1,4 +1,4 @@
-"""Tests for the tile-kernel entry ``compute_tile`` and the tile autotuner.
+"""Tests for the tile-kernel entry ``compute_tile``.
 
 Every tile of every driver runs through
 :func:`repro.core.exec.compute_tile`, whatever the variant (fused GEMM,
@@ -8,11 +8,9 @@ or slabs staged per tile).  The fused float64 kernel must be
 *bit-identical* to the reference :func:`repro.core.mi.mi_tile` at the
 slab's native precision — it is the default kernel under every driver, so
 any last-bit drift would silently change released results.  Mixed float32
-mode trades those guarantees for speed within a documented tolerance.  The
-autotuner persists its empirical tile-size choice in a sidecar JSON cache.
+mode trades those guarantees for speed within a documented tolerance.
 """
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -29,12 +27,7 @@ from repro.core.exec import (
 from repro.core.mi import TileWorkspace, _finish_block, mi_tile, prepare_operands
 from repro.core.mi_matrix import mi_matrix
 from repro.core.sparsekernel import _reset_backend_cache
-from repro.core.tiling import (
-    Tile,
-    autotune_cache_path,
-    autotune_tile_size,
-    fused_tile_size,
-)
+from repro.core.tiling import Tile
 from repro.parallel.engine import (
     SerialEngine,
     SharedMemoryEngine,
@@ -388,57 +381,10 @@ class TestTileWorkspace:
 
 
 class TestAutotuner:
-    def test_fused_tile_size_power_of_two(self):
-        t = fused_tile_size(256, 10)
-        assert t & (t - 1) == 0
-        assert 8 <= t <= 256
-
-    def test_fused_tile_size_shrinks_with_samples(self):
-        assert fused_tile_size(4096, 10) <= fused_tile_size(64, 10)
-
-    def test_cache_path_env_override(self, tmp_path, monkeypatch):
-        target = tmp_path / "tiles.json"
-        monkeypatch.setenv("REPRO_AUTOTUNE_CACHE", str(target))
-        assert autotune_cache_path() == target
-
-    def test_round_trip(self, small_weights, tmp_path, monkeypatch):
-        target = tmp_path / "tiles.json"
-        monkeypatch.setenv("REPRO_AUTOTUNE_CACHE", str(target))
-        first = autotune_tile_size(small_weights, candidates=(4, 8), repeats=1)
-        assert first in (4, 8)
-        assert target.exists()
-        cache = json.loads(target.read_text())
-        assert cache["version"] == 2
-        (key,) = cache["entries"].keys()
-        m, b = small_weights.shape[1], small_weights.shape[2]
-        assert f"m={m};b={b};" in key
-        assert ";kernel=fused;" in key
-        # Second call must hit the cache, not remeasure.
-        second = autotune_tile_size(small_weights, candidates=(4, 8), repeats=1)
-        assert second == first
-
-    def test_corrupt_cache_tolerated(self, small_weights, tmp_path, monkeypatch):
-        target = tmp_path / "tiles.json"
-        target.write_text("{not json")
-        monkeypatch.setenv("REPRO_AUTOTUNE_CACHE", str(target))
-        t = autotune_tile_size(small_weights, candidates=(4, 8), repeats=1)
-        assert t in (4, 8)
-
-    def test_no_cache_mode(self, small_weights, tmp_path, monkeypatch):
-        target = tmp_path / "tiles.json"
-        monkeypatch.setenv("REPRO_AUTOTUNE_CACHE", str(target))
-        t = autotune_tile_size(small_weights, candidates=(4, 8), repeats=1,
-                               use_cache=False)
-        assert t in (4, 8)
-        assert not target.exists()
-
-    def test_mi_matrix_autotune(self, small_weights, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_AUTOTUNE_CACHE", str(tmp_path / "t.json"))
+    def test_mi_matrix_autotune(self, small_weights):
+        # The knob is deprecated and does nothing: the tile comes from the
+        # measured rule, and no sidecar file is read or written.
         ref = mi_matrix(small_weights).mi
-        tuned = mi_matrix(small_weights, autotune=True).mi
-        # A different tile size legitimately changes GEMM shapes (last-bit
-        # differences); only the default path is bit-frozen.
-        assert np.allclose(tuned, ref, atol=1e-12)
-        # Cached rerun must reproduce the tuned matrix exactly.
-        again = mi_matrix(small_weights, autotune=True).mi
-        assert np.array_equal(again, tuned)
+        with pytest.warns(DeprecationWarning, match="autotune"):
+            tuned = mi_matrix(small_weights, autotune=True).mi
+        assert np.array_equal(tuned, ref)

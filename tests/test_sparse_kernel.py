@@ -11,7 +11,6 @@ sparse path agrees to ~1 ulp (the dense GEMM may contract into FMAs; the
 summation-order difference is documented, bounded, and pinned here).
 """
 
-import json
 import pickle
 
 import numpy as np
@@ -404,17 +403,24 @@ class TestKernelVariantRouting:
         with pytest.raises(ValueError, match="kernel"):
             TingeConfig(kernel="dense")
 
-    def test_auto_kernel_resolves_and_persists(self, tmp_path, monkeypatch):
-        # Enough genes that the smallest tile candidate fits the sample.
-        rng = np.random.default_rng(13)
-        weights = weight_tensor(rng.normal(size=(40, 60)), bins=10, order=3)
+    @pytest.mark.parametrize("bins", [10, 20])
+    def test_auto_kernel_resolves_from_rule(self, bins, tmp_path, monkeypatch):
+        from repro.core.exec import plan_run
+        from repro.core.sparsekernel import sparse_backend
+
+        # Nothing is timed and no file is written, wherever one could go.
+        monkeypatch.setenv("HOME", str(tmp_path))
         monkeypatch.setenv("REPRO_AUTOTUNE_CACHE", str(tmp_path / "t.json"))
+        rng = np.random.default_rng(13)
+        weights = weight_tensor(rng.normal(size=(40, 60)), bins=bins, order=3)
+        plan, kernel = plan_run(TensorSource(weights), kernel="auto")
+        compiled = sparse_backend() == "cc"
+        expected = "sparse" if bins >= 20 and compiled else "fused"
+        assert (kernel, plan.tile) == (expected, {"fused": 32, "sparse": 16}[expected])
         res = mi_matrix(weights, kernel="auto")
-        assert res.mi.shape == (40, 40)
-        data = json.loads((tmp_path / "t.json").read_text())
-        assert data["version"] == 2
-        auto = [v for k, v in data["entries"].items() if ";kernel=auto;" in k]
-        assert auto and auto[0]["kernel"] in ("fused", "sparse")
+        ref = mi_matrix(weights, kernel=expected, tile=plan.tile)
+        assert np.array_equal(res.mi, ref.mi)
+        assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -450,80 +456,6 @@ class TestPackedWeightSource:
         ref = mi_matrix(weights, tile=8, kernel="sparse").mi
         got = mi_matrix(source, tile=8, kernel="sparse").mi
         assert np.array_equal(got, ref)
-
-
-# ---------------------------------------------------------------------------
-# Autotune sidecar: v2 schema + v1 migration
-# ---------------------------------------------------------------------------
-
-class TestAutotuneSidecarV2:
-    def test_v1_flat_file_migrates(self, tmp_path, monkeypatch):
-        from repro.core.tiling import _load_autotune_cache
-
-        path = tmp_path / "tiles.json"
-        path.write_text(json.dumps(
-            {"m=100;b=10;dtype=float64;engine=serial;host=h1": 32}))
-        cache = _load_autotune_cache(path)
-        assert cache == {
-            "m=100;b=10;dtype=float64;engine=serial;kernel=fused;host=h1": 32}
-
-    def test_v1_entry_honored_without_remeasure(self, weights, tmp_path,
-                                                monkeypatch):
-        import socket
-
-        from repro.core.tiling import autotune_tile_size
-
-        path = tmp_path / "tiles.json"
-        monkeypatch.setenv("REPRO_AUTOTUNE_CACHE", str(path))
-        m, b = weights.shape[1], weights.shape[2]
-        host = socket.gethostname()
-        path.write_text(json.dumps(
-            {f"m={m};b={b};dtype=float64;engine=serial;host={host}": 64}))
-        assert autotune_tile_size(weights, candidates=(4, 8), repeats=1) == 64
-
-    def test_unknown_future_version_ignored(self, tmp_path):
-        from repro.core.tiling import _load_autotune_cache
-
-        path = tmp_path / "tiles.json"
-        path.write_text(json.dumps({"version": 99, "entries": {"k": 8}}))
-        assert _load_autotune_cache(path) == {}
-
-    def test_kernel_variants_get_distinct_entries(self, weights, tmp_path,
-                                                  monkeypatch):
-        from repro.core.tiling import autotune_tile_size
-
-        path = tmp_path / "tiles.json"
-        monkeypatch.setenv("REPRO_AUTOTUNE_CACHE", str(path))
-        autotune_tile_size(weights, candidates=(4, 8), repeats=1)
-        autotune_tile_size(weights, candidates=(4, 8), repeats=1,
-                           kernel="sparse")
-        keys = json.loads(path.read_text())["entries"].keys()
-        assert any(";kernel=fused;" in k for k in keys)
-        assert any(";kernel=sparse;" in k for k in keys)
-
-    def test_cached_legacy_winner_is_remeasured(self, weights, tmp_path,
-                                                monkeypatch):
-        from repro.core.tiling import _autotune_key, autotune_kernel
-
-        path = tmp_path / "t.json"
-        monkeypatch.setenv("REPRO_AUTOTUNE_CACHE", str(path))
-        m, b = weights.shape[1], weights.shape[2]
-        key = _autotune_key(m, b, "float64", "serial", "auto")
-        path.write_text(json.dumps(
-            {"version": 2, "entries": {key: {"kernel": "legacy", "tile": 4}}}))
-        kernel, tile = autotune_kernel(weights, candidates=(4, 8), repeats=1)
-        assert kernel in ("fused", "sparse") and tile in (4, 8)
-        entry = json.loads(path.read_text())["entries"][key]
-        assert entry == {"kernel": kernel, "tile": tile}
-
-    def test_autotune_kernel_round_trip(self, weights, tmp_path, monkeypatch):
-        from repro.core.tiling import autotune_kernel
-
-        monkeypatch.setenv("REPRO_AUTOTUNE_CACHE", str(tmp_path / "t.json"))
-        kernel, tile = autotune_kernel(weights, candidates=(4, 8), repeats=1)
-        assert kernel in ("fused", "sparse") and tile in (4, 8)
-        again = autotune_kernel(weights, candidates=(4, 8), repeats=1)
-        assert again == (kernel, tile)
 
 
 # ---------------------------------------------------------------------------

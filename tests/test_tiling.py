@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.tiling import (
+    AUTO_SPARSE_MIN_BINS,
+    RULE_TILES,
     Tile,
-    default_tile_size,
-    fused_tile_size,
     pair_count,
+    rule_kernel,
+    rule_tile,
     tile_grid,
 )
 
@@ -98,82 +100,19 @@ class TestPairCount:
             pair_count(-1)
 
 
-class TestDefaultTileSize:
-    def test_power_of_two_in_bounds(self):
-        t = default_tile_size(3137, 10)
-        assert t in (8, 16, 32, 64, 128, 256)
+class TestRule:
+    def test_rule_tiles(self):
+        assert rule_tile() == rule_tile("fused") == RULE_TILES["fused"] == 32
+        assert rule_tile("sparse") == RULE_TILES["sparse"] == 16
 
-    def test_smaller_samples_bigger_tiles(self):
-        assert default_tile_size(100, 10) >= default_tile_size(5000, 10)
+    def test_unknown_kernel_rejected(self):
+        with pytest.raises(ValueError, match="kernel"):
+            rule_tile("auto")
 
-    def test_minimum_is_8(self):
-        assert default_tile_size(10**6, 10) == 8
-
-    def test_cache_budget_respected(self):
-        cache = 1 << 20
-        t = default_tile_size(500, 10, itemsize=8, cache_bytes=cache)
-        working = 2 * t * 500 * 10 * 8 + t * t * 100 * 8
-        assert working <= cache or t == 8
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            default_tile_size(0, 10)
-
-
-class TestFusedTileSize:
-    def test_power_of_two_in_bounds(self):
-        t = fused_tile_size(256, 10)
-        assert t in (8, 16, 32, 64, 128, 256)
-
-    def test_smaller_samples_bigger_tiles(self):
-        assert fused_tile_size(100, 10) >= fused_tile_size(5000, 10)
-
-    def test_float32_tiles_at_least_as_big(self):
-        assert fused_tile_size(512, 10, itemsize=4) >= fused_tile_size(512, 10)
-
-    def test_cache_budget_respected(self):
-        cache = 1 << 20
-        t = fused_tile_size(500, 10, itemsize=8, cache_bytes=cache)
-        working = 2 * t * 500 * 10 * 8 + 2 * t * t * 100 * 8
-        assert working <= cache or t == 8
-
-
-class TestAutotuneCacheConcurrency:
-    """The sidecar update must merge, not overwrite (serve-daemon races)."""
-
-    def test_concurrent_writers_keep_every_entry(self, tmp_path, monkeypatch):
-        import threading
-
-        from repro.core.tiling import _load_autotune_cache, _merge_autotune_entry
-
-        path = tmp_path / "tiles.json"
-        monkeypatch.setenv("REPRO_AUTOTUNE_CACHE", str(path))
-        n_writers, per_writer = 8, 5
-        barrier = threading.Barrier(n_writers)
-
-        def write(w: int) -> None:
-            barrier.wait()
-            for i in range(per_writer):
-                _merge_autotune_entry(path, f"key-{w}-{i}", 16 * (w + 1))
-
-        threads = [threading.Thread(target=write, args=(w,)) for w in range(n_writers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        cache = _load_autotune_cache(path)
-        assert len(cache) == n_writers * per_writer
-        for w in range(n_writers):
-            for i in range(per_writer):
-                assert cache[f"key-{w}-{i}"] == 16 * (w + 1)
-
-    def test_merge_preserves_existing_on_disk_state(self, tmp_path):
-        import json
-
-        from repro.core.tiling import _load_autotune_cache, _merge_autotune_entry
-
-        path = tmp_path / "tiles.json"
-        path.write_text(json.dumps({"other-host-key": 128}))
-        _merge_autotune_entry(path, "my-key", 32)
-        cache = _load_autotune_cache(path)
-        assert cache == {"other-host-key": 128, "my-key": 32}
+    def test_auto_takes_sparse_only_compiled_at_many_bins(self):
+        assert AUTO_SPARSE_MIN_BINS == 20
+        assert rule_kernel(10, True) == "fused"
+        assert rule_kernel(19, True) == "fused"
+        assert rule_kernel(20, True) == "sparse"
+        assert rule_kernel(30, True) == "sparse"
+        assert rule_kernel(30, False) == "fused"
