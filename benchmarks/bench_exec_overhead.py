@@ -6,7 +6,9 @@ The abstraction must be free: this benchmark re-creates the pre-refactor
 serial loop (hoisted entropies, grid-order ``compute_tile``, direct
 writes, one mirror pass) as the baseline and measures ``mi_matrix``
 through the executor against it.  Acceptance: bit-identical output and
-<= 5% wall-clock overhead.
+<= 5% wall-clock overhead, read as the median of per-round
+executor/baseline time ratios over alternating rounds: a slow spell of
+the host lands on one round's pair, not on either side's best time.
 """
 
 import time
@@ -23,7 +25,7 @@ from repro.core.tiling import tile_grid
 N_GENES = 192
 M_SAMPLES = 512
 TILE = 16  # small tiles -> many dispatches -> worst case for loop overhead
-REPEATS = 5
+ROUNDS = 11
 
 
 @pytest.fixture(scope="module")
@@ -46,32 +48,31 @@ def baseline_loop(weights):
     return mi
 
 
-def best_of_interleaved(fns, repeats=REPEATS):
-    """Best time and last result of each of ``fns``, run round by round.
+def alternating_rounds(fns, rounds=ROUNDS):
+    """Per-round times ``(rounds, len(fns))`` and the last results.
 
-    Each round runs every function once, in reversed order every other
-    round, so a slow spell of the host lands on both sides instead of on
-    one back-to-back block, and neither side always runs first.
+    Each round times every function once, in reversed order every other
+    round, so neither side always runs first.
     """
-    best = [float("inf")] * len(fns)
+    times = np.zeros((rounds, len(fns)))
     results = [None] * len(fns)
-    for r in range(repeats):
-        ks = range(len(fns)) if r % 2 == 0 else reversed(range(len(fns)))
-        for k in ks:
+    for r in range(rounds):
+        for k in (range(len(fns)) if r % 2 == 0 else reversed(range(len(fns)))):
             t0 = time.perf_counter()
             results[k] = fns[k]()
-            best[k] = min(best[k], time.perf_counter() - t0)
-    return results, best
+            times[r, k] = time.perf_counter() - t0
+    return results, times
 
 
 def test_executor_overhead(benchmark, report, weights):
-    (mi_base, mi_exec), (t_base, t_exec) = best_of_interleaved([
+    (mi_base, mi_exec), times = alternating_rounds([
         lambda: baseline_loop(weights),
         lambda: mi_matrix(weights, tile=TILE).mi,
     ])
     benchmark(lambda: mi_matrix(weights, tile=TILE))
 
-    overhead = t_exec / t_base - 1.0
+    overhead = float(np.median(times[:, 1] / times[:, 0])) - 1.0
+    t_base, t_exec = np.median(times, axis=0)
     n_tiles = len(tile_grid(N_GENES, TILE))
     rows = [
         {"path": "hand-rolled tile loop (pre-refactor)",
@@ -81,7 +82,8 @@ def test_executor_overhead(benchmark, report, weights):
     ]
     report("E28",
            f"executor overhead, n={N_GENES}, m={M_SAMPLES}, "
-           f"tile={TILE} ({n_tiles} tiles), best of {REPEATS} alternating rounds",
+           f"tile={TILE} ({n_tiles} tiles), median of {ROUNDS} alternating "
+           "rounds' time ratios (times: medians)",
            rows, metrics={"overhead_fraction": overhead})
 
     assert np.array_equal(mi_base, mi_exec)

@@ -9,7 +9,7 @@ the paper's multi-level parallel structure made explicit:
 
 * **vector level** — GEMM-formulated, numpy/BLAS-vectorized MI kernels
   (:mod:`repro.core`);
-* **thread level** — tile-grained scheduling and real parallel engines
+* **thread level** — tile-level scheduling and real parallel engines
   (:mod:`repro.parallel`);
 * **chip level** — explicit machine models of the Xeon Phi 5110P and a
   dual-socket Xeon, with a discrete-event schedule simulator that reproduces

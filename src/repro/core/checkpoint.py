@@ -12,6 +12,7 @@ refuses to resume against different data.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -72,28 +73,28 @@ def checkpoint_status(checkpoint_dir: "str | Path") -> dict:
 
 
 class CheckpointSink(MatrixSink):
-    """Row-grain sink persisting block-rows + a resume ledger on disk.
+    """Sink persisting block-rows + a resume ledger on disk.
 
-    Each committed row is one ``row_{i0}.npz`` of its tile blocks plus an
-    atomic ledger update, so a preempted run resumes after the last
-    complete row.  The ledger stores the weight-tensor fingerprint and
-    tile size and refuses to resume against different data.
+    The dense result is the sink's :meth:`buffer`, so tiles run through
+    the executor's one whole-plan dispatch like any other sink's.  As the
+    last tile of a block-row lands (:meth:`tile_done`), the row is
+    persisted: one ``row_{i0}.npz`` of its tile blocks plus an atomic
+    ledger update, so a preempted run resumes after its committed rows.
+    :meth:`pending` skips those rows and orders the rest row by row, so
+    rows keep committing while the run goes on.  The ledger stores the
+    weight-tensor fingerprint and tile size and refuses to resume
+    against different data.
 
-    Unlike the dense sink (whose quarantined blocks keep the documented
-    zero fill), :meth:`finalize` marks quarantined blocks ``NaN``: the
-    assembled matrix claims to be *complete*, so never-computed cells must
-    be distinguishable from measured MI=0 non-edges.  The quarantine
-    records themselves are in the ledger (:func:`checkpoint_status`) and
-    on :attr:`~repro.core.exec.MatrixSink.quarantined`.
+    A quarantined tile lands without a block; the ledger records it
+    (key ``"quarantined"``) together with its row.  Unlike the dense sink
+    (whose quarantined blocks keep the documented zero fill),
+    :meth:`finalize` marks quarantined blocks ``NaN``: the assembled
+    matrix claims to be *complete*, so never-computed cells must be
+    distinguishable from measured MI=0 non-edges.
 
-    Each stored row's blocks are also copied into the dense result as the
-    row lands, so :meth:`finalize` reads from disk only the rows this run
-    skipped because an earlier run had committed them.
+    :meth:`finalize` reads from disk only the rows an earlier run
+    committed; every block this run computed is already in the buffer.
     """
-
-    grain = "rows"
-    span_name = None  # historical contract: only per-row spans
-    row_span_name = "checkpoint_row"
 
     def __init__(
         self,
@@ -105,7 +106,7 @@ class CheckpointSink(MatrixSink):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.n = plan.n_genes
-        self.rows = plan.rows
+        self.rows = sorted({t.i0 for t in plan.tiles})
         self.interrupt_after_rows = interrupt_after_rows
         ledger = _load_ledger(self.directory)
         if ledger:
@@ -123,15 +124,18 @@ class CheckpointSink(MatrixSink):
                 "fingerprint": fingerprint,
                 "tile": plan.tile,
                 "n_genes": plan.n_genes,
-                "total_rows": len(plan.rows),
+                "total_rows": len(self.rows),
                 "done": [],
             }
             _store_ledger(self.directory, ledger)
         self.ledger = ledger
         self.done = set(ledger["done"])
+        self._resumed = frozenset(self.done)  # rows finalize reads from disk
         self.new_rows = 0
+        self._stopped = False  # the interrupt hook fired: commit no more rows
         self._mi = np.zeros((self.n, self.n), dtype=np.float64)
-        self._stored: set = set()  # rows whose blocks are already in _mi
+        self._left: Counter = Counter()  # row -> its tiles not landed yet
+        self._landed: dict = {}          # row -> its tiles landed with a block
         # Quarantine records survive restarts: a resumed run reports the
         # poison tiles of every previous attempt, not just its own.
         self._quarantined = [QuarantinedTile.from_dict(d)
@@ -142,42 +146,61 @@ class CheckpointSink(MatrixSink):
         super().quarantine(idx, t, error)
         self.ledger["quarantined"] = [q.as_dict() for q in self._quarantined]
 
-    def skip_row(self, i0: int) -> bool:
-        return i0 in self.done
+    def buffer(self) -> np.ndarray:
+        return self._mi
 
-    def store_row(self, i0: int, items: list) -> None:
+    def pending(self, plan: TilePlan, n_workers: int) -> list:
+        """Tiles of the rows the ledger lacks: ascending block-rows, each
+        row's tiles in the plan's policy order.
+
+        Row-major rather than the whole-grid policy order, so rows commit
+        as the run goes (LPT over the grid would finish no row until near
+        the end); a row's last tile can still overlap the next row's.
+        """
+        tiles = plan.tiles
+        order = sorted((i for i in plan.order(n_workers)
+                        if tiles[i].i0 not in self.done),
+                       key=lambda i: tiles[i].i0)
+        self._left = Counter(tiles[i].i0 for i in order)
+        self._landed = {i0: [] for i0 in self._left}
+        return order
+
+    def tile_done(self, t, out) -> bool:
+        """Count ``t`` landed; once its row's last tile is in, persist the
+        row's blocks (read from ``out``, or the buffer after the dispatch)
+        and commit it to the ledger — unless the interrupt hook fired."""
+        i0 = t.i0
+        if out is not None:
+            self._landed[i0].append(t)
+        self._left[i0] -= 1
+        if self._left[i0] or self._stopped:
+            return False
+        blocks = self._mi if out is None else out
         np.savez(self.directory / f"row_{i0:07d}.npz",
-                 **{f"j{t.j0}": block for t, block in items})
-        for t, block in items:
-            self._place(i0, t.j0, block)
-        self._stored.add(i0)
-
-    def _place(self, i0: int, j0: int, block: np.ndarray) -> None:
-        self._mi[i0 : i0 + block.shape[0], j0 : j0 + block.shape[1]] = block
-
-    def commit_row(self, i0: int) -> bool:
+                 **{f"j{u.j0}": blocks[u.i0 : u.i1, u.j0 : u.j1]
+                    for u in sorted(self._landed.pop(i0), key=lambda u: u.j0)})
         self.done.add(i0)
         self.ledger["done"] = sorted(self.done)
         _store_ledger(self.directory, self.ledger)
         self.new_rows += 1
-        if (
-            self.interrupt_after_rows is not None
-            and self.new_rows >= self.interrupt_after_rows
-            and len(self.done) < len(self.rows)
-        ):
-            return False
+        self._stopped = (self.interrupt_after_rows is not None
+                        and self.new_rows >= self.interrupt_after_rows
+                        and len(self.done) < len(self.rows))
         return True
 
-    def finalize(self, completed: bool = True) -> "np.ndarray | None":
-        if not completed:
+    def finalize(self) -> "np.ndarray | None":
+        """The full symmetric matrix, or ``None`` if the interrupt hook
+        stopped the run before every row was committed."""
+        if self._stopped:
             return None
-        # Rows committed by an earlier run come from their row files.
-        for i0 in self.rows:
-            if i0 not in self._stored:
-                with np.load(self.directory / f"row_{i0:07d}.npz") as z:
-                    for key in z.files:
-                        self._place(i0, int(key[1:]), z[key])
         mi = self._mi
+        # Rows committed by an earlier run come from their row files.
+        for i0 in sorted(self._resumed):
+            with np.load(self.directory / f"row_{i0:07d}.npz") as z:
+                for key in z.files:
+                    block = z[key]
+                    j0 = int(key[1:])
+                    mi[i0 : i0 + block.shape[0], j0 : j0 + block.shape[1]] = block
         # Quarantined tiles were never computed: their cells are *unknown*,
         # not MI=0.  Leaving them at the zero fill would let poison tiles
         # masquerade as confidently-tested non-edges, so mark them NaN
@@ -199,8 +222,8 @@ class DeltaCheckpointSink(CheckpointSink):
     the same ``row_{i0}.npz`` + ledger format as a full checkpointed run,
     plus a ``"delta"`` ledger section recording the dirty-tile set and the
     grown sample count.  An interrupted update therefore resumes exactly
-    like a full run does — ``skip_row`` drops already-committed rows, so a
-    resume replays only the *still-dirty* tiles — and the fingerprint
+    like a full run does — :meth:`pending` drops already-committed rows, so
+    a resume replays only the *still-dirty* tiles — and the fingerprint
     check refuses to resume against a different grown tensor (e.g. a
     second batch of samples arriving before the first finished).
 
@@ -263,9 +286,10 @@ def mi_matrix_checkpointed(
 ) -> "np.ndarray | None":
     """All-pairs MI with block-row-granular checkpointing.
 
-    Processes the tile grid one block-row at a time; after each row, the
-    row's blocks are saved and the ledger updated atomically.  Re-invoking
-    with the same directory resumes after the last completed row.
+    Runs the tile grid row by row as one dispatch; as each block-row's
+    last tile lands, the row's blocks are saved and the ledger updated
+    atomically.  Re-invoking with the same directory resumes after the
+    committed rows.
 
     Parameters
     ----------
@@ -275,21 +299,22 @@ def mi_matrix_checkpointed(
     checkpoint_dir:
         Directory for row files + ledger (created if missing).
     interrupt_after_rows:
-        Testing hook: stop (returning ``None``) after completing this many
-        *new* rows, simulating preemption mid-run.
+        Testing hook simulating preemption mid-run: commit this many *new*
+        rows, then no more, and return ``None``.
     engine:
         Optional execution engine (:mod:`repro.parallel.engine`) running
-        each block-row's tiles as one supervised dispatch; blocks return
-        to the parent, which saves the row.  Checkpoint granularity (and
-        the on-disk format) is independent of the engine.
+        the pending tiles as one supervised dispatch, written in place
+        into the dense result like :func:`repro.core.mi_matrix.mi_matrix`'s.
+        Checkpoint granularity (and the on-disk format) is independent of
+        the engine.
     progress:
-        Optional ``progress(done_rows, total_rows)`` callback, fired after
-        each block-row's checkpoint lands (resumed rows count as done, so
-        a resume starts partway along rather than from zero).
+        Optional ``progress(done_tiles, total_tiles)`` callback, fired as
+        each tile lands (tiles of resumed rows count as done, so a resume
+        starts partway along rather than from zero).
     tracer:
-        Optional :class:`repro.obs.tracer.Tracer`; each computed block-row
-        runs under a ``checkpoint_row`` span and ticks the ``rows_done`` /
-        ``tiles_done`` / ``pairs_done`` counters.
+        Optional :class:`repro.obs.tracer.Tracer`; ticks the
+        ``tiles_done`` / ``pairs_done`` counters per tile and
+        ``rows_done`` per committed block-row.
     schedule:
         Optional tile-order policy (see :data:`repro.core.exec.SCHEDULE_NAMES`);
         ordering applies within each block-row, checkpoint granularity is

@@ -62,7 +62,7 @@ class ExactTestResult:
 
 
 class ExactSink(MatrixSink):
-    """Matrix-grain sink of the exact tester: one ``(n, n, 2)`` buffer of
+    """The exact tester's sink: one ``(n, n, 2)`` buffer of
     observed MI and null-exceedance counts per pair."""
 
     span_name = "exact_mi"
@@ -77,7 +77,7 @@ class ExactSink(MatrixSink):
     def buffer(self) -> np.ndarray:
         return self.out
 
-    def finalize(self, completed: bool = True) -> ExactTestResult:
+    def finalize(self) -> ExactTestResult:
         """Counts become add-one p-values in place; both channels mirror."""
         mi, pvals = self.out[..., 0], self.out[..., 1]
         pvals += 1.0

@@ -12,9 +12,10 @@ module factors that loop into three small protocols plus one executor:
   The source also owns the hoisted per-gene marginal entropies and the
   tensor fingerprint, so neither is recomputed per driver.
 * :class:`MatrixSink` — where tile blocks go: a dense ``(n, n)`` array
-  or a checkpointed block ledger.  Sinks declare
-  their *grain* (whole-matrix or block-row) and the executor adapts its
-  dispatch to it.
+  or a checkpointed block ledger.  Every sink is an ``(n, n)``
+  :meth:`~MatrixSink.buffer` plus two small hooks: which tiles to run
+  (a resumed ledger skips its committed rows) and a per-tile landing
+  callback (where the ledger persists each finished block-row).
 * :class:`TilePlan` — the tile grid plus the schedule: a
   :class:`repro.parallel.scheduler.SchedulerPolicy` orders real dispatch
   (with per-tile costs for the cost-model policies), not just the
@@ -38,7 +39,7 @@ import threading
 import time
 from dataclasses import asdict, is_dataclass
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -504,14 +505,6 @@ class TilePlan:
     base: str
     tiles: list
     policy: "SchedulerPolicy | None" = None
-    rows: list = field(init=False)
-    _row_tiles: dict = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._row_tiles = {}
-        for t in self.tiles:
-            self._row_tiles.setdefault(t.i0, []).append(t)
-        self.rows = sorted(self._row_tiles)
 
     @property
     def n_tiles(self) -> int:
@@ -520,10 +513,6 @@ class TilePlan:
     @property
     def n_pairs(self) -> int:
         return pair_count(self.n_genes)
-
-    def row_tiles(self, i0: int) -> list:
-        """Tiles of block-row ``i0``, in grid (ascending ``j0``) order."""
-        return self._row_tiles[i0]
 
     def costs(self) -> np.ndarray:
         """Per-tile kernel cost (cells computed, ``Tile.n_elements``)."""
@@ -649,25 +638,18 @@ def filter_plan(plan: TilePlan, tiles: list) -> TilePlan:
 class MatrixSink:
     """Where computed tile blocks go.
 
-    ``grain`` picks the executor's dispatch shape:
+    Every sink runs through the one dispatch of :func:`run_tile_plan`:
+    the tiles :meth:`pending` names, in its order, are one supervised
+    engine call that writes every block into the sink's :meth:`buffer`
+    (in place on every local engine, from returned blocks on the elastic
+    one), and :meth:`tile_done` fires as each tile lands — the checkpoint
+    ledger persists a block-row there once its last tile is in.
 
-    * ``"matrix"`` — tiles are independent; the executor dispatches the
-      whole (policy-ordered) grid at once and writes every block into the
-      sink's :meth:`buffer` (in place on every local engine, from
-      returned blocks on the elastic one).
-    * ``"rows"`` — tiles are processed one block-row at a time (the
-      checkpoint ledger's layout); the executor hands each completed row
-      to :meth:`store_row`, then :meth:`commit_row` decides whether the
-      run continues (the checkpoint interrupt hook).  Progress is then
-      reported per committed row, not per tile.
-
-    ``span_name`` (outer span) and ``row_span_name`` (per-row span)
-    preserve each driver's historical observability contract.
+    ``span_name`` names the span the dispatch runs under (``None``: no
+    span of the sink's own).
     """
 
-    grain: str = "matrix"
     span_name: "str | None" = None
-    row_span_name: "str | None" = None
     _quarantined: "list | None" = None
 
     def span_meta(self, plan: TilePlan) -> dict:
@@ -690,26 +672,29 @@ class MatrixSink:
             QuarantinedTile(index=idx, i0=t.i0, i1=t.i1, j0=t.j0, j1=t.j1,
                             error=error))
 
-    # -- matrix grain ------------------------------------------------------
+    # -- dispatch ----------------------------------------------------------
     def buffer(self) -> np.ndarray:
         """The ``(n, n)`` array every tile block is written into."""
         raise NotImplementedError
 
-    # -- rows grain --------------------------------------------------------
-    def skip_row(self, i0: int) -> bool:
-        """True when the row is already complete (checkpoint resume)."""
+    def pending(self, plan: TilePlan, n_workers: int) -> list:
+        """Indices of the tiles to run, in dispatch order: by default the
+        whole grid in the plan's policy order (:meth:`TilePlan.order`)."""
+        return plan.order(n_workers)
+
+    def tile_done(self, t: Tile, out: "np.ndarray | None") -> bool:
+        """Tile ``t`` has landed; return True when that committed a block-row.
+
+        ``out`` is the array holding every block landed so far — the
+        :meth:`buffer` itself, or the fork engine's shared-memory stage of
+        it during the dispatch — and ``None`` for a quarantined tile
+        (landed without a block, after the dispatch).  Calls are
+        serialized, never concurrent; ``out`` must not be kept.
+        """
         return False
 
-    def store_row(self, i0: int, items: list) -> None:
-        """Persist one completed block-row; ``items`` is ``[(tile, block)]``."""
-        raise NotImplementedError
-
-    def commit_row(self, i0: int) -> bool:
-        """Durably record the row; return False to stop the run."""
-        return True
-
     # -- lifecycle ---------------------------------------------------------
-    def finalize(self, completed: bool = True):
+    def finalize(self):
         """Produce the sink's result (driver-specific type)."""
         raise NotImplementedError
 
@@ -720,7 +705,6 @@ class MatrixSink:
 class DenseSink(MatrixSink):
     """Dense in-memory ``(n, n)`` matrix (optionally caller-preallocated)."""
 
-    grain = "matrix"
     span_name = "mi_matrix"
 
     def __init__(self, n: int, out: "np.ndarray | None" = None):
@@ -738,7 +722,7 @@ class DenseSink(MatrixSink):
     def buffer(self) -> np.ndarray:
         return self.mi
 
-    def finalize(self, completed: bool = True) -> np.ndarray:
+    def finalize(self) -> np.ndarray:
         mirror_upper(self.mi)
         np.fill_diagonal(self.mi, 0.0)
         return self.mi
@@ -871,10 +855,15 @@ def run_tile_plan(
 ):
     """Execute ``plan``: every tile through :func:`compute_tile` into ``sink``.
 
-    This is the one tile loop all MI drivers share.  ``engine`` is any
-    :mod:`repro.parallel.engine` engine (``None`` runs serially in this
-    thread); the whole grid — or, for row-grain sinks, each block-row —
-    is one supervised engine dispatch.  ``kernel`` names the tile variant
+    This is the one tile loop all MI drivers and sinks share.  ``engine``
+    is any :mod:`repro.parallel.engine` engine (``None`` runs serially in
+    this thread); the tiles :meth:`MatrixSink.pending` names are one
+    supervised engine dispatch into :meth:`MatrixSink.buffer` — written in
+    place on every local engine (the fork engine through its shared-memory
+    stage, copied back even when the pool fails, so delivered blocks
+    survive a fallback), from returned blocks on the elastic one.  Retries
+    overwrite partial writes; blocks that end up quarantined are reset to
+    the buffer's zero fill.  ``kernel`` names the tile variant
     (``None``/``"fused"`` or ``"sparse"``; ``"auto"`` must be resolved by
     :func:`resolve_kernel` first) and ``kernel_dtype`` its GEMM precision
     (``"float32"`` = mixed precision).  ``permutations`` makes every tile
@@ -885,10 +874,11 @@ def run_tile_plan(
     them; other sources' tiles stage their operands
     (:meth:`WeightSource.operands`).
 
-    The tracer's ``tiles_done`` / ``pairs_done`` counters tick per tile as
-    each task finishes, on every engine; ``progress(done, total)`` does
-    too for matrix-grain sinks, while row-grain sinks report it (and
-    ``rows_done``) per committed block-row instead.
+    As each tile lands, the tracer's ``tiles_done`` / ``pairs_done``
+    counters tick, :meth:`MatrixSink.tile_done` fires (``rows_done`` ticks
+    when it commits a block-row), then ``progress(done, total)`` reports
+    tiles of the whole plan — tiles a resumed sink skips count as done
+    from the start.
 
     ``policy`` (a :class:`repro.faults.policy.FaultPolicy`) sets the fault
     handling: failed or invalid (non-finite) blocks are retried with
@@ -900,7 +890,7 @@ def run_tile_plan(
     per tile, and a failing tile raises
     :class:`~repro.faults.policy.FaultToleranceExceeded`.
 
-    Returns ``sink.finalize(completed)`` — the sink-specific result.
+    Returns ``sink.finalize()`` — the sink-specific result.
     """
     if kernel not in (None, "fused", "sparse"):
         raise ValueError(
@@ -940,12 +930,25 @@ def run_tile_plan(
                             permutations=permutations)
     engine = engine if engine is not None else SerialEngine()
     try:
-        if sink.grain == "rows":
-            completed = _execute_rows(plan, sink, run, engine, tracer, progress, policy)
-        else:
-            _execute_matrix(plan, sink, run, engine, tracer, progress, policy)
-            completed = True
-        return sink.finalize(completed=completed)
+        tiles = plan.tiles
+        order = sink.pending(plan, _engine_workers(engine))
+        land = _lander(sink, tracer, progress, len(tiles), len(tiles) - len(order))
+        buf = sink.buffer()
+
+        def deliver(idx: int, t: Tile, block, written) -> None:
+            if written is None:  # a returned block
+                buf[t.i0 : t.i1, t.j0 : t.j1] = block
+                written = buf
+            land(t, written)
+
+        with _span(tracer, sink.span_name, **sink.span_meta(plan)):
+            failures = _supervise(engine, tiles, order, run, policy, tracer,
+                                  deliver, target=buf)
+            for idx in failures:  # quarantined blocks keep the zero fill
+                t = tiles[idx]
+                buf[t.i0 : t.i1, t.j0 : t.j1] = 0.0
+            _quarantine_failures(sink, tiles, failures, policy, tracer, land)
+        return sink.finalize()
     finally:
         sink.close()
 
@@ -958,42 +961,48 @@ def _engine_workers(engine) -> int:
     return max(int(getattr(engine, "n_workers", 1) or 1), 1)
 
 
-def _ticker(tracer, progress, total: int):
-    """Thread-safe ``tick(n_tiles, n_pairs)``: counters, then progress.
+def _lander(sink, tracer, progress, total: int, done: int):
+    """Thread-safe ``land(t, out)``: counters, the sink's hook, progress.
 
-    Progress is reported under the lock, so concurrent workers' calls
-    arrive in increasing order.
+    ``done`` tiles (a resumed sink's skipped ones) are reported at once.
+    The hook and progress run under one lock, so concurrent workers'
+    landings reach the sink one at a time and progress arrives in
+    increasing order.
     """
     lock = threading.Lock()
-    count = [0]
+    count = [done]
+    if progress is not None and done:
+        progress(done, total)
 
-    def tick(n_tiles: int, n_pairs: int) -> None:
-        tracer.add("tiles_done", n_tiles)
-        tracer.add("pairs_done", n_pairs)
+    def land(t: Tile, out) -> None:
+        tracer.add("tiles_done")
+        tracer.add("pairs_done", 0 if out is None else t.n_pairs)
         with lock:
-            count[0] += n_tiles
+            if sink.tile_done(t, out):
+                tracer.add("rows_done")
+            count[0] += 1
             if progress is not None:
                 progress(count[0], total)
 
-    return tick
+    return land
 
 
 def _dispatch_once(engine, items, idxs, run, target, timeout, accept):
     """One supervised engine call over ``idxs``; returns ``{idx: error}``.
 
-    ``accept(idx, block, in_place)`` fires in the parent (in the worker
+    ``accept(idx, block, written)`` fires in the parent (in the worker
     thread for in-process engines) as each task finishes: with the block
-    the worker returned, or — for in-place dispatch into ``target`` — a
-    view of the region it wrote, taken from the array the engine hands
-    ``on_done`` (the fork engine's shared-memory stage of ``target``).
-    Every local engine writes in place; elastic workers are remote and
-    return blocks.
+    the worker returned and ``written=None``, or — for in-place dispatch
+    into ``target`` — a view of the region it wrote and the whole array
+    the engine hands ``on_done`` (``target`` itself, or the fork engine's
+    shared-memory stage of it).  Every local engine writes in place;
+    elastic workers are remote and return blocks.
     """
     batch = [items[i] for i in idxs]
     if target is not None and engine_kind(engine) != "elastic":
         def done(pos: int, written) -> None:
             t = batch[pos]
-            accept(idxs[pos], written[t.i0 : t.i1, t.j0 : t.j1], True)
+            accept(idxs[pos], written[t.i0 : t.i1, t.j0 : t.j1], written)
 
         failures = engine.map_into_supervised(
             functools.partial(_write_tile, run), batch, target,
@@ -1001,7 +1010,7 @@ def _dispatch_once(engine, items, idxs, run, target, timeout, accept):
     else:
         _, failures = engine.map_supervised(
             run, batch, timeout=timeout,
-            on_done=lambda pos, block: accept(idxs[pos], block, False))
+            on_done=lambda pos, block: accept(idxs[pos], block, None))
     return {idxs[p]: err for p, err in failures.items()}
 
 
@@ -1010,12 +1019,10 @@ def _supervise(engine, items, idxs, run, policy, tracer, deliver, target=None):
 
     Each round is one supervised dispatch of the still-pending items
     (tiles, or :func:`supervised_map`'s items).
-    ``deliver(idx, item, block)`` fires once per validated success as the
-    task finishes (``block`` is ``None`` when the worker already wrote it
-    into ``target``).  Returns ``(failures, engine)``: the tasks whose
-    budget ran out, each with its last error string, and the (possibly
-    degraded) engine now in use — callers thread it through so a fallback
-    persists for later rows.
+    ``deliver(idx, item, block, written)`` fires once per validated
+    success as the task finishes (``written`` is the array the block was
+    written into in place, ``None`` for a returned ``block``).  Returns
+    the tasks whose budget ran out, each with its last error string.
     """
     pending = list(idxs)
     errors: dict = {}
@@ -1033,14 +1040,14 @@ def _supervise(engine, items, idxs, run, policy, tracer, deliver, target=None):
             tracer.add("task_retries", len(pending))
         corrupt: dict = {}
 
-        def accept(idx: int, block, in_place: bool) -> None:
+        def accept(idx: int, block, written) -> None:
             t = items[idx]
             if not policy.check(t, block):
                 corrupt[idx] = "corrupt result (validation failed)"
                 tracer.add("task_corruptions")
                 return
             delivered.add(idx)
-            deliver(idx, t, None if in_place else block)
+            deliver(idx, t, block, written)
 
         try:
             failures = _dispatch_once(eng, items, pending, run, target,
@@ -1072,7 +1079,7 @@ def _supervise(engine, items, idxs, run, policy, tracer, deliver, target=None):
                 faults.record_failure(items[idx])
         pending = [idx for idx in pending if idx in failures]
         errors = failures
-    return {idx: errors[idx] for idx in pending}, eng
+    return {idx: errors[idx] for idx in pending}
 
 
 def supervised_map(fn, items, engine=None, policy: "FaultPolicy | None" = None,
@@ -1088,10 +1095,10 @@ def supervised_map(fn, items, engine=None, policy: "FaultPolicy | None" = None,
     items = list(items)
     results: list = [None] * len(items)
 
-    def deliver(idx: int, _item, value) -> None:
+    def deliver(idx: int, _item, value, _written) -> None:
         results[idx] = value
 
-    failures, _ = _supervise(
+    failures = _supervise(
         engine if engine is not None else SerialEngine(), items,
         range(len(items)), fn, policy or FaultPolicy.from_options(),
         tracer or NULL_TRACER, deliver)
@@ -1102,8 +1109,9 @@ def supervised_map(fn, items, engine=None, policy: "FaultPolicy | None" = None,
     return results
 
 
-def _quarantine_failures(sink, tiles, failures, policy, tracer, tick):
-    """Record budget-exhausted tasks on the sink (or abort, per policy)."""
+def _quarantine_failures(sink, tiles, failures, policy, tracer, land):
+    """Record budget-exhausted tasks on the sink, then land them without a
+    block — or abort, per policy, before any of them lands."""
     if not failures:
         return
     for idx in sorted(failures):
@@ -1114,84 +1122,7 @@ def _quarantine_failures(sink, tiles, failures, policy, tracer, tick):
             pass
         tracer.add("tasks_quarantined")
         sink.quarantine(idx, t, error)
-        tick(1, 0)
     if policy.on_fault == "raise":
         raise FaultToleranceExceeded(sink.quarantined)
-
-
-def _execute_matrix(plan, sink, run, engine, tracer, progress, policy) -> None:
-    """Whole-grid dispatch (matrix-grain sinks).
-
-    The policy-ordered grid is one supervised dispatch into the sink's
-    :meth:`~MatrixSink.buffer`: local engines write it in place (the fork
-    engine through its shared-memory stage, copied back even when the
-    pool fails, so delivered blocks survive a fallback); the elastic
-    engine returns blocks the parent writes there.  Retries overwrite
-    partial writes; blocks that end up quarantined are reset to the
-    sink's zero fill.
-    """
-    tiles = plan.tiles
-    order = plan.order(_engine_workers(engine))
-    tick = _ticker(tracer, progress, len(tiles))
-    buf = sink.buffer()
-
-    def deliver(idx: int, t: Tile, block) -> None:
-        if block is not None:
-            buf[t.i0 : t.i1, t.j0 : t.j1] = block
-        tick(1, t.n_pairs)
-
-    with _span(tracer, sink.span_name, **sink.span_meta(plan)):
-        failures, _ = _supervise(engine, tiles, order, run, policy, tracer,
-                               deliver, target=buf)
-        for idx in failures:  # quarantined blocks keep the zero fill
-            t = tiles[idx]
-            buf[t.i0 : t.i1, t.j0 : t.j1] = 0.0
-        _quarantine_failures(sink, tiles, failures, policy, tracer, tick)
-
-
-def _execute_rows(plan, sink, run, engine, tracer, progress, policy) -> bool:
-    """Block-row dispatch (the checkpoint sink).
-
-    Each pending row is one supervised dispatch; blocks return to the
-    parent (pickle for fork engines) so ``store_row`` receives only the
-    tiles that succeeded, leaving quarantined blocks at the sink's fill
-    value.  Quarantine is recorded *before* ``commit_row`` so
-    ledger-backed sinks persist it atomically with the row.  Returns
-    False when the sink stopped the run early (checkpoint interruption),
-    True on completion.
-    """
-    rows = plan.rows
-    total = len(rows)
-    pending = [i0 for i0 in rows if not sink.skip_row(i0)]
-    done = total - len(pending)
-    if progress is not None and done:
-        progress(done, total)  # resumed rows are already complete
-    tick = _ticker(tracer, None, total)
-    tiles = plan.tiles
-    row_idx: dict = {}
-    for idx, t in enumerate(tiles):
-        row_idx.setdefault(t.i0, []).append(idx)
-    eng = engine
-
-    with _span(tracer, sink.span_name, **sink.span_meta(plan)):
-        for i0 in pending:
-            idxs = row_idx[i0]
-            collected: dict = {}
-
-            def deliver(idx, t, block, _c=collected):
-                _c[idx] = (t, block)
-                tick(1, t.n_pairs)
-
-            with _span(tracer, sink.row_span_name, i0=i0, n_tiles=len(idxs)):
-                failures, eng = _supervise(eng, tiles, idxs, run, policy, tracer,
-                                         deliver)
-                sink.store_row(i0, [collected[i] for i in idxs if i in collected])
-                _quarantine_failures(sink, tiles, failures, policy, tracer, tick)
-            keep_going = sink.commit_row(i0)
-            done += 1
-            tracer.add("rows_done")
-            if progress is not None:
-                progress(done, total)
-            if not keep_going:
-                return False
-    return True
+    for idx in sorted(failures):
+        land(tiles[idx], None)

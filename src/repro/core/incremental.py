@@ -372,14 +372,18 @@ class NetworkUpdater:
                        if dirty[t.i0 : t.i1, t.j0 : t.j1].any()]
         dirty_upper = np.triu(dirty, k=1)
         n_dirty_pairs = int(dirty_upper.sum())
-        # Replay granularity.  The MI matrix is bitwise invariant to the
-        # tile decomposition (each pair's joint GEMM reduces over the same
-        # contiguous sample axis regardless of block shape — pinned by
-        # tests), so when the screen leaves only scattered near-threshold
-        # pairs it is far cheaper to replay them as 1x1 tiles than to drag
-        # whole blocks along; dense dirt keeps the coarse tiles for GEMM
-        # efficiency.  The switch is a pure function of the (deterministic)
-        # screen, so a resumed update rebuilds the identical plan.
+        # Replay granularity.  When the screen leaves only scattered
+        # near-threshold pairs it is far cheaper to replay them as 1x1
+        # tiles than to drag whole blocks along; dense dirt keeps the
+        # coarse tiles for GEMM efficiency.  A 1x1 tile's MI is bitwise the
+        # grid tile's only while BLAS sums the pair's sample axis in the
+        # same order for both block shapes: that holds at small m, but at
+        # m >= 600 the 1x1 replay's 10x10 GEMMs can round differently from
+        # the grid's blocks, so replayed weights need not be bitwise a
+        # scratch run's (the xfail in tests/test_tile_rule.py,
+        # TestUpdaterAtRule::test_batches_match_scratch[600]).  The switch
+        # is a pure function of the (deterministic) screen, so a resumed
+        # update rebuilds the identical plan.
         if 0 < n_dirty_pairs <= _REFINE_FRACTION * pair_count(n):
             ii, jj = np.nonzero(dirty_upper)
             replay = [Tile(int(i), int(i) + 1, int(j), int(j) + 1)

@@ -8,7 +8,8 @@ Two facts make this affordable at whole-genome scale:
 
 1. **Shared permutations.**  The same ``q`` permutations are applied to
    every gene, and the B-spline weights of a permuted gene are its
-   permuted weight rows (:func:`permuted_weights`), so no weight is ever
+   permuted weight rows (``weights[:, perm]``: the weights are a
+   per-sample function of the expression value), so no weight is ever
    re-derived.  :func:`pooled_null` packs the sampled genes' ``<= k``
    non-zero weights per sample once and reads the row gene *through* each
    permutation index in the compiled sparse kernel
@@ -41,36 +42,10 @@ from repro.stats.random import as_rng, permutation_matrix, sample_pairs
 
 __all__ = [
     "NullDistribution",
-    "permuted_weights",
     "pooled_null",
     "null_threshold",
     "per_pair_pvalues",
 ]
-
-
-def permuted_weights(weights: np.ndarray, permutation: np.ndarray) -> np.ndarray:
-    """Weight matrix (or tensor) of the sample-permuted gene(s).
-
-    Because weights are a per-sample function of the expression value,
-    permuting samples of a gene permutes the *rows* of its weight matrix —
-    no basis re-evaluation needed.  Accepts ``(m, b)`` or ``(n, m, b)``.
-    """
-    weights = np.asarray(weights)
-    permutation = np.asarray(permutation, dtype=np.intp)
-    if permutation.ndim != 1:
-        raise ValueError("permutation must be 1-D")
-    m = weights.shape[0] if weights.ndim == 2 else weights.shape[1]
-    if permutation.shape[0] != m:
-        raise ValueError(
-            f"permutation length {permutation.shape[0]} != sample count {m}"
-        )
-    if sorted(set(permutation.tolist())) != list(range(m)):
-        raise ValueError("not a permutation of range(m)")
-    if weights.ndim == 2:
-        return weights[permutation]
-    if weights.ndim == 3:
-        return weights[:, permutation]
-    raise ValueError(f"expected (m, b) or (n, m, b) weights, got shape {weights.shape}")
 
 
 @dataclass

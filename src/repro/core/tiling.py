@@ -1,7 +1,7 @@
 """Tiling of the all-pairs (upper-triangular) MI workload.
 
 The ``n(n-1)/2`` gene pairs are covered by square tiles of the gene x gene
-matrix restricted to the upper triangle.  Tiles are the scheduling grain at
+matrix restricted to the upper triangle.  Tiles are the scheduling unit at
 every level of the reproduction: the numpy kernel computes one tile per BLAS
 call, the parallel engines hand tiles to workers, and the machine simulator
 charges per-tile costs to hardware threads.  This mirrors the paper, where

@@ -51,7 +51,7 @@ def cyclic_partition(n_items: int, n_workers: int) -> list[np.ndarray]:
 
 
 def chunked_partition(n_items: int, chunk: int) -> list[np.ndarray]:
-    """Split items into consecutive chunks of ``chunk`` (the dynamic grain).
+    """Split items into consecutive chunks of ``chunk`` (the dynamic chunk size).
 
     The dynamic scheduler hands these chunks to whichever worker is idle;
     smaller chunks balance better but touch the shared counter more often —

@@ -231,7 +231,7 @@ class GuidedScheduler(SchedulerPolicy):
     """OpenMP ``schedule(guided)``: exponentially shrinking chunks.
 
     Chunk ``i`` is ``max(remaining / n_workers, min_chunk)`` — large chunks
-    early (low overhead) and fine grains at the end (balance).
+    early (low overhead) and small chunks at the end (balance).
     """
 
     min_chunk: int = 1

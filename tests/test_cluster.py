@@ -16,6 +16,7 @@ from repro import TingeConfig, reconstruct_network
 from repro.cluster.comm import CommMeter
 from repro.cluster.elastic import ElasticEngine, worker_main
 from repro.core.bspline import weight_tensor
+from repro.core.checkpoint import checkpoint_status, mi_matrix_checkpointed
 from repro.core.discretize import rank_transform
 from repro.core.mi_matrix import mi_matrix
 from repro.data import yeast_subset
@@ -103,6 +104,18 @@ class TestDistributedReconstruct:
             owners = eng.last_graph.owners()
         assert np.array_equal(dist.mi, mi_matrix(w, tile=6).mi)
         assert list(owners.values()) == [dist.n_tiles]
+
+    def test_checkpoint_sink_interrupt_and_resume(self, dataset, tmp_path):
+        # Returned blocks land in the checkpoint sink's buffer on the
+        # coordinator; the interrupt hook stops commits, not the dispatch.
+        w = weight_tensor(rank_transform(dataset.expression))
+        ck = tmp_path / "ck"
+        with elastic_workers(2) as eng:
+            assert mi_matrix_checkpointed(w, ck, tile=6, engine=eng,
+                                          interrupt_after_rows=1) is None
+            assert checkpoint_status(ck)["done_rows"] == 1
+            mi = mi_matrix_checkpointed(w, ck, tile=6, engine=eng)
+        assert np.array_equal(mi, mi_matrix(w, tile=6).mi)
 
     def test_every_worker_runs_tiles(self, dataset):
         w = weight_tensor(rank_transform(dataset.expression))

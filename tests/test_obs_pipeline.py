@@ -123,10 +123,12 @@ class TestDriverObservability:
         mi = mi_matrix_checkpointed(weights, tmp_path / "ck", tile=6,
                                     progress=lambda d, t: calls.append((d, t)),
                                     tracer=tracer)
-        assert np.array_equal(mi, mi_matrix(weights, tile=6).mi)
-        assert calls[-1][0] == calls[-1][1] == len(calls)
-        assert tracer.counters["rows_done"] == len(calls)
-        assert len(tracer.find_spans("checkpoint_row")) == len(calls)
+        ref = mi_matrix(weights, tile=6)
+        assert np.array_equal(mi, ref.mi)
+        # Progress counts tiles, like every sink's; rows_done counts rows.
+        assert calls == [(k, ref.n_tiles) for k in range(1, ref.n_tiles + 1)]
+        assert tracer.counters["tiles_done"] == ref.n_tiles
+        assert tracer.counters["rows_done"] == 4  # ceil(24 / 6) block-rows
 
     def test_checkpoint_resume_reports_done_rows(self, weights, tmp_path):
         ck = tmp_path / "ck"
@@ -136,7 +138,8 @@ class TestDriverObservability:
         mi = mi_matrix_checkpointed(weights, ck, tile=6,
                                     progress=lambda d, t: calls.append((d, t)))
         assert mi is not None
-        assert calls[0][0] == 1  # the resumed row counts as already done
+        # The resumed row's 4 tiles (24 genes, tile 6) count as already done.
+        assert calls[0] == (4, mi_matrix(weights, tile=6).n_tiles)
 
 
 class TestPipelineTracing:

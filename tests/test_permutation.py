@@ -10,7 +10,6 @@ from repro.core.mi_matrix import mi_matrix
 from repro.core.permutation import (
     NullDistribution,
     per_pair_pvalues,
-    permuted_weights,
     pooled_null,
 )
 from repro.core.sparsekernel import _reset_backend_cache
@@ -21,39 +20,6 @@ def ranked_weights():
     rng = np.random.default_rng(5)
     data = rank_transform(rng.normal(size=(20, 120)))
     return weight_tensor(data)
-
-
-class TestPermutedWeights:
-    def test_rows_permuted(self, rng):
-        w = weight_tensor(rng.normal(size=(1, 30)))[0]
-        perm = rng.permutation(30)
-        assert np.array_equal(permuted_weights(w, perm), w[perm])
-
-    def test_tensor_form(self, rng):
-        w = weight_tensor(rng.normal(size=(4, 25)))
-        perm = rng.permutation(25)
-        out = permuted_weights(w, perm)
-        assert np.array_equal(out, w[:, perm])
-
-    def test_identity_permutation_noop(self, rng):
-        w = weight_tensor(rng.normal(size=(2, 20)))
-        assert np.array_equal(permuted_weights(w, np.arange(20)), w)
-
-    def test_marginal_invariant_under_permutation(self, rng):
-        # Permutation preserves the marginal, hence H(X); only the joint moves.
-        w = weight_tensor(rng.normal(size=(1, 50)))[0]
-        perm = rng.permutation(50)
-        assert np.allclose(w.mean(axis=0), permuted_weights(w, perm).mean(axis=0))
-
-    def test_rejects_wrong_length(self, rng):
-        w = weight_tensor(rng.normal(size=(2, 20)))
-        with pytest.raises(ValueError):
-            permuted_weights(w, np.arange(19))
-
-    def test_rejects_non_permutation(self, rng):
-        w = weight_tensor(rng.normal(size=(1, 5)))[0]
-        with pytest.raises(ValueError):
-            permuted_weights(w, np.array([0, 0, 1, 2, 3]))
 
 
 class TestPooledNull:

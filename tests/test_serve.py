@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro import TingeConfig, reconstruct_network
+from repro.core.tiling import tile_grid
 from repro.data import save_dataset, simulate_expression
 from repro.data.grn import scale_free_grn
 from repro.faults import REPRO_FAULTS_ENV, FaultPlan
@@ -252,6 +253,9 @@ class TestServeEndToEnd:
                                          "mi", "threshold"}
         assert all(t >= 0 for t in status["phases"].values())
         assert status["progress"]["done"] == status["progress"]["total"]
+        # Jobs run into a checkpoint sink, whose progress counts tiles.
+        n_tiles = len(tile_grid(N_GENES, CONFIG["tile"]))
+        assert status["progress"]["total"] == n_tiles
         code, result = client.get(f"/jobs/{body['job_id']}/result")
         assert code == 200
         assert result["n_genes"] == N_GENES
