@@ -23,7 +23,8 @@ in-process engines cannot kill a thread and ignore it.
 * :class:`SerialEngine` — in-process loop (the reference).
 * :class:`ThreadEngine` — ``ThreadPoolExecutor``; effective for the MI
   kernel because its time is spent inside BLAS/numpy calls that release the
-  GIL, the numpy analog of the paper's OpenMP threads.
+  GIL, the numpy analog of the paper's OpenMP threads.  Each dispatch
+  holds a :func:`blas_budget`, so the threads' GEMMs share the cores.
 * :class:`SharedMemoryEngine` — the one supervised ``fork`` pool, for
   kernels that hold the GIL.  Task functions may be closures: the engine
   publishes the function in a module-level registry *before* forking, so
@@ -43,6 +44,7 @@ returned in the original item order regardless of execution order.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import itertools
 import multiprocessing
@@ -68,6 +70,8 @@ __all__ = [
     "ThreadEngine",
     "SharedMemoryEngine",
     "WorkerLocal",
+    "blas_budget",
+    "blas_threads",
     "engine_kind",
     "fallback_engine",
     "make_engine",
@@ -311,6 +315,11 @@ class ThreadEngine(_EngineObsMixin):
         Optional :class:`repro.obs.tracer.Tracer` receiving one
         ``engine_map`` span (with per-worker metrics) per map call.
 
+    Each dispatch holds :func:`blas_budget` of its thread count
+    (``n_workers``, or fewer when there are fewer items, the fork pool's
+    rule), so the threads' GEMMs share the cores instead of each calling
+    into a BLAS pool as wide as the machine.
+
     Per-task timeouts are not supported — Python threads cannot be killed
     — so a hung task simply occupies its thread until it returns (use a
     fork engine for hang protection).
@@ -357,7 +366,9 @@ class ThreadEngine(_EngineObsMixin):
         return merge_worker_stats(raw)
 
     def _dispatch(self, fn, items, out, timeout, on_done, sp):
-        return self._run_local(fn, items, out, on_done, self._run_chunks)
+        # Sized like the fork pool: no more threads than items run at once.
+        with blas_budget(min(self.n_workers, len(items))):
+            return self._run_local(fn, items, out, on_done, self._run_chunks)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ThreadEngine(n_workers={self.n_workers}, policy={self.policy.name})"
@@ -404,16 +415,14 @@ def worker_blas_threads(n_workers: int) -> int:
     return max(1, cores // n_workers)
 
 
-def _blas_caps(n_workers: int) -> list:
-    """``(set, stop, threads)`` per loaded OpenBLAS for one of ``n_workers`` workers.
+def _openblas_libs() -> list:
+    """``(path, get, set, stop)`` for every OpenBLAS loaded in this process.
 
-    Resolved in the parent before forking.  numpy and scipy each load
-    their own OpenBLAS, so every copy mapped into the process (read from
-    ``/proc/self/maps``) gets an entry; without procfs, or with no
-    OpenBLAS loaded, the list is empty and the cap is a no-op.
-    ``threads`` is :func:`worker_blas_threads` but never more than the
-    library's current count, so a user's lower ``OPENBLAS_NUM_THREADS``
-    holds.  ``stop`` is the library's pool shutdown
+    numpy and scipy each load their own OpenBLAS, so every copy mapped
+    into the process (read from ``/proc/self/maps``) gets an entry, with
+    its thread-count getter and setter resolved through ctypes; without
+    procfs, or with no OpenBLAS loaded, the list is empty and every BLAS
+    cap is a no-op.  ``stop`` is the library's pool shutdown
     (``blas_thread_shutdown_``, the routine OpenBLAS itself runs before a
     fork), or ``None`` when the build does not export it.
     """
@@ -423,8 +432,7 @@ def _blas_caps(n_workers: int) -> list:
                      if len(fields) == 6 and "openblas" in os.path.basename(fields[5]).lower()}
     except OSError:
         return []
-    budget = worker_blas_threads(n_workers)
-    caps = []
+    libs = []
     for path in sorted(paths):
         try:
             lib = ctypes.CDLL(path)
@@ -440,9 +448,86 @@ def _blas_caps(n_workers: int) -> list:
             stop = getattr(lib, "blas_thread_shutdown_", None)
             if stop is not None:
                 stop.argtypes, stop.restype = [], ctypes.c_int
-            caps.append((set_, stop, min(get(), budget)))
+            libs.append((path, get, set_, stop))
             break
-    return caps
+    return libs
+
+
+def blas_threads() -> "int | None":
+    """The thread count the loaded OpenBLAS runs now (the smallest, if
+    numpy's and scipy's copies differ), or ``None`` when none resolves."""
+    counts = [get() for _path, get, _set, _stop in _openblas_libs()]
+    return min(counts) if counts else None
+
+
+# The live in-process budgets (see blas_budget), guarded by one lock:
+# worker_blas_threads() of every held budget, and each library's setter
+# with its count from before the first of them was taken.  Module-level
+# because the state they stand for, the library's thread count, is
+# process-wide.
+_budget_lock = threading.Lock()
+_budget_holds: list = []
+_budget_saved: dict = {}
+
+
+def _apply_blas_budgets() -> None:
+    """Set every loaded OpenBLAS to its saved count capped by the live
+    budgets, or back to the saved count when none is left (caller holds
+    ``_budget_lock``)."""
+    if not _budget_holds:
+        for set_, count in _budget_saved.values():
+            set_(count)
+        _budget_saved.clear()
+        return
+    cap = min(_budget_holds)
+    for path, get, set_, _stop in _openblas_libs():
+        saved = _budget_saved.setdefault(path, (set_, get()))[1]
+        set_(min(saved, cap))
+
+
+@contextlib.contextmanager
+def blas_budget(n_workers: int):
+    """Share the cores among ``n_workers`` in-process workers while held.
+
+    In-process workers (a :class:`ThreadEngine` dispatch, the serve
+    daemon's job threads) all call into the process's one OpenBLAS, whose
+    pool is as wide as the machine: two workers on two cores then run four
+    GEMM threads.  While at least one budget is held, every loaded
+    OpenBLAS runs ``min(count before the first budget, worker_blas_threads
+    of each live budget)`` threads — the fork workers' rule, applied to
+    the parent.  Budgets are refcounted process-wide: releasing one
+    re-applies the others, and releasing the last restores the original
+    count.  A user's lower ``OPENBLAS_NUM_THREADS`` holds, and one worker
+    (``n_workers <= 1``) changes nothing.
+
+    OpenBLAS reads its count when a call starts, so a change never
+    reaches a GEMM already in flight.
+    """
+    if n_workers <= 1:
+        yield
+        return
+    threads = worker_blas_threads(n_workers)
+    with _budget_lock:
+        _budget_holds.append(threads)
+        _apply_blas_budgets()
+    try:
+        yield
+    finally:
+        with _budget_lock:
+            _budget_holds.remove(threads)
+            _apply_blas_budgets()
+
+
+def _blas_caps(n_workers: int) -> list:
+    """``(set, stop, threads)`` per loaded OpenBLAS for one of ``n_workers`` workers.
+
+    Resolved in the parent before forking (:func:`_openblas_libs`).
+    ``threads`` is :func:`worker_blas_threads` but never more than the
+    library's current count, so a user's lower ``OPENBLAS_NUM_THREADS``
+    holds, and so does a live :func:`blas_budget` in the parent.
+    """
+    budget = worker_blas_threads(n_workers)
+    return [(set_, stop, min(get(), budget)) for _path, get, set_, stop in _openblas_libs()]
 
 
 def _supervised_worker(token: int, task_q, msg_w, msg_lock, blas_caps) -> None:
@@ -531,8 +616,8 @@ class SharedMemoryEngine(_EngineObsMixin):
     :func:`worker_blas_threads` of the pool size (usable cores // workers,
     at least 1, never above the library's current count): left alone,
     every worker would run a BLAS pool as wide as the machine and the
-    workers' GEMMs would thrash on shared cores.  The parent's BLAS pools,
-    and with them serial, thread and inline runs, are untouched.
+    workers' GEMMs would thrash on shared cores.  The parent's count is
+    what a live :func:`blas_budget` leaves it; the pool does not change it.
     """
 
     def __init__(self, n_workers: int | None = None, policy: SchedulerPolicy | None = None,

@@ -33,12 +33,14 @@ The CLI wires it to ``SIGTERM``/``SIGINT``.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
+from repro.parallel.engine import blas_budget, blas_threads
 from repro.serve.cache import ResultCache
 from repro.serve.datasets import (
     DatasetError,
@@ -65,7 +67,11 @@ class ServeApp:
         cache, survives restarts) and ``checkpoints/<key>/`` (resume
         ledgers of in-flight jobs).
     n_workers:
-        Concurrent reconstruction jobs (worker threads).
+        Concurrent reconstruction jobs (worker threads).  The app holds
+        :func:`~repro.parallel.engine.blas_budget` of ``n_workers`` from
+        construction until :meth:`drain` has joined the workers, so the
+        jobs' GEMMs share the cores instead of each running a BLAS pool
+        as wide as the machine.
     max_depth, tenant_quota:
         Admission controls, passed to :class:`~repro.serve.queue.JobQueue`.
     """
@@ -84,6 +90,12 @@ class ServeApp:
         self.datasets = DatasetRegistry(self.state_dir / "datasets",
                                         max_datasets=max_datasets)
         self._draining = False
+        # Held for the daemon's whole life, not per job: with per-job
+        # budgets a job that starts alone would run its GEMMs at full
+        # width, and they would still be running wide when a second job
+        # starts beside it.
+        self._blas = contextlib.ExitStack()
+        self._blas.enter_context(blas_budget(n_workers))
         self._workers = [
             threading.Thread(target=self._worker, name=f"serve-worker-{i}",
                              daemon=True)
@@ -177,6 +189,7 @@ class ServeApp:
         Returns True when all workers exited within ``timeout`` (None =
         wait forever); already-queued jobs still run to completion, which
         also flushes their checkpoints for anything interrupted later.
+        The BLAS budget is released once every worker has exited.
         """
         self.begin_drain()
         deadline = None if timeout is None else timeout / max(len(self._workers), 1)
@@ -184,6 +197,8 @@ class ServeApp:
         for w in self._workers:
             w.join(timeout=deadline)
             clean = clean and not w.is_alive()
+        if clean:
+            self._blas.close()
         return clean
 
     @property
@@ -206,6 +221,8 @@ class ServeApp:
             "datasets": len(self.datasets),
             "cache": self.cache.stats(),
             "workers": sum(1 for w in self._workers if w.is_alive()),
+            # The thread count the jobs' GEMMs run at (the BLAS budget).
+            "blas_threads": blas_threads(),
         }
 
 

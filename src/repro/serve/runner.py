@@ -16,7 +16,16 @@ steps:
   matrix is bit-identical to an uninterrupted run.
 
 Because the phases are the pipeline's own, a served network equals what
-``reconstruct_network`` returns for the same inputs.
+``reconstruct_network`` returns for the same inputs under the engines'
+BLAS contract: bitwise at an equal BLAS thread count, and within 1e-12
+relative across counts (the daemon's jobs run under its
+:func:`~repro.parallel.engine.blas_budget`).
+
+Besides the pipeline's phase spans, a reconstruct job's tracer records
+the service steps, so its top-level spans cover the whole job: ``load``
+(dataset read and input checks), ``cache_lookup`` (fingerprint, cache
+key and cache read), ``cache_put`` and ``result`` (the response
+payload).
 """
 
 from __future__ import annotations
@@ -126,7 +135,7 @@ def _result_payload(job: Job, network: GeneNetwork, cached: bool) -> dict:
         "n_genes": network.n_genes,
         "n_edges": network.n_edges,
         "threshold": None if np.isnan(thr) else float(thr),
-        "edges": [[a, b, float(w)] for a, b, w in network.edge_list()],
+        "edges": [list(edge) for edge in network.edge_list()],
         "quarantined": list(job.quarantined),
     }
 
@@ -175,21 +184,24 @@ def _job_pipeline(job: Job, cfg: TingeConfig) -> TingePipeline:
 def _execute(job: Job, cache: ResultCache, state_dir: Path) -> str:
     cfg = TingeConfig(**job.config)
     pipe = _job_pipeline(job, cfg)
-    ds = load_job_dataset(job.dataset)
-    data, genes = pipe.check_inputs(ds.expression, ds.genes)
+    tracer = job.tracer
+    with tracer.span("load"):
+        ds = load_job_dataset(job.dataset)
+        data, genes = pipe.check_inputs(ds.expression, ds.genes)
 
     job.phase = "weights"
     weights = pipe.weights(pipe.transform(data))
-    source = TensorSource(weights)
-    key = result_cache_key(source.fingerprint(), cfg)
-    job.cache_key = key
-
-    hit = cache.get(key)
+    with tracer.span("cache_lookup"):
+        source = TensorSource(weights)
+        key = result_cache_key(source.fingerprint(), cfg)
+        job.cache_key = key
+        hit = cache.get(key)
     if hit is not None:
         # Resubmission of an identical (dataset, config): serve the stored
         # network.  No null, no tiles — tiles_done stays 0 by construction.
         job.quarantined = list(hit.meta.get("quarantined", []))
-        job.result = _result_payload(job, hit.network, cached=True)
+        with tracer.span("result"):
+            job.result = _result_payload(job, hit.network, cached=True)
         job.cached = True
         return JobState.DONE
 
@@ -217,16 +229,18 @@ def _execute(job: Job, cache: ResultCache, state_dir: Path) -> str:
     network = pipe.network(mi, null, genes, weights)
 
     if not job.quarantined:
-        cache.put(key, network, meta={
-            "fingerprint": source.fingerprint(),
-            "config": dict(job.config),
-            "dataset": job.dataset,
-            "quarantined": [],
-        })
-        # The result is durably cached; the row files have served their
-        # purpose and a whole-genome ledger is not small.
-        shutil.rmtree(ck_dir, ignore_errors=True)
-    job.result = _result_payload(job, network, cached=False)
+        with tracer.span("cache_put"):
+            cache.put(key, network, meta={
+                "fingerprint": source.fingerprint(),
+                "config": dict(job.config),
+                "dataset": job.dataset,
+                "quarantined": [],
+            })
+            # The result is durably cached; the row files have served their
+            # purpose and a whole-genome ledger is not small.
+            shutil.rmtree(ck_dir, ignore_errors=True)
+    with tracer.span("result"):
+        job.result = _result_payload(job, network, cached=False)
     return JobState.DONE
 
 

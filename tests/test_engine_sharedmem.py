@@ -15,8 +15,11 @@ from repro.parallel.engine import (
     SerialEngine,
     SharedMemoryEngine,
     ThreadEngine,
+    blas_budget,
+    blas_threads,
     engine_kind,
     make_engine,
+    worker_blas_threads,
 )
 from repro.parallel.scheduler import StaticScheduler
 from repro.parallel.sharedmem import SharedArray
@@ -137,6 +140,120 @@ class TestWorkerBlasBudget:
         for before, inner, after in run_map(cls(n_workers=2), nested, [0, 1]):
             assert before == capped and inner == [capped] * 2 and after == capped
         assert blas_thread_counts() == parent
+
+
+def set_blas_threads(counts: dict) -> None:
+    """Set each OpenBLAS in ``{library path: thread count}`` (a user's setting)."""
+    for path, n in counts.items():
+        lib = ctypes.CDLL(path)
+        getter = next(name for name in _OPENBLAS_GETTERS if hasattr(lib, name))
+        getattr(lib, getter.replace("_get_", "_set_"))(n)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps") or not blas_thread_counts(),
+                    reason="no OpenBLAS symbol resolves: the budget is a no-op")
+class TestBlasBudget:
+    """The process-wide BLAS budget of in-process workers (daemon job
+    threads and ThreadEngine dispatches)."""
+
+    @pytest.fixture(autouse=True)
+    def original(self):
+        before = blas_thread_counts()
+        yield before
+        assert blas_thread_counts() == before
+
+    @staticmethod
+    def capped(counts: dict, n_workers: int) -> dict:
+        budget = worker_blas_threads(n_workers)
+        return {path: min(n, budget) for path, n in counts.items()}
+
+    def test_overlapping_apps_refcount_the_budget(self, original, tmp_path):
+        from repro.serve import ServeApp
+
+        capped = self.capped(original, 2)
+        a = ServeApp(tmp_path / "a", n_workers=2)
+        b = ServeApp(tmp_path / "b", n_workers=2)
+        assert blas_thread_counts() == capped
+        assert a.health()["blas_threads"] == min(capped.values())
+        c = ServeApp(tmp_path / "c", n_workers=2)
+        assert a.drain(timeout=10) and b.drain(timeout=10)
+        # C still runs its jobs: draining A and B must not un-cap it.
+        assert blas_thread_counts() == capped
+        assert c.drain(timeout=10)
+        assert blas_thread_counts() == original
+        assert c.drain(timeout=10)  # a second drain releases nothing more
+        assert blas_thread_counts() == original
+
+    def test_users_lower_count_holds_and_is_restored(self, original, monkeypatch):
+        import repro.parallel.engine as engine
+
+        set_blas_threads(dict.fromkeys(original, 1))
+        try:
+            # A budget wider than the user's setting leaves it alone.
+            monkeypatch.setattr(engine, "worker_blas_threads", lambda n: 2)
+            lowered = blas_thread_counts()
+            with blas_budget(2):
+                assert blas_thread_counts() == lowered
+                assert run_map(ThreadEngine(n_workers=2), lambda _: blas_threads(),
+                               range(2)) == [1, 1]
+            assert blas_thread_counts() == lowered
+        finally:
+            set_blas_threads(original)
+
+    def test_thread_engine_tasks_read_the_capped_count(self, original):
+        capped = self.capped(original, 2)
+        seen = run_map(ThreadEngine(n_workers=2), lambda _: blas_thread_counts(), range(4))
+        assert seen == [capped] * 4
+        assert blas_thread_counts() == original
+        # One item runs on one thread, which keeps the full width (the
+        # fork pool's rule: no more workers than items).
+        assert run_map(ThreadEngine(n_workers=2), lambda _: blas_thread_counts(),
+                       [0]) == [original]
+
+    def test_dispatch_inside_a_budget_keeps_its_cap(self, original):
+        capped = self.capped(original, 2)
+        with blas_budget(2):
+            seen = run_map(ThreadEngine(n_workers=2), lambda _: blas_thread_counts(), [0])
+            assert seen == [capped] and blas_thread_counts() == capped
+        assert blas_thread_counts() == original
+
+    def test_concurrent_holders_never_lose_a_release(self, original):
+        import sys
+
+        capped = self.capped(original, 2)
+        seen_inside = []
+
+        def churn():
+            for _ in range(50):
+                with blas_budget(2):
+                    seen_inside.append(blas_thread_counts() == capped)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen_inside) == 400 and all(seen_inside)
+        assert blas_thread_counts() == original
+
+    def test_one_worker_changes_nothing(self, original, tmp_path):
+        from repro.serve import ServeApp
+
+        app = ServeApp(tmp_path / "one", n_workers=1)
+        try:
+            assert blas_thread_counts() == original
+            assert run_map(ThreadEngine(n_workers=1), lambda _: blas_thread_counts(),
+                           [0]) == [original]
+        finally:
+            assert app.drain(timeout=10)
+        with blas_budget(1):
+            assert blas_thread_counts() == original
 
 
 class TestSharedMemoryEngine:

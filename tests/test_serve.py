@@ -22,6 +22,7 @@ from repro.core.tiling import tile_grid
 from repro.data import save_dataset, simulate_expression
 from repro.data.grn import scale_free_grn
 from repro.faults import REPRO_FAULTS_ENV, FaultPlan
+from repro.parallel.engine import blas_budget, blas_threads
 from repro.serve import (
     Job,
     JobQueue,
@@ -192,6 +193,30 @@ class TestJobLifecycle:
         assert [state for state, _ in seen] == ["done", "done", "failed"]
         assert all(finished is not None for _, finished in seen)
 
+    def test_top_level_spans_cover_the_job(self, dataset_path, tmp_path):
+        """A job's tracer accounts for its run time: the service steps
+        (load, cache lookup and put, result payload) have spans beside
+        the pipeline's phases."""
+        from repro.serve.runner import execute_job
+
+        cache = ResultCache(tmp_path / "cache")
+        fresh, cached = (Job(dataset=str(dataset_path), config=dict(CONFIG))
+                         for _ in range(2))
+        for job in (fresh, cached):
+            execute_job(job, cache, tmp_path / "state")
+            assert job.state == "done"
+
+        def top(job):
+            return [s for s in job.tracer.spans if s.parent_id is None]
+
+        assert [s.name for s in top(fresh)] == [
+            "load", "preprocess", "weights", "cache_lookup", "null", "mi",
+            "threshold", "cache_put", "result"]
+        assert [s.name for s in top(cached)] == [
+            "load", "preprocess", "weights", "cache_lookup", "result"]
+        covered = sum(s.wall for s in top(fresh))
+        assert covered >= 0.8 * (fresh.finished_at - fresh.started_at)
+
 
 class TestResultCache:
     def test_roundtrip_and_stats(self, tmp_path, reference_network):
@@ -335,11 +360,37 @@ class TestServeEndToEnd:
         code, health = client.get("/healthz")
         assert code == 200 and health["status"] == "ok"
         assert health["workers"] == 2
+        # The count the jobs' GEMMs run at, under the daemon's BLAS budget.
+        assert health["blas_threads"] == blas_threads()
         _, body = _submit(client, dataset_path)
         client.wait(body["job_id"])
         _, health = client.get("/healthz")
         assert health["jobs"].get("done") == 1
         assert health["cache"]["entries"] == 1
+
+
+class TestServedBlasContract:
+    def test_served_network_bitwise_in_process_under_same_budget(self, daemon,
+                                                                 tmp_path):
+        """At m = 600 OpenBLAS sums the tile GEMMs differently at one
+        thread and at two, so the served network equals the in-process
+        one at the daemon's BLAS budget, bit for bit."""
+        app, client = daemon
+        ds = simulate_expression(scale_free_grn(64, seed=1), 600, seed=1)
+        path = tmp_path / "m600.npz"
+        save_dataset(ds, path)
+        config = {"n_permutations": 5, "n_null_pairs": 100, "alpha": 0.05, "seed": 7}
+        _, body = client.post("/jobs", {"dataset": str(path), "config": config})
+        status = client.wait(body["job_id"])
+        assert status["state"] == "done"
+        _, result = client.get(f"/jobs/{body['job_id']}/result")
+        served = app.cache.get(status["cache_key"]).network
+        with blas_budget(2):
+            net = reconstruct_network(ds.expression, ds.genes,
+                                      config=TingeConfig(**config)).network
+        assert served.weights.tobytes() == net.weights.tobytes()
+        assert result["threshold"] == float(net.threshold)
+        assert [tuple(e) for e in result["edges"]] == net.edge_list()
 
 
 class TestAdmissionOverHTTP:

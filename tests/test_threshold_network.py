@@ -85,6 +85,14 @@ class TestTopKAdjacency:
             top_k_adjacency(make_mi(), -1)
 
 
+def _tied_network(n=40, seed=3):
+    """A network whose edge weights have many ties (rounded MI)."""
+    mi = np.round(make_mi(n, seed=seed), 1)
+    adj = mi > 0.5
+    return GeneNetwork(adjacency=adj, weights=mi,
+                       genes=[f"g{i:02d}" for i in range(n)], threshold=0.5)
+
+
 class TestGeneNetwork:
     @pytest.fixture
     def net(self):
@@ -135,6 +143,46 @@ class TestGeneNetwork:
         assert np.array_equal(back.adjacency, net.adjacency)
         assert np.allclose(back.weights, net.weights)
         assert back.genes == net.genes
+
+    def test_save_is_uncompressed_and_bitwise(self, tmp_path):
+        import zipfile
+
+        net = _tied_network()
+        path = tmp_path / "net.npz"
+        net.save(path)
+        with zipfile.ZipFile(path) as zf:
+            assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
+        back = GeneNetwork.load(path)
+        assert back.weights.tobytes() == net.weights.tobytes()
+        assert np.array_equal(back.adjacency, net.adjacency)
+        assert back.genes == net.genes
+        assert back.threshold == net.threshold
+        assert back.edge_list() == net.edge_list()
+
+    def test_loads_compressed_files_of_the_old_layout(self, tmp_path):
+        net = _tied_network()
+        path = tmp_path / "old.npz"
+        np.savez_compressed(path, adjacency=net.adjacency, weights=net.weights,
+                            genes=np.asarray(net.genes, dtype=object),
+                            threshold=np.float64(net.threshold))
+        back = GeneNetwork.load(path)
+        assert back.weights.tobytes() == net.weights.tobytes()
+        assert np.array_equal(back.adjacency, net.adjacency)
+        assert back.genes == net.genes and back.threshold == net.threshold
+
+    def test_edge_list_equals_per_element_form(self):
+        net = _tied_network()
+        rows, cols = np.nonzero(np.triu(net.adjacency, k=1))
+        mi = net.weights[rows, cols]
+        order = np.argsort(mi, kind="stable")[::-1]
+        expected = [(net.genes[rows[e]], net.genes[cols[e]], float(mi[e]))
+                    for e in order]
+        edges = net.edge_list()
+        assert edges == expected
+        assert all(type(w) is float for _, _, w in edges)
+        weights = [w for _, _, w in edges]
+        assert weights == sorted(weights, reverse=True)
+        assert len(set(weights)) < len(weights)  # ties exercised
 
     def test_rejects_asymmetric(self):
         adj = np.zeros((3, 3), dtype=bool)
