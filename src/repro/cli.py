@@ -86,9 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="apply ARACNE DPI pruning with this tolerance")
     rec.add_argument("--engine", choices=ENGINE_KINDS, default="serial",
                      help="execution engine for the all-pairs MI stage; "
-                          "'sharedmem' fork workers write the MI matrix in "
-                          "place (needs the fork start method; 'process' is "
-                          "an alias); "
+                          "'sharedmem' runs a fork pool that inherits the "
+                          "weights copy-on-write (needs the fork start method; "
+                          "'process' is an alias); "
                           "'elastic' spawns --workers worker subprocesses "
                           "behind a socket coordinator (see `repro worker`)")
     rec.add_argument("--workers", type=int, default=None)

@@ -218,6 +218,9 @@ class ElasticCoordinator:
                 self.inbox.put(("lost", worker.wid, None))
                 return
             self.inbox.put((msg.get("type", "?"), worker.wid, msg))
+            # Hold no result while blocked on the next frame: the
+            # dispatch loop hands it on and must be its last holder.
+            del msg
 
     def drop_worker(self, wid: str) -> "_Worker | None":
         """Forget ``wid`` and close its channel (reader thread then exits)."""
@@ -354,7 +357,7 @@ class ElasticEngine(_EngineObsMixin):
         return proc
 
     # -- engine protocol -------------------------------------------------
-    def _dispatch(self, fn, items, out, timeout, on_done, sp):
+    def _dispatch(self, fn, items, timeout, on_done, sp):
         """One supervised round over the pool (see :mod:`repro.parallel.engine`).
 
         A task that raises on a worker fails only its own slot; a task
@@ -362,9 +365,6 @@ class ElasticEngine(_EngineObsMixin):
         analogue of killing a hung fork worker) and is reported failed —
         the resilient dispatch layer owns retries.
         """
-        if out is not None:
-            raise TypeError("elastic workers cannot write into coordinator "
-                            "memory; use map_supervised")
         results: list = [None] * len(items)
         failures: dict = {}
         fn = self._faulty(fn)
@@ -475,9 +475,10 @@ class ElasticEngine(_EngineObsMixin):
             if done.state == "done":
                 return  # duplicate after reassignment — first write wins
             graph.complete(index)
-            results[index] = msg["value"]
             failures.pop(index, None)
-            if on_done is not None:
+            if on_done is None:
+                results[index] = msg["value"]
+            else:
                 on_done(index, msg["value"])
             return
         if kind == "task_error":

@@ -165,19 +165,18 @@ class CheckpointSink(MatrixSink):
         self._landed = {i0: [] for i0 in self._left}
         return order
 
-    def tile_done(self, t, out) -> bool:
+    def tile_done(self, t, computed: bool) -> bool:
         """Count ``t`` landed; once its row's last tile is in, persist the
-        row's blocks (read from ``out``, or the buffer after the dispatch)
-        and commit it to the ledger — unless the interrupt hook fired."""
+        row's computed blocks (read from the buffer) and commit it to the
+        ledger — unless the interrupt hook fired."""
         i0 = t.i0
-        if out is not None:
+        if computed:
             self._landed[i0].append(t)
         self._left[i0] -= 1
         if self._left[i0] or self._stopped:
             return False
-        blocks = self._mi if out is None else out
         np.savez(self.directory / f"row_{i0:07d}.npz",
-                 **{f"j{u.j0}": blocks[u.i0 : u.i1, u.j0 : u.j1]
+                 **{f"j{u.j0}": self._mi[u.i0 : u.i1, u.j0 : u.j1]
                     for u in sorted(self._landed.pop(i0), key=lambda u: u.j0)})
         self.done.add(i0)
         self.ledger["done"] = sorted(self.done)
@@ -303,8 +302,8 @@ def mi_matrix_checkpointed(
         rows, then no more, and return ``None``.
     engine:
         Optional execution engine (:mod:`repro.parallel.engine`) running
-        the pending tiles as one supervised dispatch, written in place
-        into the dense result like :func:`repro.core.mi_matrix.mi_matrix`'s.
+        the pending tiles as one supervised dispatch whose returned blocks
+        land in the dense result, like :func:`repro.core.mi_matrix.mi_matrix`'s.
         Checkpoint granularity (and the on-disk format) is independent of
         the engine.
     progress:

@@ -139,9 +139,9 @@ def auto_reconstruct(
         its pipeline span (and, via the engine, records worker metrics)
         regardless of strategy.
     progress:
-        Optional ``progress(done, total)`` callback — tile-granular for
-        the in-memory strategy, row-granular for the checkpointed and
-        codebook ones.
+        Optional ``progress(done_tiles, total_tiles)`` callback, fired
+        as each MI tile lands, whichever strategy is chosen (a resumed
+        checkpoint counts its committed rows' tiles as done).
     policy:
         Optional :class:`repro.faults.policy.FaultPolicy` for the MI
         stage; defaults to the policy implied by the config's

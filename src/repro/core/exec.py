@@ -15,15 +15,17 @@ module factors that loop into three small protocols plus one executor:
   or a checkpointed block ledger.  Every sink is an ``(n, n)``
   :meth:`~MatrixSink.buffer` plus two small hooks: which tiles to run
   (a resumed ledger skips its committed rows) and a per-tile landing
-  callback (where the ledger persists each finished block-row).
+  callback (where the ledger persists each finished block-row from the
+  buffer).
 * :class:`TilePlan` — the tile grid plus the schedule: a
   :class:`repro.parallel.scheduler.SchedulerPolicy` orders real dispatch
   (with per-tile costs for the cost-model policies), not just the
   simulator's replay.
 
 :func:`run_tile_plan` then owns tile iteration, the one supervised
-engine dispatch (``map_supervised`` / ``map_into_supervised``, with
-retries and engine fallback), progress reporting
+engine dispatch (``map_supervised``, with retries and engine fallback;
+every engine returns each tile's block, which the executor writes into
+the sink's buffer), progress reporting
 and span/counter emission — identically for every driver, so a new
 backend is one new protocol implementation, not a fourth fork of the
 loop.  Every tile, whatever the driver, runs through
@@ -640,10 +642,9 @@ class MatrixSink:
 
     Every sink runs through the one dispatch of :func:`run_tile_plan`:
     the tiles :meth:`pending` names, in its order, are one supervised
-    engine call that writes every block into the sink's :meth:`buffer`
-    (in place on every local engine, from returned blocks on the elastic
-    one), and :meth:`tile_done` fires as each tile lands — the checkpoint
-    ledger persists a block-row there once its last tile is in.
+    engine call whose returned blocks the executor writes into the sink's
+    :meth:`buffer`, and :meth:`tile_done` fires as each tile lands — the
+    checkpoint ledger persists a block-row there once its last tile is in.
 
     ``span_name`` names the span the dispatch runs under (``None``: no
     span of the sink's own).
@@ -682,14 +683,12 @@ class MatrixSink:
         whole grid in the plan's policy order (:meth:`TilePlan.order`)."""
         return plan.order(n_workers)
 
-    def tile_done(self, t: Tile, out: "np.ndarray | None") -> bool:
+    def tile_done(self, t: Tile, computed: bool) -> bool:
         """Tile ``t`` has landed; return True when that committed a block-row.
 
-        ``out`` is the array holding every block landed so far — the
-        :meth:`buffer` itself, or the fork engine's shared-memory stage of
-        it during the dispatch — and ``None`` for a quarantined tile
-        (landed without a block, after the dispatch).  Calls are
-        serialized, never concurrent; ``out`` must not be kept.
+        ``computed`` is True when ``t``'s block is in the :meth:`buffer`,
+        False for a quarantined tile (landed without a block, after the
+        dispatch).  Calls are serialized, never concurrent.
         """
         return False
 
@@ -811,11 +810,6 @@ def compute_tile(
     return block
 
 
-def _write_tile(run, out: np.ndarray, t: Tile) -> None:
-    """In-place task shape: write tile ``t``'s block into the matrix."""
-    out[t.i0 : t.i1, t.j0 : t.j1] = run(t)
-
-
 def mirror_upper(mi: np.ndarray, block: int = 256) -> np.ndarray:
     """Copy the strict upper triangle of square ``mi`` into its lower one.
 
@@ -858,12 +852,12 @@ def run_tile_plan(
     This is the one tile loop all MI drivers and sinks share.  ``engine``
     is any :mod:`repro.parallel.engine` engine (``None`` runs serially in
     this thread); the tiles :meth:`MatrixSink.pending` names are one
-    supervised engine dispatch into :meth:`MatrixSink.buffer` — written in
-    place on every local engine (the fork engine through its shared-memory
-    stage, copied back even when the pool fails, so delivered blocks
-    survive a fallback), from returned blocks on the elastic one.  Retries
-    overwrite partial writes; blocks that end up quarantined are reset to
-    the buffer's zero fill.  ``kernel`` names the tile variant
+    supervised engine dispatch.  Every engine hands each tile's block
+    back as it finishes, and the executor writes it into
+    :meth:`MatrixSink.buffer` once it passes validation, so a block is
+    written exactly once and blocks delivered before a pool failure
+    survive the fallback.  Blocks that end up quarantined are set to the
+    buffer's zero fill.  ``kernel`` names the tile variant
     (``None``/``"fused"`` or ``"sparse"``; ``"auto"`` must be resolved by
     :func:`resolve_kernel` first) and ``kernel_dtype`` its GEMM precision
     (``"float32"`` = mixed precision).  ``permutations`` makes every tile
@@ -935,16 +929,13 @@ def run_tile_plan(
         land = _lander(sink, tracer, progress, len(tiles), len(tiles) - len(order))
         buf = sink.buffer()
 
-        def deliver(idx: int, t: Tile, block, written) -> None:
-            if written is None:  # a returned block
-                buf[t.i0 : t.i1, t.j0 : t.j1] = block
-                written = buf
-            land(t, written)
+        def deliver(idx: int, t: Tile, block) -> None:
+            buf[t.i0 : t.i1, t.j0 : t.j1] = block
+            land(t, True)
 
         with _span(tracer, sink.span_name, **sink.span_meta(plan)):
-            failures = _supervise(engine, tiles, order, run, policy, tracer,
-                                  deliver, target=buf)
-            for idx in failures:  # quarantined blocks keep the zero fill
+            failures = _supervise(engine, tiles, order, run, policy, tracer, deliver)
+            for idx in failures:  # quarantined blocks get the zero fill
                 t = tiles[idx]
                 buf[t.i0 : t.i1, t.j0 : t.j1] = 0.0
             _quarantine_failures(sink, tiles, failures, policy, tracer, land)
@@ -962,7 +953,7 @@ def _engine_workers(engine) -> int:
 
 
 def _lander(sink, tracer, progress, total: int, done: int):
-    """Thread-safe ``land(t, out)``: counters, the sink's hook, progress.
+    """Thread-safe ``land(t, computed)``: counters, the sink's hook, progress.
 
     ``done`` tiles (a resumed sink's skipped ones) are reported at once.
     The hook and progress run under one lock, so concurrent workers'
@@ -974,11 +965,11 @@ def _lander(sink, tracer, progress, total: int, done: int):
     if progress is not None and done:
         progress(done, total)
 
-    def land(t: Tile, out) -> None:
+    def land(t: Tile, computed: bool) -> None:
         tracer.add("tiles_done")
-        tracer.add("pairs_done", 0 if out is None else t.n_pairs)
+        tracer.add("pairs_done", t.n_pairs if computed else 0)
         with lock:
-            if sink.tile_done(t, out):
+            if sink.tile_done(t, computed):
                 tracer.add("rows_done")
             count[0] += 1
             if progress is not None:
@@ -987,42 +978,27 @@ def _lander(sink, tracer, progress, total: int, done: int):
     return land
 
 
-def _dispatch_once(engine, items, idxs, run, target, timeout, accept):
+def _dispatch_once(engine, items, idxs, run, timeout, accept):
     """One supervised engine call over ``idxs``; returns ``{idx: error}``.
 
-    ``accept(idx, block, written)`` fires in the parent (in the worker
-    thread for in-process engines) as each task finishes: with the block
-    the worker returned and ``written=None``, or — for in-place dispatch
-    into ``target`` — a view of the region it wrote and the whole array
-    the engine hands ``on_done`` (``target`` itself, or the fork engine's
-    shared-memory stage of it).  Every local engine writes in place;
-    elastic workers are remote and return blocks.
+    ``accept(idx, block)`` fires in the parent (in the worker thread for
+    in-process engines) with each block a task returns, as it finishes.
     """
     batch = [items[i] for i in idxs]
-    if target is not None and engine_kind(engine) != "elastic":
-        def done(pos: int, written) -> None:
-            t = batch[pos]
-            accept(idxs[pos], written[t.i0 : t.i1, t.j0 : t.j1], written)
-
-        failures = engine.map_into_supervised(
-            functools.partial(_write_tile, run), batch, target,
-            timeout=timeout, on_done=done)
-    else:
-        _, failures = engine.map_supervised(
-            run, batch, timeout=timeout,
-            on_done=lambda pos, block: accept(idxs[pos], block, None))
+    _, failures = engine.map_supervised(
+        run, batch, timeout=timeout,
+        on_done=lambda pos, block: accept(idxs[pos], block))
     return {idxs[p]: err for p, err in failures.items()}
 
 
-def _supervise(engine, items, idxs, run, policy, tracer, deliver, target=None):
+def _supervise(engine, items, idxs, run, policy, tracer, deliver):
     """Retry/timeout/fallback loop over one set of item indices.
 
     Each round is one supervised dispatch of the still-pending items
     (tiles, or :func:`supervised_map`'s items).
-    ``deliver(idx, item, block, written)`` fires once per validated
-    success as the task finishes (``written`` is the array the block was
-    written into in place, ``None`` for a returned ``block``).  Returns
-    the tasks whose budget ran out, each with its last error string.
+    ``deliver(idx, item, block)`` fires once per validated success as the
+    task finishes.  Returns the tasks whose budget ran out, each with its
+    last error string.
     """
     pending = list(idxs)
     errors: dict = {}
@@ -1040,17 +1016,17 @@ def _supervise(engine, items, idxs, run, policy, tracer, deliver, target=None):
             tracer.add("task_retries", len(pending))
         corrupt: dict = {}
 
-        def accept(idx: int, block, written) -> None:
+        def accept(idx: int, block) -> None:
             t = items[idx]
             if not policy.check(t, block):
                 corrupt[idx] = "corrupt result (validation failed)"
                 tracer.add("task_corruptions")
                 return
             delivered.add(idx)
-            deliver(idx, t, block, written)
+            deliver(idx, t, block)
 
         try:
-            failures = _dispatch_once(eng, items, pending, run, target,
+            failures = _dispatch_once(eng, items, pending, run,
                                       policy.task_timeout, accept)
         except EngineFailure as exc:
             nxt = fallback_engine(eng)
@@ -1095,7 +1071,7 @@ def supervised_map(fn, items, engine=None, policy: "FaultPolicy | None" = None,
     items = list(items)
     results: list = [None] * len(items)
 
-    def deliver(idx: int, _item, value, _written) -> None:
+    def deliver(idx: int, _item, value) -> None:
         results[idx] = value
 
     failures = _supervise(
@@ -1125,4 +1101,4 @@ def _quarantine_failures(sink, tiles, failures, policy, tracer, land):
     if policy.on_fault == "raise":
         raise FaultToleranceExceeded(sink.quarantined)
     for idx in sorted(failures):
-        land(tiles[idx], None)
+        land(tiles[idx], False)

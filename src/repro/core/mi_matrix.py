@@ -95,9 +95,9 @@ def mi_matrix(
         Entropy log base (``"nat"`` or ``"bit"``).
     engine:
         Optional execution engine; defaults to serial in-process execution.
-        The whole grid is one supervised dispatch: local engines write
-        tile blocks straight into the output matrix; the elastic engine
-        returns blocks for a parent-side assembly loop.
+        The whole grid is one supervised dispatch: every engine hands
+        each tile's block back, and the parent writes it into the output
+        matrix as it arrives.
     progress:
         Optional callback ``progress(done_tiles, total_tiles)``, called as
         *every* tile finishes on every engine (fork engines report from
@@ -105,9 +105,10 @@ def mi_matrix(
         deserve a live progress line, not one callback after the final
         tile.
     out:
-        Optional preallocated ``(n, n)`` float64 output (e.g. a memmap or a
-        :class:`repro.parallel.sharedmem.SharedArray` view) the matrix is
-        computed into; allocated fresh when omitted.
+        Optional preallocated ``(n, n)`` float64 output (e.g. a memmap)
+        the matrix is computed into, on every engine; allocated fresh when
+        omitted.  Tiles quarantined under ``policy`` are zero-filled in
+        it.
     tracer:
         Optional :class:`repro.obs.tracer.Tracer`.  The whole computation
         runs under an ``mi_matrix`` span holding one ``engine_map`` span

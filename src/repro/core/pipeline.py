@@ -69,7 +69,8 @@ class TingeConfig:
         Preprocessing transform; ``"rank"`` is required for the pooled null
         to be valid (a non-rank transform with pooled testing is rejected).
     tile:
-        Tile edge for the all-pairs kernel; ``None`` = cache-derived default.
+        Tile edge for the all-pairs kernel; ``None`` = the measured rule's
+        edge for the kernel variant (:func:`repro.core.tiling.rule_tile`).
     base:
         Entropy log base.
     dtype:

@@ -213,10 +213,6 @@ class FaultPlan:
         """
         return _FaultyTask(self, fn)
 
-    def wrap_into(self, fn: Callable) -> Callable:
-        """``fn(out, item)`` with faults injected (write-in-place path)."""
-        return _FaultyIntoTask(self, fn)
-
     # -- env round-trip ----------------------------------------------
     def to_env(self) -> str:
         """JSON payload for :data:`REPRO_FAULTS_ENV` (ledger not included)."""
@@ -276,31 +272,6 @@ class _FaultyTask:
             bad.fill(np.nan)
             return bad
         return value
-
-
-class _FaultyIntoTask:
-    """Picklable ``fn(out, item)`` wrapper (see ``wrap_into``)."""
-
-    def __init__(self, plan: FaultPlan, fn: Callable):
-        self.plan = plan
-        self.fn = fn
-
-    def __call__(self, out, item):
-        plan, fn = self.plan, self.fn
-        spec = plan.should_fire(task_key(item))
-        if spec is None:
-            return fn(out, item)
-        if spec.kind == "crash":
-            raise InjectedFault(f"injected crash for task {spec.key}")
-        if spec.kind == "hang":
-            time.sleep(plan.hang_seconds)
-            return fn(out, item)
-        fn(out, item)  # corrupt: NaN-poison the block just written
-        i0, i1 = getattr(item, "i0", None), getattr(item, "i1", None)
-        j0, j1 = getattr(item, "j0", None), getattr(item, "j1", None)
-        if i0 is not None and j0 is not None:
-            out[i0:i1, j0:j1] = np.nan
-        return None
 
 
 def plan_from_env(environ=None) -> FaultPlan | None:

@@ -34,7 +34,6 @@ from repro.parallel.scheduler import (
     WorkStealingScheduler,
     make_scheduler,
 )
-from repro.parallel.sharedmem import SharedArray
 
 __all__ = [
     "Assignment",
@@ -46,7 +45,6 @@ __all__ = [
     "LptScheduler",
     "SchedulerPolicy",
     "SerialEngine",
-    "SharedArray",
     "SharedMemoryEngine",
     "StaticScheduler",
     "ThreadEngine",

@@ -1,24 +1,20 @@
 """Execution engines: how tile tasks actually run on this host.
 
-Every engine speaks one supervised protocol of two methods:
-
-* ``map_supervised(fn, items, timeout=None, on_done=None)`` runs
-  ``fn(item)`` for every item and returns ``(results, failures)``:
-  results in item order, and ``{position: error string}`` for the tasks
-  that raised (their result slots hold ``None``).
-* ``map_into_supervised(fn, items, out, timeout=None, on_done=None)`` is
-  the in-place form: ``fn(out_view, item)`` writes each item's result
-  into a region of ``out`` disjoint from every other item's and returns
-  nothing; the call returns the failures dict.
+Every engine speaks one supervised protocol:
+``map_supervised(fn, items, timeout=None, on_done=None)`` runs
+``fn(item)`` for every item and returns ``(results, failures)``:
+``{position: error string}`` for the tasks that raised, and the results
+in item order (``None`` in a failed task's slot).
 
 ``on_done(pos, value)`` (optional) fires once per task that completed
 without raising, as it completes: in the worker thread for in-process
 engines, in the parent's supervising loop for the fork engine (when the
-task's ``"ok"`` message arrives).  ``value`` is the task's return value,
-or for the in-place form the array the workers write into, so the caller
-can inspect the task's region as it lands.  ``timeout`` bounds each
-task's run time on engines that can kill a worker (the fork engine);
-in-process engines cannot kill a thread and ignore it.
+task's ``"ok"`` message arrives).  The engine hands ``value`` over and
+keeps nothing: with ``on_done`` every result slot stays ``None``, so a
+caller that writes each block into its own buffer never holds the blocks
+twice.  ``timeout`` bounds each task's run time on engines that can kill
+a worker (the fork engine); in-process engines cannot kill a thread and
+ignore it.
 
 * :class:`SerialEngine` — in-process loop (the reference).
 * :class:`ThreadEngine` — ``ThreadPoolExecutor``; effective for the MI
@@ -28,14 +24,12 @@ in-process engines cannot kill a thread and ignore it.
 * :class:`SharedMemoryEngine` — the one supervised ``fork`` pool, for
   kernels that hold the GIL.  Task functions may be closures: the engine
   publishes the function in a module-level registry *before* forking, so
-  children inherit it by COW memory instead of pickling (the same
-  zero-copy trick the paper plays with the weight matrices resident on
-  the coprocessor).  ``map_supervised`` results cross the pipe by
-  pickling; the in-place form stages ``out`` in named shared memory, so
-  workers write their disjoint output blocks directly into it and
-  *nothing* but task indices crosses the pipe — the process analog of the
-  paper's 240 Phi threads writing disjoint blocks of the MI matrix in
-  coprocessor memory.  The ``"process"`` kind is an alias for it.
+  children inherit it and the (large, read-only) arrays it closes over by
+  copy-on-write memory instead of pickling (the same zero-copy trick the
+  paper plays with the weight matrices resident on the coprocessor).
+  Only task indices go down to the workers; each result comes back up
+  the pipe, pickled — a tile-sized block.  The ``"process"`` kind is an
+  alias for it.
 
 Engines execute tasks in the order given by a
 :class:`repro.parallel.scheduler.SchedulerPolicy`; results are always
@@ -61,7 +55,6 @@ from repro.faults.plan import FaultPlan, plan_from_env
 from repro.obs.metrics import MapStats, WorkerStats, merge_worker_stats
 from repro.obs.tracer import NULL_TRACER
 from repro.parallel.scheduler import DynamicScheduler, SchedulerPolicy
-from repro.parallel.sharedmem import SharedArray
 
 __all__ = [
     "ENGINE_KINDS",
@@ -135,14 +128,6 @@ class EngineFailure(RuntimeError):
     chain (``elastic → sharedmem → thread → serial``)."""
 
 
-def _as_output_array(out) -> np.ndarray:
-    """Normalize a ``map_into`` sink to the ndarray workers should fill."""
-    arr = out.array if isinstance(out, SharedArray) else out
-    if not isinstance(arr, np.ndarray):
-        raise TypeError(f"map_into sink must be a numpy array or SharedArray, got {type(out)!r}")
-    return arr
-
-
 def _result_nbytes(value) -> int:
     """Bytes a pickle-returned result ships through the pipe (arrays only).
 
@@ -174,9 +159,9 @@ def _run_serial(task: Callable, n_items: int) -> list:
 class _EngineObsMixin:
     """The supervised protocol plus its observability plumbing.
 
-    Subclasses implement ``_dispatch(fn, items, out, timeout, on_done,
-    span) -> (results, failures, worker_stats)``; this mixin turns it into
-    ``map_supervised`` / ``map_into_supervised``.  Every call times each task and aggregates the timings
+    Subclasses implement ``_dispatch(fn, items, timeout, on_done, span)
+    -> (results, failures, worker_stats)``; this mixin turns it into
+    ``map_supervised``.  Every call times each task and aggregates the timings
     per worker into a :class:`repro.obs.metrics.MapStats`, stored on
     ``last_map_stats`` and — when a tracer is attached (constructor
     argument or ``engine.tracer = ...``) — recorded as an ``engine_map``
@@ -191,21 +176,6 @@ class _EngineObsMixin:
     def map_supervised(self, fn: Callable, items: Sequence,
                        timeout: float | None = None, on_done=None):
         """Fault-isolating map: ``(results, failures)`` (see module doc)."""
-        return self._supervised(fn, items, None, timeout, on_done)
-
-    def map_into_supervised(self, fn: Callable, items: Sequence, out,
-                            timeout: float | None = None, on_done=None) -> dict:
-        """Fault-isolating in-place map: ``{position: error}``.
-
-        ``out`` is a numpy array or a
-        :class:`repro.parallel.sharedmem.SharedArray`; the fork engine
-        stages a plain array through shared memory and copies it back
-        once, also when the call raises.
-        """
-        _as_output_array(out)
-        return self._supervised(fn, items, out, timeout, on_done)[1]
-
-    def _supervised(self, fn, items, out, timeout, on_done):
         self._engine_fault_check()
         items = list(items)
         if not items:
@@ -213,35 +183,33 @@ class _EngineObsMixin:
         with self._obs_tracer().span("engine_map", **self._span_meta()) as sp:
             t0 = time.perf_counter()
             results, failures, workers = self._dispatch(
-                fn, items, out, timeout, on_done, sp)
-            self._record_map(sp, "map" if out is None else "map_into",
-                             len(items), time.perf_counter() - t0, workers)
+                fn, items, timeout, on_done, sp)
+            self._record_map(sp, len(items), time.perf_counter() - t0, workers)
             if failures:
                 sp.annotate(failed=len(failures))
         return results, failures
 
-    def _run_local(self, fn, items: list, out, on_done, run_tasks=_run_serial):
+    def _run_local(self, fn, items: list, on_done, run_tasks=_run_serial):
         """Supervised dispatch inside this process (serial, threads, inline).
 
         ``run_tasks(task, n)`` runs ``task(idx)`` for every index and
         returns the per-worker stats.  A raising task fails only its own
-        slot; ``on_done`` fires in the worker as each task succeeds, with
-        the output array for the in-place form.
+        slot; ``on_done`` fires in the worker as each task succeeds.
         """
-        arr = None if out is None else _as_output_array(out)
-        call = self._faulty(fn) if arr is None else self._faulty_into(fn)
+        call = self._faulty(fn)
         results: list = [None] * len(items)
         failures: dict[int, str] = {}
 
         def task(idx: int) -> None:
             try:
-                value = call(items[idx]) if arr is None else call(arr, items[idx])
+                value = call(items[idx])
             except Exception as exc:
                 failures[idx] = _format_error(exc)
                 return
-            results[idx] = value
-            if on_done is not None:
-                on_done(idx, value if arr is None else arr)
+            if on_done is None:
+                results[idx] = value
+            else:
+                on_done(idx, value)
 
         return results, failures, run_tasks(task, len(items))
 
@@ -260,20 +228,16 @@ class _EngineObsMixin:
         """Wrap a ``fn(item)`` task with this engine's fault plan (if any)."""
         return fn if self.faults is None else self.faults.wrap(fn)
 
-    def _faulty_into(self, fn: Callable) -> Callable:
-        """Wrap a ``fn(out, item)`` task with this engine's fault plan."""
-        return fn if self.faults is None else self.faults.wrap_into(fn)
-
     def _engine_fault_check(self) -> None:
         """Fire one injected engine-level failure, if the plan holds any."""
         if self.faults is not None and self.faults.take_engine_failure():
             raise EngineFailure(
                 f"injected engine failure on {type(self).__name__}")
 
-    def _record_map(self, span, kind: str, n_tasks: int, wall: float, workers: list) -> MapStats:
+    def _record_map(self, span, n_tasks: int, wall: float, workers: list) -> MapStats:
         stats = MapStats(n_tasks=n_tasks, wall_seconds=wall, workers=workers)
         self.last_map_stats = stats
-        span.annotate(kind=kind, **stats.as_metadata())
+        span.annotate(**stats.as_metadata())
         tracer = self._obs_tracer()
         tracer.add("engine_tasks", n_tasks)
         tracer.add("engine_busy_seconds", stats.busy_seconds)
@@ -292,8 +256,8 @@ class SerialEngine(_EngineObsMixin):
     def _engine_fault_check(self) -> None:
         """The end of the fallback chain never reports an engine failure."""
 
-    def _dispatch(self, fn, items, out, timeout, on_done, sp):
-        return self._run_local(fn, items, out, on_done)
+    def _dispatch(self, fn, items, timeout, on_done, sp):
+        return self._run_local(fn, items, on_done)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "SerialEngine()"
@@ -365,10 +329,10 @@ class ThreadEngine(_EngineObsMixin):
             list(pool.map(run_chunk, self._chunks(n_items)))
         return merge_worker_stats(raw)
 
-    def _dispatch(self, fn, items, out, timeout, on_done, sp):
+    def _dispatch(self, fn, items, timeout, on_done, sp):
         # Sized like the fork pool: no more threads than items run at once.
         with blas_budget(min(self.n_workers, len(items))):
-            return self._run_local(fn, items, out, on_done, self._run_chunks)
+            return self._run_local(fn, items, on_done, self._run_chunks)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ThreadEngine(n_workers={self.n_workers}, policy={self.policy.name})"
@@ -551,38 +515,29 @@ def _supervised_worker(token: int, task_q, msg_w, msg_lock, blas_caps) -> None:
         # than one thread, so a 1-thread cap never starts one.
         if stop_pool is not None:
             stop_pool()
-    fn, items, handle, into = _FORK_TASKS[token]
-    view = SharedArray.attach(*handle) if handle is not None else None
+    fn, items = _FORK_TASKS[token]
     pid = os.getpid()
 
     def send(msg) -> None:
         with msg_lock:
             msg_w.send(msg)
 
-    try:
-        while True:
-            idx = task_q.get()
-            if idx is None:
-                return
-            send(("start", pid, idx, None))
-            t0 = time.perf_counter()
-            try:
-                if into:
-                    fn(view.array, items[idx])
-                    value = None
-                else:
-                    value = fn(items[idx])
-            except Exception:
-                send(("err", pid, idx, traceback.format_exc()))
-            else:
-                send(("ok", pid, idx, (value, time.perf_counter() - t0)))
-    finally:
-        if view is not None:
-            view.close()
+    while True:
+        idx = task_q.get()
+        if idx is None:
+            return
+        send(("start", pid, idx, None))
+        t0 = time.perf_counter()
+        try:
+            value = fn(items[idx])
+        except Exception:
+            send(("err", pid, idx, traceback.format_exc()))
+        else:
+            send(("ok", pid, idx, (value, time.perf_counter() - t0)))
 
 
 class SharedMemoryEngine(_EngineObsMixin):
-    """Supervised fork pool; in-place outputs go through shared memory.
+    """Supervised fork pool; inputs reach the workers by copy-on-write.
 
     Only usable where ``fork`` is available (Linux; the benchmark hosts) —
     the constructor raises :class:`RuntimeError` elsewhere.  A nested
@@ -590,27 +545,18 @@ class SharedMemoryEngine(_EngineObsMixin):
     not fork grandchildren), as does ``n_workers=1``; inline execution
     cannot enforce timeouts.
 
-    Per call, the engine publishes ``(fn, items, out-handle)`` in the fork
-    registry, forks a pool that persists for the whole call, and feeds it
-    task *indices* through a queue (dynamic self-scheduling, the policy
-    that wins on the paper's imbalanced diagonal tiles).  The pool is
-    forked *after* publication — copy-on-write is how closures over
-    multi-GB weight tensors reach the workers without pickling — which is
-    also why one pool cannot outlive its call.  Results of
-    ``map_supervised`` cross the pipe by pickling (fine for tile-sized
-    blocks).
-
-    ``map_into_supervised`` is the write-in-place path the executor
-    (:func:`repro.core.exec.run_tile_plan`) hands the output matrix to:
-    each worker attaches one shared block and runs ``fn(out_view, item)``,
-    so results never touch a pipe and the parent never runs a reassembly
-    loop.  Pass a plain ndarray (the engine stages it in a temporary
-    shared block and copies it back once — also when the call raises, so
-    blocks finished before a pool failure survive) or a
-    :class:`~repro.parallel.sharedmem.SharedArray` you allocated up front
-    for the fully zero-copy path.  ``on_done`` receives the shared array
-    the workers write into; a temporary stage is unmapped when the call
-    returns, so callers must not keep references to it.
+    Per call, the engine publishes ``(fn, items)`` in the fork registry,
+    forks a pool that persists for the whole call, and feeds it task
+    *indices* through a queue (dynamic self-scheduling, the policy that
+    wins on the paper's imbalanced diagonal tiles).  The pool is forked
+    *after* publication — copy-on-write is how closures over multi-GB
+    weight tensors reach the workers without pickling — which is also why
+    one pool cannot outlive its call.  Results cross the pipe by pickling
+    (a fused tile at the rule's edge is 8 KB), counted in the
+    ``bytes_transported`` counter and the span's ``result_bytes``; the
+    parent hands each one to ``on_done`` as it arrives, so the caller
+    (:func:`repro.core.exec.run_tile_plan`) writes it into its own buffer
+    and no worker needs a shared copy of the output.
 
     Each forked worker first caps every loaded OpenBLAS at
     :func:`worker_blas_threads` of the pool size (usable cores // workers,
@@ -636,41 +582,20 @@ class SharedMemoryEngine(_EngineObsMixin):
         # nested map degrades gracefully to the serial path.
         return self.n_workers == 1 or multiprocessing.current_process().daemon
 
-    def _dispatch(self, fn, items, out, timeout, on_done, sp):
+    def _dispatch(self, fn, items, timeout, on_done, sp):
         if self._inline():
-            return self._run_local(fn, items, out, on_done)
-        if out is None:
-            results, failures, raw, nbytes = self._run_supervised(
-                fn, items, None, timeout, on_done)
-            sp.annotate(result_bytes=nbytes)
-            self._obs_tracer().add("bytes_transported", nbytes)
-            return results, failures, merge_worker_stats(raw)
-        staged = None if isinstance(out, SharedArray) else SharedArray.from_array(out)
-        try:
-            results, failures, raw, _ = self._run_supervised(
-                fn, items, out if staged is None else staged, timeout, on_done)
-        finally:
-            if staged is not None:
-                # Copy back even when the call raises (pool stall, a raising
-                # on_done): blocks already delivered must not be lost.
-                try:
-                    out[...] = staged.array
-                finally:
-                    staged.close()
-                    staged.unlink()
-        # Results never cross the pipe; the only transport is the
-        # optional one-shot staging memcpy back into a plain ndarray.
-        sp.annotate(result_bytes=0,
-                    staged_bytes=int(out.nbytes) if staged is not None else 0)
+            return self._run_local(fn, items, on_done)
+        results, failures, raw, nbytes = self._run_supervised(fn, items, timeout, on_done)
+        sp.annotate(result_bytes=nbytes)
+        self._obs_tracer().add("bytes_transported", nbytes)
         return results, failures, merge_worker_stats(raw)
 
-    def _run_supervised(self, fn: Callable, items: list, out: SharedArray | None,
-                        timeout: float | None, on_done):
+    def _run_supervised(self, fn: Callable, items: list, timeout: float | None, on_done):
         """Supervised fork pool: per-task messages, deadlines, replacement.
 
         Returns ``(results, failures, raw_worker_stats, result_bytes)``.
         The parent drains a message queue, firing ``on_done`` as each
-        ``"ok"`` arrives (with ``out.array`` for the in-place form); any worker whose announced task exceeds
+        ``"ok"`` arrives; any worker whose announced task exceeds
         ``timeout`` is terminated and a replacement forked (the unserved
         indices still sit in the task queue).  A worker that dies without
         a word (hard crash) fails the task it had announced.  Terminating
@@ -680,9 +605,7 @@ class SharedMemoryEngine(_EngineObsMixin):
         over (a long task is not a stall: ``timeout`` bounds those).
         """
         ctx = multiprocessing.get_context("fork")
-        into = out is not None
-        task = self._faulty_into(fn) if into else self._faulty(fn)
-        token = _publish((task, items, out.handle() if into else None, into))
+        token = _publish((self._faulty(fn), items))
         task_q = ctx.Queue()
         msg_r, msg_w = ctx.Pipe(duplex=False)
         msg_lock = ctx.Lock()
@@ -732,12 +655,13 @@ class SharedMemoryEngine(_EngineObsMixin):
                         running.pop(pid, None)
                         if settle(idx, None):
                             value, seconds = payload
-                            results[idx] = value
                             nbytes += _result_nbytes(value)
                             tasks, busy = raw.get(pid, (0, 0.0))
                             raw[pid] = (tasks + 1, busy + seconds)
-                            if on_done is not None:
-                                on_done(idx, out.array if into else value)
+                            if on_done is None:
+                                results[idx] = value
+                            else:
+                                on_done(idx, value)
                     elif tag == "err":
                         running.pop(pid, None)
                         settle(idx, payload.strip().splitlines()[-1])
@@ -851,7 +775,7 @@ def fallback_engine(engine):
     fallback — only the injected *engine* failures are consumed).
     """
     if getattr(engine, "kind", None) == "elastic":
-        # The elastic pool is gone; degrade to local shared memory with
+        # The elastic pool is gone; degrade to the local fork pool with
         # the membership the pool was sized for, not the (empty) live one.
         engine.close()
         return make_engine("sharedmem",

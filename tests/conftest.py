@@ -67,3 +67,27 @@ def slab_source():
             return marginal_entropies(self._weights, base=base)
 
     return SlabSource
+
+
+@pytest.fixture
+def elastic_engine():
+    """An ElasticEngine whose 2 workers are threads in this process."""
+    import threading
+
+    from repro.cluster.elastic import ElasticEngine, worker_main
+
+    eng = ElasticEngine(n_workers=2, spawn=False, heartbeat=0.5)
+    threads = [
+        threading.Thread(
+            target=worker_main,
+            args=(eng.coordinator.host, eng.coordinator.port),
+            kwargs={"name": f"t{i}"}, daemon=True)
+        for i in range(2)
+    ]
+    for t in threads:
+        t.start()
+    eng.coordinator.wait_for_workers(2, timeout=10)
+    yield eng
+    eng.close()
+    for t in threads:
+        t.join(timeout=5)

@@ -115,7 +115,7 @@ class TestOneDispatch:
     """The checkpoint sink runs through the executor's one whole-plan
     dispatch, like the dense sink, and persists rows as they complete."""
 
-    def test_fork_engine_one_dispatch_in_place(self, weights, tmp_path):
+    def test_fork_engine_one_dispatch_returned_blocks(self, weights, tmp_path):
         source = TensorSource(weights)
         plan = plan_tiles(source, tile=8)
         dense = run_tile_plan(plan, source, DenseSink(source.n_genes))
@@ -125,7 +125,9 @@ class TestOneDispatch:
         mi = run_tile_plan(plan, source, sink, engine=engine, tracer=tracer)
         assert np.array_equal(mi, dense)
         assert len(tracer.find_spans("engine_map")) == 1
-        assert tracer.counters.get("bytes_transported", 0) == 0
+        # Each tile's block comes back up the pipe exactly once.
+        assert tracer.counters["bytes_transported"] == sum(
+            t.rows * t.cols * 8 for t in plan.tiles)
         assert tracer.counters["rows_done"] == len(sink.rows) == 4
         assert checkpoint_status(tmp_path / "ck")["done_rows"] == 4
 

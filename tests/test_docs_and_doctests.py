@@ -71,7 +71,6 @@ class TestReadme:
 class TestDoctests:
     @pytest.mark.parametrize("module_name", [
         "repro.core.pipeline",
-        "repro.parallel.sharedmem",
         "repro",
     ])
     def test_module_doctests_pass(self, module_name):

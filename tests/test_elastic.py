@@ -2,8 +2,9 @@
 
 The task-graph layer is pure bookkeeping and is tested without any I/O.
 Engine protocol tests run workers as *threads* inside this process
-(``worker_main`` against a ``spawn=False`` engine) so they are fast and
-can use test-module task functions.  The membership-churn test uses real
+(``worker_main`` against a ``spawn=False`` engine: the ``elastic_engine``
+fixture in conftest.py) so they are fast and can use test-module task
+functions.  The membership-churn test uses real
 ``repro worker`` subprocesses, SIGKILLs one mid-run and hot-joins
 another, and asserts the matrix stays bit-identical to serial — the
 PR's headline guarantee.
@@ -13,13 +14,12 @@ import functools
 import operator
 import os
 import signal
-import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.cluster.elastic import ElasticEngine, worker_main
+from repro.cluster.elastic import ElasticEngine
 from repro.cluster.taskgraph import (
     TaskGraph,
     TileTask,
@@ -139,62 +139,43 @@ class TestTaskGraph:
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def thread_engine():
-    """An ElasticEngine whose 2 workers are threads in this process."""
-    eng = ElasticEngine(n_workers=2, spawn=False, heartbeat=0.5)
-    threads = [
-        threading.Thread(
-            target=worker_main,
-            args=(eng.coordinator.host, eng.coordinator.port),
-            kwargs={"name": f"t{i}"}, daemon=True)
-        for i in range(2)
-    ]
-    for t in threads:
-        t.start()
-    eng.coordinator.wait_for_workers(2, timeout=10)
-    yield eng
-    eng.close()
-    for t in threads:
-        t.join(timeout=5)
-
 
 class TestElasticEngine:
-    def test_map_preserves_order(self, thread_engine):
-        out, failures = thread_engine.map_supervised(
+    def test_map_preserves_order(self, elastic_engine):
+        out, failures = elastic_engine.map_supervised(
             functools.partial(operator.mul, 3), list(range(10)))
         assert out == [3 * i for i in range(10)] and failures == {}
 
-    def test_map_strict_failure_raises(self, thread_engine):
-        results, failures = thread_engine.map_supervised(
+    def test_map_strict_failure_raises(self, elastic_engine):
+        results, failures = elastic_engine.map_supervised(
             functools.partial(operator.truediv, 1.0), [1, 2, 0, 4])
         assert list(failures) == [2] and "ZeroDivisionError" in failures[2]
         assert results[2] is None
 
-    def test_map_supervised_isolates_failures(self, thread_engine):
-        results, failures = thread_engine.map_supervised(
+    def test_map_supervised_isolates_failures(self, elastic_engine):
+        results, failures = elastic_engine.map_supervised(
             functools.partial(operator.truediv, 12.0), [1, 0, 3, 0, 6])
         assert list(failures) == [1, 3]
         assert all("ZeroDivisionError" in e for e in failures.values())
         assert results[0] == 12.0 and results[2] == 4.0 and results[4] == 2.0
 
-    def test_unpicklable_task_rejected(self, thread_engine):
+    def test_unpicklable_task_rejected(self, elastic_engine):
         with pytest.raises(TypeError, match="not picklable"):
-            thread_engine.map_supervised(lambda x: x, [1])
+            elastic_engine.map_supervised(lambda x: x, [1])
 
-    def test_empty_map(self, thread_engine):
-        assert thread_engine.map_supervised(
+    def test_empty_map(self, elastic_engine):
+        assert elastic_engine.map_supervised(
             functools.partial(operator.mul, 2), []) == ([], {})
 
-    def test_traffic_metered_per_worker(self, thread_engine):
-        thread_engine.map_supervised(functools.partial(operator.mul, 2), list(range(6)))
-        counters = thread_engine.meter.peer_counters()
+    def test_traffic_metered_per_worker(self, elastic_engine):
+        elastic_engine.map_supervised(functools.partial(operator.mul, 2), list(range(6)))
+        counters = elastic_engine.meter.peer_counters()
         sent = [k for k in counters if k.startswith("comm.bytes_sent{peer=w")]
         assert len(sent) >= 2  # both workers were fed
         assert all(counters[k] > 0 for k in sent)
 
-    def test_n_workers_tracks_membership(self, thread_engine):
-        assert thread_engine.n_workers == 2
+    def test_n_workers_tracks_membership(self, elastic_engine):
+        assert elastic_engine.n_workers == 2
 
     def test_make_engine_wires_elastic(self):
         from repro.parallel.engine import engine_kind, make_engine

@@ -1,8 +1,11 @@
-"""Tests for repro.parallel.engine and sharedmem."""
+"""Tests for repro.parallel.engine: the supervised protocol on every engine."""
 
 import ctypes
+import functools
+import gc
 import os
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -22,15 +25,10 @@ from repro.parallel.engine import (
     worker_blas_threads,
 )
 from repro.parallel.scheduler import StaticScheduler
-from repro.parallel.sharedmem import SharedArray
 
 
 def square(x):
     return x * x
-
-
-def write_slot(out, i):
-    out[i] = i * 10.0
 
 
 def run_map(engine, fn, items):
@@ -40,9 +38,18 @@ def run_map(engine, fn, items):
     return results
 
 
-def run_map_into(engine, fn, items, out):
-    """``map_into_supervised``, asserting that no task failed."""
-    assert engine.map_into_supervised(fn, items, out) == {}
+def run_on_done(engine, fn, items) -> dict:
+    """``map_supervised`` through ``on_done``: ``{position: value}``.
+
+    Asserts that no task failed and that the engine kept no result slot
+    for a value it handed over.
+    """
+    delivered = {}
+    results, failures = engine.map_supervised(
+        fn, items, on_done=lambda pos, value: delivered.__setitem__(pos, value))
+    assert failures == {}
+    assert results == [None] * len(items)
+    return delivered
 
 
 class TestSerialEngine:
@@ -307,96 +314,41 @@ class TestSharedMemoryEngine:
     def test_empty(self):
         assert run_map(SharedMemoryEngine(n_workers=2), square, []) == []
 
-    def test_map_into_writes_in_place(self):
-        out = np.full(8, -1.0)
-        run_map_into(SharedMemoryEngine(n_workers=2), write_slot, list(range(8)), out)
-        assert np.array_equal(out, np.arange(8) * 10.0)
-
-    def test_map_into_sharedarray_sink(self):
-        # Passing a SharedArray skips the staging copy entirely.
-        sa = SharedArray.create((6,), "float64")
-        try:
-            sa.array[:] = 0.0
-            run_map_into(SharedMemoryEngine(n_workers=2), write_slot, list(range(6)), sa)
-            assert np.array_equal(sa.array, np.arange(6) * 10.0)
-        finally:
-            sa.close()
-            sa.unlink()
-
-    def test_map_into_closure_over_array(self):
+    def test_on_done_closure_over_array(self):
         # Closures reach workers by fork/COW, never by pickling.
         big = np.arange(100, dtype=np.float64)
 
-        def task(out, i):
-            out[i] = big[i] + 0.5
+        def task(i):
+            return big[i] + 0.5
 
-        out = np.zeros(10)
-        run_map_into(SharedMemoryEngine(n_workers=3), task, list(range(10)), out)
-        assert np.array_equal(out, np.arange(10) + 0.5)
+        delivered = run_on_done(SharedMemoryEngine(n_workers=3), task, list(range(10)))
+        assert delivered == {i: i + 0.5 for i in range(10)}
 
-    def test_map_into_2d_blocks(self):
-        out = np.zeros((4, 4))
+    def test_on_done_empty(self):
+        assert run_on_done(SharedMemoryEngine(n_workers=2), square, []) == {}
 
-        def block(o, r):
-            o[r, :] = r + 1.0
-
-        run_map_into(SharedMemoryEngine(n_workers=2), block, list(range(4)), out)
-        assert np.array_equal(out, np.repeat(np.arange(1.0, 5.0)[:, None], 4, axis=1))
-
-    def test_map_into_empty(self):
-        out = np.full(3, 7.0)
-        run_map_into(SharedMemoryEngine(n_workers=2), write_slot, [], out)
-        assert np.array_equal(out, np.full(3, 7.0))
-
-    def test_map_into_single_worker_inline(self):
-        out = np.zeros(4)
-        run_map_into(SharedMemoryEngine(n_workers=1), write_slot, list(range(4)), out)
-        assert np.array_equal(out, np.arange(4) * 10.0)
-
-    def test_map_into_bad_sink_rejected(self):
-        with pytest.raises(TypeError):
-            run_map_into(SharedMemoryEngine(n_workers=2), write_slot, [0], [0.0, 0.0])
+    def test_on_done_single_worker_inline(self):
+        delivered = run_on_done(SharedMemoryEngine(n_workers=1), square, list(range(4)))
+        assert delivered == {i: i * i for i in range(4)}
 
     def test_worker_error_propagates(self):
-        def boom(out, i):
+        def boom(i):
             raise ValueError("tile kernel failed")
 
-        failures = SharedMemoryEngine(n_workers=2).map_into_supervised(
-            boom, [0, 1, 2], np.zeros(3))
+        results, failures = SharedMemoryEngine(n_workers=2).map_supervised(boom, [0, 1, 2])
+        assert results == [None] * 3
         assert sorted(failures) == [0, 1, 2]
         assert all("tile kernel failed" in err for err in failures.values())
 
     def test_registry_left_clean_after_error(self):
         before = dict(_FORK_TASKS)
 
-        def boom(out, i):
+        def boom(i):
             raise ValueError("nope")
 
-        failures = SharedMemoryEngine(n_workers=2).map_into_supervised(
-            boom, [0, 1], np.zeros(2))
+        _, failures = SharedMemoryEngine(n_workers=2).map_supervised(boom, [0, 1])
         assert sorted(failures) == [0, 1]
         assert _FORK_TASKS == before
-
-    def test_map_into_copies_back_when_the_call_raises(self):
-        # The engine stages a plain ndarray in shared memory; blocks whose
-        # on_done already fired must reach ``out`` even when the call
-        # raises (the executor keeps them across an engine fallback), and
-        # on_done sees the array the workers write into.
-        out = np.full(12, -1.0)
-        seen = {}
-
-        def done(pos, written):
-            seen[pos] = None if written is None else float(written[pos])
-            if len(seen) == 3:
-                raise EngineFailure("pool lost")
-
-        with pytest.raises(EngineFailure, match="pool lost"):
-            SharedMemoryEngine(n_workers=2).map_into_supervised(
-                write_slot, list(range(12)), out, on_done=done)
-        assert len(seen) == 3
-        for pos, written in seen.items():
-            assert written == pos * 10.0
-            assert out[pos] == pos * 10.0
 
     def test_plain_map_inherited(self):
         eng = SharedMemoryEngine(n_workers=2)
@@ -404,19 +356,42 @@ class TestSharedMemoryEngine:
 
     def test_reusable_across_calls(self):
         eng = SharedMemoryEngine(n_workers=2)
-        a, b = np.zeros(5), np.zeros(5)
-        run_map_into(eng, write_slot, list(range(5)), a)
-        run_map_into(eng, lambda o, i: o.__setitem__(i, -float(i)), list(range(5)), b)
-        assert np.array_equal(a, np.arange(5) * 10.0)
-        assert np.array_equal(b, -np.arange(5, dtype=float))
+        assert run_map(eng, square, list(range(5))) == [i * i for i in range(5)]
+        assert run_on_done(eng, lambda i: -float(i), list(range(5))) == {
+            i: -float(i) for i in range(5)}
 
 
-class TestMapIntoInProcessEngines:
-    @pytest.mark.parametrize("engine", [SerialEngine(), ThreadEngine(n_workers=3)])
-    def test_map_into(self, engine):
-        out = np.zeros(12)
-        run_map_into(engine, write_slot, list(range(12)), out)
-        assert np.array_equal(out, np.arange(12) * 10.0)
+def block(i):
+    """A tile-sized block (module level, so elastic workers unpickle it)."""
+    return np.full((8, 8), float(i))
+
+
+class TestOnDoneKeepsNothing:
+    """An engine hands each value to ``on_done`` and keeps no reference:
+    the caller writes blocks into its own buffer, so a value the engine
+    held on to would be a second copy of the result."""
+
+    @pytest.mark.parametrize("make", [
+        SerialEngine,
+        functools.partial(ThreadEngine, n_workers=2),
+        functools.partial(SharedMemoryEngine, n_workers=2),
+        "elastic",
+    ], ids=["serial", "thread", "sharedmem", "elastic"])
+    def test_delivered_values_are_released(self, make, request):
+        engine = (request.getfixturevalue("elastic_engine") if make == "elastic"
+                  else make())
+        refs = {}
+        sums = {}
+
+        def on_done(pos, value):
+            refs[pos] = weakref.ref(value)
+            sums[pos] = float(value.sum())
+
+        results, failures = engine.map_supervised(block, list(range(12)), on_done=on_done)
+        assert failures == {} and results == [None] * 12
+        assert sums == {i: 64.0 * i for i in range(12)}
+        gc.collect()
+        assert [pos for pos, ref in refs.items() if ref() is not None] == []
 
 
 class TestMakeEngine:
@@ -434,70 +409,3 @@ class TestMakeEngine:
     def test_unknown(self):
         with pytest.raises(ValueError):
             make_engine("gpu")
-
-
-class TestSharedArray:
-    def test_create_write_read(self):
-        sa = SharedArray.create((3, 3), "float64")
-        try:
-            sa.array[:] = 7.0
-            assert sa.array.sum() == 63.0
-        finally:
-            sa.close()
-            sa.unlink()
-
-    def test_attach_sees_writes(self):
-        sa = SharedArray.create((4,), "int64")
-        try:
-            sa.array[:] = 0
-            dup = SharedArray.attach(*sa.handle())
-            dup.array[2] = 42
-            assert sa.array[2] == 42
-            dup.close()
-        finally:
-            sa.close()
-            sa.unlink()
-
-    def test_from_array_copies(self, rng):
-        src = rng.normal(size=(5, 2))
-        sa = SharedArray.from_array(src)
-        try:
-            assert np.array_equal(sa.array, src)
-        finally:
-            sa.close()
-            sa.unlink()
-
-    def test_attacher_cannot_unlink(self):
-        sa = SharedArray.create((2,), "float64")
-        dup = SharedArray.attach(*sa.handle())
-        try:
-            with pytest.raises(RuntimeError):
-                dup.unlink()
-        finally:
-            dup.close()
-            sa.close()
-            sa.unlink()
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            SharedArray.create((0,), "float64")
-
-    def test_cross_process_writes(self):
-        # Workers write disjoint slots of a shared output vector.
-        sa = SharedArray.create((8,), "float64")
-        try:
-            sa.array[:] = -1.0
-            handle = sa.handle()
-
-            def worker(i):
-                dup = SharedArray.attach(*handle)
-                dup.array[i] = i * 10.0
-                dup.close()
-                return i
-
-            eng = SharedMemoryEngine(n_workers=2)
-            run_map(eng, worker, list(range(8)))
-            assert np.array_equal(sa.array, np.arange(8) * 10.0)
-        finally:
-            sa.close()
-            sa.unlink()

@@ -18,6 +18,7 @@ from repro.core.exec import TensorSource, filter_plan, plan_tiles
 from repro.core.incremental import NetworkUpdater, UpdateDelta
 from repro.core.pipeline import TingeConfig, reconstruct_network
 from repro.obs.tracer import Tracer
+from repro.parallel.engine import SharedMemoryEngine, blas_budget
 
 N, M, DM = 60, 200, 2
 CONFIG = TingeConfig(n_permutations=10, n_null_pairs=80, alpha=0.01,
@@ -140,6 +141,32 @@ class TestAddSamples:
         for k in range(DM):
             assert u.add_samples(new[:, k:k + 1]) is not None
             assert tensors(u) == []
+
+
+class TestAddSamplesOnForkEngine:
+    def test_batches_match_serial_bitwise(self):
+        """The fork engine's replayed tiles come back as returned blocks
+        and land in a copy of the live matrix; three batches in, the
+        updater is bitwise the serial one.  m = 120 sums differently at
+        one BLAS thread than at two, so both run under one budget (the
+        fork workers read the parent's capped count)."""
+        m, batch = 120, 2
+        data, new, _ = _dataset(m=m, dm=3 * batch)
+        start = reconstruct_network(data, config=CONFIG)
+        serial = NetworkUpdater.from_result(start, data)
+        fork = NetworkUpdater.from_result(start, data)
+        engine = SharedMemoryEngine(n_workers=2)
+        with blas_budget(2):
+            for k in range(0, 3 * batch, batch):
+                cols = new[:, k:k + batch]
+                ref = serial.add_samples(cols)
+                got = fork.add_samples(cols, engine=engine)
+                assert ref is not None and got is not None
+                assert got.pairs_recomputed == ref.pairs_recomputed > 0
+                assert np.array_equal(fork.mi, serial.mi)
+                assert fork.threshold == serial.threshold
+                assert np.array_equal(fork.network.adjacency, serial.network.adjacency)
+        assert fork.n_samples == serial.n_samples == m + 3 * batch
 
 
 class TestAtomicityAndResume:

@@ -57,20 +57,6 @@ class TestEngineWorkerMetrics:
         assert spans[0].metadata["worker_tasks"] == stats.task_counts()
         assert tracer.counters["engine_tasks"] == 7.0
 
-    @pytest.mark.parametrize(
-        "engine",
-        _engines(),
-        ids=lambda e: type(e).__name__,
-    )
-    def test_map_into_stats(self, engine):
-        out = np.zeros(5, dtype=np.float64)
-        engine.tracer = Tracer()
-        assert engine.map_into_supervised(
-            lambda arr, i: arr.__setitem__(i, float(i)), range(5), out) == {}
-        assert np.array_equal(out, np.arange(5.0))
-        assert engine.last_map_stats.n_tasks == 5
-        assert sum(engine.last_map_stats.task_counts().values()) == 5
-
     def test_sharedmem_engine_counts_transported_bytes(self):
         # map_supervised results still cross the fork pool's pipe.
         engine = SharedMemoryEngine(n_workers=2)
